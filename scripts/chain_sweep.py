@@ -6,12 +6,11 @@ sector, expands the intermediate subspace by single excitations, and writes
 the sweep CSVs plus a merged long-format table under out/chain6_sweep/.
 """
 
-import csv
 import sys
 from pathlib import Path
 
 from hsqd import WorkflowConfig, run_workflow
-from hsqd.cli import cmd_plotdata, build_parser
+from hsqd.cli import _write_sweep_csvs, build_parser, cmd_plotdata
 
 ROOT = Path(__file__).resolve().parent.parent
 LATTICE = ROOT / "lattices" / "chain6.json"
@@ -34,22 +33,7 @@ def main() -> None:
     report, runs = run_workflow(config)
     e_fci = {label: report.sector_energies[label]["fci"] for label in report.sector_energies}
 
-    csv_paths = []
-    for solver, sector_runs in runs.items():
-        for run in sector_runs:
-            if run.error or not run.points:
-                continue
-            path = OUT / f"sweep_{solver}_{run.sector}.csv"
-            with open(path, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(("solver", "sector", "fraction", "d", "energy",
-                                 "residual", "variance", "converged"))
-                for fraction, d, energy, residual, variance, converged in run.points:
-                    writer.writerow([solver, run.sector, f"{fraction:.12g}", d,
-                                     f"{energy:.12f}", f"{residual:.6e}",
-                                     "" if variance is None else f"{variance:.6e}",
-                                     int(bool(converged))])
-            csv_paths.append(str(path))
+    csv_paths = [str(path) for path in _write_sweep_csvs(OUT, runs)]
 
     parser = build_parser()
     args = parser.parse_args(

@@ -14,11 +14,8 @@ from .model import (
 )
 from .determinants import (
     Determinant,
-    Excitation,
-    apply_excitation,
     diagonal_energy,
     enumerate_sector,
-    excitation_between,
     generate_excitations,
     matrix_element,
 )

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import scipy.linalg
 
-from .determinants import half_strings
+from .davidson import GroundStateResult
 from .errors import HsqdError, ValidationError
 from .model import (
     ElectronicIntegrals,
@@ -29,9 +29,9 @@ from .reference import MeanFieldSolution, lucj_from_t2, mp2_doubles, solve_mean_
 from .selci import SelectionSchedule, fci_ground, hci_ground
 from .statevector import SampleSet, build_state, load_samples, sample
 from .subspace import (
-    SubspaceBasis,
-    extsqd_expand,
+    SweepPoint,
     energy_variance,
+    extsqd_expand,
     filter_samples,
     solve_subspace,
     sqd_sweep,
@@ -207,6 +207,12 @@ def _default_hci_schedule(config: WorkflowConfig) -> SelectionSchedule:
     return SelectionSchedule(epsilons=tuple(config.hci_epsilons))
 
 
+def _point(fraction: float, d: int, result: GroundStateResult) -> tuple:
+    """One sweep row: (fraction, d, energy, residual, variance, converged)."""
+    return (fraction, d, result.energy, result.residual_norm, result.variance,
+            result.converged)
+
+
 def run_workflow(config: WorkflowConfig) -> tuple[GapReport, dict[str, list[SectorRun]]]:
     """Run every requested solver in the three symmetry sectors."""
     t_start = time.time()
@@ -251,6 +257,17 @@ def run_workflow(config: WorkflowConfig) -> tuple[GapReport, dict[str, list[Sect
             sample_cache[label] = filter_samples(raw, spec)
         return sample_cache[label]
 
+    sweep_cache: dict[str, list[SweepPoint]] = {}
+
+    def sector_sweep(label: str, spec: SectorSpec, seed: int) -> list[SweepPoint]:
+        # sqd reports this sweep and extsqd expands its last point
+        if label not in sweep_cache:
+            sweep_cache[label] = sqd_sweep(
+                sector_samples(label, spec, seed), spec, sector_mo[label],
+                list(config.fractions), reference=sector_mf[label].reference_for(spec),
+            )
+        return sweep_cache[label]
+
     for solver in config.solvers:
         t0 = time.time()
         for offset, label in enumerate(SECTOR_LABELS):
@@ -259,41 +276,18 @@ def run_workflow(config: WorkflowConfig) -> tuple[GapReport, dict[str, list[Sect
             try:
                 if solver == "fci":
                     res = fci_ground(spec, ints)
-                    run.energy = res.energy
-                    try:
-                        full = SubspaceBasis(
-                            spec,
-                            tuple(half_strings(spec.n_orbitals, spec.n_alpha)),
-                            tuple(half_strings(spec.n_orbitals, spec.n_beta)),
-                        )
-                        var = energy_variance(res, full, ints)
-                    except ValidationError:
-                        var = None
-                    run.points = [(1.0, spec.dimension(), res.energy, res.residual_norm,
-                                   var, res.converged)]
+                    run.points = [_point(1.0, spec.dimension(), res)]
                 elif solver == "hci":
                     stages = hci_ground(
                         spec, sector_mo[label], _default_hci_schedule(config),
                         reference=sector_mf[label].reference_for(spec),
                     )
-                    run.energy = stages[-1].result.energy
-                    run.points = [
-                        (st.fraction, st.size, st.result.energy,
-                         st.result.residual_norm, st.result.variance, st.result.converged)
-                        for st in stages
-                    ]
-                elif solver in ("sqd", "extsqd"):
-                    samples = sector_samples(label, spec, config.seed + offset)
-                    points = sqd_sweep(
-                        samples, spec, sector_mo[label], list(config.fractions),
-                        reference=sector_mf[label].reference_for(spec),
-                    )
+                    run.points = [_point(st.fraction, st.size, st.result) for st in stages]
+                else:
+                    points = sector_sweep(label, spec, config.seed + offset)
                     if solver == "sqd":
-                        run.energy = points[-1].result.energy
                         run.points = [
-                            (p.fraction, p.basis.dimension, p.result.energy,
-                             p.result.residual_norm, p.result.variance, p.result.converged)
-                            for p in points
+                            _point(p.fraction, p.basis.dimension, p.result) for p in points
                         ]
                     else:
                         last = points[-1]
@@ -302,15 +296,12 @@ def run_workflow(config: WorkflowConfig) -> tuple[GapReport, dict[str, list[Sect
                             set(config.extsqd_levels),
                         )
                         res = solve_subspace(basis, sector_mo[label])
-                        try:
-                            var = energy_variance(res, basis, sector_mo[label])
-                        except ValidationError:
-                            var = None
-                        run.energy = res.energy
-                        run.points = [(basis.fraction, basis.dimension, res.energy,
-                                       res.residual_norm, var, res.converged)]
-                if run.energy is not None:
-                    sector_energies[label][solver] = run.energy
+                        res = res.with_variance(
+                            energy_variance(res, basis.determinants(), sector_mo[label])
+                        )
+                        run.points = [_point(basis.fraction, basis.dimension, res)]
+                run.energy = run.points[-1][2]
+                sector_energies[label][solver] = run.energy
             except HsqdError as exc:
                 run.error = f"{type(exc).__name__}: {exc}"
                 failures[f"{solver}/{label}"] = run.error

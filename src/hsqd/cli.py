@@ -47,18 +47,6 @@ from .statevector import build_state, load_samples, sample as draw_samples, save
 SWEEP_FIELDS = ("fraction", "d", "energy", "residual", "variance", "converged")
 
 
-def _threads_setting(args) -> int:
-    if getattr(args, "threads", None):
-        return args.threads
-    env = os.environ.get("HSQD_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValidationError(f"HSQD_THREADS={env!r} is not an integer") from None
-    return 1
-
-
 def _sha256(path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -166,13 +154,12 @@ def config_from_file(path, overrides: dict | None = None) -> WorkflowConfig:
 
 
 def _write_manifest(out_dir: Path, config_doc: dict, inputs: list[str], seeds: list[int],
-                    stage_seconds: dict, threads: int) -> None:
+                    stage_seconds: dict) -> None:
     manifest = {
         "tool_version": __version__,
         "config": config_doc,
         "input_hashes": {p: _sha256(p) for p in inputs if os.path.exists(p)},
         "seeds": seeds,
-        "threads": threads,
         "stage_seconds": stage_seconds,
         "created_unix": time.time(),
     }
@@ -290,7 +277,6 @@ def cmd_run(args) -> int:
         inputs=inputs,
         seeds=[config.seed],
         stage_seconds=report.stage_seconds,
-        threads=_threads_setting(args),
     )
     for solver, gap in report.gaps.items():
         print(f"gap[{solver}] = {gap:.9f} eV")
@@ -377,11 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "lattice Hamiltonians via sample-driven subspace diagonalization.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    parser.add_argument(
-        "--threads", type=int, default=None,
-        help="thread budget for internal parallelism (falls back to HSQD_THREADS; "
-             "the current implementation is deterministic and single-threaded)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("convert", help="convert lattice JSON <-> FCIDUMP")

@@ -32,7 +32,7 @@ class GroundStateResult:
     converged: bool
     variance: float | None = None
 
-    def with_variance(self, variance: float) -> "GroundStateResult":
+    def with_variance(self, variance: float | None) -> "GroundStateResult":
         return GroundStateResult(
             self.energy, self.ci_vector, self.residual_norm,
             self.iterations, self.converged, variance,
@@ -50,7 +50,6 @@ def lowest_eigenpair(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
     method: str = "auto",
-    guess: np.ndarray | None = None,
 ) -> GroundStateResult:
     """Lowest eigenpair of a Hermitian matrix (dense array or scipy sparse).
 
@@ -68,19 +67,15 @@ def lowest_eigenpair(
         energy, vec = _dense_lowest(matrix)
         resid = np.linalg.norm(matrix @ vec - energy * vec)
         return GroundStateResult(energy, vec, float(resid), 1, True)
-    return _davidson(matrix, tol=tol, max_iter=max_iter, guess=guess)
+    return _davidson(matrix, tol=tol, max_iter=max_iter)
 
 
-def _davidson(matrix, tol: float, max_iter: int, guess: np.ndarray | None):
+def _davidson(matrix, tol: float, max_iter: int):
     n = matrix.shape[0]
     diag = matrix.diagonal() if sp.issparse(matrix) else np.diag(matrix).copy()
     dtype = complex if np.iscomplexobj(diag) or (sp.issparse(matrix) and np.iscomplexobj(matrix.data)) else float
-    if guess is not None:
-        v0 = np.asarray(guess, dtype=dtype)
-        v0 = v0 / np.linalg.norm(v0)
-    else:
-        v0 = np.zeros(n, dtype=dtype)
-        v0[int(np.argmin(diag.real))] = 1.0
+    v0 = np.zeros(n, dtype=dtype)
+    v0[int(np.argmin(diag.real))] = 1.0
 
     basis = [v0]
     sigma = [matrix @ v0]

@@ -38,53 +38,6 @@ class Determinant:
         return f"{self.beta:0{n_orbitals}b}{self.alpha:0{n_orbitals}b}"
 
 
-@dataclass(frozen=True)
-class Excitation:
-    """A spin-resolved excitation with its fermionic sign.
-
-    ``sign`` is meaningful for excitations constructed against a concrete
-    source determinant (see excitation_between); it is the parity of the
-    permutation restoring canonical operator order.
-    """
-
-    spin: str  # "alpha" or "beta"
-    annihilated: tuple[int, ...]
-    created: tuple[int, ...]
-    sign: int = 1
-
-    def __post_init__(self):
-        if set(self.annihilated) & set(self.created):
-            raise ValidationError("excitation annihilates and creates the same orbital")
-        if self.spin not in ("alpha", "beta"):
-            raise ValidationError(f"unknown spin channel {self.spin!r}")
-        if self.sign not in (-1, 1):
-            raise ValidationError("sign must be +1 or -1")
-
-    def inverse(self) -> "Excitation":
-        return Excitation(self.spin, self.created, self.annihilated, self.sign)
-
-
-def excitation_between(source: Determinant, target: Determinant) -> tuple[Excitation, ...]:
-    """Per-spin excitations turning source into target, signs included."""
-    out = []
-    for spin, w_src, w_tgt in (
-        ("alpha", source.alpha, target.alpha),
-        ("beta", source.beta, target.beta),
-    ):
-        diff = w_src ^ w_tgt
-        if not diff:
-            continue
-        holes = _bits(diff & w_src)
-        parts = _bits(diff & w_tgt)
-        if len(holes) != len(parts):
-            raise ValidationError("determinants lie in different particle-number sectors")
-        probe = Excitation(spin, holes, parts)
-        src = Determinant(w_src, 0) if spin == "alpha" else Determinant(0, w_src)
-        _, sign = apply_excitation(src, probe)
-        out.append(Excitation(spin, holes, parts, sign))
-    return tuple(out)
-
-
 def _bits(word: int) -> tuple[int, ...]:
     out = []
     while word:
@@ -99,31 +52,6 @@ def _single_sign(word: int, hole: int, particle: int) -> int:
     lo, hi = (hole, particle) if hole < particle else (particle, hole)
     mask = ((1 << hi) - 1) & ~((1 << (lo + 1)) - 1)
     return -1 if bin(word & mask).count("1") % 2 else 1
-
-
-def apply_excitation(det: Determinant, exc: Excitation) -> tuple[Determinant, int]:
-    """Apply an excitation, returning the new determinant and fermionic sign.
-
-    Annihilation operators act first (in listed order), then creations in
-    reverse listed order, matching a+_{c0} a+_{c1} ... a_{a1} a_{a0}.
-    """
-    word = det.alpha if exc.spin == "alpha" else det.beta
-    sign = 1
-    for orb in exc.annihilated:
-        if not (word >> orb) & 1:
-            raise ValidationError(f"orbital {orb} not occupied")
-        mask = (1 << orb) - 1
-        sign *= -1 if bin(word & mask).count("1") % 2 else 1
-        word ^= 1 << orb
-    for orb in reversed(exc.created):
-        if (word >> orb) & 1:
-            raise ValidationError(f"orbital {orb} already occupied")
-        mask = (1 << orb) - 1
-        sign *= -1 if bin(word & mask).count("1") % 2 else 1
-        word ^= 1 << orb
-    if exc.spin == "alpha":
-        return Determinant(word, det.beta), sign
-    return Determinant(det.alpha, word), sign
 
 
 def half_strings(n_orbitals: int, n_occ: int) -> list[int]:

@@ -101,6 +101,8 @@ def read_fcidump(path) -> ElectronicIntegrals:
             i, j, k, l = (int(x) for x in parts[1:])
         except ValueError as exc:
             raise ValidationError(f"{path}: malformed value line {lineno}: {line!r}") from exc
+        if not np.isfinite(val):
+            raise ValidationError(f"{path}: non-finite value on line {lineno}")
         if any(x < 0 or x > m for x in (i, j, k, l)):
             raise ValidationError(f"{path}: index out of range on line {lineno}")
         if i == 0 and j == 0 and k == 0 and l == 0:

@@ -68,6 +68,10 @@ class LatticeHamiltonian:
             raise ValidationError(f"u_intra: expected length {m}, got {u.shape}")
         if v.shape != (m, m):
             raise ValidationError(f"v_inter: expected shape {(m, m)}, got {v.shape}")
+        # NaN fails every tolerance comparison below, so reject it up front
+        for name, arr in (("hopping", hopping), ("u_intra", u), ("v_inter", v)):
+            if not np.isfinite(arr).all():
+                raise ValidationError(f"{name} contains non-finite values")
         if np.abs(hopping - hopping.conj().T).max(initial=0.0) > HERMITICITY_TOL:
             raise ValidationError("non-Hermitian hopping matrix")
         if np.abs(v - v.T).max(initial=0.0) > HERMITICITY_TOL:

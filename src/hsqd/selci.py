@@ -11,19 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-import scipy.sparse as sp
-
 from .davidson import GroundStateResult, lowest_eigenpair
-from .determinants import (
-    Determinant,
-    diagonal_energy,
-    enumerate_sector,
-    generate_excitations,
-    matrix_element,
-)
+from .determinants import Determinant, enumerate_sector, generate_excitations, matrix_element
 from .errors import CapExceededError, ValidationError
 from .model import ElectronicIntegrals, SectorSpec
+from .subspace import assemble, energy_variance
 
 FCI_CAP = 10**6
 
@@ -66,46 +58,24 @@ class SelectedCiStage:
     determinants: tuple[Determinant, ...] = field(repr=False, default=())
 
 
-def _assemble(dets: list[Determinant], ints: ElectronicIntegrals) -> sp.csr_matrix:
-    index = {(d.beta, d.alpha): i for i, d in enumerate(dets)}
-    levels = {1} if ints.density_density else {1, 2}
-    rows, cols, vals = [], [], []
-    m = ints.n_orbitals
-    for i, det in enumerate(dets):
-        rows.append(i)
-        cols.append(i)
-        vals.append(diagonal_energy(det, ints))
-        for other in generate_excitations(det, m, levels):
-            j = index.get((other.beta, other.alpha))
-            if j is not None and j > i:
-                val = matrix_element(other, det, ints)
-                if val != 0.0:
-                    rows += [i, j]
-                    cols += [j, i]
-                    vals += [np.conj(val), val]
-    dtype = complex if ints.is_complex else float
-    return sp.csr_matrix((np.array(vals, dtype=dtype), (rows, cols)), shape=(len(dets), len(dets)))
-
-
 def fci_ground(
     spec: SectorSpec,
     ints: ElectronicIntegrals,
     tol: float = 1e-9,
     cap: int = FCI_CAP,
-    method: str = "auto",
 ) -> GroundStateResult:
-    """Lowest eigenpair over the complete sector basis."""
+    """Lowest eigenpair over the complete sector basis.
+
+    The sector is closed under H, so H c = E c + r with r orthogonal to c and
+    the relative variance is exactly (|r| / E)^2; it is None when E is zero.
+    """
     dim = spec.dimension()
     if dim > cap:
         raise CapExceededError(f"sector dimension {dim} exceeds FCI cap {cap}")
-    dets = enumerate_sector(spec, cap=cap)
-    matrix = _assemble(dets, ints)
-    return lowest_eigenpair(matrix, tol=tol, method=method)
-
-
-def _solve_dets(dets: list[Determinant], ints: ElectronicIntegrals, tol: float) -> GroundStateResult:
-    matrix = _assemble(dets, ints)
-    return lowest_eigenpair(matrix, tol=tol)
+    result = lowest_eigenpair(assemble(enumerate_sector(spec, cap=cap), ints), tol=tol)
+    if abs(result.energy) < 1e-14:
+        return result
+    return result.with_variance((result.residual_norm / result.energy) ** 2)
 
 
 def hci_ground(
@@ -120,118 +90,48 @@ def hci_ground(
     if reference is None:
         reference = Determinant((1 << spec.n_alpha) - 1, (1 << spec.n_beta) - 1)
     total = spec.dimension()
-    m = spec.n_orbitals
     levels = {1} if ints.density_density else {1, 2}
+    cap = schedule.max_determinants
+    # (recorded cutoff, importance cutoff, size limit) per stage; target-size
+    # mode admits any positive importance up to the requested size
+    plan = [(eps, eps, cap) for eps in schedule.epsilons] or \
+        [(None, 0.0, min(size, cap)) for size in schedule.target_sizes]
 
     current: list[Determinant] = [reference]
     current_set = {(reference.beta, reference.alpha)}
-    result = _solve_dets(current, ints, tol)
+    result = lowest_eigenpair(assemble(current, ints), tol=tol)
     stages: list[SelectedCiStage] = []
-
-    def record(cutoff):
+    for cutoff, eps, limit in plan:
+        while len(current) < limit:
+            if not _select(current, current_set, result, ints, levels, eps, limit - len(current)):
+                break
+            result = lowest_eigenpair(assemble(current, ints), tol=tol)
         res = result
         if with_variance:
-            try:
-                # current is in insertion order, matching the CI vector
-                res = res.with_variance(_variance_of_dets(current, res, ints))
-            except ValidationError:
-                pass  # zero energy expectation: relative variance undefined
+            # current is in insertion order, matching the CI vector
+            res = res.with_variance(energy_variance(res, current, ints))
         stages.append(
             SelectedCiStage(cutoff, len(current), len(current) / total, res, tuple(current))
         )
-
-    if schedule.epsilons:
-        for eps in schedule.epsilons:
-            while True:
-                added = _select_connected(current, current_set, result, ints, m, levels,
-                                          eps, schedule.max_determinants)
-                if not added:
-                    break
-                result = _solve_dets(current, ints, tol)
-                if len(current) >= schedule.max_determinants:
-                    break
-            record(eps)
-    else:
-        for size in schedule.target_sizes:
-            size = min(size, schedule.max_determinants)
-            while len(current) < size:
-                added = _select_top(current, current_set, result, ints, m, levels,
-                                    size - len(current))
-                if not added:
-                    break
-                result = _solve_dets(current, ints, tol)
-            record(None)
     return stages
 
 
-def _select_connected(current, current_set, result, ints, m, levels, eps, cap) -> int:
-    """Add all connected determinants with importance >= eps; returns count added."""
-    c = result.ci_vector
+def _select(current, current_set, result, ints, levels, eps, room) -> int:
+    """Add the at most ``room`` most important connected determinants whose
+    importance |H_ai c_i| is positive and at least ``eps``; returns count added."""
     candidates: dict[tuple[int, int], float] = {}
-    for amp, det in zip(c, current):
-        if abs(amp) == 0.0:
-            continue
-        for other in generate_excitations(det, m, levels):
-            key = (other.beta, other.alpha)
-            if key in current_set:
-                continue
-            val = matrix_element(other, det, ints)
-            imp = abs(val * amp)
-            if imp >= eps and imp > candidates.get(key, 0.0):
-                candidates[key] = imp
-    if not candidates:
-        return 0
-    ordered = sorted(candidates, key=lambda k: (-candidates[k], k))
-    room = cap - len(current)
-    ordered = ordered[:room]
-    for b, a in ordered:
-        current.append(Determinant(a, b))
-        current_set.add((b, a))
-    return len(ordered)
-
-
-def _select_top(current, current_set, result, ints, m, levels, n_add) -> int:
-    """Add the n_add most important connected determinants."""
-    c = result.ci_vector
-    candidates: dict[tuple[int, int], float] = {}
-    for amp, det in zip(c, current):
-        if abs(amp) == 0.0:
-            continue
-        for other in generate_excitations(det, m, levels):
-            key = (other.beta, other.alpha)
-            if key in current_set:
-                continue
-            val = matrix_element(other, det, ints)
-            imp = abs(val * amp)
-            if imp > candidates.get(key, 0.0):
-                candidates[key] = imp
-    ordered = [k for k in sorted(candidates, key=lambda k: (-candidates[k], k))
-               if candidates[k] > 0.0][:n_add]
-    for b, a in ordered:
-        current.append(Determinant(a, b))
-        current_set.add((b, a))
-    return len(ordered)
-
-
-def _variance_of_dets(dets, result, ints) -> float:
-    """Relative energy variance for an arbitrary determinant list."""
-    m = ints.n_orbitals
-    levels = {1} if ints.density_density else {1, 2}
-    c = result.ci_vector
-    w: dict[tuple[int, int], complex] = {}
-    for amp, det in zip(c, dets):
+    for amp, det in zip(result.ci_vector, current):
         if amp == 0.0:
             continue
-        key = (det.beta, det.alpha)
-        w[key] = w.get(key, 0.0) + diagonal_energy(det, ints) * amp
-        for other in generate_excitations(det, m, levels):
-            val = matrix_element(other, det, ints)
-            if val != 0.0:
-                okey = (other.beta, other.alpha)
-                w[okey] = w.get(okey, 0.0) + val * amp
-    index = {(det.beta, det.alpha): i for i, det in enumerate(dets)}
-    h1 = float(np.real(sum(np.conj(c[index[k]]) * v for k, v in w.items() if k in index)))
-    h2 = float(sum(abs(v) ** 2 for v in w.values()))
-    if abs(h1) < 1e-14:
-        raise ValidationError("energy expectation is zero; relative variance undefined")
-    return (h2 - h1 * h1) / (h1 * h1)
+        for other in generate_excitations(det, ints.n_orbitals, levels):
+            key = (other.beta, other.alpha)
+            if key in current_set:
+                continue
+            imp = abs(matrix_element(other, det, ints) * amp)
+            if imp >= eps and imp > candidates.get(key, 0.0):
+                candidates[key] = imp
+    ordered = sorted(candidates, key=lambda k: (-candidates[k], k))[:room]
+    for b, a in ordered:
+        current.append(Determinant(a, b))
+        current_set.add((b, a))
+    return len(ordered)

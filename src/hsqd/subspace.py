@@ -153,78 +153,91 @@ def build_subspace(
         raise ValidationError("target_fraction must lie in (0, 1]")
     if not samples.counts:
         raise ValidationError("empty sample set")
-    total = spec.dimension()
-    target = target_fraction * total
     seq = growth_sequence(samples, spec, reference)
-    for a, b in seq:
-        if len(a) * len(b) >= target:
-            return SubspaceBasis(spec, a, b)
-    # only reachable when the sector is too large to pad with unobserved strings
-    a, b = seq[-1]
-    return SubspaceBasis(spec, a, b)
+    return SubspaceBasis(spec, *_covering(seq, target_fraction * spec.dimension()))
 
 
-def project_hamiltonian(basis: SubspaceBasis, ints: ElectronicIntegrals) -> sp.csr_matrix:
-    """Assemble the Hamiltonian projected onto the subspace (sparse Hermitian)."""
-    dets = basis.determinants()
+def _covering(seq, target: float) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """First growth step whose product dimension reaches ``target``; the last
+    step when none does (a sector too large to pad with unobserved strings)."""
+    return next(((a, b) for a, b in seq if len(a) * len(b) >= target), seq[-1])
+
+
+def assemble(dets: list[Determinant], ints: ElectronicIntegrals) -> sp.csr_matrix:
+    """Hamiltonian over an arbitrary determinant list, driven by excitations.
+
+    Each determinant's excitations are looked up in the list, so the cost
+    grows with d times the number of excitations rather than with d^2.
+    """
     d = len(dets)
     index = {(det.beta, det.alpha): i for i, det in enumerate(dets)}
-    dtype = complex if ints.is_complex else float
+    levels = {1} if ints.density_density else {1, 2}
     rows: list[int] = []
     cols: list[int] = []
     vals: list = []
     m = ints.n_orbitals
-    if ints.density_density or d > ALL_PAIRS_LIMIT:
-        levels = {1} if ints.density_density else {1, 2}
-        for i, det in enumerate(dets):
-            rows.append(i)
-            cols.append(i)
-            vals.append(diagonal_energy(det, ints))
-            for other in generate_excitations(det, m, levels):
-                j = index.get((other.beta, other.alpha))
-                if j is not None and j > i:
-                    val = matrix_element(other, det, ints)
-                    if val != 0.0:
-                        rows += [i, j]
-                        cols += [j, i]
-                        vals += [np.conj(val), val]
-    else:
-        for i, di in enumerate(dets):
-            rows.append(i)
-            cols.append(i)
-            vals.append(diagonal_energy(di, ints))
-            for j in range(i + 1, d):
-                dj = dets[j]
-                if excitation_rank(di, dj) > 2:
-                    continue
-                val = matrix_element(di, dj, ints)
+    for i, det in enumerate(dets):
+        rows.append(i)
+        cols.append(i)
+        vals.append(diagonal_energy(det, ints))
+        for other in generate_excitations(det, m, levels):
+            j = index.get((other.beta, other.alpha))
+            if j is not None and j > i:
+                val = matrix_element(other, det, ints)
                 if val != 0.0:
                     rows += [i, j]
                     cols += [j, i]
-                    vals += [val, np.conj(val)]
+                    vals += [np.conj(val), val]
+    dtype = complex if ints.is_complex else float
+    return sp.csr_matrix((np.array(vals, dtype=dtype), (rows, cols)), shape=(d, d))
+
+
+def project_hamiltonian(basis: SubspaceBasis, ints: ElectronicIntegrals) -> sp.csr_matrix:
+    """Assemble the Hamiltonian projected onto the subspace (sparse Hermitian).
+
+    Small subspaces without a density-density shortcut compare all pairs,
+    which is faster there than enumerating every double excitation.
+    """
+    dets = basis.determinants()
+    d = len(dets)
+    if ints.density_density or d > ALL_PAIRS_LIMIT:
+        return assemble(dets, ints)
+    rows: list[int] = []
+    cols: list[int] = []
+    vals: list = []
+    for i, di in enumerate(dets):
+        rows.append(i)
+        cols.append(i)
+        vals.append(diagonal_energy(di, ints))
+        for j in range(i + 1, d):
+            dj = dets[j]
+            if excitation_rank(di, dj) > 2:
+                continue
+            val = matrix_element(di, dj, ints)
+            if val != 0.0:
+                rows += [i, j]
+                cols += [j, i]
+                vals += [val, np.conj(val)]
+    dtype = complex if ints.is_complex else float
     return sp.csr_matrix((np.array(vals, dtype=dtype), (rows, cols)), shape=(d, d))
 
 
 def solve_subspace(
-    basis: SubspaceBasis,
-    ints: ElectronicIntegrals,
-    tol: float = 1e-9,
-    max_iter: int = 200,
-    method: str = "auto",
+    basis: SubspaceBasis, ints: ElectronicIntegrals, tol: float = 1e-9
 ) -> GroundStateResult:
-    matrix = project_hamiltonian(basis, ints)
-    return lowest_eigenpair(matrix, tol=tol, max_iter=max_iter, method=method)
+    return lowest_eigenpair(project_hamiltonian(basis, ints), tol=tol)
 
 
 def energy_variance(
-    result: GroundStateResult, basis: SubspaceBasis, ints: ElectronicIntegrals
-) -> float:
-    """Relative variance (<H^2> - <H>^2) / <H>^2 of the subspace eigenvector.
+    result: GroundStateResult, dets: list[Determinant], ints: ElectronicIntegrals
+) -> float | None:
+    """Relative variance (<H^2> - <H>^2) / <H>^2 of an eigenvector over ``dets``.
 
-    The Hamiltonian is applied without projection, so contributions from
-    determinants outside the subspace are included.
+    ``dets`` lists the determinants in the order of the CI vector.  The
+    Hamiltonian is applied without projection, so contributions from
+    determinants outside the list are included.  Returns None when <H> is
+    zero, where the relative variance is undefined.
     """
-    dets = basis.determinants()
     c = result.ci_vector
     levels = {1} if ints.density_density else {1, 2}
     m = ints.n_orbitals
@@ -244,7 +257,7 @@ def energy_variance(
     h1 = float(np.real(h1))
     h2 = float(sum(abs(val) ** 2 for val in w.values()))
     if abs(h1) < 1e-14:
-        raise ValidationError("energy expectation is zero; relative variance undefined")
+        return None
     return (h2 - h1 * h1) / (h1 * h1)
 
 
@@ -308,21 +321,11 @@ def sqd_sweep(
     if any(b <= a for a, b in zip(fractions, fractions[1:])):
         raise ValidationError("fractions must be strictly increasing")
     seq = growth_sequence(samples, spec, reference)
-    total = spec.dimension()
     points = []
     for fraction in fractions:
-        target = fraction * total
-        chosen = seq[-1]
-        for a, b in seq:
-            if len(a) * len(b) >= target:
-                chosen = (a, b)
-                break
-        basis = SubspaceBasis(spec, chosen[0], chosen[1])
+        basis = SubspaceBasis(spec, *_covering(seq, fraction * spec.dimension()))
         result = solve_subspace(basis, ints, tol=tol)
         if with_variance:
-            try:
-                result = result.with_variance(energy_variance(result, basis, ints))
-            except ValidationError:
-                pass  # zero energy expectation: relative variance undefined
+            result = result.with_variance(energy_variance(result, basis.determinants(), ints))
         points.append(SweepPoint(fraction, basis, result))
     return points

@@ -5,10 +5,81 @@ creation/annihilation action on bitstrings), deliberately sharing no code
 with the package's Slater-Condon paths.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 import scipy.sparse as sp
 
-from hsqd import Determinant
+from hsqd import Determinant, ValidationError
+
+
+@dataclass(frozen=True)
+class Excitation:
+    """A spin-resolved excitation with its fermionic sign.
+
+    ``sign`` is meaningful for excitations constructed against a concrete
+    source determinant (see excitation_between); it is the parity of the
+    permutation restoring canonical operator order.
+    """
+
+    spin: str  # "alpha" or "beta"
+    annihilated: tuple[int, ...]
+    created: tuple[int, ...]
+    sign: int = 1
+
+    def __post_init__(self):
+        if set(self.annihilated) & set(self.created):
+            raise ValidationError("excitation annihilates and creates the same orbital")
+        if self.spin not in ("alpha", "beta"):
+            raise ValidationError(f"unknown spin channel {self.spin!r}")
+        if self.sign not in (-1, 1):
+            raise ValidationError("sign must be +1 or -1")
+
+    def inverse(self) -> "Excitation":
+        return Excitation(self.spin, self.created, self.annihilated, self.sign)
+
+
+def apply_excitation(det: Determinant, exc: Excitation) -> tuple[Determinant, int]:
+    """Apply an excitation, returning the new determinant and fermionic sign.
+
+    Annihilation operators act first (in listed order), then creations in
+    reverse listed order, matching a+_{c0} a+_{c1} ... a_{a1} a_{a0}.
+    """
+    word = det.alpha if exc.spin == "alpha" else det.beta
+    sign = 1
+    for orb in exc.annihilated:
+        if not (word >> orb) & 1:
+            raise ValidationError(f"orbital {orb} not occupied")
+        sign *= (-1) ** bin(word & ((1 << orb) - 1)).count("1")
+        word ^= 1 << orb
+    for orb in reversed(exc.created):
+        if (word >> orb) & 1:
+            raise ValidationError(f"orbital {orb} already occupied")
+        sign *= (-1) ** bin(word & ((1 << orb) - 1)).count("1")
+        word ^= 1 << orb
+    if exc.spin == "alpha":
+        return Determinant(word, det.beta), sign
+    return Determinant(det.alpha, word), sign
+
+
+def excitation_between(source: Determinant, target: Determinant) -> tuple[Excitation, ...]:
+    """Per-spin excitations turning source into target, signs included."""
+    out = []
+    for spin, w_src, w_tgt in (
+        ("alpha", source.alpha, target.alpha),
+        ("beta", source.beta, target.beta),
+    ):
+        diff = w_src ^ w_tgt
+        if not diff:
+            continue
+        holes = tuple(i for i in range(diff.bit_length()) if (diff & w_src) >> i & 1)
+        parts = tuple(i for i in range(diff.bit_length()) if (diff & w_tgt) >> i & 1)
+        if len(holes) != len(parts):
+            raise ValidationError("determinants lie in different particle-number sectors")
+        src = Determinant(w_src, 0) if spin == "alpha" else Determinant(0, w_src)
+        _, sign = apply_excitation(src, Excitation(spin, holes, parts))
+        out.append(Excitation(spin, holes, parts, sign))
+    return tuple(out)
 
 
 def lattice_apply(det: Determinant, lat):

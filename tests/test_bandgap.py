@@ -144,6 +144,37 @@ class TestRunWorkflow:
         report, _ = run_workflow(config)
         assert abs(report.gap_deltas["fci-extsqd"]) <= 1e-6
 
+    def test_one_sqd_sweep_per_sector(self, tmp_path, monkeypatch):
+        import hsqd.bandgap
+
+        calls = []
+        sweep = hsqd.bandgap.sqd_sweep
+
+        def counted(samples, spec, *args, **kwargs):
+            calls.append(spec)
+            return sweep(samples, spec, *args, **kwargs)
+
+        monkeypatch.setattr(hsqd.bandgap, "sqd_sweep", counted)
+        save_lattice(make_chain(4), tmp_path / "c4.json")
+        config = WorkflowConfig(lattice_path=str(tmp_path / "c4.json"), n_electrons=4,
+                                solvers=("sqd", "extsqd"), fractions=(0.25, 0.5),
+                                shots=20_000, seed=5)
+        report, runs = run_workflow(config)
+        assert calls == list(sector_specs(4, 4).values())
+        assert set(report.gaps) == {"sqd", "extsqd"}
+        for sqd_run, ext_run in zip(runs["sqd"], runs["extsqd"]):
+            assert ext_run.energy <= sqd_run.energy + 1e-12
+
+    def test_fci_variance_from_residual(self, tmp_path):
+        save_lattice(make_chain(4, u=2.0), tmp_path / "c4.json")
+        config = WorkflowConfig(lattice_path=str(tmp_path / "c4.json"), n_electrons=4,
+                                solvers=("fci",))
+        _, runs = run_workflow(config)
+        for run in runs["fci"]:
+            for _, _, energy, residual, variance, _ in run.points:
+                assert variance == (residual / energy) ** 2
+                assert variance >= 0.0
+
     def test_global_diagonal_shift_leaves_gap(self, tmp_path):
         lat = make_chain(4, u=2.0)
         shift = 5.0

@@ -143,6 +143,16 @@ class TestRun:
         config = write_config(tmp_path, tmp_path / "ghost.json", tmp_path / "o")
         assert main(["run", str(config)]) == 2
 
+    def test_nonfinite_lattice_exits_2(self, tmp_path, capsys):
+        lattice = tmp_path / "nan.json"
+        lattice.write_text(json.dumps({
+            "n_orbitals": 2, "hopping": [[0.0, float("nan")], [float("nan"), 0.0]],
+            "u": [4.0, 4.0], "v": [[0.0, 0.0], [0.0, 0.0]],
+        }))
+        config = write_config(tmp_path, lattice, tmp_path / "o")
+        assert main(["run", str(config)]) == 2
+        assert "non-finite" in capsys.readouterr().err
+
     def test_manifest_hashes_inputs(self, tmp_path):
         import hashlib
 
@@ -225,20 +235,3 @@ class TestPlotdata:
         keep = [c for c in csvs if "sqd_Ne.csv" in c or "fci" in c]
         assert main(["plotdata", *keep, "--reference", "sqd",
                      "--output", str(tmp_path / "x.csv")]) == 2
-
-
-class TestThreads:
-    def test_env_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("HSQD_THREADS", "4")
-        lattice = write_dimer(tmp_path)
-        out_dir = tmp_path / "thr"
-        config = write_config(tmp_path, lattice, out_dir)
-        assert main(["run", str(config), "--solver", "fci"]) == 0
-        manifest = json.loads((out_dir / "manifest.json").read_text())
-        assert manifest["threads"] == 4
-
-    def test_invalid_env_rejected(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("HSQD_THREADS", "lots")
-        lattice = write_dimer(tmp_path)
-        config = write_config(tmp_path, lattice, tmp_path / "o")
-        assert main(["run", str(config), "--solver", "fci"]) == 2

@@ -6,10 +6,8 @@ from hypothesis import strategies as st
 from hsqd import (
     CapExceededError,
     Determinant,
-    Excitation,
     SectorSpec,
     ValidationError,
-    apply_excitation,
     diagonal_energy,
     enumerate_sector,
     generate_excitations,
@@ -20,7 +18,14 @@ from hsqd import LatticeHamiltonian
 from hsqd.determinants import excitation_rank
 
 from conftest import random_lattice
-from oracles import dense_fock_hamiltonian, fock_index, random_general_integrals
+from oracles import (
+    Excitation,
+    apply_excitation,
+    dense_fock_hamiltonian,
+    excitation_between,
+    fock_index,
+    random_general_integrals,
+)
 
 
 class TestEnumerateSector:
@@ -205,8 +210,6 @@ class TestExcitationSigns:
             Excitation("alpha", (0,), (0,))
 
     def test_between_signs_match_hopping_element(self):
-        from hsqd import excitation_between
-
         lat3 = LatticeHamiltonian(
             3,
             [[0.0, 0.0, -1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]],

@@ -60,6 +60,15 @@ class TestLoadLattice:
         with pytest.raises(ValidationError, match="non-Hermitian hopping"):
             load_lattice(path)
 
+    @pytest.mark.parametrize("field", ["hopping", "u_intra", "v_inter"])
+    def test_nonfinite_values_rejected(self, field):
+        values = {"hopping": np.zeros((2, 2)), "u_intra": np.zeros(2),
+                  "v_inter": np.zeros((2, 2))}
+        values[field] = values[field].copy()
+        values[field].flat[0] = np.nan if field != "u_intra" else np.inf
+        with pytest.raises(ValidationError, match="non-finite"):
+            LatticeHamiltonian(2, **values)
+
     def test_dimension_mismatch_rejected(self, tmp_path):
         path = write_lattice_json(tmp_path / "bad.json", u=[4.0])
         with pytest.raises(ValidationError):
@@ -295,6 +304,15 @@ class TestFcidump:
         path = tmp_path / "bad.dump"
         path.write_text("NORB=2\n-1.0 1 2 0 0\n")
         with pytest.raises(ValidationError, match="header"):
+            read_fcidump(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_nonfinite_value_rejected(self, tmp_path, value):
+        from hsqd import read_fcidump
+
+        path = tmp_path / "bad.dump"
+        path.write_text(f"&FCI NORB=2,NELEC=2,MS2=0,\n&END\n{value} 1 2 0 0\n")
+        with pytest.raises(ValidationError, match="non-finite"):
             read_fcidump(path)
 
     def test_index_out_of_range_rejected(self, tmp_path):
