@@ -130,6 +130,15 @@ class ElectronicIntegrals:
         for name, g in (("two_body_same_spin", gss), ("two_body_opposite_spin", gos)):
             if g.shape != (m, m, m, m):
                 raise ValidationError(f"{name}: expected shape {(m,) * 4}, got {g.shape}")
+        # NaN fails every tolerance comparison below, so reject it up front
+        for name, arr in (
+            ("one_body", h),
+            ("two_body_same_spin", gss),
+            ("two_body_opposite_spin", gos),
+            ("core_energy", np.asarray(self.core_energy)),
+        ):
+            if not np.isfinite(arr).all():
+                raise ValidationError(f"{name} contains non-finite values")
         if np.abs(h - h.conj().T).max(initial=0.0) > HERMITICITY_TOL:
             raise ValidationError("one_body must be Hermitian")
         for name, g in (("two_body_same_spin", gss), ("two_body_opposite_spin", gos)):

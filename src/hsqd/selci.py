@@ -11,11 +11,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+import scipy.sparse as sp
+
 from .davidson import GroundStateResult, lowest_eigenpair
-from .determinants import Determinant, enumerate_sector, generate_excitations, matrix_element
+from .determinants import (
+    Determinant,
+    diagonal_energy,
+    generate_excitations,
+    half_strings,
+    matrix_element,
+)
 from .errors import CapExceededError, ValidationError
 from .model import ElectronicIntegrals, SectorSpec
-from .subspace import assemble, energy_variance
+from .subspace import SubspaceBasis, energy_variance, project_hamiltonian
 
 FCI_CAP = 10**6
 
@@ -72,7 +81,12 @@ def fci_ground(
     dim = spec.dimension()
     if dim > cap:
         raise CapExceededError(f"sector dimension {dim} exceeds FCI cap {cap}")
-    result = lowest_eigenpair(assemble(enumerate_sector(spec, cap=cap), ints), tol=tol)
+    basis = SubspaceBasis(
+        spec,
+        tuple(half_strings(spec.n_orbitals, spec.n_alpha)),
+        tuple(half_strings(spec.n_orbitals, spec.n_beta)),
+    )
+    result = lowest_eigenpair(project_hamiltonian(basis, ints), tol=tol)
     if abs(result.energy) < 1e-14:
         return result
     return result.with_variance((result.residual_norm / result.energy) ** 2)
@@ -99,13 +113,13 @@ def hci_ground(
 
     current: list[Determinant] = [reference]
     current_set = {(reference.beta, reference.alpha)}
-    result = lowest_eigenpair(assemble(current, ints), tol=tol)
+    result = lowest_eigenpair(_assemble(current, ints), tol=tol)
     stages: list[SelectedCiStage] = []
     for cutoff, eps, limit in plan:
         while len(current) < limit:
             if not _select(current, current_set, result, ints, levels, eps, limit - len(current)):
                 break
-            result = lowest_eigenpair(assemble(current, ints), tol=tol)
+            result = lowest_eigenpair(_assemble(current, ints), tol=tol)
         res = result
         if with_variance:
             # current is in insertion order, matching the CI vector
@@ -135,3 +149,32 @@ def _select(current, current_set, result, ints, levels, eps, room) -> int:
         current.append(Determinant(a, b))
         current_set.add((b, a))
     return len(ordered)
+
+
+def _assemble(dets: list[Determinant], ints: ElectronicIntegrals) -> sp.csr_matrix:
+    """Hamiltonian over a determinant list that need not be a product set.
+
+    Each determinant's excitations are looked up in the list, so the cost
+    grows with d times the number of excitations rather than with d^2.
+    """
+    d = len(dets)
+    index = {(det.beta, det.alpha): i for i, det in enumerate(dets)}
+    levels = {1} if ints.density_density else {1, 2}
+    rows: list[int] = []
+    cols: list[int] = []
+    vals: list = []
+    m = ints.n_orbitals
+    for i, det in enumerate(dets):
+        rows.append(i)
+        cols.append(i)
+        vals.append(diagonal_energy(det, ints))
+        for other in generate_excitations(det, m, levels):
+            j = index.get((other.beta, other.alpha))
+            if j is not None and j > i:
+                val = matrix_element(other, det, ints)
+                if val != 0.0:
+                    rows += [i, j]
+                    cols += [j, i]
+                    vals += [np.conj(val), val]
+    dtype = complex if ints.is_complex else float
+    return sp.csr_matrix((np.array(vals, dtype=dtype), (rows, cols)), shape=(d, d))

@@ -16,19 +16,11 @@ import numpy as np
 import scipy.sparse as sp
 
 from .davidson import GroundStateResult, lowest_eigenpair
-from .determinants import (
-    Determinant,
-    diagonal_energy,
-    excitation_rank,
-    generate_excitations,
-    half_strings,
-    matrix_element,
-)
-from .errors import ValidationError
+from .determinants import SECTOR_CAP, Determinant, generate_excitations, half_strings
+from .errors import CapExceededError, ValidationError
 from .model import ElectronicIntegrals, SectorSpec
 from .statevector import SampleSet
-
-ALL_PAIRS_LIMIT = 4096
+from .strings import product_hamiltonian, sigma, string_tables
 
 
 @dataclass(frozen=True)
@@ -163,63 +155,17 @@ def _covering(seq, target: float) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return next(((a, b) for a, b in seq if len(a) * len(b) >= target), seq[-1])
 
 
-def assemble(dets: list[Determinant], ints: ElectronicIntegrals) -> sp.csr_matrix:
-    """Hamiltonian over an arbitrary determinant list, driven by excitations.
-
-    Each determinant's excitations are looked up in the list, so the cost
-    grows with d times the number of excitations rather than with d^2.
-    """
-    d = len(dets)
-    index = {(det.beta, det.alpha): i for i, det in enumerate(dets)}
-    levels = {1} if ints.density_density else {1, 2}
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list = []
-    m = ints.n_orbitals
-    for i, det in enumerate(dets):
-        rows.append(i)
-        cols.append(i)
-        vals.append(diagonal_energy(det, ints))
-        for other in generate_excitations(det, m, levels):
-            j = index.get((other.beta, other.alpha))
-            if j is not None and j > i:
-                val = matrix_element(other, det, ints)
-                if val != 0.0:
-                    rows += [i, j]
-                    cols += [j, i]
-                    vals += [np.conj(val), val]
-    dtype = complex if ints.is_complex else float
-    return sp.csr_matrix((np.array(vals, dtype=dtype), (rows, cols)), shape=(d, d))
-
-
 def project_hamiltonian(basis: SubspaceBasis, ints: ElectronicIntegrals) -> sp.csr_matrix:
-    """Assemble the Hamiltonian projected onto the subspace (sparse Hermitian).
-
-    Small subspaces without a density-density shortcut compare all pairs,
-    which is faster there than enumerating every double excitation.
-    """
-    dets = basis.determinants()
-    d = len(dets)
-    if ints.density_density or d > ALL_PAIRS_LIMIT:
-        return assemble(dets, ints)
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list = []
-    for i, di in enumerate(dets):
-        rows.append(i)
-        cols.append(i)
-        vals.append(diagonal_energy(di, ints))
-        for j in range(i + 1, d):
-            dj = dets[j]
-            if excitation_rank(di, dj) > 2:
-                continue
-            val = matrix_element(di, dj, ints)
-            if val != 0.0:
-                rows += [i, j]
-                cols += [j, i]
-                vals += [val, np.conj(val)]
-    dtype = complex if ints.is_complex else float
-    return sp.csr_matrix((np.array(vals, dtype=dtype), (rows, cols)), shape=(d, d))
+    """Hamiltonian projected onto the subspace, in ``determinants()`` order
+    (sparse Hermitian), built from the per-spin string operators."""
+    spec = basis.spec
+    alpha = string_tables(spec.n_orbitals, spec.n_alpha)
+    beta = string_tables(spec.n_orbitals, spec.n_beta)
+    return product_hamiltonian(
+        ints,
+        alpha, alpha.index(sorted(basis.alpha_strings)),
+        beta, beta.index(sorted(basis.beta_strings)),
+    )
 
 
 def solve_subspace(
@@ -233,29 +179,27 @@ def energy_variance(
 ) -> float | None:
     """Relative variance (<H^2> - <H>^2) / <H>^2 of an eigenvector over ``dets``.
 
-    ``dets`` lists the determinants in the order of the CI vector.  The
-    Hamiltonian is applied without projection, so contributions from
+    ``dets`` lists the determinants of one sector in the order of the CI
+    vector, in any order and not necessarily a product set.  The vector is
+    embedded in the full sector and H is applied once, so contributions from
     determinants outside the list are included.  Returns None when <H> is
-    zero, where the relative variance is undefined.
+    zero, where the relative variance is undefined.  Sectors above
+    ``SECTOR_CAP`` raise ``CapExceededError`` before anything is allocated.
     """
-    c = result.ci_vector
-    levels = {1} if ints.density_density else {1, 2}
     m = ints.n_orbitals
-    w: dict[tuple[int, int], complex] = {}
-    for amp, det in zip(c, dets):
-        if amp == 0.0:
-            continue
-        key = (det.beta, det.alpha)
-        w[key] = w.get(key, 0.0) + diagonal_energy(det, ints) * amp
-        for other in generate_excitations(det, m, levels):
-            val = matrix_element(other, det, ints)
-            if val != 0.0:
-                okey = (other.beta, other.alpha)
-                w[okey] = w.get(okey, 0.0) + val * amp
-    index = {(det.beta, det.alpha): i for i, det in enumerate(dets)}
-    h1 = sum(np.conj(c[index[key]]) * val for key, val in w.items() if key in index)
-    h1 = float(np.real(h1))
-    h2 = float(sum(abs(val) ** 2 for val in w.values()))
+    spec = SectorSpec(m, bin(dets[0].alpha).count("1"), bin(dets[0].beta).count("1"))
+    if spec.dimension() > SECTOR_CAP:
+        raise CapExceededError(f"sector dimension {spec.dimension()} exceeds cap {SECTOR_CAP}")
+    alpha = string_tables(m, spec.n_alpha)
+    beta = string_tables(m, spec.n_beta)
+    c = np.zeros(
+        (len(beta.strings), len(alpha.strings)),
+        dtype=np.result_type(result.ci_vector, complex if ints.is_complex else float),
+    )
+    c[beta.index([d.beta for d in dets]), alpha.index([d.alpha for d in dets])] = result.ci_vector
+    s = sigma(c, ints, alpha, beta)
+    h1 = float(np.real(np.vdot(c, s)))
+    h2 = float(np.real(np.vdot(s, s)))
     if abs(h1) < 1e-14:
         return None
     return (h2 - h1 * h1) / (h1 * h1)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -235,3 +239,18 @@ class TestPlotdata:
         keep = [c for c in csvs if "sqd_Ne.csv" in c or "fci" in c]
         assert main(["plotdata", *keep, "--reference", "sqd",
                      "--output", str(tmp_path / "x.csv")]) == 2
+
+
+class TestImportCost:
+    def test_import_does_not_load_sparse_linalg(self):
+        """scipy.sparse.linalg costs about half a second of import time, which
+        every ``hsqd`` invocation would pay before doing any work."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, hsqd, hsqd.cli; print('scipy.sparse.linalg' in sys.modules)"],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        assert out.stdout.strip() == "False"

@@ -339,3 +339,22 @@ class TestIntegralInvariants:
         g = (g + g.transpose(2, 3, 0, 1)) / 2
         with pytest.raises(ValidationError):
             ElectronicIntegrals(2, np.zeros((2, 2)), g, np.zeros((2,) * 4), density_density=True)
+
+    @pytest.mark.parametrize("field, value", [
+        ("one_body", np.nan),
+        ("two_body_same_spin", np.inf),
+        ("two_body_opposite_spin", -np.inf),
+        ("core_energy", np.nan),
+    ])
+    def test_constructor_rejects_nonfinite_values(self, field, value):
+        values = {"one_body": np.zeros((2, 2)), "two_body_same_spin": np.zeros((2,) * 4),
+                  "two_body_opposite_spin": np.zeros((2,) * 4), "core_energy": 0.0}
+        if field == "core_energy":
+            values[field] = value
+        else:
+            # a symmetric placement, so only finiteness can reject it
+            values[field] = values[field].copy()
+            values[field].flat[0] = value
+            values[field].flat[-1] = value
+        with pytest.raises(ValidationError, match=f"{field} contains non-finite"):
+            ElectronicIntegrals(2, **values)

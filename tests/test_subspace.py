@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hsqd import (
+    CapExceededError,
     Determinant,
+    ElectronicIntegrals,
+    GroundStateResult,
     SectorSpec,
     ValidationError,
     energy_variance,
@@ -19,9 +24,11 @@ from hsqd import (
 )
 from hsqd.determinants import enumerate_sector, half_strings
 from hsqd.statevector import SampleSet
+from hsqd.strings import string_tables
 from hsqd.subspace import SubspaceBasis, build_subspace
 
 from conftest import make_chain, random_lattice
+from oracles import dense_fock_hamiltonian, fock_index
 
 
 def samples_from(counts, m, provenance="file"):
@@ -154,8 +161,8 @@ class TestProjectHamiltonian:
             assert np.abs(mat - mat.conj().T).max() <= 1e-12
 
     def test_connection_driven_matches_all_pairs(self):
-        """The sparse single-hop assembly and the generic pairwise assembly
-        must produce the same matrix for density-density integrals."""
+        """The string-driven product-space matrix equals the pairwise
+        Slater-Condon matrix element by element for density-density integrals."""
         rng = np.random.default_rng(8)
         lat = random_lattice(rng, m=4)
         ints = map_to_electronic(lat)
@@ -167,6 +174,103 @@ class TestProjectHamiltonian:
         dense = np.array([[matrix_element(a, b, ints) for b in dets] for a in dets])
         sparse = project_hamiltonian(basis, ints).toarray()
         assert np.abs(dense - sparse).max() <= 1e-12
+
+
+def _random_integrals(rng, m, complex_hopping, rotate):
+    """Random lattice integrals (V != 0), optionally in a random orbital
+    basis, which leaves them without the density-density structure."""
+    ints = map_to_electronic(random_lattice(rng, m=m, complex_hopping=complex_hopping))
+    if rotate:
+        z = rng.normal(size=(m, m))
+        if complex_hopping:
+            z = z + 1j * rng.normal(size=(m, m))
+        ints = rotate_basis(ints, np.linalg.qr(z)[0])
+    return ints
+
+
+def _random_strings(rng, m, n):
+    words = half_strings(m, n)
+    size = int(rng.integers(1, len(words) + 1))
+    return tuple(int(w) for w in rng.choice(words, size=size, replace=False))
+
+
+class TestStringEngineAgainstFockOracle:
+    """project_hamiltonian and energy_variance against the explicit Fock-space
+    operator restricted to the sector, which shares no code with either."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        data=st.data(),
+        m=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+        complex_hopping=st.booleans(),
+        rotate=st.booleans(),
+        product=st.booleans(),
+    )
+    def test_matrix_and_variance(self, data, m, seed, complex_hopping, rotate, product):
+        n_alpha = data.draw(st.integers(0, m), label="n_alpha")
+        n_beta = data.draw(st.integers(0, m), label="n_beta")
+        rng = np.random.default_rng(seed)
+        ints = _random_integrals(rng, m, complex_hopping, rotate)
+        spec = SectorSpec(m, n_alpha, n_beta)
+        sector = enumerate_sector(spec)
+        fock = dense_fock_hamiltonian(ints).tocsr()
+        if product:
+            basis = SubspaceBasis(spec, _random_strings(rng, m, n_alpha),
+                                  _random_strings(rng, m, n_beta))
+            dets = basis.determinants()
+            idx = [fock_index(d, m) for d in dets]
+            expected = fock[idx][:, idx].toarray()
+            got = project_hamiltonian(basis, ints).toarray()
+            assert np.abs(got - expected).max() <= 1e-10
+        else:
+            # a non-product determinant list in arbitrary order, as HCI keeps it
+            size = int(rng.integers(1, len(sector) + 1))
+            dets = [sector[i] for i in rng.permutation(len(sector))[:size]]
+        vec = rng.normal(size=len(dets))
+        if complex_hopping:
+            vec = vec + 1j * rng.normal(size=len(dets))
+        vec /= np.linalg.norm(vec)
+        sector_idx = [fock_index(d, m) for d in sector]
+        pos = {d: i for i, d in enumerate(sector)}
+        c = np.zeros(len(sector), dtype=complex)
+        c[[pos[d] for d in dets]] = vec
+        s = fock[sector_idx][:, sector_idx] @ c
+        h1 = np.vdot(c, s).real
+        h2 = np.vdot(s, s).real
+        var = energy_variance(GroundStateResult(0.0, vec, 0.0, 1, True), dets, ints)
+        if abs(h1) < 1e-6:
+            return  # relative variance ill-conditioned (None at exactly zero)
+        assert var == pytest.approx((h2 - h1 * h1) / (h1 * h1), rel=1e-8, abs=1e-10)
+
+    @pytest.mark.parametrize("n_alpha, n_beta", [(0, 0), (0, 3), (3, 0), (3, 3), (0, 2), (3, 1)])
+    def test_empty_and_full_channels(self, n_alpha, n_beta):
+        rng = np.random.default_rng(n_alpha * 10 + n_beta)
+        ints = _random_integrals(rng, 3, complex_hopping=True, rotate=True)
+        spec = SectorSpec(3, n_alpha, n_beta)
+        basis = full_basis(spec)
+        dets = basis.determinants()
+        idx = [fock_index(d, 3) for d in dets]
+        expected = dense_fock_hamiltonian(ints).tocsr()[idx][:, idx].toarray()
+        assert np.abs(project_hamiltonian(basis, ints).toarray() - expected).max() <= 1e-10
+        res = fci_ground(spec, ints)
+        assert res.energy == pytest.approx(np.linalg.eigvalsh(expected)[0], abs=1e-9)
+        var = energy_variance(res, dets, ints)
+        assert var is None or abs(var) <= 1e-12
+
+
+class TestVarianceCap:
+    def test_oversized_sector_raises_before_building_tables(self):
+        m = 16
+        spec = SectorSpec(m, 8, 8)
+        ints = ElectronicIntegrals(m, np.zeros((m, m)), np.zeros((m,) * 4), np.zeros((m,) * 4))
+        ref = Determinant((1 << 8) - 1, (1 << 8) - 1)
+        res = GroundStateResult(0.0, np.ones(1), 0.0, 1, True)
+        before = string_tables.cache_info()
+        with pytest.raises(CapExceededError, match=str(spec.dimension())):
+            energy_variance(res, [ref], ints)
+        after = string_tables.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
 
 
 class TestLowestEigenpair:
