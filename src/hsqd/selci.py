@@ -81,6 +81,9 @@ def fci_ground(
     dim = spec.dimension()
     if dim > cap:
         raise CapExceededError(f"sector dimension {dim} exceeds FCI cap {cap}")
+    # projected through project_hamiltonian like every SQD subspace, so one
+    # entry point (tested against the Fock-space oracle, and the name the
+    # benchmark's per-layer split counts) builds every product-space matrix
     basis = SubspaceBasis(
         spec,
         tuple(half_strings(spec.n_orbitals, spec.n_alpha)),

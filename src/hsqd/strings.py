@@ -11,6 +11,11 @@ with E_pq = a+_p a_q acting inside one spin string and the one-spin operator
     H_s = sum_pq k_pq E_pq + 1/2 sum_{pqrs} g_ss[pq,rs] E_pq E_rs ,
     k_pq = h_pq - 1/2 sum_r g_ss[p,r,r,q] .
 
+E_pq is evaluated on the string words themselves with bit operations, so the
+cost of an operator grows with the strings it is restricted to, never with
+the C(M, n) strings of the whole channel.  Orbital pairs are flat indices
+pq = p * M + q.
+
 Determinants are ordered beta-major (as in ``SubspaceBasis.determinants``),
 so a vector over a product space A x B is the matrix C[ib, ia] and
 
@@ -19,121 +24,89 @@ so a vector over a product space A x B is the matrix C[ib, ia] and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from math import comb
 
 import numpy as np
 import scipy.sparse as sp
 
-from .determinants import half_strings
-from .errors import ValidationError
-from .model import ElectronicIntegrals
+from .model import ElectronicIntegrals, SectorSpec
+
+# largest estimated allocation of one full-sector sigma (see sigma_bytes)
+SIGMA_BYTES_CAP = 2 * 1024**3
 
 
-@dataclass(frozen=True)
-class StringTables:
-    """E_pq = a+_p a_q over all C(M, n) strings of one spin channel.
+def excite(words: np.ndarray, p, q) -> tuple[np.ndarray, np.ndarray]:
+    """E_pq on each string word; ``p`` and ``q`` broadcast against ``words``.
 
-    Row ``pq = p * M + q`` of ``target`` holds, for every string, the index of
-    the string E_pq turns it into, or -1 where E_pq annihilates it; ``sign``
-    holds the fermionic sign (0 where annihilated).  Strings ascend as integers.
+    Returns the target words and the fermionic signs, with sign 0 where E_pq
+    annihilates the string; the target word then has a different particle
+    number, so it matches no string of the channel.
     """
-
-    n_orbitals: int
-    strings: np.ndarray
-    target: np.ndarray
-    sign: np.ndarray
-
-    def index(self, words) -> np.ndarray:
-        """Table positions of the given strings."""
-        words = np.asarray(words, dtype=np.int64)
-        pos = np.searchsorted(self.strings, words)
-        pos = np.minimum(pos, len(self.strings) - 1)
-        if np.any(self.strings[pos] != words):
-            raise ValidationError("string outside the sector")
-        return pos
+    bit_p = np.left_shift(1, p, dtype=np.int64)
+    bit_q = np.left_shift(1, q, dtype=np.int64)
+    ok = ((words & bit_q) != 0) & ((bit_p == bit_q) | ((words & bit_p) == 0))
+    # a_q passes the electrons below q, then a+_p those below p once q is gone
+    gone = words ^ bit_q
+    parity = np.bitwise_count(words & (bit_q - 1)) + np.bitwise_count(gone & (bit_p - 1))
+    sign = np.where(ok, np.where(parity & 1, -1.0, 1.0), 0.0)
+    return gone | bit_p, sign
 
 
-@lru_cache(maxsize=16)
-def string_tables(n_orbitals: int, n_occ: int) -> StringTables:
-    """Excitation tables of one spin channel, shared by every caller."""
-    m = n_orbitals
-    strings = np.array(half_strings(m, n_occ), dtype=np.int64)
-    occ = (strings[:, None] >> np.arange(m)) & 1
-    below = np.cumsum(occ, axis=1) - occ  # occupied orbitals below each orbital
-    target = np.full((m, m, len(strings)), -1, dtype=np.intp)
-    sign = np.zeros((m, m, len(strings)))
-    for p in range(m):
-        for q in range(m):
-            ok = occ[:, q] == 1
-            if p != q:
-                ok &= occ[:, p] == 0
-            target[p, q, ok] = np.searchsorted(strings, strings[ok] ^ (1 << q) | (1 << p))
-            # a_q passes the electrons below q, then a+_p those below p once q is gone
-            parity = below[ok, q] + below[ok, p] - int(q < p)
-            sign[p, q, ok] = 1 - 2 * (parity % 2)
-    tables = StringTables(m, strings, target.reshape(m * m, -1), sign.reshape(m * m, -1))
-    for arr in (tables.strings, tables.target, tables.sign):
-        arr.setflags(write=False)
-    return tables
+def _locate(strings: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """Positions of ``words`` in the ascending ``strings``; -1 where absent."""
+    pos = np.minimum(np.searchsorted(strings, words), len(strings) - 1)
+    return np.where(strings[pos] == words, pos, -1)
 
 
-def _positions(tables: StringTables, idx: np.ndarray) -> np.ndarray:
-    """Map table positions to local positions in ``idx`` (-1 outside); the
-    extra last slot sends the annihilated target -1 to -1."""
-    pos = np.full(len(tables.strings) + 1, -1, dtype=np.intp)
-    pos[idx] = np.arange(len(idx))
-    return pos
+def _excitations(strings: np.ndarray, pairs: np.ndarray, m: int):
+    """E_pq restricted to ``strings`` for each pair in ``pairs``: the live
+    entries as (pair position, row, column, sign), pair-major."""
+    p, q = np.divmod(pairs[:, None], m)
+    words, sign = excite(strings, p, q)
+    rows = _locate(strings, words)
+    term, col = np.nonzero(rows >= 0)
+    return term, rows[term, col], col, sign[term, col]
 
 
-def one_spin_operator(
-    tables: StringTables, idx: np.ndarray, h: np.ndarray, g: np.ndarray
-) -> sp.coo_matrix:
-    """k.E + 1/2 sum g E_pq E_rs restricted to the strings at positions ``idx``.
+def one_spin_operator(strings: np.ndarray, h: np.ndarray, g: np.ndarray) -> sp.coo_matrix:
+    """k.E + 1/2 sum g E_pq E_rs restricted to the ascending ``strings``.
 
-    The product E_pq E_rs passes through strings outside ``idx``, so it is
-    composed on the full tables and only its end points are restricted.
+    The product E_pq E_rs passes through strings outside the set, so the
+    intermediate words are kept and only the end points are restricted.
     """
-    m = tables.n_orbitals
-    n = len(idx)
-    pos = _positions(tables, idx)
-    cols = np.arange(n)
+    m = h.shape[0]
+    n = len(strings)
     k = (h - 0.5 * np.einsum("prrq->pq", g)).reshape(-1)
-    rows_l = [pos[tables.target[:, idx]]]
-    cols_l = [np.broadcast_to(cols, rows_l[0].shape)]
-    vals_l = [k[:, None] * tables.sign[:, idx]]
+    term, row, col, sign = _excitations(strings, np.arange(m * m), m)
+    rows_l, cols_l, vals_l = [row], [col], [k[term] * sign]
     gmat = g.reshape(m * m, m * m)
     for rs in np.flatnonzero(np.any(gmat != 0, axis=0)):
-        mid = tables.target[rs, idx]
-        live = np.flatnonzero(mid >= 0)
+        mid, mid_sign = excite(strings, *divmod(int(rs), m))
+        live = np.flatnonzero(mid_sign)
         pq = np.flatnonzero(gmat[:, rs])
-        rows_l.append(pos[tables.target[np.ix_(pq, mid[live])]])
-        cols_l.append(np.broadcast_to(live, rows_l[-1].shape))
-        vals_l.append(
-            0.5 * gmat[pq, rs][:, None] * tables.sign[np.ix_(pq, mid[live])]
-            * tables.sign[rs, idx[live]]
-        )
-    rows = np.concatenate([r.ravel() for r in rows_l])
-    cols = np.concatenate([c.ravel() for c in cols_l])
-    vals = np.concatenate([v.ravel() for v in vals_l])
-    keep = (rows >= 0) & (vals != 0)
+        words, sign = excite(mid[live], *np.divmod(pq[:, None], m))
+        rows = _locate(strings, words)
+        term, j = np.nonzero(rows >= 0)
+        rows_l.append(rows[term, j])
+        cols_l.append(live[j])
+        vals_l.append(0.5 * gmat[pq, rs][term] * sign[term, j] * mid_sign[live[j]])
+    rows = np.concatenate(rows_l)
+    cols = np.concatenate(cols_l)
+    vals = np.concatenate(vals_l)
+    keep = vals != 0
     return sp.coo_matrix((vals[keep], (rows[keep], cols[keep])), shape=(n, n))
 
 
 def product_hamiltonian(
-    ints: ElectronicIntegrals,
-    alpha: StringTables,
-    alpha_idx: np.ndarray,
-    beta: StringTables,
-    beta_idx: np.ndarray,
+    ints: ElectronicIntegrals, alpha: np.ndarray, beta: np.ndarray
 ) -> sp.csr_matrix:
-    """H over the product space of the alpha and beta strings at the given
-    table positions, in beta-major order."""
+    """H over the product space of the ascending ``alpha`` and ``beta``
+    string words, in beta-major order."""
     m = ints.n_orbitals
-    na, nb = len(alpha_idx), len(beta_idx)
+    na, nb = len(alpha), len(beta)
     d = na * nb
-    ha = one_spin_operator(alpha, alpha_idx, ints.one_body, ints.two_body_same_spin)
-    hb = one_spin_operator(beta, beta_idx, ints.one_body, ints.two_body_same_spin)
+    ha = one_spin_operator(alpha, ints.one_body, ints.two_body_same_spin)
+    hb = one_spin_operator(beta, ints.one_body, ints.two_body_same_spin)
     index = np.int32 if d <= np.iinfo(np.int32).max else np.int64
     stride = index(na)  # row of (ib, ia) is ib * na + ia, in the index dtype
     a_range, b_range = np.arange(na, dtype=index), np.arange(nb, dtype=index)
@@ -145,23 +118,16 @@ def product_hamiltonian(
         rows_l.append(np.arange(d, dtype=index))
         cols_l.append(rows_l[-1])
         vals_l.append(np.full(d, ints.core_energy))
-    pos_a = _positions(alpha, alpha_idx).astype(index)
-    pos_b = _positions(beta, beta_idx).astype(index)
     gos = ints.two_body_opposite_spin.reshape(m * m, m * m)
     for pq in np.flatnonzero(np.any(gos != 0, axis=1)):
         # E^alpha_pq[A, A]
-        ea_row = pos_a[alpha.target[pq, alpha_idx]]
-        live = ea_row >= 0
-        ea_row, ea_col, ea_val = ea_row[live], a_range[live], alpha.sign[pq, alpha_idx[live]]
+        _, ea_row, ea_col, ea_val = _excitations(alpha, np.array([pq]), m)
         # W^beta_pq = sum_rs g_os[pq, rs] E^beta_rs[B, B], duplicates unsummed
         rs = np.flatnonzero(gos[pq])
-        w_row = pos_b[beta.target[np.ix_(rs, beta_idx)]]
-        live = w_row >= 0
-        w_row = w_row[live]
-        w_col = np.broadcast_to(b_range, live.shape)[live]
-        w_val = (gos[pq, rs][:, None] * beta.sign[np.ix_(rs, beta_idx)])[live]
-        rows_l.append(w_row[:, None] * stride + ea_row)
-        cols_l.append(w_col[:, None] * stride + ea_col)
+        term, w_row, w_col, sign = _excitations(beta, rs, m)
+        w_val = gos[pq, rs][term] * sign
+        rows_l.append(w_row.astype(index)[:, None] * stride + ea_row.astype(index))
+        cols_l.append(w_col.astype(index)[:, None] * stride + ea_col.astype(index))
         vals_l.append(w_val[:, None] * ea_val)
     # every triplet is live and nonzero; one conversion sums the duplicates,
     # and the pieces are dropped as soon as they are joined to bound the peak
@@ -176,27 +142,53 @@ def product_hamiltonian(
     return mat
 
 
+def sigma_bytes(spec: SectorSpec, ints: ElectronicIntegrals) -> int:
+    """Estimated peak memory of one ``sigma`` over the full sector of ``spec``.
+
+    Counts five sector-sized arrays (the vector, the result and the
+    temporaries of one term); ten 8-byte temporaries per string and orbital
+    pair for the excitations of each channel; and three copies (joined,
+    filtered, converted) of each one-spin triplet of two 8-byte indices and
+    a value, with L^2 + L triplets per string, where L = n (M - n) + n is the
+    number of E_rs that keep a string alive.
+    """
+    m = spec.n_orbitals
+    item = 16 if ints.is_complex else 8
+    total = 5 * item * spec.dimension()
+    for n in (spec.n_alpha, spec.n_beta):
+        live = n * (m - n) + n
+        total += comb(m, n) * (80 * m * m + 3 * (16 + item) * (live * live + live))
+    return total
+
+
 def sigma(
-    c: np.ndarray, ints: ElectronicIntegrals, alpha: StringTables, beta: StringTables
+    c: np.ndarray, ints: ElectronicIntegrals, alpha: np.ndarray, beta: np.ndarray
 ) -> np.ndarray:
-    """H applied to a full-sector vector given as the matrix C[ib, ia]."""
+    """H applied to a vector over the product of the ascending ``alpha`` and
+    ``beta`` string words, given as the matrix C[ib, ia].  The product space
+    must be closed under H (a full sector) for the result to be H c."""
     m = ints.n_orbitals
-    ha = one_spin_operator(
-        alpha, np.arange(len(alpha.strings)), ints.one_body, ints.two_body_same_spin
-    ).tocsr()
-    hb = one_spin_operator(
-        beta, np.arange(len(beta.strings)), ints.one_body, ints.two_body_same_spin
-    ).tocsr()
-    out = hb @ c + (ha @ c.T).T + ints.core_energy * c
+    ha = one_spin_operator(alpha, ints.one_body, ints.two_body_same_spin).tocsr()
+    hb = one_spin_operator(beta, ints.one_body, ints.two_body_same_spin).tocsr()
+    out = hb @ c
+    out += (ha @ c.T).T
+    out += ints.core_energy * c
     gos = ints.two_body_opposite_spin.reshape(m * m, m * m)
-    pqs = np.flatnonzero(np.any(gos != 0, axis=1))
-    # D[pq] = C E^alpha_pq^T, filled in one preallocated stack
-    stack = np.zeros((len(pqs),) + c.shape, dtype=np.result_type(c, gos))
-    for d_pq, pq in zip(stack, pqs):
-        live = alpha.target[pq] >= 0
-        d_pq[:, alpha.target[pq, live]] = c[:, live] * alpha.sign[pq, live]
-    for rs in np.flatnonzero(np.any(gos != 0, axis=0)):
-        live = beta.target[rs] >= 0
-        t = np.tensordot(gos[pqs, rs], stack, axes=1)
-        out[beta.target[rs, live]] += beta.sign[rs, live][:, None] * t[live]
+    pairs = np.arange(m * m)
+    # E^alpha of every pair, pair-major, and one row-sorted CSR pattern of all
+    # E^beta_rs that each W^beta_pq = sum_rs g_os[pq, rs] E^beta_rs refills
+    a_term, a_row, a_col, a_sign = _excitations(alpha, pairs, m)
+    a_cut = np.searchsorted(a_term, np.arange(m * m + 1))
+    b_term, b_row, b_col, b_sign = _excitations(beta, pairs, m)
+    order = np.argsort(b_row, kind="stable")
+    b_term, b_col, b_sign = b_term[order], b_col[order], b_sign[order]
+    b_ptr = np.concatenate([[0], np.cumsum(np.bincount(b_row, minlength=len(beta)))])
+    d = np.empty(c.shape, dtype=np.result_type(c, gos))
+    for pq in np.flatnonzero(np.any(gos != 0, axis=1)):
+        # D = C E^alpha_pq^T, then W^beta_pq D
+        part = slice(a_cut[pq], a_cut[pq + 1])
+        d.fill(0)
+        d[:, a_row[part]] = c[:, a_col[part]] * a_sign[part]
+        w = sp.csr_matrix((gos[pq, b_term] * b_sign, b_col, b_ptr), shape=(len(beta),) * 2)
+        out += w @ d
     return out

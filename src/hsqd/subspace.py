@@ -20,7 +20,7 @@ from .determinants import SECTOR_CAP, Determinant, generate_excitations, half_st
 from .errors import CapExceededError, ValidationError
 from .model import ElectronicIntegrals, SectorSpec
 from .statevector import SampleSet
-from .strings import product_hamiltonian, sigma, string_tables
+from .strings import SIGMA_BYTES_CAP, product_hamiltonian, sigma, sigma_bytes
 
 
 @dataclass(frozen=True)
@@ -158,13 +158,10 @@ def _covering(seq, target: float) -> tuple[tuple[int, ...], tuple[int, ...]]:
 def project_hamiltonian(basis: SubspaceBasis, ints: ElectronicIntegrals) -> sp.csr_matrix:
     """Hamiltonian projected onto the subspace, in ``determinants()`` order
     (sparse Hermitian), built from the per-spin string operators."""
-    spec = basis.spec
-    alpha = string_tables(spec.n_orbitals, spec.n_alpha)
-    beta = string_tables(spec.n_orbitals, spec.n_beta)
     return product_hamiltonian(
         ints,
-        alpha, alpha.index(sorted(basis.alpha_strings)),
-        beta, beta.index(sorted(basis.beta_strings)),
+        np.array(sorted(basis.alpha_strings), dtype=np.int64),
+        np.array(sorted(basis.beta_strings), dtype=np.int64),
     )
 
 
@@ -172,6 +169,15 @@ def solve_subspace(
     basis: SubspaceBasis, ints: ElectronicIntegrals, tol: float = 1e-9
 ) -> GroundStateResult:
     return lowest_eigenpair(project_hamiltonian(basis, ints), tol=tol)
+
+
+def _positions(strings: np.ndarray, words: list[int]) -> np.ndarray:
+    """Positions of ``words`` in the ascending sector ``strings``."""
+    words = np.asarray(words, dtype=np.int64)
+    pos = np.minimum(np.searchsorted(strings, words), len(strings) - 1)
+    if np.any(strings[pos] != words):
+        raise ValidationError("determinant outside the sector")
+    return pos
 
 
 def energy_variance(
@@ -184,19 +190,28 @@ def energy_variance(
     embedded in the full sector and H is applied once, so contributions from
     determinants outside the list are included.  Returns None when <H> is
     zero, where the relative variance is undefined.  Sectors above
-    ``SECTOR_CAP`` raise ``CapExceededError`` before anything is allocated.
+    ``SECTOR_CAP``, or whose sigma is estimated (``strings.sigma_bytes``) to
+    need more than ``SIGMA_BYTES_CAP`` bytes, raise ``CapExceededError``
+    before anything is allocated.
     """
     m = ints.n_orbitals
     spec = SectorSpec(m, bin(dets[0].alpha).count("1"), bin(dets[0].beta).count("1"))
     if spec.dimension() > SECTOR_CAP:
         raise CapExceededError(f"sector dimension {spec.dimension()} exceeds cap {SECTOR_CAP}")
-    alpha = string_tables(m, spec.n_alpha)
-    beta = string_tables(m, spec.n_beta)
+    need = sigma_bytes(spec, ints)
+    if need > SIGMA_BYTES_CAP:
+        raise CapExceededError(
+            f"sigma over sector dimension {spec.dimension()} needs about {need} bytes,"
+            f" over the cap of {SIGMA_BYTES_CAP}"
+        )
+    alpha = np.array(half_strings(m, spec.n_alpha), dtype=np.int64)
+    beta = np.array(half_strings(m, spec.n_beta), dtype=np.int64)
     c = np.zeros(
-        (len(beta.strings), len(alpha.strings)),
+        (len(beta), len(alpha)),
         dtype=np.result_type(result.ci_vector, complex if ints.is_complex else float),
     )
-    c[beta.index([d.beta for d in dets]), alpha.index([d.alpha for d in dets])] = result.ci_vector
+    c[_positions(beta, [d.beta for d in dets]),
+      _positions(alpha, [d.alpha for d in dets])] = result.ci_vector
     s = sigma(c, ints, alpha, beta)
     h1 = float(np.real(np.vdot(c, s)))
     h2 = float(np.real(np.vdot(s, s)))

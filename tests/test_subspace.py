@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,9 +24,11 @@ from hsqd import (
     solve_subspace,
     sqd_sweep,
 )
-from hsqd.determinants import enumerate_sector, half_strings
+from hsqd import strings as strings_mod
+from hsqd import subspace as subspace_mod
+from hsqd.determinants import SECTOR_CAP, enumerate_sector, half_strings, matrix_element
+from hsqd.strings import SIGMA_BYTES_CAP, sigma_bytes
 from hsqd.statevector import SampleSet
-from hsqd.strings import string_tables
 from hsqd.subspace import SubspaceBasis, build_subspace
 
 from conftest import make_chain, random_lattice
@@ -258,19 +262,102 @@ class TestStringEngineAgainstFockOracle:
         var = energy_variance(res, dets, ints)
         assert var is None or abs(var) <= 1e-12
 
+    @pytest.mark.parametrize("complex_hopping", [False, True])
+    @pytest.mark.parametrize("n_alpha, n_beta", [(2, 2), (1, 2), (2, 1)])
+    def test_variance_in_rotated_sector(self, complex_hopping, n_alpha, n_beta):
+        """A fixed rotated case in which both spins' excitation signs matter,
+        so the check does not depend on what the random search draws."""
+        rng = np.random.default_rng(3)
+        ints = _random_integrals(rng, 4, complex_hopping, rotate=True)
+        sector = enumerate_sector(SectorSpec(4, n_alpha, n_beta))
+        vec = rng.normal(size=len(sector)) + (1j * rng.normal(size=len(sector))
+                                              if complex_hopping else 0)
+        vec /= np.linalg.norm(vec)
+        idx = [fock_index(d, 4) for d in sector]
+        s = dense_fock_hamiltonian(ints).tocsr()[idx][:, idx] @ vec
+        h1 = np.vdot(vec, s).real
+        expected = (np.vdot(s, s).real - h1 * h1) / (h1 * h1)
+        var = energy_variance(GroundStateResult(0.0, vec, 0.0, 1, True), sector, ints)
+        assert var == pytest.approx(expected, rel=1e-10)
+
 
 class TestVarianceCap:
-    def test_oversized_sector_raises_before_building_tables(self):
-        m = 16
-        spec = SectorSpec(m, 8, 8)
-        ints = ElectronicIntegrals(m, np.zeros((m, m)), np.zeros((m,) * 4), np.zeros((m,) * 4))
+    @staticmethod
+    def _forbid_allocation(monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("string arrays built before the cap check")
+
+        monkeypatch.setattr(subspace_mod, "half_strings", refuse)
+        monkeypatch.setattr(strings_mod, "excite", refuse)
+
+    @staticmethod
+    def _zero_ints(m):
+        return ElectronicIntegrals(m, np.zeros((m, m)), np.zeros((m,) * 4), np.zeros((m,) * 4))
+
+    def test_oversized_sector_raises_before_building_tables(self, monkeypatch):
+        spec = SectorSpec(16, 8, 8)
         ref = Determinant((1 << 8) - 1, (1 << 8) - 1)
         res = GroundStateResult(0.0, np.ones(1), 0.0, 1, True)
-        before = string_tables.cache_info()
+        self._forbid_allocation(monkeypatch)
         with pytest.raises(CapExceededError, match=str(spec.dimension())):
-            energy_variance(res, [ref], ints)
-        after = string_tables.cache_info()
-        assert (after.hits, after.misses) == (before.hits, before.misses)
+            energy_variance(res, [ref], self._zero_ints(16))
+
+    def test_sigma_memory_preflight(self, monkeypatch):
+        """A sector under SECTOR_CAP whose sigma would still need far more
+        memory than SIGMA_BYTES_CAP (one 2.7-million-string channel)."""
+        spec = SectorSpec(24, 12, 0)
+        ints = self._zero_ints(24)
+        assert spec.dimension() <= SECTOR_CAP
+        assert sigma_bytes(spec, ints) > SIGMA_BYTES_CAP
+        res = GroundStateResult(0.0, np.ones(1), 0.0, 1, True)
+        self._forbid_allocation(monkeypatch)
+        with pytest.raises(CapExceededError, match="bytes"):
+            energy_variance(res, [Determinant((1 << 12) - 1, 0)], ints)
+
+    def test_sigma_bytes_bounds_measured_peak(self):
+        """The estimate is an upper bound on what one variance allocates."""
+        rng = np.random.default_rng(5)
+        ints = _random_integrals(rng, 8, complex_hopping=True, rotate=True)
+        spec = SectorSpec(8, 4, 3)
+        dets = enumerate_sector(spec)[:50]
+        vec = np.ones(len(dets), dtype=complex) / np.sqrt(len(dets))
+        res = GroundStateResult(0.0, vec, 0.0, 1, True)
+        tracemalloc.start()
+        try:
+            energy_variance(res, dets, ints)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= sigma_bytes(spec, ints)
+
+
+class TestLargeChannelProjection:
+    def test_observed_strings_of_a_large_channel(self):
+        """A few observed strings of a 24-orbital half-filled sector (2.7
+        million strings per channel): the projection costs memory in the
+        number of observed strings and agrees with the pairwise
+        Slater-Condon elements in a rotated (dense two-body) basis."""
+        rng = np.random.default_rng(24)
+        m = 24
+        ints = rotate_basis(map_to_electronic(make_chain(m, v=0.5)),
+                            np.linalg.qr(rng.normal(size=(m, m)))[0])
+        low = (1 << 12) - 1
+        # the aufbau string, a single, a double and a random string
+        alphas = (low, low ^ (1 << 11) | (1 << 12), low ^ 0b11 | (0b11 << 12),
+                  sum(1 << int(i) for i in rng.choice(m, 12, replace=False)))
+        betas = (low, low ^ 1 | (1 << 23))
+        basis = SubspaceBasis(SectorSpec(m, 12, 12), alphas, betas)
+        tracemalloc.start()
+        try:
+            mat = project_hamiltonian(basis, ints).toarray()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * 2**20
+        dets = basis.determinants()
+        dense = np.array([[matrix_element(a, b, ints) for b in dets] for a in dets])
+        assert np.abs(dense - mat).max() <= 1e-10
+        assert np.count_nonzero(np.abs(dense - np.diag(np.diag(dense))) > 1e-12)
 
 
 class TestLowestEigenpair:
