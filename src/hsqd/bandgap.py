@@ -141,7 +141,7 @@ class SectorRun:
     sector: str
     energy: float | None
     points: list = field(default_factory=list)  # (fraction, d, energy, residual, variance, converged)
-    error: str | None = None
+    error: HsqdError | None = None
 
 
 @dataclass
@@ -303,8 +303,8 @@ def run_workflow(config: WorkflowConfig) -> tuple[GapReport, dict[str, list[Sect
                 run.energy = run.points[-1][2]
                 sector_energies[label][solver] = run.energy
             except HsqdError as exc:
-                run.error = f"{type(exc).__name__}: {exc}"
-                failures[f"{solver}/{label}"] = run.error
+                run.error = exc
+                failures[f"{solver}/{label}"] = f"{type(exc).__name__}: {exc}"
             runs[solver].append(run)
         stage_seconds[f"solver_{solver}"] = time.time() - t0
 

@@ -32,7 +32,7 @@ from .bandgap import (
     run_workflow,
     sector_specs,
 )
-from .errors import HsqdError, ValidationError
+from .errors import ConvergenceError, HsqdError, ValidationError
 from .fcidump import read_fcidump, write_fcidump
 from .model import (
     lattice_from_electronic,
@@ -281,22 +281,19 @@ def cmd_run(args) -> int:
     for solver, gap in report.gaps.items():
         print(f"gap[{solver}] = {gap:.9f} eV")
     print(f"single-particle gap = {report.single_particle_gap:.9f} eV")
-    if report.failures:
-        for key, msg in report.failures.items():
-            print(f"FAILED {key}: {msg}", file=sys.stderr)
-        return 4
-    unconverged = [
-        (solver, run.sector)
-        for solver, sector_runs in runs.items()
-        for run in sector_runs
-        for point in run.points
-        if not point[5]
-    ]
-    if unconverged:
-        for solver, sector in unconverged:
-            print(f"UNCONVERGED {solver}/{sector}", file=sys.stderr)
-        return 4
-    return 0
+    # the largest code among the recorded failures and non-convergence, so
+    # caps alone exit 3 and any solver failure still exits 4
+    codes = [0]
+    for key, msg in report.failures.items():
+        print(f"FAILED {key}: {msg}", file=sys.stderr)
+    for solver, sector_runs in runs.items():
+        for run in sector_runs:
+            if run.error is not None:
+                codes.append(run.error.exit_code)
+            if not all(point[5] for point in run.points):
+                print(f"UNCONVERGED {solver}/{run.sector}", file=sys.stderr)
+                codes.append(ConvergenceError.exit_code)
+    return max(codes)
 
 
 # ---------------------------- plotdata ----------------------------

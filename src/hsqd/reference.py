@@ -331,6 +331,8 @@ def load_amplitudes(path) -> tuple[np.ndarray, int, int]:
     m = int(raw["n_orbitals"])
     nocc = int(raw["n_occ"])
     t2 = np.asarray(raw["t2"], dtype=float)
+    if not np.all(np.isfinite(t2)):
+        raise ValidationError(f"{path}: non-finite amplitude")
     nvirt = m - nocc
     if t2.shape != (nocc, nocc, nvirt, nvirt):
         raise ValidationError(

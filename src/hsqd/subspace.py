@@ -17,7 +17,7 @@ import scipy.sparse as sp
 
 from .davidson import GroundStateResult, lowest_eigenpair
 from .determinants import SECTOR_CAP, Determinant, generate_excitations, half_strings
-from .errors import CapExceededError, ValidationError
+from .errors import ValidationError
 from .model import ElectronicIntegrals, SectorSpec
 from .statevector import SampleSet
 from .strings import SIGMA_BYTES_CAP, product_hamiltonian, sigma, sigma_bytes
@@ -189,21 +189,15 @@ def energy_variance(
     vector, in any order and not necessarily a product set.  The vector is
     embedded in the full sector and H is applied once, so contributions from
     determinants outside the list are included.  Returns None when <H> is
-    zero, where the relative variance is undefined.  Sectors above
-    ``SECTOR_CAP``, or whose sigma is estimated (``strings.sigma_bytes``) to
-    need more than ``SIGMA_BYTES_CAP`` bytes, raise ``CapExceededError``
-    before anything is allocated.
+    zero, where the relative variance is undefined, and for sectors above
+    ``SECTOR_CAP`` or whose sigma is estimated (``strings.sigma_bytes``) to
+    need more than ``SIGMA_BYTES_CAP`` bytes; that is decided before
+    anything is allocated, so the caller keeps its energy either way.
     """
     m = ints.n_orbitals
     spec = SectorSpec(m, bin(dets[0].alpha).count("1"), bin(dets[0].beta).count("1"))
-    if spec.dimension() > SECTOR_CAP:
-        raise CapExceededError(f"sector dimension {spec.dimension()} exceeds cap {SECTOR_CAP}")
-    need = sigma_bytes(spec, ints)
-    if need > SIGMA_BYTES_CAP:
-        raise CapExceededError(
-            f"sigma over sector dimension {spec.dimension()} needs about {need} bytes,"
-            f" over the cap of {SIGMA_BYTES_CAP}"
-        )
+    if spec.dimension() > SECTOR_CAP or sigma_bytes(spec, ints) > SIGMA_BYTES_CAP:
+        return None
     alpha = np.array(half_strings(m, spec.n_alpha), dtype=np.int64)
     beta = np.array(half_strings(m, spec.n_beta), dtype=np.int64)
     c = np.zeros(

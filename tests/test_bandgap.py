@@ -175,6 +175,24 @@ class TestRunWorkflow:
                 assert variance == (residual / energy) ** 2
                 assert variance >= 0.0
 
+    @pytest.mark.parametrize("cap", ["SECTOR_CAP", "SIGMA_BYTES_CAP"])
+    def test_variance_cap_keeps_energies(self, tmp_path, dimer_lattice, monkeypatch, cap):
+        import hsqd.subspace
+
+        save_lattice(dimer_lattice, tmp_path / "dimer.json")
+        config = WorkflowConfig(lattice_path=str(tmp_path / "dimer.json"), n_electrons=2,
+                                solvers=("hci", "sqd", "extsqd"), fractions=(0.5, 1.0),
+                                shots=20_000, seed=3)
+        want, _ = run_workflow(config)
+        monkeypatch.setattr(hsqd.subspace, cap, 0)
+        report, runs = run_workflow(config)
+        assert report.failures == {}
+        assert report.sector_energies == want.sector_energies
+        assert report.gaps == want.gaps
+        for sector_runs in runs.values():
+            for run in sector_runs:
+                assert [point[4] for point in run.points] == [None] * len(run.points)
+
     def test_global_diagonal_shift_leaves_gap(self, tmp_path):
         lat = make_chain(4, u=2.0)
         shift = 5.0

@@ -37,6 +37,7 @@ def write_config(tmp_path, lattice, out_dir, **extra):
         "seed = 3",
         f'out_dir = "{out_dir}"',
     ]
+    lines = [line for line in lines if line.split(" = ")[0] not in extra]
     for key, val in extra.items():
         lines.append(f"{key} = {val}")
     path = tmp_path / "run.toml"
@@ -156,6 +157,29 @@ class TestRun:
         config = write_config(tmp_path, lattice, tmp_path / "o")
         assert main(["run", str(config)]) == 2
         assert "non-finite" in capsys.readouterr().err
+
+    def test_cap_failures_alone_exit_3(self, tmp_path, capsys):
+        # every sector of a 13-site chain at N = 12 exceeds the FCI cap
+        lattice = tmp_path / "c13.json"
+        save_lattice(make_chain(13), lattice)
+        config = write_config(tmp_path, lattice, tmp_path / "o", n_electrons=12,
+                              solvers='["fci"]')
+        assert main(["run", str(config)]) == 3
+        assert capsys.readouterr().err.count("CapExceededError") == 3
+
+    def test_solver_failure_beside_a_cap_exits_4(self, tmp_path, monkeypatch):
+        import hsqd.bandgap
+        from hsqd import CapExceededError, ConvergenceError
+
+        def fail(spec, ints):
+            if spec.n_alpha == spec.n_beta:
+                raise ConvergenceError("did not converge")
+            raise CapExceededError("over the cap")
+
+        monkeypatch.setattr(hsqd.bandgap, "fci_ground", fail)
+        config = write_config(tmp_path, write_dimer(tmp_path), tmp_path / "o",
+                              solvers='["fci"]')
+        assert main(["run", str(config)]) == 4
 
     def test_manifest_hashes_inputs(self, tmp_path):
         import hashlib

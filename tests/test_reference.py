@@ -227,3 +227,13 @@ class TestAmplitudeFiles:
         }))
         with pytest.raises(ValidationError, match="shape"):
             load_amplitudes(path)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_nonfinite_amplitude(self, tmp_path, bad):
+        t2 = np.zeros((1, 1, 2, 2))
+        t2[0, 0, 1, 0] = bad
+        path = tmp_path / "amp.json"
+        path.write_text(json.dumps({"n_orbitals": 3, "n_occ": 1, "t2": t2.tolist()}))
+        with pytest.raises(ValidationError, match="non-finite") as info:
+            load_amplitudes(path)
+        assert info.value.exit_code == 2

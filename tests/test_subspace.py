@@ -2,14 +2,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hsqd import (
-    CapExceededError,
     Determinant,
     ElectronicIntegrals,
     GroundStateResult,
+    LatticeHamiltonian,
     SectorSpec,
     ValidationError,
     energy_variance,
@@ -20,11 +21,14 @@ from hsqd import (
     map_to_electronic,
     project_hamiltonian,
     rotate_basis,
+    sector_specs,
     solve_mean_field,
     solve_subspace,
     sqd_sweep,
 )
+from hsqd import davidson as davidson_mod
 from hsqd import strings as strings_mod
+from hsqd.davidson import DEFAULT_TOL, DENSE_FALLBACK_DIM, _dense_lowest, _lanczos_lowest
 from hsqd import subspace as subspace_mod
 from hsqd.determinants import SECTOR_CAP, enumerate_sector, half_strings, matrix_element
 from hsqd.strings import SIGMA_BYTES_CAP, sigma_bytes
@@ -294,13 +298,13 @@ class TestVarianceCap:
     def _zero_ints(m):
         return ElectronicIntegrals(m, np.zeros((m, m)), np.zeros((m,) * 4), np.zeros((m,) * 4))
 
-    def test_oversized_sector_raises_before_building_tables(self, monkeypatch):
+    def test_oversized_sector_is_none_before_building_tables(self, monkeypatch):
         spec = SectorSpec(16, 8, 8)
+        assert spec.dimension() > SECTOR_CAP
         ref = Determinant((1 << 8) - 1, (1 << 8) - 1)
         res = GroundStateResult(0.0, np.ones(1), 0.0, 1, True)
         self._forbid_allocation(monkeypatch)
-        with pytest.raises(CapExceededError, match=str(spec.dimension())):
-            energy_variance(res, [ref], self._zero_ints(16))
+        assert energy_variance(res, [ref], self._zero_ints(16)) is None
 
     def test_sigma_memory_preflight(self, monkeypatch):
         """A sector under SECTOR_CAP whose sigma would still need far more
@@ -311,8 +315,7 @@ class TestVarianceCap:
         assert sigma_bytes(spec, ints) > SIGMA_BYTES_CAP
         res = GroundStateResult(0.0, np.ones(1), 0.0, 1, True)
         self._forbid_allocation(monkeypatch)
-        with pytest.raises(CapExceededError, match="bytes"):
-            energy_variance(res, [Determinant((1 << 12) - 1, 0)], ints)
+        assert energy_variance(res, [Determinant((1 << 12) - 1, 0)], ints) is None
 
     def test_sigma_bytes_bounds_measured_peak(self):
         """The estimate is an upper bound on what one variance allocates."""
@@ -369,43 +372,135 @@ class TestLowestEigenpair:
     def test_dimer_matches_dense(self, dimer_ints):
         spec = SectorSpec(2, 1, 1)
         mat = project_hamiltonian(full_basis(spec), dimer_ints)
-        dav = lowest_eigenpair(mat, method="davidson")
-        dense = lowest_eigenpair(mat, method="dense")
-        assert dav.energy == pytest.approx(dense.energy, abs=1e-10)
-        assert dav.energy == pytest.approx(2 - 2 * np.sqrt(2), abs=1e-9)
+        lanczos = _lanczos_lowest(mat, DEFAULT_TOL)
+        dense = _dense_lowest(mat)
+        assert lanczos.energy == pytest.approx(dense.energy, abs=1e-10)
+        assert lanczos.energy == pytest.approx(2 - 2 * np.sqrt(2), abs=1e-9)
 
     def test_diagonal_matrix(self):
+        # the start vector is already the eigenvector, so the pair is exact
         mat = np.diag([4.0, -2.0, 7.0])
-        res = lowest_eigenpair(mat, method="davidson")
-        assert res.energy == pytest.approx(-2.0, abs=1e-12)
-        assert res.iterations == 1
+        res = _lanczos_lowest(mat, DEFAULT_TOL)
+        assert res.energy == -2.0
+        assert res.residual_norm == 0.0
+        assert res.converged
 
-    def test_davidson_dense_agreement_up_to_512(self):
+    def test_lanczos_dense_agreement_up_to_512(self):
         rng = np.random.default_rng(10)
         for n in (64, 200, 512):
             a = rng.normal(size=(n, n)) * 0.05
             a = (a + a.T) / 2 + np.diag(np.linspace(0.0, 3.0, n))
-            dav = lowest_eigenpair(a, method="davidson")
-            dense = lowest_eigenpair(a, method="dense")
-            assert dav.converged
-            assert abs(dav.energy - dense.energy) <= 1e-9
+            lanczos = _lanczos_lowest(a, DEFAULT_TOL)
+            dense = _dense_lowest(a)
+            assert lanczos.converged
+            assert abs(lanczos.energy - dense.energy) <= 1e-9
 
     def test_nonconvergence_flagged(self):
         rng = np.random.default_rng(11)
         n = 600
         a = rng.normal(size=(n, n))
         a = (a + a.T) / 2
-        res = lowest_eigenpair(a, method="davidson", max_iter=2)
+        res = _lanczos_lowest(a, DEFAULT_TOL, max_iter=1)
         assert not res.converged
-        assert res.iterations == 2
+        assert res.iterations > 0
+        # the reported residual is the true one of the returned vector
+        assert np.isfinite(res.residual_norm)
+        assert res.residual_norm == pytest.approx(
+            np.linalg.norm(a @ res.ci_vector - res.energy * res.ci_vector), rel=1e-12)
+        assert res.residual_norm > DEFAULT_TOL
+
+    def test_residual_above_tol_is_not_converged(self):
+        rng = np.random.default_rng(13)
+        n = 600
+        a = rng.normal(size=(n, n))
+        a = (a + a.T) / 2
+        res = _lanczos_lowest(a, 0.0)
+        assert res.residual_norm > 0.0
+        assert not res.converged
+
+    def test_size_picks_the_path(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("wrong path")
+
+        small = np.diag(np.arange(1.0, DENSE_FALLBACK_DIM + 1))
+        large = np.diag(np.arange(1.0, DENSE_FALLBACK_DIM + 2))
+        monkeypatch.setattr(davidson_mod, "_lanczos_lowest", fail)
+        assert lowest_eigenpair(small).energy == 1.0
+        monkeypatch.undo()
+        monkeypatch.setattr(davidson_mod, "_dense_lowest", fail)
+        assert lowest_eigenpair(large).energy == 1.0
+
+    def test_start_vector_in_null_space(self):
+        # the lowest diagonal element sits on a decoupled zero row, so H
+        # annihilates the unit start vector
+        rng = np.random.default_rng(14)
+        n = 600
+        a = rng.normal(size=(n, n)) * 0.1
+        a = (a + a.T) / 2 + np.diag(np.linspace(1.0, 5.0, n))
+        a[0, :] = a[:, 0] = 0.0
+        res = _lanczos_lowest(a, DEFAULT_TOL)
+        assert res.converged
+        assert abs(res.energy - np.linalg.eigvalsh(a)[0]) <= 1e-9
+        assert res.energy < -0.5
+
+    def test_zero_energy_ground_state(self):
+        # atomic limit (t = 0): the ground states have no doubly occupied
+        # site, so their energy is exactly zero and they span the null space
+        ints = map_to_electronic(make_chain(7, t=0.0))
+        mat = project_hamiltonian(full_basis(SectorSpec(7, 3, 3)), ints)
+        assert mat.shape[0] > DENSE_FALLBACK_DIM
+        res = _lanczos_lowest(mat, DEFAULT_TOL)
+        assert res.converged
+        assert abs(res.energy) <= 1e-12
 
     def test_complex_hermitian(self):
         rng = np.random.default_rng(12)
         n = 40
         a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         a = (a + a.conj().T) / 2
-        res = lowest_eigenpair(a, method="davidson")
+        res = _lanczos_lowest(a, DEFAULT_TOL)
         assert res.energy == pytest.approx(np.linalg.eigvalsh(a)[0], abs=1e-9)
+
+
+def ring(m, u, phase=0.0):
+    """Ring of m sites, t = -1 with a flux ``phase`` per bond, on-site u."""
+    hop = np.zeros((m, m), dtype=complex if phase else float)
+    for i in range(m):
+        j = (i + 1) % m
+        hop[i, j] = -np.exp(1j * phase) if phase else -1.0
+        hop[j, i] = np.conj(hop[i, j])
+    return LatticeHamiltonian(m, hop, [u] * m, np.zeros((m, m)))
+
+
+class TestLanczosAgainstDense:
+    """Standing guard: every sector of a 7-site lattice at N = 6 has
+    d = 735-1,225, above ``DENSE_FALLBACK_DIM``, so production solves take
+    the Lanczos path; each must match dense ``eigh`` and report converged."""
+
+    @pytest.mark.parametrize("u", [0.5, 2.0, 8.0])
+    @pytest.mark.parametrize("basis", ["site", "mo"])
+    @pytest.mark.parametrize("geometry", ["chain", "ring"])
+    def test_all_sectors(self, geometry, basis, u):
+        lat = make_chain(7, u=u) if geometry == "chain" else ring(7, u)
+        self._check(lat, basis)
+
+    def test_complex_hopping_ring(self):
+        self._check(ring(7, 4.0, phase=0.3), "site")
+
+    @staticmethod
+    def _check(lat, basis):
+        ints = map_to_electronic(lat)
+        specs = sector_specs(7, 6)
+        if basis == "mo":
+            mf = solve_mean_field(ints, specs["Ne"])
+            ints = rotate_basis(ints, mf.orbital_coefficients)
+        for spec in specs.values():
+            mat = project_hamiltonian(full_basis(spec), ints)
+            assert mat.shape[0] > DENSE_FALLBACK_DIM
+            res = lowest_eigenpair(mat)
+            exact = scipy.linalg.eigvalsh(mat.toarray(), subset_by_index=[0, 0])[0]
+            assert res.converged
+            assert abs(res.energy - exact) <= 1e-9
 
 
 class TestSqdSweep:
