@@ -162,7 +162,8 @@ class GapReport:
 
     def to_json_dict(self) -> dict:
         def round9(x):
-            return round(float(x), 9)
+            # + 0.0 turns a -0.0 left by round-off into 0.0
+            return round(float(x), 9) + 0.0
 
         return {
             "material": self.material,
@@ -201,10 +202,6 @@ def _simulate_sector_samples(
     ref = mf.reference_for(spec)
     state = build_state(params, ref, spec)
     return sample(state, config.shots, seed=seed)
-
-
-def _default_hci_schedule(config: WorkflowConfig) -> SelectionSchedule:
-    return SelectionSchedule(epsilons=tuple(config.hci_epsilons))
 
 
 def _point(fraction: float, d: int, result: GroundStateResult) -> tuple:
@@ -278,10 +275,9 @@ def run_workflow(config: WorkflowConfig) -> tuple[GapReport, dict[str, list[Sect
                     res = fci_ground(spec, ints)
                     run.points = [_point(1.0, spec.dimension(), res)]
                 elif solver == "hci":
-                    stages = hci_ground(
-                        spec, sector_mo[label], _default_hci_schedule(config),
-                        reference=sector_mf[label].reference_for(spec),
-                    )
+                    schedule = SelectionSchedule(epsilons=tuple(config.hci_epsilons))
+                    stages = hci_ground(spec, sector_mo[label], schedule,
+                                        reference=sector_mf[label].reference_for(spec))
                     run.points = [_point(st.fraction, st.size, st.result) for st in stages]
                 else:
                     points = sector_sweep(label, spec, config.seed + offset)

@@ -12,18 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .davidson import GroundStateResult, lowest_eigenpair
-from .determinants import (
-    Determinant,
-    diagonal_energy,
-    generate_excitations,
-    half_strings,
-    matrix_element,
-)
+from .determinants import Determinant, half_strings
 from .errors import CapExceededError, ValidationError
 from .model import ElectronicIntegrals, SectorSpec
+from .strings import hamiltonian_columns
 from .subspace import SubspaceBasis, energy_variance, project_hamiltonian
 
 FCI_CAP = 10**6
@@ -31,48 +25,31 @@ FCI_CAP = 10**6
 
 @dataclass(frozen=True)
 class SelectionSchedule:
-    """Descending importance cutoffs (or size targets) with a hard cap."""
+    """Strictly descending importance cutoffs with a hard size cap."""
 
     epsilons: tuple[float, ...] = ()
-    target_sizes: tuple[int, ...] = ()
     max_determinants: int = 10**6
 
     def __post_init__(self):
-        if bool(self.epsilons) == bool(self.target_sizes):
-            raise ValidationError("provide either epsilons or target sizes, not both")
-        if self.epsilons:
-            if any(e <= 0 for e in self.epsilons):
-                raise ValidationError("epsilons must be positive")
-            if any(b >= a for a, b in zip(self.epsilons, self.epsilons[1:])):
-                raise ValidationError("epsilons must be strictly descending")
-        if self.target_sizes:
-            if any(s < 1 for s in self.target_sizes):
-                raise ValidationError("target sizes must be positive")
-            if any(b <= a for a, b in zip(self.target_sizes, self.target_sizes[1:])):
-                raise ValidationError("target sizes must be strictly increasing")
-
-    @property
-    def n_stages(self) -> int:
-        return len(self.epsilons) or len(self.target_sizes)
+        if not self.epsilons or any(e <= 0 for e in self.epsilons):
+            raise ValidationError("provide one or more positive epsilons")
+        if any(b >= a for a, b in zip(self.epsilons, self.epsilons[1:])):
+            raise ValidationError("epsilons must be strictly descending")
 
 
 @dataclass(frozen=True)
 class SelectedCiStage:
     """One stage of the selected-CI iteration."""
 
-    cutoff: float | None
+    cutoff: float
     size: int
     fraction: float
     result: GroundStateResult
     determinants: tuple[Determinant, ...] = field(repr=False, default=())
 
 
-def fci_ground(
-    spec: SectorSpec,
-    ints: ElectronicIntegrals,
-    tol: float = 1e-9,
-    cap: int = FCI_CAP,
-) -> GroundStateResult:
+def fci_ground(spec: SectorSpec, ints: ElectronicIntegrals,
+               cap: int = FCI_CAP) -> GroundStateResult:
     """Lowest eigenpair over the complete sector basis.
 
     The sector is closed under H, so H c = E c + r with r orthogonal to c and
@@ -81,15 +58,13 @@ def fci_ground(
     dim = spec.dimension()
     if dim > cap:
         raise CapExceededError(f"sector dimension {dim} exceeds FCI cap {cap}")
-    # projected through project_hamiltonian like every SQD subspace, so one
-    # entry point (tested against the Fock-space oracle, and the name the
-    # benchmark's per-layer split counts) builds every product-space matrix
+    # project_hamiltonian, the one entry point for every product space
     basis = SubspaceBasis(
         spec,
         tuple(half_strings(spec.n_orbitals, spec.n_alpha)),
         tuple(half_strings(spec.n_orbitals, spec.n_beta)),
     )
-    result = lowest_eigenpair(project_hamiltonian(basis, ints), tol=tol)
+    result = lowest_eigenpair(project_hamiltonian(basis, ints))
     if abs(result.energy) < 1e-14:
         return result
     return result.with_variance((result.residual_norm / result.energy) ** 2)
@@ -100,84 +75,39 @@ def hci_ground(
     ints: ElectronicIntegrals,
     schedule: SelectionSchedule,
     reference: Determinant | None = None,
-    tol: float = 1e-9,
-    with_variance: bool = True,
 ) -> list[SelectedCiStage]:
-    """Importance-selected CI, one recorded stage per schedule entry."""
+    """Heat-bath selected CI, one recorded stage per cutoff.
+
+    Each round takes H[:, set] from one ``hamiltonian_columns`` call: its rows
+    inside the set give the eigenproblem, and each determinant outside it
+    joins when max_i |H_ai| |c_i| >= epsilon, most important first (ties in
+    ascending (beta, alpha) order), up to ``max_determinants``.
+    """
     if reference is None:
         reference = Determinant((1 << spec.n_alpha) - 1, (1 << spec.n_beta) - 1)
-    total = spec.dimension()
-    levels = {1} if ints.density_density else {1, 2}
-    cap = schedule.max_determinants
-    # (recorded cutoff, importance cutoff, size limit) per stage; target-size
-    # mode admits any positive importance up to the requested size
-    plan = [(eps, eps, cap) for eps in schedule.epsilons] or \
-        [(None, 0.0, min(size, cap)) for size in schedule.target_sizes]
-
-    current: list[Determinant] = [reference]
-    current_set = {(reference.beta, reference.alpha)}
-    result = lowest_eigenpair(_assemble(current, ints), tol=tol)
+    elif (reference.alpha.bit_count(), reference.beta.bit_count()) != \
+            (spec.n_alpha, spec.n_beta) or (reference.alpha | reference.beta) >> spec.n_orbitals:
+        raise ValidationError("reference determinant outside the sector")
+    alpha, beta = (np.array([word], dtype=np.int64) for word in (reference.alpha, reference.beta))
+    out_a, out_b, cols = hamiltonian_columns(ints, alpha, beta)
+    result = lowest_eigenpair(cols[:1])
     stages: list[SelectedCiStage] = []
-    for cutoff, eps, limit in plan:
-        while len(current) < limit:
-            if not _select(current, current_set, result, ints, levels, eps, limit - len(current)):
+    for eps in schedule.epsilons:
+        while len(alpha) < schedule.max_determinants:
+            coupling = abs(cols[len(alpha):])
+            coupling.data *= np.abs(result.ci_vector)[coupling.indices]
+            imp = coupling.max(axis=1).toarray().ravel()
+            hits = np.flatnonzero((imp >= eps) & (imp > 0))
+            # stable, as the rows outside the set are in (beta, alpha) order
+            pick = hits[np.argsort(-imp[hits], kind="stable")]
+            pick = pick[:schedule.max_determinants - len(alpha)]
+            if not len(pick):
                 break
-            result = lowest_eigenpair(_assemble(current, ints), tol=tol)
-        res = result
-        if with_variance:
-            # current is in insertion order, matching the CI vector
-            res = res.with_variance(energy_variance(res, current, ints))
-        stages.append(
-            SelectedCiStage(cutoff, len(current), len(current) / total, res, tuple(current))
-        )
+            alpha = np.concatenate([alpha, out_a[pick]])
+            beta = np.concatenate([beta, out_b[pick]])
+            out_a, out_b, cols = hamiltonian_columns(ints, alpha, beta)
+            result = lowest_eigenpair(cols[:len(alpha)])
+        dets = tuple(Determinant(int(a), int(b)) for a, b in zip(alpha, beta))
+        res = result.with_variance(energy_variance(result, list(dets), ints))
+        stages.append(SelectedCiStage(eps, len(dets), len(dets) / spec.dimension(), res, dets))
     return stages
-
-
-def _select(current, current_set, result, ints, levels, eps, room) -> int:
-    """Add the at most ``room`` most important connected determinants whose
-    importance |H_ai c_i| is positive and at least ``eps``; returns count added."""
-    candidates: dict[tuple[int, int], float] = {}
-    for amp, det in zip(result.ci_vector, current):
-        if amp == 0.0:
-            continue
-        for other in generate_excitations(det, ints.n_orbitals, levels):
-            key = (other.beta, other.alpha)
-            if key in current_set:
-                continue
-            imp = abs(matrix_element(other, det, ints) * amp)
-            if imp >= eps and imp > candidates.get(key, 0.0):
-                candidates[key] = imp
-    ordered = sorted(candidates, key=lambda k: (-candidates[k], k))[:room]
-    for b, a in ordered:
-        current.append(Determinant(a, b))
-        current_set.add((b, a))
-    return len(ordered)
-
-
-def _assemble(dets: list[Determinant], ints: ElectronicIntegrals) -> sp.csr_matrix:
-    """Hamiltonian over a determinant list that need not be a product set.
-
-    Each determinant's excitations are looked up in the list, so the cost
-    grows with d times the number of excitations rather than with d^2.
-    """
-    d = len(dets)
-    index = {(det.beta, det.alpha): i for i, det in enumerate(dets)}
-    levels = {1} if ints.density_density else {1, 2}
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list = []
-    m = ints.n_orbitals
-    for i, det in enumerate(dets):
-        rows.append(i)
-        cols.append(i)
-        vals.append(diagonal_energy(det, ints))
-        for other in generate_excitations(det, m, levels):
-            j = index.get((other.beta, other.alpha))
-            if j is not None and j > i:
-                val = matrix_element(other, det, ints)
-                if val != 0.0:
-                    rows += [i, j]
-                    cols += [j, i]
-                    vals += [np.conj(val), val]
-    dtype = complex if ints.is_complex else float
-    return sp.csr_matrix((np.array(vals, dtype=dtype), (rows, cols)), shape=(d, d))

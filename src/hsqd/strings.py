@@ -1,4 +1,4 @@
-"""String-driven Hamiltonian engine for product determinant spaces.
+"""String-driven Hamiltonian engine for product spaces and determinant lists.
 
 Every determinant is an alpha string times a beta string, so the Hamiltonian
 splits by spin (Knowles and Handy, Chem. Phys. Lett. 111, 315 (1984)):
@@ -29,6 +29,7 @@ from math import comb
 import numpy as np
 import scipy.sparse as sp
 
+from .errors import CapExceededError
 from .model import ElectronicIntegrals, SectorSpec
 
 # largest estimated allocation of one full-sector sigma (see sigma_bytes)
@@ -58,42 +59,51 @@ def _locate(strings: np.ndarray, words: np.ndarray) -> np.ndarray:
     return np.where(strings[pos] == words, pos, -1)
 
 
+def _live_excitations(strings: np.ndarray, pairs: np.ndarray, m: int):
+    """E_pq on ``strings`` for each pair in ``pairs``: the entries that do not
+    annihilate the string, as (pair position, target word, column, sign),
+    pair-major."""
+    words, sign = excite(strings, *np.divmod(pairs[:, None], m))
+    term, col = np.nonzero(sign)
+    return term, words[term, col], col, sign[term, col]
+
+
 def _excitations(strings: np.ndarray, pairs: np.ndarray, m: int):
-    """E_pq restricted to ``strings`` for each pair in ``pairs``: the live
-    entries as (pair position, row, column, sign), pair-major."""
-    p, q = np.divmod(pairs[:, None], m)
-    words, sign = excite(strings, p, q)
+    """``_live_excitations`` restricted to ``strings``, with rows for words."""
+    term, words, col, sign = _live_excitations(strings, pairs, m)
     rows = _locate(strings, words)
-    term, col = np.nonzero(rows >= 0)
-    return term, rows[term, col], col, sign[term, col]
+    keep = rows >= 0
+    return term[keep], rows[keep], col[keep], sign[keep]
 
 
-def one_spin_operator(strings: np.ndarray, h: np.ndarray, g: np.ndarray) -> sp.coo_matrix:
-    """k.E + 1/2 sum g E_pq E_rs restricted to the ascending ``strings``.
-
-    The product E_pq E_rs passes through strings outside the set, so the
-    intermediate words are kept and only the end points are restricted.
-    """
+def _one_spin_entries(strings: np.ndarray, h: np.ndarray, g: np.ndarray):
+    """k.E + 1/2 sum g E_pq E_rs on each of the ascending ``strings``: the
+    nonzero entries as (target word, column, value), singles first, over every
+    string they reach (E_pq E_rs passes through strings outside the set)."""
     m = h.shape[0]
-    n = len(strings)
     k = (h - 0.5 * np.einsum("prrq->pq", g)).reshape(-1)
-    term, row, col, sign = _excitations(strings, np.arange(m * m), m)
-    rows_l, cols_l, vals_l = [row], [col], [k[term] * sign]
+    term, word, col, sign = _live_excitations(strings, np.arange(m * m), m)
+    words_l, cols_l, vals_l = [word], [col], [k[term] * sign]
     gmat = g.reshape(m * m, m * m)
     for rs in np.flatnonzero(np.any(gmat != 0, axis=0)):
         mid, mid_sign = excite(strings, *divmod(int(rs), m))
         live = np.flatnonzero(mid_sign)
         pq = np.flatnonzero(gmat[:, rs])
-        words, sign = excite(mid[live], *np.divmod(pq[:, None], m))
-        rows = _locate(strings, words)
-        term, j = np.nonzero(rows >= 0)
-        rows_l.append(rows[term, j])
+        term, word, j, sign = _live_excitations(mid[live], pq, m)
+        words_l.append(word)
         cols_l.append(live[j])
-        vals_l.append(0.5 * gmat[pq, rs][term] * sign[term, j] * mid_sign[live[j]])
-    rows = np.concatenate(rows_l)
-    cols = np.concatenate(cols_l)
-    vals = np.concatenate(vals_l)
+        vals_l.append(0.5 * gmat[pq, rs][term] * sign * mid_sign[live[j]])
+    words, cols, vals = (np.concatenate(x) for x in (words_l, cols_l, vals_l))
     keep = vals != 0
+    return words[keep], cols[keep], vals[keep]
+
+
+def one_spin_operator(strings: np.ndarray, h: np.ndarray, g: np.ndarray) -> sp.coo_matrix:
+    """k.E + 1/2 sum g E_pq E_rs restricted to the ascending ``strings``."""
+    words, cols, vals = _one_spin_entries(strings, h, g)
+    rows = _locate(strings, words)
+    keep = rows >= 0
+    n = len(strings)
     return sp.coo_matrix((vals[keep], (rows[keep], cols[keep])), shape=(n, n))
 
 
@@ -140,6 +150,79 @@ def product_hamiltonian(
     mat = sp.coo_matrix((vals.astype(dtype, copy=False), (rows, cols)), shape=(d, d)).tocsr()
     mat.eliminate_zeros()
     return mat
+
+
+def columns_bytes(n_dets: int, spec: SectorSpec, ints: ElectronicIntegrals) -> int:
+    """Estimated peak memory of ``hamiltonian_columns`` over ``n_dets``
+    determinants of ``spec``: with L as in ``sigma_bytes``, each column has at
+    most L^2 + L one-spin entries per spin, L_alpha L_beta opposite-spin ones
+    and the core, at fourteen 8-byte indices and three values each (1.3-2x
+    the peak measured from M = 6 to 12 with 20 or more determinants)."""
+    m = spec.n_orbitals
+    item = 16 if ints.is_complex else 8
+    la, lb = (n * (m - n) + n for n in (spec.n_alpha, spec.n_beta))
+    entries = la * la + la + lb * lb + lb + la * lb + 1
+    return n_dets * (entries * (112 + 3 * item) + 160 * m * m)
+
+
+def _pair_up(keys: np.ndarray, src: np.ndarray):
+    """Every (i, e) with src[e] == keys[i], i-major and then in entry order."""
+    order = np.argsort(src, kind="stable")
+    start = np.searchsorted(src[order], keys)
+    count = np.searchsorted(src[order], keys, side="right") - start
+    i = np.repeat(np.arange(len(keys)), count)
+    return i, order[np.arange(len(i)) + np.repeat(start + count - np.cumsum(count), count)]
+
+
+def hamiltonian_columns(
+    ints: ElectronicIntegrals, alpha: np.ndarray, beta: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, sp.csr_matrix]:
+    """H[:, dets] for the distinct determinants (alpha[j], beta[j]), in any
+    order and not necessarily a product set, over every determinant they
+    couple to: row j < len(alpha) is determinant j, the rest are outside the
+    list in ascending (beta, alpha) order, and their words are returned with
+    the matrix.  ``CapExceededError`` when ``columns_bytes`` exceeds
+    ``SIGMA_BYTES_CAP``, before any array is built."""
+    m, d = ints.n_orbitals, len(alpha)
+    spec = SectorSpec(m, int(alpha[0]).bit_count(), int(beta[0]).bit_count())
+    if columns_bytes(d, spec, ints) > SIGMA_BYTES_CAP:
+        raise CapExceededError(f"the H columns of {d} determinants exceed the memory cap")
+    ua, ia = np.unique(alpha, return_inverse=True)
+    ub, ib = np.unique(beta, return_inverse=True)
+    # (alpha words, beta words, columns, values): each string's one-spin
+    # entries, gathered for every determinant that holds the string
+    parts = [(alpha, beta, np.arange(d), np.full(d, ints.core_energy))]
+    for spin, (strings, inverse) in enumerate(((ua, ia), (ub, ib))):
+        words, src, vals = _one_spin_entries(strings, ints.one_body, ints.two_body_same_spin)
+        j, e = _pair_up(inverse, src)
+        parts.append((words[e], beta[j], j, vals[e]) if spin == 0 else
+                     (alpha[j], words[e], j, vals[e]))
+    # g_os[pq, rs] E^beta_rs E^alpha_pq over the pairs with any coupling
+    gos = ints.two_body_opposite_spin.reshape(m * m, m * m)
+    pq, rs = np.flatnonzero(np.any(gos != 0, axis=1)), np.flatnonzero(np.any(gos != 0, axis=0))
+    a_term, a_word, a_src, a_sign = _live_excitations(ua, pq, m)
+    b_term, b_word, b_src, b_sign = _live_excitations(ub, rs, m)
+    j, x = _pair_up(ia, a_src)
+    k, y = _pair_up(ib[j], b_src)
+    j, x = j[k], x[k]
+    parts.append((a_word[x], b_word[y], j,
+                  gos[pq[a_term[x]], rs[b_term[y]]] * a_sign[x] * b_sign[y]))
+    row_a, row_b, cols, vals = (np.concatenate(z) for z in zip(*parts))
+    del parts, j, e, x, k, y  # bounds the peak (columns_bytes)
+    keep = vals != 0
+    row_a, row_b, cols, vals = row_a[keep], row_b[keep], cols[keep], vals[keep]
+    # (beta, alpha) as one key from the ranks of the words, ordered like the pair
+    words_a, rank_a = np.unique(np.concatenate([alpha, row_a]), return_inverse=True)
+    words_b, rank_b = np.unique(np.concatenate([beta, row_b]), return_inverse=True)
+    key = rank_b * len(words_a) + rank_a
+    outside = np.setdiff1d(key[d:], key[:d])
+    keys = np.concatenate([key[:d], outside])
+    order = np.argsort(keys)
+    rows = order[np.searchsorted(keys, key[d:], sorter=order)]
+    # vals is complex exactly when the integrals are
+    mat = sp.coo_matrix((vals, (rows, cols)), shape=(len(keys), d)).tocsr()
+    mat.eliminate_zeros()
+    return words_a[outside % len(words_a)], words_b[outside // len(words_a)], mat
 
 
 def sigma_bytes(spec: SectorSpec, ints: ElectronicIntegrals) -> int:

@@ -165,10 +165,8 @@ def project_hamiltonian(basis: SubspaceBasis, ints: ElectronicIntegrals) -> sp.c
     )
 
 
-def solve_subspace(
-    basis: SubspaceBasis, ints: ElectronicIntegrals, tol: float = 1e-9
-) -> GroundStateResult:
-    return lowest_eigenpair(project_hamiltonian(basis, ints), tol=tol)
+def solve_subspace(basis: SubspaceBasis, ints: ElectronicIntegrals) -> GroundStateResult:
+    return lowest_eigenpair(project_hamiltonian(basis, ints))
 
 
 def _positions(strings: np.ndarray, words: list[int]) -> np.ndarray:
@@ -219,14 +217,13 @@ def extsqd_expand(
     basis: SubspaceBasis,
     threshold: float,
     levels: set[int],
-    keep_original: bool = True,
 ) -> SubspaceBasis:
     """Grow the subspace by exciting the high-weight ground-state configurations.
 
     Determinants with squared amplitude below ``threshold`` are dropped, the
-    survivors are excited at the requested levels, and the union is re-closed
-    into product form.  With ``keep_original`` the input strings are retained,
-    which makes re-diagonalization variationally monotone.
+    survivors are excited at the requested levels, and the union with the
+    input strings is re-closed into product form, which makes
+    re-diagonalization variationally monotone.
     """
     if threshold < 0:
         raise ValidationError("threshold must be nonnegative")
@@ -237,16 +234,12 @@ def extsqd_expand(
     kept = [det for det, wgt in zip(dets, weights) if wgt >= threshold]
     if not kept:
         raise ValidationError("threshold removed every configuration")
-    alpha = {det.alpha for det in kept}
-    beta = {det.beta for det in kept}
+    alpha, beta = set(basis.alpha_strings), set(basis.beta_strings)
     m = basis.spec.n_orbitals
     for det in kept:
         for other in generate_excitations(det, m, levels):
             alpha.add(other.alpha)
             beta.add(other.beta)
-    if keep_original:
-        alpha.update(basis.alpha_strings)
-        beta.update(basis.beta_strings)
     return SubspaceBasis(basis.spec, tuple(sorted(alpha)), tuple(sorted(beta)))
 
 
@@ -263,8 +256,6 @@ def sqd_sweep(
     ints: ElectronicIntegrals,
     fractions: list[float],
     reference: Determinant | None = None,
-    tol: float = 1e-9,
-    with_variance: bool = True,
 ) -> list[SweepPoint]:
     """One subspace solve per requested fraction, on nested subspaces."""
     if not fractions:
@@ -277,8 +268,7 @@ def sqd_sweep(
     points = []
     for fraction in fractions:
         basis = SubspaceBasis(spec, *_covering(seq, fraction * spec.dimension()))
-        result = solve_subspace(basis, ints, tol=tol)
-        if with_variance:
-            result = result.with_variance(energy_variance(result, basis.determinants(), ints))
+        result = solve_subspace(basis, ints)
+        result = result.with_variance(energy_variance(result, basis.determinants(), ints))
         points.append(SweepPoint(fraction, basis, result))
     return points

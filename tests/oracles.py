@@ -224,3 +224,34 @@ def random_general_integrals(rng, m, core=None):
     return ElectronicIntegrals(
         m, h, gss, gos, core_energy=float(rng.normal()) if core is None else core
     )
+
+
+def dense_heat_bath_ci(ham, dets, reference, epsilons, max_determinants):
+    """Heat-bath selected CI on the dense sector matrix ``ham`` over ``dets``
+    (canonical order), by enumeration: per epsilon stage, until the set stops
+    growing, every determinant a outside the set with max_i |H_ai| |c_i| >= eps
+    joins, most important first and ties in (beta, alpha) order, up to
+    ``max_determinants``.  Returns (determinants, energy) per stage."""
+    chosen = [dets.index(reference)]
+
+    def solve():
+        vals, vecs = np.linalg.eigh(ham[np.ix_(chosen, chosen)])
+        return vals[0], vecs[:, 0]
+
+    energy, vec = solve()
+    stages = []
+    for eps in epsilons:
+        while len(chosen) < max_determinants:
+            importance = {}
+            for a in range(len(dets)):
+                if a not in chosen:
+                    best = max(abs(ham[a, i]) * abs(c) for i, c in zip(chosen, vec))
+                    if best >= eps and best > 0:
+                        importance[a] = best
+            new = sorted(importance, key=lambda a: (-importance[a], dets[a].beta, dets[a].alpha))
+            if not new:
+                break
+            chosen += new[:max_determinants - len(chosen)]
+            energy, vec = solve()
+        stages.append(([dets[i] for i in chosen], energy))
+    return stages

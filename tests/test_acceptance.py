@@ -124,8 +124,7 @@ def test_variational_chain():
             state = basis_state(spec, mf.reference_determinant)
         smp = filter_samples(sample(state, 50_000, seed=5), spec)
         fractions = [0.25, 0.5, 1.0] if spec.dimension() >= 4 else [1.0]
-        points = sqd_sweep(smp, spec, mo, fractions,
-                           reference=mf.reference_determinant, with_variance=False)
+        points = sqd_sweep(smp, spec, mo, fractions, reference=mf.reference_determinant)
         energies = [p.result.energy for p in points]
         ok = ok and all(b <= a + slack for a, b in zip(energies, energies[1:]))
         mid = points[0]
@@ -155,8 +154,7 @@ def test_fraction_sweep_analogue():
     e_fci = fci_ground(spec, ints).energy
 
     fractions = [0.05, 0.1, 0.2, 0.4, 0.6, 0.8, 1.0]
-    points = sqd_sweep(smp, spec, mo, fractions,
-                       reference=mf.reference_determinant, with_variance=False)
+    points = sqd_sweep(smp, spec, mo, fractions, reference=mf.reference_determinant)
     errors = [p.result.energy - e_fci for p in points]
     monotone = all(b <= a + 1e-12 for a, b in zip(errors, errors[1:]))
     reaches_fci = abs(errors[-1]) <= 1e-8

@@ -234,6 +234,48 @@ class TestRunWorkflow:
         text = json.dumps(doc)
         assert "fci" in text
 
+    def test_report_json_has_no_negative_zero(self, tmp_path, dimer_lattice):
+        save_lattice(dimer_lattice, tmp_path / "dimer.json")
+        config = WorkflowConfig(lattice_path=str(tmp_path / "dimer.json"),
+                                n_electrons=2, solvers=("fci",))
+        report, _ = run_workflow(config)
+        report.gaps["fci"] = -0.0
+        report.gap_deltas = {"fci-hci": -1e-12, "fci-sqd": -2e-10}
+        doc = report.to_json_dict()
+        assert "-0.0" not in json.dumps(doc)
+        assert np.copysign(1.0, doc["gap_deltas"]["fci-hci"]) == 1.0
+        assert doc["gap_deltas"]["fci-sqd"] == 0.0
+
+    def test_no_solver_calls_matrix_element(self, tmp_path, dimer_lattice, monkeypatch):
+        """Every solver builds its matrices on the string engine."""
+        import sys
+
+        def fail(*args):
+            raise AssertionError("matrix_element called")
+
+        for name, module in list(sys.modules.items()):
+            if (name == "hsqd" or name.startswith("hsqd.")) and hasattr(module, "matrix_element"):
+                monkeypatch.setattr(module, "matrix_element", fail)
+        save_lattice(dimer_lattice, tmp_path / "dimer.json")
+        config = WorkflowConfig(lattice_path=str(tmp_path / "dimer.json"), n_electrons=2,
+                                solvers=("fci", "hci", "sqd", "extsqd"), fractions=(0.5, 1.0),
+                                shots=20_000, seed=3)
+        report, _ = run_workflow(config)
+        assert report.failures == {}
+        assert set(report.gaps) == {"fci", "hci", "sqd", "extsqd"}
+
+    def test_hci_memory_cap_is_a_failure(self, tmp_path, dimer_lattice, monkeypatch):
+        import hsqd.strings
+
+        monkeypatch.setattr(hsqd.strings, "SIGMA_BYTES_CAP", 0)
+        save_lattice(dimer_lattice, tmp_path / "dimer.json")
+        config = WorkflowConfig(lattice_path=str(tmp_path / "dimer.json"), n_electrons=2,
+                                solvers=("fci", "hci"))
+        report, runs = run_workflow(config)
+        assert sorted(report.failures) == ["hci/Ne", "hci/Ne+1", "hci/Ne-1"]
+        assert all(v.startswith("CapExceededError") for v in report.failures.values())
+        assert report.gaps["fci"] == pytest.approx(3.656854249, abs=1e-8)
+
     def test_sector_mean_field_flag(self, tmp_path):
         """Per-sector reference orbitals change the sampling basis but leave
         exact solver gaps untouched."""

@@ -167,6 +167,15 @@ class TestRun:
         assert main(["run", str(config)]) == 3
         assert capsys.readouterr().err.count("CapExceededError") == 3
 
+    def test_hci_memory_cap_exits_3(self, tmp_path, monkeypatch, capsys):
+        import hsqd.strings
+
+        monkeypatch.setattr(hsqd.strings, "SIGMA_BYTES_CAP", 0)
+        config = write_config(tmp_path, write_dimer(tmp_path), tmp_path / "o",
+                              solvers='["fci", "hci"]')
+        assert main(["run", str(config)]) == 3
+        assert capsys.readouterr().err.count("CapExceededError") == 3
+
     def test_solver_failure_beside_a_cap_exits_4(self, tmp_path, monkeypatch):
         import hsqd.bandgap
         from hsqd import CapExceededError, ConvergenceError

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hsqd import (
     CapExceededError,
+    Determinant,
     SectorSpec,
     SelectionSchedule,
     ValidationError,
@@ -14,9 +17,12 @@ from hsqd import (
     rotate_basis,
     solve_mean_field,
 )
+from hsqd import selci as selci_mod
+from hsqd import strings as strings_mod
 from hsqd.determinants import enumerate_sector
 
 from conftest import DIMER_E, make_chain, random_lattice
+from oracles import dense_fock_hamiltonian, dense_heat_bath_ci, fock_index
 
 
 class TestFciGround:
@@ -54,12 +60,6 @@ class TestSelectionSchedule:
     def test_exactly_one_mode(self):
         with pytest.raises(ValidationError):
             SelectionSchedule()
-        with pytest.raises(ValidationError):
-            SelectionSchedule(epsilons=(0.1,), target_sizes=(5,))
-
-    def test_sizes_must_increase(self):
-        with pytest.raises(ValidationError):
-            SelectionSchedule(target_sizes=(10, 10))
 
 
 class TestHciGround:
@@ -111,20 +111,6 @@ class TestHciGround:
         for early, late in zip(stages, stages[1:]):
             assert set(early.determinants) <= set(late.determinants)
 
-    def test_target_size_mode(self):
-        lat = make_chain(4)
-        ints = map_to_electronic(lat)
-        spec = SectorSpec(4, 2, 2)
-        mf = solve_mean_field(ints, spec)
-        mo = rotate_basis(ints, mf.orbital_coefficients)
-        stages = hci_ground(
-            spec, mo, SelectionSchedule(target_sizes=(4, 16, 36)),
-            reference=mf.reference_determinant,
-        )
-        assert [s.size for s in stages] == [4, 16, 36]
-        energies = [s.result.energy for s in stages]
-        assert all(b <= a + 1e-12 for a, b in zip(energies, energies[1:]))
-
     def test_cap_respected(self):
         lat = make_chain(4)
         ints = map_to_electronic(lat)
@@ -159,3 +145,83 @@ class TestHciGround:
                 if other != det and matrix_element(other, det, ints) != 0.0
             }
             assert coupled <= singles
+
+    def test_reference_outside_sector_rejected(self, monkeypatch):
+        """A (1, 1) reference in a (2, 2) sector used to return the (1, 1)
+        ground energy as a (2, 2) stage; it is refused before any work."""
+        def fail(*args):
+            raise AssertionError("hamiltonian_columns called")
+
+        monkeypatch.setattr(selci_mod, "hamiltonian_columns", fail)
+        ints = map_to_electronic(make_chain(4))
+        schedule = SelectionSchedule(epsilons=(1e-3,))
+        for ref in (Determinant(0b1, 0b1), Determinant(0b11, 0b1), Determinant(0b11, 0b10001)):
+            with pytest.raises(ValidationError, match="outside the sector"):
+                hci_ground(SectorSpec(4, 2, 2), ints, schedule, reference=ref)
+
+    def test_memory_cap_raises_before_building(self, dimer_ints, monkeypatch):
+        def fail(*args):
+            raise AssertionError("string arrays built")
+
+        monkeypatch.setattr(strings_mod, "SIGMA_BYTES_CAP", 0)
+        monkeypatch.setattr(strings_mod, "_one_spin_entries", fail)
+        with pytest.raises(CapExceededError):
+            hci_ground(SectorSpec(2, 1, 1), dimer_ints, SelectionSchedule(epsilons=(1e-3,)))
+
+
+def _integrals(rng, m, complex_hopping, rotate):
+    ints = map_to_electronic(random_lattice(rng, m=m, complex_hopping=complex_hopping))
+    if rotate:
+        z = rng.normal(size=(m, m))
+        if complex_hopping:
+            z = z + 1j * rng.normal(size=(m, m))
+        ints = rotate_basis(ints, np.linalg.qr(z)[0])
+    return ints
+
+
+class TestHciAgainstDenseOracle:
+    """hci_ground against heat-bath selection by enumeration on the explicit
+    Fock-space matrix, which shares no code with the string engine."""
+
+    @staticmethod
+    def _compare(spec, ints, reference, schedule):
+        sector = enumerate_sector(spec)
+        idx = [fock_index(d, spec.n_orbitals) for d in sector]
+        ham = dense_fock_hamiltonian(ints).tocsr()[idx][:, idx].toarray()
+        want = dense_heat_bath_ci(ham, sector, reference, schedule.epsilons,
+                                  schedule.max_determinants)
+        stages = hci_ground(spec, ints, schedule, reference=reference)
+        assert len(stages) == len(want)
+        for stage, (dets, energy) in zip(stages, want):
+            assert set(stage.determinants) == set(dets)
+            assert stage.result.energy == pytest.approx(energy, abs=1e-12)
+        return stages, want
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        data=st.data(),
+        m=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+        complex_hopping=st.booleans(),
+        rotate=st.booleans(),
+    )
+    def test_same_sets_and_energies(self, data, m, seed, complex_hopping, rotate):
+        spec = SectorSpec(m, data.draw(st.integers(0, m), label="n_alpha"),
+                          data.draw(st.integers(0, m), label="n_beta"))
+        rng = np.random.default_rng(seed)
+        ints = _integrals(rng, m, complex_hopping, rotate)
+        sector = enumerate_sector(spec)
+        reference = sector[int(rng.integers(len(sector)))]
+        self._compare(spec, ints, reference, SelectionSchedule(epsilons=(0.5, 0.05, 1e-4)))
+
+    @pytest.mark.parametrize("cap", [2, 7, 15])
+    def test_size_cap_keeps_the_most_important(self, cap):
+        """The cap cuts a round's candidates by importance, so the insertion
+        order matches too."""
+        rng = np.random.default_rng(11)
+        ints = _integrals(rng, 4, complex_hopping=True, rotate=True)
+        spec = SectorSpec(4, 2, 1)
+        schedule = SelectionSchedule(epsilons=(0.3, 1e-3), max_determinants=cap)
+        stages, want = self._compare(spec, ints, Determinant(0b11, 0b1), schedule)
+        assert [list(stage.determinants) for stage in stages] == [dets for dets, _ in want]
+        assert stages[-1].size == cap
