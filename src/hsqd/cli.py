@@ -412,6 +412,10 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        # a cap the estimates missed: the same exit code as a CapExceededError
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

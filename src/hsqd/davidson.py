@@ -1,6 +1,7 @@
 """Lowest eigenpair of a sparse Hermitian subspace Hamiltonian.
 
-Matrices up to ``DENSE_FALLBACK_DIM`` go to dense ``eigh``.  Larger ones go
+Matrices up to ``DENSE_FALLBACK_DIM`` go to dense ``eigh``, which is asked
+for the lowest eigenpair only (``subset_by_index``).  Larger ones go
 to ARPACK's implicitly restarted Lanczos (``scipy.sparse.linalg.eigsh``,
 Lehoucq, Sorensen & Yang, ARPACK Users' Guide, SIAM 1998) on H shifted
 below its Gershgorin bound, started from the unit vector at the smallest
@@ -64,7 +65,7 @@ def _residual(matrix, energy: float, vec: np.ndarray) -> float:
 
 def _dense_lowest(matrix) -> GroundStateResult:
     dense = matrix.toarray() if sp.issparse(matrix) else np.asarray(matrix)
-    vals, vecs = scipy.linalg.eigh(dense)
+    vals, vecs = scipy.linalg.eigh(dense, subset_by_index=[0, 0])
     energy, vec = float(vals[0]), vecs[:, 0]
     return GroundStateResult(energy, vec, _residual(matrix, energy, vec), 1, True)
 

@@ -185,6 +185,13 @@ class ElectronicIntegrals:
         """Same-spin exchange couplings g[p, q, q, p]."""
         return np.ascontiguousarray(np.einsum("pqqp->pq", self.two_body_same_spin))
 
+    @cached_property
+    def one_spin_memo(self) -> dict:
+        """Each string word's one-spin entries under these integrals, filled
+        by ``hsqd.strings`` as strings are requested; it lives and dies with
+        the integrals, whose arrays are read-only."""
+        return {}
+
 
 @dataclass(frozen=True)
 class SectorSpec:

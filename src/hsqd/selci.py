@@ -18,7 +18,7 @@ from .determinants import Determinant, half_strings
 from .errors import CapExceededError, ValidationError
 from .model import ElectronicIntegrals, SectorSpec
 from .strings import hamiltonian_columns
-from .subspace import SubspaceBasis, energy_variance, project_hamiltonian
+from .subspace import SubspaceBasis, project_hamiltonian, relative_variance
 
 FCI_CAP = 10**6
 
@@ -81,7 +81,10 @@ def hci_ground(
     Each round takes H[:, set] from one ``hamiltonian_columns`` call: its rows
     inside the set give the eigenproblem, and each determinant outside it
     joins when max_i |H_ai| |c_i| >= epsilon, most important first (ties in
-    ascending (beta, alpha) order), up to ``max_determinants``.
+    ascending (beta, alpha) order), up to ``max_determinants``.  The same
+    columns give each stage's variance: s = H[:, set] c holds H c over every
+    determinant the set couples to, so no full-sector sigma is needed and
+    the variance is reported whatever the sector size.
     """
     if reference is None:
         reference = Determinant((1 << spec.n_alpha) - 1, (1 << spec.n_beta) - 1)
@@ -108,6 +111,6 @@ def hci_ground(
             out_a, out_b, cols = hamiltonian_columns(ints, alpha, beta)
             result = lowest_eigenpair(cols[:len(alpha)])
         dets = tuple(Determinant(int(a), int(b)) for a, b in zip(alpha, beta))
-        res = result.with_variance(energy_variance(result, list(dets), ints))
+        res = result.with_variance(relative_variance(result.ci_vector, cols @ result.ci_vector))
         stages.append(SelectedCiStage(eps, len(dets), len(dets) / spec.dimension(), res, dets))
     return stages

@@ -14,7 +14,9 @@ with E_pq = a+_p a_q acting inside one spin string and the one-spin operator
 E_pq is evaluated on the string words themselves with bit operations, so the
 cost of an operator grows with the strings it is restricted to, never with
 the C(M, n) strings of the whole channel.  Orbital pairs are flat indices
-pq = p * M + q.
+pq = p * M + q.  Each string's one-spin entries are kept on the integrals
+(``ElectronicIntegrals.one_spin_memo``), so they are built once per
+integrals object, whichever routine meets the string first.
 
 Determinants are ordered beta-major (as in ``SubspaceBasis.determinants``),
 so a vector over a product space A x B is the matrix C[ib, ia] and
@@ -76,14 +78,22 @@ def _excitations(strings: np.ndarray, pairs: np.ndarray, m: int):
     return term[keep], rows[keep], col[keep], sign[keep]
 
 
-def _one_spin_entries(strings: np.ndarray, h: np.ndarray, g: np.ndarray):
+def _one_body_k(h: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """k_pq = h_pq - 1/2 sum_r g_ss[p,r,r,q], flat over pq."""
+    return (h - 0.5 * np.einsum("prrq->pq", g)).reshape(-1)
+
+
+def _one_spin_terms(strings: np.ndarray, h: np.ndarray, g: np.ndarray):
     """k.E + 1/2 sum g E_pq E_rs on each of the ascending ``strings``: the
-    nonzero entries as (target word, column, value), singles first, over every
-    string they reach (E_pq E_rs passes through strings outside the set)."""
+    nonzero entries as (target word, column, term key, value), column-major
+    and in term order within a column, over every string they reach
+    (E_pq E_rs passes through strings outside the set).  The key of E_pq is
+    pq and that of E_pq E_rs is M^2 (rs + 1) + pq, so singles come first."""
     m = h.shape[0]
-    k = (h - 0.5 * np.einsum("prrq->pq", g)).reshape(-1)
-    term, word, col, sign = _live_excitations(strings, np.arange(m * m), m)
-    words_l, cols_l, vals_l = [word], [col], [k[term] * sign]
+    k = _one_body_k(h, g)
+    pairs = np.flatnonzero(k)
+    term, word, col, sign = _live_excitations(strings, pairs, m)
+    words_l, cols_l, keys_l, vals_l = [word], [col], [pairs[term]], [k[pairs[term]] * sign]
     gmat = g.reshape(m * m, m * m)
     for rs in np.flatnonzero(np.any(gmat != 0, axis=0)):
         mid, mid_sign = excite(strings, *divmod(int(rs), m))
@@ -92,17 +102,45 @@ def _one_spin_entries(strings: np.ndarray, h: np.ndarray, g: np.ndarray):
         term, word, j, sign = _live_excitations(mid[live], pq, m)
         words_l.append(word)
         cols_l.append(live[j])
+        keys_l.append(m * m * (rs + 1) + pq[term])
         vals_l.append(0.5 * gmat[pq, rs][term] * sign * mid_sign[live[j]])
-    words, cols, vals = (np.concatenate(x) for x in (words_l, cols_l, vals_l))
-    keep = vals != 0
-    return words[keep], cols[keep], vals[keep]
+    vals = np.concatenate(vals_l)
+    keep = np.flatnonzero(vals != 0)
+    cols = np.concatenate(cols_l)[keep]
+    # stable, so each column keeps its entries in term order
+    keep = keep[np.argsort(cols, kind="stable")]
+    return (np.concatenate(words_l)[keep], np.sort(cols, kind="stable"),
+            np.concatenate(keys_l).astype(np.int32)[keep], vals[keep])
 
 
-def one_spin_operator(strings: np.ndarray, h: np.ndarray, g: np.ndarray) -> sp.coo_matrix:
-    """k.E + 1/2 sum g E_pq E_rs restricted to the ascending ``strings``."""
-    words, cols, vals = _one_spin_entries(strings, h, g)
+def _one_spin_entries(ints: ElectronicIntegrals, strings: np.ndarray):
+    """``_one_spin_terms`` of each of the ascending ``strings`` under ``ints``,
+    as (target word, column, term key, value), column-major.  Each string's
+    entries are computed once and kept in ``ints.one_spin_memo``; the rest
+    are gathered from it."""
+    memo = ints.one_spin_memo
+    new = [w for w in strings.tolist() if w not in memo]
+    if new or not len(strings):  # an empty request gets empty arrays of the right types
+        words, cols, keys, vals = _one_spin_terms(
+            np.array(new, dtype=np.int64), ints.one_body, ints.two_body_same_spin)
+        cut = np.searchsorted(cols, np.arange(len(new) + 1))
+        for w, lo, hi in zip(new, cut[:-1].tolist(), cut[1:].tolist()):
+            memo[w] = (words[lo:hi], keys[lo:hi], vals[lo:hi])
+        if len(new) == len(strings):  # no copy on a cold memo, which bounds the peak
+            return words, cols, keys, vals
+    parts = [memo[w] for w in strings.tolist()]
+    count = [len(part[0]) for part in parts]
+    words, keys, vals = (np.concatenate(x) for x in zip(*parts))
+    return words, np.repeat(np.arange(len(strings)), count), keys, vals
+
+
+def one_spin_operator(ints: ElectronicIntegrals, strings: np.ndarray) -> sp.coo_matrix:
+    """k.E + 1/2 sum g E_pq E_rs restricted to the ascending ``strings``,
+    with its entries term-major as ``_one_spin_terms`` builds them."""
+    words, cols, keys, vals = _one_spin_entries(ints, strings)
     rows = _locate(strings, words)
-    keep = rows >= 0
+    keep = np.flatnonzero(rows >= 0)
+    keep = keep[np.argsort(keys[keep], kind="stable")]
     n = len(strings)
     return sp.coo_matrix((vals[keep], (rows[keep], cols[keep])), shape=(n, n))
 
@@ -115,8 +153,8 @@ def product_hamiltonian(
     m = ints.n_orbitals
     na, nb = len(alpha), len(beta)
     d = na * nb
-    ha = one_spin_operator(alpha, ints.one_body, ints.two_body_same_spin)
-    hb = one_spin_operator(beta, ints.one_body, ints.two_body_same_spin)
+    ha = one_spin_operator(ints, alpha)
+    hb = one_spin_operator(ints, beta)
     index = np.int32 if d <= np.iinfo(np.int32).max else np.int64
     stride = index(na)  # row of (ib, ia) is ib * na + ia, in the index dtype
     a_range, b_range = np.arange(na, dtype=index), np.arange(nb, dtype=index)
@@ -152,17 +190,41 @@ def product_hamiltonian(
     return mat
 
 
+def _live_count(pattern: np.ndarray, m: int, n: int) -> int:
+    """At most how many E_pq with pq in the flat boolean ``pattern`` keep a
+    string of n electrons alive: E_pp needs p occupied, and E_pq (p != q)
+    needs q occupied and p empty."""
+    diag = int(np.count_nonzero(pattern.reshape(m, m).diagonal()))
+    return min(diag, n) + min(int(np.count_nonzero(pattern)) - diag, n * (m - n))
+
+
 def columns_bytes(n_dets: int, spec: SectorSpec, ints: ElectronicIntegrals) -> int:
     """Estimated peak memory of ``hamiltonian_columns`` over ``n_dets``
-    determinants of ``spec``: with L as in ``sigma_bytes``, each column has at
-    most L^2 + L one-spin entries per spin, L_alpha L_beta opposite-spin ones
-    and the core, at fourteen 8-byte indices and three values each (1.3-2x
-    the peak measured from M = 6 to 12 with 20 or more determinants)."""
+    determinants of ``spec``, with no string's entries memoized yet.
+
+    Each column has, per spin, at most the singles and doubles that the
+    nonzero patterns of k and g_ss keep alive (``_live_count``), the
+    opposite-spin pairs that the pattern of g_os keeps alive, and the core,
+    at fourteen 8-byte indices and three values each; an excitation pass
+    adds 160 bytes of temporaries per visited orbital pair, and each call
+    4 M^4 bytes of integral masks and 64 KiB of fixed cost.  In a rotated
+    basis every pattern is full, and this is 1.2-2x the peak measured from
+    M = 6 to 12 with 20 or more determinants; in a site basis it is 4-5x
+    the peak of 400 determinants at M = 8.
+    """
     m = spec.n_orbitals
     item = 16 if ints.is_complex else 8
-    la, lb = (n * (m - n) + n for n in (spec.n_alpha, spec.n_beta))
-    entries = la * la + la + lb * lb + lb + la * lb + 1
-    return n_dets * (entries * (112 + 3 * item) + 160 * m * m)
+    k = _one_body_k(ints.one_body, ints.two_body_same_spin) != 0
+    gss = ints.two_body_same_spin.reshape(m * m, m * m) != 0
+    gos = ints.two_body_opposite_spin.reshape(m * m, m * m) != 0
+    entries = 1 + (_live_count(gos.any(axis=1), m, spec.n_alpha)
+                   * _live_count(gos.any(axis=0), m, spec.n_beta))
+    for n in (spec.n_alpha, spec.n_beta):
+        doubles = _live_count(gss.any(axis=0), m, n) * _live_count(gss.any(axis=1), m, n)
+        entries += _live_count(k, m, n) + min(doubles, int(np.count_nonzero(gss)))
+    visited = max(np.count_nonzero(k), np.count_nonzero(gos.any(axis=1)),
+                  np.count_nonzero(gos.any(axis=0)), np.count_nonzero(gss.any(axis=1)))
+    return n_dets * (entries * (112 + 3 * item) + 160 * visited) + 4 * m**4 + 65536
 
 
 def _pair_up(keys: np.ndarray, src: np.ndarray):
@@ -193,7 +255,7 @@ def hamiltonian_columns(
     # entries, gathered for every determinant that holds the string
     parts = [(alpha, beta, np.arange(d), np.full(d, ints.core_energy))]
     for spin, (strings, inverse) in enumerate(((ua, ia), (ub, ib))):
-        words, src, vals = _one_spin_entries(strings, ints.one_body, ints.two_body_same_spin)
+        words, src, _, vals = _one_spin_entries(ints, strings)
         j, e = _pair_up(inverse, src)
         parts.append((words[e], beta[j], j, vals[e]) if spin == 0 else
                      (alpha[j], words[e], j, vals[e]))
@@ -251,8 +313,8 @@ def sigma(
     ``beta`` string words, given as the matrix C[ib, ia].  The product space
     must be closed under H (a full sector) for the result to be H c."""
     m = ints.n_orbitals
-    ha = one_spin_operator(alpha, ints.one_body, ints.two_body_same_spin).tocsr()
-    hb = one_spin_operator(beta, ints.one_body, ints.two_body_same_spin).tocsr()
+    ha = one_spin_operator(ints, alpha).tocsr()
+    hb = one_spin_operator(ints, beta).tocsr()
     out = hb @ c
     out += (ha @ c.T).T
     out += ints.core_energy * c

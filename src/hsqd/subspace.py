@@ -204,8 +204,14 @@ def energy_variance(
     )
     c[_positions(beta, [d.beta for d in dets]),
       _positions(alpha, [d.alpha for d in dets])] = result.ci_vector
-    s = sigma(c, ints, alpha, beta)
-    h1 = float(np.real(np.vdot(c, s)))
+    return relative_variance(c, sigma(c, ints, alpha, beta))
+
+
+def relative_variance(c: np.ndarray, s: np.ndarray) -> float | None:
+    """(<H^2> - <H>^2) / <H>^2 of the vector ``c`` from s = H c, where ``s``
+    covers every determinant that H reaches from ``c`` and its first
+    ``c.size`` entries (flattened) are those of ``c``; None when <H> is zero."""
+    h1 = float(np.real(np.vdot(c, s.reshape(-1)[:c.size])))
     h2 = float(np.real(np.vdot(s, s)))
     if abs(h1) < 1e-14:
         return None

@@ -183,15 +183,20 @@ class TestRunWorkflow:
         config = WorkflowConfig(lattice_path=str(tmp_path / "dimer.json"), n_electrons=2,
                                 solvers=("hci", "sqd", "extsqd"), fractions=(0.5, 1.0),
                                 shots=20_000, seed=3)
-        want, _ = run_workflow(config)
+        want, uncapped = run_workflow(config)
         monkeypatch.setattr(hsqd.subspace, cap, 0)
         report, runs = run_workflow(config)
         assert report.failures == {}
         assert report.sector_energies == want.sector_energies
         assert report.gaps == want.gaps
-        for sector_runs in runs.values():
-            for run in sector_runs:
+        # sqd and extsqd skip the full-sector sigma; hci takes its variance
+        # from its own columns, which no variance cap bounds
+        for solver in ("sqd", "extsqd"):
+            for run in runs[solver]:
                 assert [point[4] for point in run.points] == [None] * len(run.points)
+        assert all(p[4] is not None for run in runs["hci"] for p in run.points)
+        assert [[p[4] for p in run.points] for run in runs["hci"]] == \
+            [[p[4] for p in run.points] for run in uncapped["hci"]]
 
     def test_global_diagonal_shift_leaves_gap(self, tmp_path):
         lat = make_chain(4, u=2.0)

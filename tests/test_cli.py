@@ -176,6 +176,17 @@ class TestRun:
         assert main(["run", str(config)]) == 3
         assert capsys.readouterr().err.count("CapExceededError") == 3
 
+    def test_memory_error_exits_3(self, tmp_path, monkeypatch, capsys):
+        import hsqd.cli
+
+        def exhaust(config):
+            raise MemoryError("Unable to allocate 5.4 GiB")
+
+        monkeypatch.setattr(hsqd.cli, "run_workflow", exhaust)
+        config = write_config(tmp_path, write_dimer(tmp_path), tmp_path / "o")
+        assert main(["run", str(config)]) == 3
+        assert capsys.readouterr().err == "error: out of memory: Unable to allocate 5.4 GiB\n"
+
     def test_solver_failure_beside_a_cap_exits_4(self, tmp_path, monkeypatch):
         import hsqd.bandgap
         from hsqd import CapExceededError, ConvergenceError

@@ -9,6 +9,7 @@ from hsqd import (
     SectorSpec,
     SelectionSchedule,
     ValidationError,
+    energy_variance,
     fci_ground,
     generate_excitations,
     hci_ground,
@@ -195,6 +196,14 @@ class TestHciAgainstDenseOracle:
         for stage, (dets, energy) in zip(stages, want):
             assert set(stage.determinants) == set(dets)
             assert stage.result.energy == pytest.approx(energy, abs=1e-12)
+            # the variance from the stage's own columns against the full-sector
+            # sigma; the absolute floor admits round-off where the stage
+            # reached the whole sector and the variance vanishes
+            full = energy_variance(stage.result, list(stage.determinants), ints)
+            if full is None:
+                assert stage.result.variance is None
+            else:
+                assert stage.result.variance == pytest.approx(full, rel=1e-10, abs=1e-13)
         return stages, want
 
     @settings(max_examples=25, deadline=None)

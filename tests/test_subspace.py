@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -31,7 +32,13 @@ from hsqd import strings as strings_mod
 from hsqd.davidson import DEFAULT_TOL, DENSE_FALLBACK_DIM, _dense_lowest, _lanczos_lowest
 from hsqd import subspace as subspace_mod
 from hsqd.determinants import SECTOR_CAP, enumerate_sector, half_strings, matrix_element
-from hsqd.strings import SIGMA_BYTES_CAP, columns_bytes, hamiltonian_columns, sigma_bytes
+from hsqd.strings import (
+    SIGMA_BYTES_CAP,
+    columns_bytes,
+    hamiltonian_columns,
+    product_hamiltonian,
+    sigma_bytes,
+)
 from hsqd.statevector import SampleSet
 from hsqd.subspace import SubspaceBasis, build_subspace
 
@@ -397,6 +404,101 @@ class TestHamiltonianColumns:
         finally:
             tracemalloc.stop()
         assert peak <= columns_bytes(len(dets), spec, ints)
+
+    @pytest.mark.parametrize("v", [0.0, 0.6])
+    @pytest.mark.parametrize("m, n_alpha, n_beta, size", [
+        (8, 4, 4, 400), (8, 4, 4, 1), (8, 1, 7, 5), (10, 5, 0, 20), (10, 5, 4, 60), (6, 3, 3, 20),
+    ])
+    def test_columns_bytes_bounds_site_basis_peak(self, v, m, n_alpha, n_beta, size):
+        """In a site basis the nonzero patterns of k, g_ss and g_os bound the
+        entries, and the estimate still covers the first call on fresh
+        integrals, before any string's entries are memoized."""
+        ints = map_to_electronic(make_chain(m, v=v))
+        spec = SectorSpec(m, n_alpha, n_beta)
+        sector = enumerate_sector(spec)
+        dets = [sector[i] for i in np.random.default_rng(size).permutation(len(sector))[:size]]
+        alpha = np.array([d.alpha for d in dets], dtype=np.int64)
+        beta = np.array([d.beta for d in dets], dtype=np.int64)
+        tracemalloc.start()
+        try:
+            hamiltonian_columns(ints, alpha, beta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= columns_bytes(len(dets), spec, ints)
+
+    def test_columns_bytes_site_basis_estimate_drop(self):
+        """400 determinants of the 8-site half-filled site-basis sector: the
+        estimate counted every orbital pair (71.6 MB against a peak of at
+        most 3.2 MB); the nonzero patterns cut it more than tenfold."""
+        spec = SectorSpec(8, 4, 4)
+        for v in (0.0, 0.6):
+            ints = map_to_electronic(make_chain(8, v=v))
+            assert columns_bytes(400, spec, ints) <= 71.6e6 / 10
+
+
+def _engine_bytes(ints, alpha, beta, c, dets_a, dets_b):
+    """Every array that product_hamiltonian, sigma and hamiltonian_columns
+    return, as bytes."""
+    mat = product_hamiltonian(ints, alpha, beta)
+    full_a = np.array(half_strings(ints.n_orbitals, int(alpha[0]).bit_count()), dtype=np.int64)
+    full_b = np.array(half_strings(ints.n_orbitals, int(beta[0]).bit_count()), dtype=np.int64)
+    out_a, out_b, cols = hamiltonian_columns(ints, dets_a, dets_b)
+    arrays = (mat.data, mat.indices, mat.indptr, strings_mod.sigma(c, ints, full_a, full_b),
+              out_a, out_b, cols.data, cols.indices, cols.indptr)
+    return [np.ascontiguousarray(x).tobytes() for x in arrays]
+
+
+class TestOneSpinMemo:
+    """Each string's one-spin entries are kept on the integrals; the arrays
+    built from them must not depend on what the integrals served before."""
+
+    @staticmethod
+    def _request(rng, m, n_alpha, n_beta):
+        """Random ascending product strings, a vector over the full sector and
+        a shuffled determinant list of the sector (alpha, beta) words."""
+        wa = np.array(half_strings(m, n_alpha), dtype=np.int64)
+        wb = np.array(half_strings(m, n_beta), dtype=np.int64)
+        alpha = np.sort(rng.choice(wa, size=int(rng.integers(1, len(wa) + 1)), replace=False))
+        beta = np.sort(rng.choice(wb, size=int(rng.integers(1, len(wb) + 1)), replace=False))
+        c = rng.normal(size=(len(wb), len(wa))) + 1j * rng.normal(size=(len(wb), len(wa)))
+        pick = rng.permutation(len(wa) * len(wb))[:int(rng.integers(1, len(wa) * len(wb) + 1))]
+        return alpha, beta, c, wa[pick % len(wa)], wb[pick // len(wa)]
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        data=st.data(),
+        m=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+        complex_hopping=st.booleans(),
+        rotate=st.booleans(),
+    )
+    def test_served_integrals_give_identical_bytes(self, data, m, seed, complex_hopping, rotate):
+        n_alpha = data.draw(st.integers(0, m), label="n_alpha")
+        n_beta = data.draw(st.integers(0, m), label="n_beta")
+        rng = np.random.default_rng(seed)
+        ints = _random_integrals(rng, m, complex_hopping, rotate)
+        target = self._request(rng, m, n_alpha, n_beta)
+        want = _engine_bytes(ints, *target)
+        # fresh integrals with the same arrays serve other subsets of the
+        # same sector, other sectors and full channels first
+        served = dataclasses.replace(ints)
+        assert not served.one_spin_memo
+        for _ in range(data.draw(st.integers(1, 3), label="earlier requests")):
+            other = (data.draw(st.integers(0, m), label="other n_alpha"),
+                     data.draw(st.integers(0, m), label="other n_beta"))
+            sector = data.draw(st.sampled_from([(n_alpha, n_beta), other]), label="sector")
+            alpha, beta, c, dets_a, dets_b = self._request(rng, m, *sector)
+            if data.draw(st.booleans(), label="full channels"):
+                strings_mod.sigma(c, served, *(np.array(half_strings(m, n), dtype=np.int64)
+                                               for n in sector))
+            else:
+                product_hamiltonian(served, alpha, beta)
+                hamiltonian_columns(served, dets_a, dets_b)
+        assert served.one_spin_memo
+        assert _engine_bytes(served, *target) == want
+        # and a second time, from a memo that holds every string of the request
+        assert _engine_bytes(served, *target) == want
 
 
 class TestLargeChannelProjection:
