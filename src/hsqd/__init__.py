@@ -34,7 +34,7 @@ from .statevector import (
     SampleSet,
     SectorStatevector,
     apply_density_phase,
-    apply_orbital_rotation,
+    apply_orbital_matrix,
     basis_state,
     build_state,
     load_samples,

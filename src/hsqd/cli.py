@@ -416,6 +416,13 @@ def main(argv: list[str] | None = None) -> int:
         # a cap the estimates missed: the same exit code as a CapExceededError
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 3
+    except np.linalg.LinAlgError as exc:
+        # a LAPACK solve that failed: the same exit code as a ConvergenceError
+        print(f"error: linear algebra failure: {exc}", file=sys.stderr)
+        return 4
+    except Exception as exc:
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -35,14 +35,6 @@ HERMITICITY_TOL = 1e-12
 UNITARITY_TOL = 1e-10
 
 
-def _as_matrix(data, name: str, m: int, path: str | None = None) -> np.ndarray:
-    arr = np.asarray(data)
-    where = f" in {path}" if path else ""
-    if arr.shape != (m, m):
-        raise ValidationError(f"{name}{where}: expected shape {(m, m)}, got {arr.shape}")
-    return arr
-
-
 @dataclass(frozen=True)
 class LatticeHamiltonian:
     """Extended Hubbard Hamiltonian at a single labeled k-point."""

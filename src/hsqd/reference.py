@@ -193,24 +193,45 @@ def mp2_doubles(mf: MeanFieldSolution, mo_ints: ElectronicIntegrals,
     return t2, e_os + e_ss
 
 
+def real_matrix(value, name: str, m: int | None = None) -> np.ndarray:
+    """``value`` as a finite real square matrix, of order ``m`` when given."""
+    arr = np.asarray(value, dtype=float)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or (m is not None and len(arr) != m):
+        want = "square" if m is None else f"{m}x{m}"
+        raise ValidationError(f"{name} must be a {want} matrix, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValidationError(f"{name} has non-finite entries")
+    return arr
+
+
+def orthogonal_matrix(value, name: str, m: int | None = None) -> np.ndarray:
+    """``value`` as a finite real orthogonal matrix (see ``real_matrix``)."""
+    q = real_matrix(value, name, m)
+    if np.abs(q.T @ q - np.eye(len(q))).max(initial=0.0) > 1e-10:
+        raise ValidationError(f"{name} must be orthogonal")
+    return q
+
+
 @dataclass(frozen=True)
 class LucjLayer:
-    """One orbital-rotation generator plus density-density couplings."""
+    """One orbital rotation plus density-density couplings.
 
-    kgen: np.ndarray
+    ``rotation`` is the real orthogonal matrix W whose columns are the
+    layer's orbitals; the layer applies W^T, then exp(iJ), then W.
+    """
+
+    rotation: np.ndarray
     j_same: np.ndarray
     j_opposite: np.ndarray
 
     def __post_init__(self):
-        k = np.asarray(self.kgen, dtype=float)
-        js = np.asarray(self.j_same, dtype=float)
-        jo = np.asarray(self.j_opposite, dtype=float)
-        if np.abs(k + k.T).max(initial=0.0) > 1e-12:
-            raise ValidationError("orbital-rotation generator must be antisymmetric")
+        q = orthogonal_matrix(self.rotation, "orbital rotation")
+        js = real_matrix(self.j_same, "j_same", len(q))
+        jo = real_matrix(self.j_opposite, "j_opposite", len(q))
         for name, j in (("j_same", js), ("j_opposite", jo)):
             if np.abs(j - j.T).max(initial=0.0) > 1e-12:
                 raise ValidationError(f"{name} must be symmetric")
-        for name, val in (("kgen", k), ("j_same", js), ("j_opposite", jo)):
+        for name, val in (("rotation", q), ("j_same", js), ("j_opposite", jo)):
             object.__setattr__(self, name, val)
             val.setflags(write=False)
 
@@ -226,7 +247,7 @@ class LucjParameters:
 
     def __post_init__(self):
         for layer in self.layers:
-            if layer.kgen.shape != (self.n_orbitals,) * 2:
+            if layer.rotation.shape != (self.n_orbitals,) * 2:
                 raise ValidationError("layer dimension mismatch")
             for mask, j in ((self.mask_same, layer.j_same), (self.mask_opposite, layer.j_opposite)):
                 if mask is not None and np.abs(j[~mask.astype(bool)]).max(initial=0.0) > 0.0:
@@ -291,24 +312,17 @@ def lucj_from_t2(
         eigvals, eigvecs = eigvals[order], eigvecs[:, order]
     for mu in range(layers):
         if mu >= len(eigvals) or abs(eigvals[mu]) == 0.0:
-            k = np.zeros((m, m))
-            j = np.zeros((m, m))
-            built.append(LucjLayer(k, j * mask_same, j * mask_opposite))
+            built.append(LucjLayer(np.eye(m), np.zeros((m, m)), np.zeros((m, m))))
             continue
         lam = eigvals[mu]
         gen = np.zeros((m, m))
         gen[:nocc, nocc:] = eigvecs[:, mu].reshape(nocc, nvirt)
         gen = gen + gen.T
         diag, w = scipy.linalg.eigh(gen)
-        if np.linalg.det(w) < 0:
-            w = w.copy()
-            w[:, 0] = -w[:, 0]
-        k = np.real(scipy.linalg.logm(w))
-        k = (k - k.T) / 2
         j = lam * np.outer(diag, diag)
         built.append(
             LucjLayer(
-                kgen=k,
+                rotation=w,
                 j_same=(j * mask_same + (j * mask_same).T) / 2,
                 j_opposite=(j * mask_opposite + (j * mask_opposite).T) / 2,
             )

@@ -1,25 +1,34 @@
 """Exact sector statevector for the cluster-Jastrow ansatz and its sampling.
 
 The state lives in one (n_alpha, n_beta) particle-number sector, stored as a
-(beta-strings x alpha-strings) amplitude array in canonical ordering.  An
-orbital rotation exp(K) is applied exactly by decomposing the one-particle
-rotation into adjacent-orbital Givens factors, each of which mixes string
-pairs without any long-range fermionic sign bookkeeping.
+(beta-strings x alpha-strings) amplitude array A in canonical ordering.  A
+real orthogonal orbital rotation Q, a+_p -> sum_r Q[r, p] a+_r, acts on each
+spin channel through its compound matrix (the Thouless/Loewdin form of a
+one-body rotation on determinants):
+
+    U_s[I, J] = det Q[occ I, occ J]   (occupied orbitals in ascending order),
+    A -> U_beta A U_alpha^T .
+
+The compounds are built one string level at a time by Laplace expansion, and
+U(Q^T) = U(Q)^T, so one compound per channel occupation serves both
+rotations of an ansatz layer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
-import scipy.linalg
 
 from .determinants import Determinant, half_strings
 from .errors import CapExceededError, ValidationError
 from .model import SectorSpec
-from .reference import LucjParameters
+from .reference import LucjParameters, orthogonal_matrix, real_matrix
 
 STATE_CAP = 10**6
+# largest estimated allocation of the compound matrices of one rotation
+ROTATION_BYTES_CAP = 2 * 1024**3
 
 
 @dataclass(frozen=True)
@@ -30,7 +39,13 @@ class SectorStatevector:
     amplitudes: np.ndarray  # shape (n_beta_strings, n_alpha_strings)
 
     def __post_init__(self):
+        spec = self.spec
         amps = np.asarray(self.amplitudes, dtype=complex)
+        shape = (comb(spec.n_orbitals, spec.n_beta), comb(spec.n_orbitals, spec.n_alpha))
+        if amps.shape != shape:
+            raise ValidationError(f"amplitudes: expected shape {shape}, got {amps.shape}")
+        if not np.isfinite(amps).all():
+            raise ValidationError("amplitudes have non-finite entries")
         object.__setattr__(self, "amplitudes", amps)
         norm = np.linalg.norm(amps)
         if abs(norm - 1.0) > 1e-10:
@@ -59,113 +74,80 @@ class SampleSet:
             raise ValidationError("sample counts do not add up to the shot total")
 
 
-def _string_index(strings: list[int]) -> dict[int, int]:
-    return {s: i for i, s in enumerate(strings)}
-
-
 def basis_state(spec: SectorSpec, ref: Determinant, cap: int = STATE_CAP) -> SectorStatevector:
     dim = spec.dimension()
     if dim > cap:
         raise CapExceededError(f"sector dimension {dim} exceeds cap {cap}")
     alphas = half_strings(spec.n_orbitals, spec.n_alpha)
     betas = half_strings(spec.n_orbitals, spec.n_beta)
+    if ref.alpha not in alphas or ref.beta not in betas:
+        raise ValidationError("reference determinant lies outside the sector")
     amps = np.zeros((len(betas), len(alphas)), dtype=complex)
-    try:
-        ia = _string_index(alphas)[ref.alpha]
-        ib = _string_index(betas)[ref.beta]
-    except KeyError:
-        raise ValidationError("reference determinant lies outside the sector") from None
-    amps[ib, ia] = 1.0
+    amps[betas.index(ref.beta), alphas.index(ref.alpha)] = 1.0
     return SectorStatevector(spec, amps)
 
 
-def _givens_factors(q: np.ndarray) -> tuple[list[tuple[int, float, float]], np.ndarray]:
-    """Decompose orthogonal q into adjacent-row Givens factors and signs.
+def rotation_bytes(m: int, occupations: set[int]) -> int:
+    """Estimated peak allocation of ``_compounds``: the kept compounds plus
+    five arrays of the largest level, and 64 KiB of words and indices."""
+    sizes = [comb(m, n) for n in range(max(occupations) + 1)]
+    return 8 * (sum(sizes[n] ** 2 for n in occupations) + 5 * max(sizes) ** 2) + 2**16
 
-    Returns factors (p, c, s) acting on rows (p, p+1) such that
-    q = G_1^T ... G_k^T diag(signs) with the factors in application order
-    reversed (see apply_orbital_rotation).
+
+def _compounds(q: np.ndarray, occupations: set[int]) -> dict[int, np.ndarray]:
+    """Compound matrices U_n[I, J] = det q[occ I, occ J] for each n in ``occupations``.
+
+    Level n follows from level n - 1 by Laplace expansion along the row of
+    the highest occupied orbital h of I, with J_k the k-th occupied orbital
+    of J:
+
+        det q[I, J] = sum_k (-1)^(n-1+k) q[h, J_k] det q[I - h, J - J_k] .
     """
-    m = q.shape[0]
-    r = q.copy()
-    factors = []
-    for col in range(m):
-        for row in range(m - 1, col, -1):
-            if abs(r[row, col]) < 1e-15:
-                continue
-            a, b = r[row - 1, col], r[row, col]
-            h = np.hypot(a, b)
-            c, s = a / h, b / h
-            g = np.array([[c, s], [-s, c]])
-            r[[row - 1, row], :] = g @ r[[row - 1, row], :]
-            factors.append((row - 1, c, s))
-    signs = np.sign(np.diag(r)).astype(float)
-    return factors, signs
+    m = len(q)
+    if (need := rotation_bytes(m, occupations)) > ROTATION_BYTES_CAP:
+        raise CapExceededError(f"orbital rotation needs about {need} bytes, over {ROTATION_BYTES_CAP}")
+    prev_words = np.zeros(1, dtype=np.int64)
+    prev = np.ones((1, 1))
+    out = {0: prev} if 0 in occupations else {}
+    for n in range(1, max(occupations) + 1):
+        words = np.array(half_strings(m, n), dtype=np.int64)
+        occ = np.nonzero((words[:, None] >> np.arange(m)) & 1)[1].reshape(len(words), n)
+        rows = prev[np.searchsorted(prev_words, words ^ (1 << occ[:, -1]))]
+        high = q[occ[:, -1]]
+        cur = np.zeros((len(words), len(words)))
+        for k in range(n):
+            term = high[:, occ[:, k]]
+            term *= rows[:, np.searchsorted(prev_words, words ^ (1 << occ[:, k]))]
+            if (n - 1 + k) % 2:
+                cur -= term
+            else:
+                cur += term
+        if n in occupations:
+            out[n] = cur
+        prev, prev_words = cur, words
+    return out
 
 
-def _pair_mixing(strings: list[int], index: dict[int, int], p: int):
-    """String pairs (only p occupied) <-> (only p+1 occupied) for one channel."""
-    lo, hi = [], []
-    for s in strings:
-        has_p = (s >> p) & 1
-        has_q = (s >> (p + 1)) & 1
-        if has_p and not has_q:
-            lo.append(index[s])
-            hi.append(index[s ^ (1 << p) | (1 << (p + 1))])
-    return np.array(lo, dtype=int), np.array(hi, dtype=int)
+def _rotate(amps: np.ndarray, u_beta: np.ndarray, u_alpha: np.ndarray) -> np.ndarray:
+    """u_beta @ amps @ u_alpha.T for real compounds and complex amplitudes.
 
-
-def apply_orbital_rotation(state: SectorStatevector, kgen: np.ndarray) -> SectorStatevector:
-    """Apply exp(K) for a real antisymmetric one-body generator K.
-
-    The rotation acts identically on both spin channels.
+    A C-ordered complex (r, c) array is a real (r, 2c) array, so each product
+    is one real GEMM, with no complex copy of the compound.
     """
-    k = np.asarray(kgen, dtype=float)
-    m = state.spec.n_orbitals
-    if k.shape != (m, m):
-        raise ValidationError(f"generator: expected shape {(m, m)}, got {k.shape}")
-    if np.abs(k + k.T).max(initial=0.0) > 1e-10:
-        raise ValidationError("generator must be antisymmetric")
-    q = scipy.linalg.expm(k)
-    return apply_orbital_matrix(state, q)
+    left = (u_beta @ np.ascontiguousarray(amps).view(np.float64)).view(complex)
+    right = (u_alpha @ np.ascontiguousarray(left.T).view(np.float64)).view(complex)
+    return np.ascontiguousarray(right.T)
 
 
 def apply_orbital_matrix(state: SectorStatevector, q: np.ndarray) -> SectorStatevector:
-    """Apply the orbital rotation given by a real orthogonal matrix q."""
-    m = state.spec.n_orbitals
-    q = np.asarray(q, dtype=float)
-    if np.abs(q.T @ q - np.eye(m)).max() > 1e-10:
-        raise ValidationError("orbital rotation matrix must be orthogonal")
-    factors, signs = _givens_factors(q)
-    alphas = half_strings(m, state.spec.n_alpha)
-    betas = half_strings(m, state.spec.n_beta)
-    a_index = _string_index(alphas)
-    b_index = _string_index(betas)
-    amps = state.amplitudes.copy()
+    """Apply the orbital rotation given by a real orthogonal matrix q.
 
-    # diag(signs) first: phase (-1)^{occupations on flipped orbitals}
-    if np.any(signs < 0):
-        neg = np.flatnonzero(signs < 0)
-        mask = int(np.sum(1 << neg))
-        a_phase = np.array([(-1.0) ** bin(s & mask).count("1") for s in alphas])
-        b_phase = np.array([(-1.0) ** bin(s & mask).count("1") for s in betas])
-        amps *= a_phase[None, :]
-        amps *= b_phase[:, None]
-
-    for p, c, s in reversed(factors):
-        lo_a, hi_a = _pair_mixing(alphas, a_index, p)
-        if lo_a.size:
-            x = amps[:, lo_a].copy()
-            y = amps[:, hi_a].copy()
-            amps[:, lo_a] = c * x - s * y
-            amps[:, hi_a] = s * x + c * y
-        lo_b, hi_b = _pair_mixing(betas, b_index, p)
-        if lo_b.size:
-            x = amps[lo_b, :].copy()
-            y = amps[hi_b, :].copy()
-            amps[lo_b, :] = c * x - s * y
-            amps[hi_b, :] = s * x + c * y
-    return SectorStatevector(state.spec, amps)
+    The rotation acts identically on both spin channels.
+    """
+    spec = state.spec
+    q = orthogonal_matrix(q, "orbital rotation", spec.n_orbitals)
+    u = _compounds(q, {spec.n_alpha, spec.n_beta})
+    return SectorStatevector(spec, _rotate(state.amplitudes, u[spec.n_beta], u[spec.n_alpha]))
 
 
 def apply_density_phase(
@@ -173,15 +155,15 @@ def apply_density_phase(
 ) -> SectorStatevector:
     """Apply exp(i J) where J couples occupation numbers pairwise."""
     m = state.spec.n_orbitals
-    js = np.asarray(j_same, dtype=float)
-    jo = np.asarray(j_opposite, dtype=float)
+    js = real_matrix(j_same, "same-spin coupling matrix", m)
+    jo = real_matrix(j_opposite, "opposite-spin coupling matrix", m)
     for name, j in (("same-spin", js), ("opposite-spin", jo)):
-        if j.shape != (m, m) or np.abs(j - j.T).max(initial=0.0) > 1e-10:
-            raise ValidationError(f"{name} coupling matrix must be symmetric {m}x{m}")
-    alphas = half_strings(m, state.spec.n_alpha)
-    betas = half_strings(m, state.spec.n_beta)
-    occ_a = np.array([[float((s >> i) & 1) for i in range(m)] for s in alphas])
-    occ_b = np.array([[float((s >> i) & 1) for i in range(m)] for s in betas])
+        if np.abs(j - j.T).max(initial=0.0) > 1e-10:
+            raise ValidationError(f"{name} coupling matrix must be symmetric")
+    occ_a, occ_b = (
+        ((np.array(half_strings(m, n), dtype=np.int64)[:, None] >> np.arange(m)) & 1).astype(float)
+        for n in (state.spec.n_alpha, state.spec.n_beta)
+    )
     same_a = np.einsum("xp,pq,xq->x", occ_a, js, occ_a)
     same_b = np.einsum("xp,pq,xq->x", occ_b, js, occ_b)
     cross = 2.0 * occ_b @ jo @ occ_a.T  # sums both (up,down) and (down,up) orderings
@@ -196,19 +178,27 @@ def build_state(
     spec: SectorSpec,
     cap: int = STATE_CAP,
 ) -> SectorStatevector:
-    """Construct the layered ansatz state exp(K) exp(iJ) exp(-K) ... |ref>.
+    """Construct the layered ansatz state W exp(iJ) W^T ... |ref>.
 
-    Layers are applied in index order: each layer rotates into the generator
-    eigenbasis, applies its diagonal density-density phase, and rotates back.
+    Layers are applied in index order: each layer rotates into its orbital
+    basis (W^T), applies its diagonal density-density phase, and rotates
+    back (W).  Each layer builds one compound per channel occupation; the
+    first W^T acts on |ref>, so it only reads the rows of ``ref``'s strings.
     """
     if params.n_orbitals != spec.n_orbitals:
         raise ValidationError("parameter/sector orbital count mismatch")
-    state = basis_state(spec, ref, cap=cap)
-    for layer in params.layers:
-        state = apply_orbital_rotation(state, -layer.kgen)
-        state = apply_density_phase(state, layer.j_same, layer.j_opposite)
-        state = apply_orbital_rotation(state, layer.kgen)
-    return state
+    amps = basis_state(spec, ref, cap=cap).amplitudes
+    [(ib, ia)] = np.argwhere(amps)
+    for index, layer in enumerate(params.layers):
+        u = _compounds(layer.rotation, {spec.n_alpha, spec.n_beta})
+        u_alpha, u_beta = u[spec.n_alpha], u[spec.n_beta]
+        if index == 0:
+            amps = np.outer(u_beta[ib], u_alpha[ia])
+        else:
+            amps = _rotate(amps, u_beta.T, u_alpha.T)
+        phased = apply_density_phase(SectorStatevector(spec, amps), layer.j_same, layer.j_opposite)
+        amps = _rotate(phased.amplitudes, u_beta, u_alpha)
+    return SectorStatevector(spec, amps)
 
 
 def sample(state: SectorStatevector, shots: int, seed: int | None = None) -> SampleSet:

@@ -208,6 +208,52 @@ def sector_generator_matrix(spec, k, dets):
     return mat
 
 
+def givens_rotation(state, q):
+    """Apply the orbital rotation q (a+_p -> sum_r q[r, p] a+_r) to a sector state.
+
+    The reference for the compound-matrix rotation: q is reduced to a
+    diagonal of signs by Givens rotations of adjacent rows, and each factor
+    mixes only the string pairs that differ by one electron on orbitals p
+    and p + 1, which carries no fermionic sign.
+    """
+    from hsqd.determinants import half_strings
+    from hsqd.statevector import SectorStatevector
+
+    m = state.spec.n_orbitals
+    r = np.array(q, dtype=float)
+    factors = []
+    for col in range(m):
+        for row in range(m - 1, col, -1):
+            if abs(r[row, col]) < 1e-15:
+                continue
+            h = np.hypot(r[row - 1, col], r[row, col])
+            c, s = r[row - 1, col] / h, r[row, col] / h
+            r[[row - 1, row], :] = np.array([[c, s], [-s, c]]) @ r[[row - 1, row], :]
+            factors.append((row - 1, c, s))
+    flipped = int(sum(1 << p for p in range(m) if r[p, p] < 0))
+    amps = state.amplitudes.copy()
+    channels = []
+    for axis, n in ((1, state.spec.n_alpha), (0, state.spec.n_beta)):
+        strings = half_strings(m, n)
+        index = {w: i for i, w in enumerate(strings)}
+        phase = np.array([(-1.0) ** bin(w & flipped).count("1") for w in strings])
+        amps *= phase[None, :] if axis == 1 else phase[:, None]
+        channels.append((axis, strings, index))
+    for p, c, s in reversed(factors):
+        for axis, strings, index in channels:
+            lo = [index[w] for w in strings if (w >> p) & 1 and not (w >> (p + 1)) & 1]
+            if not lo:
+                continue
+            hi = [index[w ^ (3 << p)] for w in strings if (w >> p) & 1 and not (w >> (p + 1)) & 1]
+            x = np.take(amps, lo, axis=axis)
+            y = np.take(amps, hi, axis=axis)
+            if axis == 1:
+                amps[:, lo], amps[:, hi] = c * x - s * y, s * x + c * y
+            else:
+                amps[lo, :], amps[hi, :] = c * x - s * y, s * x + c * y
+    return SectorStatevector(state.spec, amps)
+
+
 def random_general_integrals(rng, m, core=None):
     """Random Hermitian spin-resolved integrals with the operator symmetries."""
     from hsqd import ElectronicIntegrals

@@ -11,7 +11,7 @@ from hsqd import (
     SectorSpec,
     SelectionSchedule,
     WorkflowConfig,
-    apply_orbital_rotation,
+    apply_orbital_matrix,
     basis_state,
     build_state,
     extsqd_expand,
@@ -222,8 +222,8 @@ def test_sampler_statistics():
     (0.5, 0.5) within five binomial standard deviations, ten seeds."""
     spec = SectorSpec(2, 1, 0)
     theta = np.pi / 4
-    k = np.array([[0.0, theta], [-theta, 0.0]])
-    state = apply_orbital_rotation(basis_state(spec, Determinant(0b01, 0)), k)
+    q = np.array([[np.cos(theta), np.sin(theta)], [-np.sin(theta), np.cos(theta)]])
+    state = apply_orbital_matrix(basis_state(spec, Determinant(0b01, 0)), q)
     shots = 10**6
     sigma = np.sqrt(0.25 / shots)
     ok = True

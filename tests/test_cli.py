@@ -187,6 +187,29 @@ class TestRun:
         assert main(["run", str(config)]) == 3
         assert capsys.readouterr().err == "error: out of memory: Unable to allocate 5.4 GiB\n"
 
+    def test_linalg_error_exits_4(self, tmp_path, monkeypatch, capsys):
+        import hsqd.cli
+
+        def fail(config):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(hsqd.cli, "run_workflow", fail)
+        config = write_config(tmp_path, write_dimer(tmp_path), tmp_path / "o")
+        assert main(["run", str(config)]) == 4
+        assert capsys.readouterr().err == (
+            "error: linear algebra failure: Eigenvalues did not converge\n")
+
+    def test_unexpected_exception_exits_1(self, tmp_path, monkeypatch, capsys):
+        import hsqd.cli
+
+        def fail(config):
+            raise KeyError("Ne+1")
+
+        monkeypatch.setattr(hsqd.cli, "run_workflow", fail)
+        config = write_config(tmp_path, write_dimer(tmp_path), tmp_path / "o")
+        assert main(["run", str(config)]) == 1
+        assert capsys.readouterr().err == "error: internal error: KeyError: 'Ne+1'\n"
+
     def test_solver_failure_beside_a_cap_exits_4(self, tmp_path, monkeypatch):
         import hsqd.bandgap
         from hsqd import CapExceededError, ConvergenceError
@@ -285,16 +308,35 @@ class TestPlotdata:
                      "--output", str(tmp_path / "x.csv")]) == 2
 
 
+def run_fresh(code: str) -> str:
+    """Standard output of ``code`` run in a fresh interpreter on this checkout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    return out.stdout
+
+
 class TestImportCost:
     def test_import_does_not_load_sparse_linalg(self):
         """scipy.sparse.linalg costs about half a second of import time, which
         every ``hsqd`` invocation would pay before doing any work."""
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-        out = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, hsqd, hsqd.cli; print('scipy.sparse.linalg' in sys.modules)"],
-            env=env, capture_output=True, text=True, timeout=120, check=True,
+        out = run_fresh("import sys, hsqd, hsqd.cli; print('scipy.sparse.linalg' in sys.modules)")
+        assert out.strip() == "False"
+
+    def test_state_build_needs_no_matrix_functions(self, tmp_path):
+        """The dimer run builds its LUCJ states without logm or expm; the
+        first logm call imports scipy.special, which costs about 0.1 s and
+        which nothing else in ``hsqd run`` loads."""
+        config = Path(__file__).resolve().parents[1] / "configs" / "dimer.toml"
+        out = run_fresh(
+            "import sys, scipy.linalg\n"
+            "def refuse(*args, **kwargs):\n"
+            "    raise RuntimeError('matrix function called')\n"
+            "scipy.linalg.logm = scipy.linalg.expm = refuse\n"
+            "from hsqd.cli import main\n"
+            f"code = main(['run', {str(config)!r}, '--out-dir', {str(tmp_path)!r}])\n"
+            "print(code, 'scipy.special' in sys.modules)\n"
         )
-        assert out.stdout.strip() == "False"
+        assert out.splitlines()[-1] == "0 False"

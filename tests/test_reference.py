@@ -160,7 +160,7 @@ class TestLucjParameters:
     def test_zero_amplitudes_give_zero_parameters(self):
         params = lucj_from_t2(np.zeros((1, 1, 1, 1)), 2, 1)
         assert params.n_layers == 1
-        assert not params.layers[0].kgen.any()
+        assert np.array_equal(params.layers[0].rotation, np.eye(2))
         assert not params.layers[0].j_same.any()
         assert not params.layers[0].j_opposite.any()
 
@@ -192,7 +192,7 @@ class TestLucjParameters:
         t2 = rng.normal(size=(2, 2, 3, 3))
         t2 = (t2 + t2.transpose(1, 0, 3, 2)) / 2
         for layer in lucj_from_t2(t2, 5, 2, layers=2).layers:
-            assert np.abs(layer.kgen + layer.kgen.T).max() == 0.0
+            assert np.abs(layer.rotation.T @ layer.rotation - np.eye(5)).max() <= 1e-12
             assert np.abs(layer.j_same - layer.j_same.T).max() == 0.0
             assert np.abs(layer.j_opposite - layer.j_opposite.T).max() == 0.0
 

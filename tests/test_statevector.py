@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -10,23 +12,35 @@ from hsqd import (
     LucjParameters,
     SectorSpec,
     ValidationError,
-    apply_orbital_rotation,
+    apply_density_phase,
+    apply_orbital_matrix,
     basis_state,
     build_state,
     load_samples,
+    lucj_from_t2,
+    map_to_electronic,
+    mp2_doubles,
+    rotate_basis,
     sample,
     save_samples,
+    solve_mean_field,
 )
+from hsqd import statevector as statevector_mod
 from hsqd.errors import CapExceededError
-from hsqd.statevector import SampleSet
+from hsqd.statevector import SampleSet, SectorStatevector, rotation_bytes
 
-from oracles import sector_generator_matrix
-from hsqd.determinants import enumerate_sector
+from conftest import make_chain
+from oracles import givens_rotation, sector_generator_matrix
+from hsqd.determinants import enumerate_sector, half_strings
 
 
 def antisym(rng, m):
     k = rng.normal(size=(m, m))
     return (k - k.T) / 2
+
+
+def rot(rng, m):
+    return scipy.linalg.expm(antisym(rng, m))
 
 
 def symm(rng, m, scale=1.0):
@@ -36,7 +50,7 @@ def symm(rng, m, scale=1.0):
 
 def zero_params(m, layers=1):
     z = np.zeros((m, m))
-    return LucjParameters(m, tuple(LucjLayer(z, z, z) for _ in range(layers)))
+    return LucjParameters(m, tuple(LucjLayer(np.eye(m), z, z) for _ in range(layers)))
 
 
 class TestBuildState:
@@ -54,7 +68,7 @@ class TestBuildState:
         spec = SectorSpec(3, 1, 1)
         ref = Determinant(0b010, 0b100)
         params = LucjParameters(
-            3, (LucjLayer(np.zeros((3, 3)), symm(rng, 3), symm(rng, 3)),)
+            3, (LucjLayer(np.eye(3), symm(rng, 3), symm(rng, 3)),)
         )
         state = build_state(params, ref, spec)
         probs = state.probabilities().ravel()
@@ -66,7 +80,7 @@ class TestBuildState:
         spec = SectorSpec(4, 2, 2)
         ref = Determinant(0b0011, 0b0011)
         params = LucjParameters(
-            4, (LucjLayer(antisym(rng, 4), np.zeros((4, 4)), np.zeros((4, 4))),)
+            4, (LucjLayer(rot(rng, 4), np.zeros((4, 4)), np.zeros((4, 4))),)
         )
         probs = build_state(params, ref, spec).probabilities().ravel()
         idx = enumerate_sector(spec).index(ref)
@@ -78,7 +92,7 @@ class TestBuildState:
             spec = SectorSpec(m, m // 2, m // 2 - 1)
             ref = Determinant((1 << (m // 2)) - 1, (1 << (m // 2 - 1)) - 1)
             params = LucjParameters(
-                m, (LucjLayer(antisym(rng, m), symm(rng, m), symm(rng, m)),)
+                m, (LucjLayer(rot(rng, m), symm(rng, m), symm(rng, m)),)
             )
             state = build_state(params, ref, spec)
             assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0, abs=1e-10)
@@ -96,7 +110,7 @@ class TestOrbitalRotation:
         state = basis_state(spec, Determinant(0b01, 0))
         theta = np.pi / 4
         k = np.array([[0.0, theta], [-theta, 0.0]])
-        probs = apply_orbital_rotation(state, k).probabilities().ravel()
+        probs = apply_orbital_matrix(state, scipy.linalg.expm(k)).probabilities().ravel()
         assert probs == pytest.approx([0.5, 0.5], abs=1e-12)
 
     def test_matches_dense_exponential_oracle(self):
@@ -108,7 +122,7 @@ class TestOrbitalRotation:
             k = antisym(rng, m)
             gen = sector_generator_matrix(spec, k, dets)
             start = dets[int(rng.integers(len(dets)))]
-            state = apply_orbital_rotation(basis_state(spec, start), k)
+            state = apply_orbital_matrix(basis_state(spec, start), scipy.linalg.expm(k))
             dense = scipy.linalg.expm(gen)[:, dets.index(start)]
             assert np.abs(state.amplitudes.ravel() - dense).max() <= 1e-10
 
@@ -122,21 +136,143 @@ class TestOrbitalRotation:
             ref = Determinant((1 << na) - 1, (1 << nb) - 1)
             k = antisym(rng, m)
             h = symm(rng, m)
-            state = apply_orbital_rotation(basis_state(spec, ref), k)
+            q = scipy.linalg.expm(k)
+            state = apply_orbital_matrix(basis_state(spec, ref), q)
             dets = enumerate_sector(spec)
             hmat = sector_generator_matrix(spec, h, dets)
             vec = state.amplitudes.ravel()
             e_state = float(np.real(vec.conj() @ (hmat @ vec)))
-            q = scipy.linalg.expm(k)
             e_expected = np.trace(q[:, :na].T @ h @ q[:, :na])
             e_expected += np.trace(q[:, :nb].T @ h @ q[:, :nb])
             assert e_state == pytest.approx(e_expected, abs=1e-9)
 
-    def test_requires_antisymmetric_generator(self):
+    def test_requires_orthogonal_matrix(self):
         spec = SectorSpec(2, 1, 0)
         state = basis_state(spec, Determinant(1, 0))
-        with pytest.raises(ValidationError, match="antisymmetric"):
-            apply_orbital_rotation(state, np.eye(2))
+        with pytest.raises(ValidationError, match="orthogonal"):
+            apply_orbital_matrix(state, 2 * np.eye(2))
+
+
+def random_state(rng, spec):
+    shape = (len(half_strings(spec.n_orbitals, spec.n_beta)),
+             len(half_strings(spec.n_orbitals, spec.n_alpha)))
+    amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return SectorStatevector(spec, amps / np.linalg.norm(amps))
+
+
+class TestCompoundRotation:
+    """The compound-matrix rotation against the Givens-factor oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(1, 6), n_alpha=st.integers(0, 6), n_beta=st.integers(0, 6),
+           seed=st.integers(0, 2**31 - 1), flip=st.booleans())
+    def test_matches_givens_oracle(self, m, n_alpha, n_beta, seed, flip):
+        """Random orthogonal q with det +1 or -1; an occupation above m is a
+        full channel, and 0 an empty one."""
+        n_alpha, n_beta = min(n_alpha, m), min(n_beta, m)
+        rng = np.random.default_rng(seed)
+        q = rot(rng, m)
+        if flip:
+            q[:, 0] = -q[:, 0]
+        assert np.linalg.det(q) == pytest.approx(-1.0 if flip else 1.0)
+        state = random_state(rng, SectorSpec(m, n_alpha, n_beta))
+        got = apply_orbital_matrix(state, q).amplitudes
+        assert np.abs(got - givens_rotation(state, q).amplitudes).max() <= 1e-12
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_build_state_matches_generator_route(self, layers):
+        """A layer with rotation expm(K) gives exp(K) exp(iJ) exp(-K), each
+        exponential applied by the Givens oracle."""
+        rng = np.random.default_rng(20 + layers)
+        for m, n_alpha, n_beta in ((4, 2, 2), (5, 3, 2), (6, 3, 3), (5, 0, 2), (4, 4, 1)):
+            spec = SectorSpec(m, n_alpha, n_beta)
+            ref = Determinant((1 << n_alpha) - 1, (1 << n_beta) - 1)
+            ks = [antisym(rng, m) for _ in range(layers)]
+            couplings = [(symm(rng, m), symm(rng, m)) for _ in range(layers)]
+            params = LucjParameters(m, tuple(
+                LucjLayer(scipy.linalg.expm(k), js, jo) for k, (js, jo) in zip(ks, couplings)))
+            want = basis_state(spec, ref)
+            for k, (js, jo) in zip(ks, couplings):
+                want = givens_rotation(want, scipy.linalg.expm(-k))
+                want = apply_density_phase(want, js, jo)
+                want = givens_rotation(want, scipy.linalg.expm(k))
+            got = build_state(params, ref, spec).amplitudes
+            assert np.abs(got - want.amplitudes).max() <= 1e-12
+
+    def test_mp2_layer_applies_its_own_orbitals(self):
+        """The MP2-seeded layer of the six-site chain applies the orbitals W
+        that diagonalize its generator.  This W has det -1 and, with one
+        column negated, an eigenvalue pair at -1, where the real part of
+        logm(W) is no generator of W: exp of it is off by about 1e-2."""
+        m, n = 6, 3
+        ints = map_to_electronic(make_chain(m))
+        neutral = SectorSpec(m, n, n)
+        mf = solve_mean_field(ints, neutral)
+        t2, _ = mp2_doubles(mf, rotate_basis(ints, mf.orbital_coefficients), neutral)
+        layer = lucj_from_t2(t2, m, n).layers[0]
+        pairs = t2.transpose(0, 2, 1, 3).reshape(n * (m - n), n * (m - n))
+        vals, vecs = np.linalg.eigh((pairs + pairs.T) / 2)
+        gen = np.zeros((m, m))
+        gen[:n, n:] = vecs[:, np.argmax(np.abs(vals))].reshape(n, m - n)
+        w = np.linalg.eigh(gen + gen.T)[1]
+        for spec in (neutral, SectorSpec(m, n + 1, n)):
+            ref = mf.reference_for(spec)
+            want = givens_rotation(basis_state(spec, ref), w.T)
+            want = givens_rotation(apply_density_phase(want, layer.j_same, layer.j_opposite), w)
+            got = build_state(lucj_from_t2(t2, m, n), ref, spec).amplitudes
+            assert np.abs(got - want.amplitudes).max() <= 1e-12
+
+    @pytest.mark.parametrize("m, occupations", [
+        (8, {4}), (8, {4, 3}), (10, {5, 4}), (10, {0, 2}), (12, {6, 7}), (6, {6, 1}),
+    ])
+    def test_rotation_bytes_bounds_measured_peak(self, m, occupations):
+        q = rot(np.random.default_rng(m), m)
+        tracemalloc.start()
+        try:
+            statevector_mod._compounds(q, occupations)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= rotation_bytes(m, occupations)
+
+    def test_lopsided_sector_hits_the_cap_before_building(self):
+        """18 orbitals with nine alpha electrons and no beta ones is a small
+        state, but its alpha compound would take about 19 GB."""
+        spec = SectorSpec(18, 9, 0)
+        with pytest.raises(CapExceededError, match="orbital rotation"):
+            build_state(zero_params(18), Determinant((1 << 9) - 1, 0), spec)
+
+
+class TestStateInputValidation:
+    def test_nonfinite_amplitudes_rejected(self):
+        with pytest.raises(ValidationError, match="non-finite"):
+            SectorStatevector(SectorSpec(2, 1, 1), np.full((2, 2), np.nan, dtype=complex))
+
+    def test_wrongly_shaped_amplitudes_rejected(self):
+        with pytest.raises(ValidationError, match="shape"):
+            SectorStatevector(SectorSpec(2, 1, 1), np.full(4, 0.5, dtype=complex))
+
+    def test_nonfinite_rotation_rejected(self):
+        state = basis_state(SectorSpec(2, 1, 0), Determinant(1, 0))
+        q = np.eye(2)
+        q[0, 1] = np.nan
+        with pytest.raises(ValidationError, match="non-finite"):
+            apply_orbital_matrix(state, q)
+
+    def test_wrong_size_rotation_rejected(self):
+        state = basis_state(SectorSpec(2, 1, 0), Determinant(1, 0))
+        with pytest.raises(ValidationError, match="2x2"):
+            apply_orbital_matrix(state, np.eye(3))
+
+    def test_nonfinite_couplings_rejected(self):
+        state = basis_state(SectorSpec(2, 1, 1), Determinant(1, 1))
+        with pytest.raises(ValidationError, match="non-finite"):
+            apply_density_phase(state, np.full((2, 2), np.nan), np.zeros((2, 2)))
+
+    def test_layer_rejects_nonfinite_couplings(self):
+        quarter_turn = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        with pytest.raises(ValidationError, match="non-finite"):
+            LucjLayer(quarter_turn, np.zeros((2, 2)), np.full((2, 2), np.nan))
 
 
 class TestDensityPhase:
@@ -152,8 +288,8 @@ class TestDensityPhase:
         jo = symm(rng, m)
         dets = enumerate_sector(spec)
         k = antisym(rng, m)
-        state = apply_orbital_rotation(
-            basis_state(spec, Determinant(0b0011, 0b0001)), k
+        state = apply_orbital_matrix(
+            basis_state(spec, Determinant(0b0011, 0b0001)), scipy.linalg.expm(k)
         )
         out = apply_density_phase(state, js, jo)
         for idx, det in enumerate(dets):
@@ -179,7 +315,7 @@ class TestDensityPhase:
         js = symm(rng, m, 0.7)
         jo = symm(rng, m, 0.4)
         ref = Determinant(0b0011, 0b0011)
-        state = build_state(LucjParameters(m, (LucjLayer(k, js, jo),)), ref, spec)
+        state = build_state(LucjParameters(m, (LucjLayer(scipy.linalg.expm(k), js, jo),)), ref, spec)
 
         kmat = sector_generator_matrix(spec, k, dets)
         phases = []
@@ -202,16 +338,15 @@ class TestRotationProperties:
     @settings(max_examples=15, deadline=None)
     @given(st.integers(0, 2**31 - 1))
     def test_rotation_composition(self, seed):
-        """Applying K then -K returns the starting state."""
+        """Applying Q then Q^T returns the starting state."""
         rng = np.random.default_rng(seed)
         m = int(rng.integers(2, 6))
         na = int(rng.integers(1, m + 1))
         spec = SectorSpec(m, na, 0)
         ref = Determinant((1 << na) - 1, 0)
-        k = rng.normal(size=(m, m))
-        k = (k - k.T) / 2
+        q = rot(rng, m)
         state = basis_state(spec, ref)
-        out = apply_orbital_rotation(apply_orbital_rotation(state, k), -k)
+        out = apply_orbital_matrix(apply_orbital_matrix(state, q), q.T)
         assert np.abs(out.amplitudes - state.amplitudes).max() <= 1e-10
 
 
@@ -228,7 +363,7 @@ class TestSampling:
         rng = np.random.default_rng(6)
         spec = SectorSpec(4, 2, 2)
         ref = Determinant(0b0011, 0b0011)
-        params = LucjParameters(4, (LucjLayer(antisym(rng, 4), symm(rng, 4), symm(rng, 4)),))
+        params = LucjParameters(4, (LucjLayer(rot(rng, 4), symm(rng, 4), symm(rng, 4)),))
         state = build_state(params, ref, spec)
         a = sample(state, 5000, seed=42)
         b = sample(state, 5000, seed=42)
@@ -250,7 +385,7 @@ class TestSampling:
         rng = np.random.default_rng(7)
         spec = SectorSpec(4, 2, 2)
         ref = Determinant(0b0011, 0b0011)
-        params = LucjParameters(4, (LucjLayer(antisym(rng, 4), symm(rng, 4), symm(rng, 4)),))
+        params = LucjParameters(4, (LucjLayer(rot(rng, 4), symm(rng, 4), symm(rng, 4)),))
         state = build_state(params, ref, spec)
         p = state.probabilities().ravel()
         dets = enumerate_sector(spec)
@@ -317,7 +452,7 @@ class TestSampleFiles:
         rng = np.random.default_rng(8)
         spec = SectorSpec(3, 2, 1)
         ref = Determinant(0b011, 0b100)
-        params = LucjParameters(3, (LucjLayer(antisym(rng, 3), symm(rng, 3), symm(rng, 3)),))
+        params = LucjParameters(3, (LucjLayer(rot(rng, 3), symm(rng, 3), symm(rng, 3)),))
         state = build_state(params, ref, spec)
         original = sample(state, 20_000, seed=11)
         save_samples(original, tmp_path / "r.txt")

@@ -87,7 +87,7 @@ class TestFilterSamples:
         spec = SectorSpec(3, 2, 1)
         k = rng.normal(size=(3, 3)); k = (k - k.T) / 2
         j = rng.normal(size=(3, 3)); j = (j + j.T) / 2
-        params = LucjParameters(3, (LucjLayer(k, j, j),))
+        params = LucjParameters(3, (LucjLayer(scipy.linalg.expm(k), j, j),))
         state = build_state(params, Determinant(0b011, 0b001), spec)
         out = filter_samples(sample(state, 50_000, seed=1), spec)
         assert out.discarded_fraction == 0.0
@@ -394,7 +394,8 @@ class TestHamiltonianColumns:
         rng = np.random.default_rng(8)
         ints = _random_integrals(rng, 8, complex_hopping=True, rotate=True)
         spec = SectorSpec(8, 4, 3)
-        dets = [enumerate_sector(spec)[i] for i in rng.permutation(spec.dimension())[:60]]
+        sector = enumerate_sector(spec)
+        dets = [sector[i] for i in rng.permutation(spec.dimension())[:60]]
         alpha = np.array([d.alpha for d in dets], dtype=np.int64)
         beta = np.array([d.beta for d in dets], dtype=np.int64)
         tracemalloc.start()
