@@ -241,10 +241,11 @@ def givens_rotation(state, q):
         channels.append((axis, strings, index))
     for p, c, s in reversed(factors):
         for axis, strings, index in channels:
-            lo = [index[w] for w in strings if (w >> p) & 1 and not (w >> (p + 1)) & 1]
-            if not lo:
+            moved = [w for w in strings if (w >> p) & 1 and not (w >> (p + 1)) & 1]
+            if not moved:
                 continue
-            hi = [index[w ^ (3 << p)] for w in strings if (w >> p) & 1 and not (w >> (p + 1)) & 1]
+            lo = [index[w] for w in moved]
+            hi = [index[w ^ (3 << p)] for w in moved]
             x = np.take(amps, lo, axis=axis)
             y = np.take(amps, hi, axis=axis)
             if axis == 1:

@@ -209,7 +209,8 @@ class TestCompoundRotation:
         neutral = SectorSpec(m, n, n)
         mf = solve_mean_field(ints, neutral)
         t2, _ = mp2_doubles(mf, rotate_basis(ints, mf.orbital_coefficients), neutral)
-        layer = lucj_from_t2(t2, m, n).layers[0]
+        params = lucj_from_t2(t2, m, n)
+        layer = params.layers[0]
         pairs = t2.transpose(0, 2, 1, 3).reshape(n * (m - n), n * (m - n))
         vals, vecs = np.linalg.eigh((pairs + pairs.T) / 2)
         gen = np.zeros((m, m))
@@ -219,7 +220,7 @@ class TestCompoundRotation:
             ref = mf.reference_for(spec)
             want = givens_rotation(basis_state(spec, ref), w.T)
             want = givens_rotation(apply_density_phase(want, layer.j_same, layer.j_opposite), w)
-            got = build_state(lucj_from_t2(t2, m, n), ref, spec).amplitudes
+            got = build_state(params, ref, spec).amplitudes
             assert np.abs(got - want.amplitudes).max() <= 1e-12
 
     @pytest.mark.parametrize("m, occupations", [
