@@ -192,16 +192,16 @@ def _simulate_sector_samples(
     mf: MeanFieldSolution,
     spec: SectorSpec,
     amplitude_spec: SectorSpec,
-    config: WorkflowConfig,
+    layers: int,
+    shots: int,
     seed: int,
 ) -> SampleSet:
+    """``shots`` samples of the LUCJ state of ``spec``, with ``layers`` layers
+    seeded by the MP2 doubles of ``amplitude_spec`` in the orbitals of ``mf``."""
     t2, _ = mp2_doubles(mf, mo_ints, amplitude_spec)
-    params = lucj_from_t2(
-        t2, mo_ints.n_orbitals, amplitude_spec.n_alpha, layers=config.lucj_layers
-    )
-    ref = mf.reference_for(spec)
-    state = build_state(params, ref, spec)
-    return sample(state, config.shots, seed=seed)
+    params = lucj_from_t2(t2, mo_ints.n_orbitals, amplitude_spec.n_alpha, layers=layers)
+    state = build_state(params, mf.reference_for(spec), spec)
+    return sample(state, shots, seed=seed)
 
 
 def _point(fraction: float, d: int, result: GroundStateResult) -> tuple:
@@ -218,6 +218,9 @@ def run_workflow(config: WorkflowConfig) -> tuple[GapReport, dict[str, list[Sect
     ints = map_to_electronic(lat, literal_2u=config.literal_2u)
     specs = sector_specs(lat.n_orbitals, config.n_electrons, config.flip_spin)
     neutral = specs["Ne"]
+    # a malformed sample file fails the run here, before any solver
+    loaded = {label: load_samples(path, specs[label])
+              for label, path in config.samples_files.items()}
 
     stage_seconds: dict[str, float] = {}
     t0 = time.time()
@@ -242,14 +245,15 @@ def run_workflow(config: WorkflowConfig) -> tuple[GapReport, dict[str, list[Sect
 
     def sector_samples(label: str, spec: SectorSpec, seed: int) -> SampleSet:
         if label not in sample_cache:
-            if label in config.samples_files:
-                raw = load_samples(config.samples_files[label], spec)
+            if label in loaded:
+                raw = loaded.pop(label)
             else:
                 pairs = min(spec.n_alpha, spec.n_beta) if config.sector_mean_field \
                     else neutral.n_alpha
                 amp_spec = SectorSpec(spec.n_orbitals, pairs, pairs)
                 raw = _simulate_sector_samples(
-                    sector_mo[label], sector_mf[label], spec, amp_spec, config, seed
+                    sector_mo[label], sector_mf[label], spec, amp_spec,
+                    config.lucj_layers, config.shots, seed,
                 )
             sample_cache[label] = filter_samples(raw, spec)
         return sample_cache[label]

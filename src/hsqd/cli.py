@@ -29,20 +29,21 @@ from .bandgap import (
     SECTOR_LABELS,
     SOLVERS,
     WorkflowConfig,
+    _simulate_sector_samples,
     run_workflow,
-    sector_specs,
 )
 from .errors import ConvergenceError, HsqdError, ValidationError
 from .fcidump import read_fcidump, write_fcidump
 from .model import (
+    SectorSpec,
     lattice_from_electronic,
     load_lattice,
     map_to_electronic,
+    rotate_basis,
     save_lattice,
 )
-from .reference import lucj_from_t2, mp2_doubles, solve_mean_field
-from .model import SectorSpec, rotate_basis
-from .statevector import build_state, load_samples, sample as draw_samples, save_samples
+from .reference import solve_mean_field
+from .statevector import save_samples
 
 SWEEP_FIELDS = ("fraction", "d", "energy", "residual", "variance", "converged")
 
@@ -207,10 +208,7 @@ def cmd_sample(args) -> int:
     neutral = SectorSpec(m, n_pairs, n_pairs)
     mf = solve_mean_field(ints, neutral)
     mo = rotate_basis(ints, mf.orbital_coefficients)
-    t2, _ = mp2_doubles(mf, mo, neutral)
-    params = lucj_from_t2(t2, m, n_pairs, layers=args.layers)
-    state = build_state(params, mf.reference_for(spec), spec)
-    samples = draw_samples(state, args.shots, seed=args.seed)
+    samples = _simulate_sector_samples(mo, mf, spec, neutral, args.layers, args.shots, args.seed)
     save_samples(samples, args.output)
     print(f"wrote {args.output}: {len(samples.counts)} distinct bitstrings, {samples.shots} shots")
     return 0
@@ -253,11 +251,6 @@ def cmd_run(args) -> int:
     config = config_from_file(args.config, overrides)
     if config.out_dir is None:
         raise ValidationError("out_dir required (config key out_dir or flag --out-dir)")
-    # reject unreadable or malformed sample files before any solver runs
-    lat_probe = load_lattice(config.lattice_path)
-    probe_specs = sector_specs(lat_probe.n_orbitals, config.n_electrons, config.flip_spin)
-    for label, sample_path in config.samples_files.items():
-        load_samples(sample_path, probe_specs[label])
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     report, runs = run_workflow(config)

@@ -167,16 +167,21 @@ def product_hamiltonian(
         cols_l.append(rows_l[-1])
         vals_l.append(np.full(d, ints.core_energy))
     gos = ints.two_body_opposite_spin.reshape(m * m, m * m)
-    for pq in np.flatnonzero(np.any(gos != 0, axis=1)):
-        # E^alpha_pq[A, A]
-        _, ea_row, ea_col, ea_val = _excitations(alpha, np.array([pq]), m)
+    nonzero = gos != 0
+    pq, rs = np.flatnonzero(nonzero.any(axis=1)), np.flatnonzero(nonzero.any(axis=0))
+    # E^alpha of each coupled pq and E^beta of each coupled rs, pair-major
+    a_term, a_row, a_col, a_sign = _excitations(alpha, pq, m)
+    a_row, a_col = a_row.astype(index), a_col.astype(index)
+    a_cut = np.searchsorted(a_term, np.arange(len(pq) + 1))
+    b_term, b_row, b_col, b_sign = _excitations(beta, rs, m)
+    b_row, b_col, b_rs = b_row.astype(index), b_col.astype(index), rs[b_term]
+    for i, pair in enumerate(pq.tolist()):
         # W^beta_pq = sum_rs g_os[pq, rs] E^beta_rs[B, B], duplicates unsummed
-        rs = np.flatnonzero(gos[pq])
-        term, w_row, w_col, sign = _excitations(beta, rs, m)
-        w_val = gos[pq, rs][term] * sign
-        rows_l.append(w_row.astype(index)[:, None] * stride + ea_row.astype(index))
-        cols_l.append(w_col.astype(index)[:, None] * stride + ea_col.astype(index))
-        vals_l.append(w_val[:, None] * ea_val)
+        w = np.flatnonzero(nonzero[pair, b_rs])
+        part = slice(a_cut[i], a_cut[i + 1])
+        rows_l.append(b_row[w][:, None] * stride + a_row[part])
+        cols_l.append(b_col[w][:, None] * stride + a_col[part])
+        vals_l.append((gos[pair, b_rs[w]] * b_sign[w])[:, None] * a_sign[part])
     # every triplet is live and nonzero; one conversion sums the duplicates,
     # and the pieces are dropped as soon as they are joined to bound the peak
     rows = np.concatenate([r.ravel() for r in rows_l])
@@ -251,40 +256,51 @@ def hamiltonian_columns(
         raise CapExceededError(f"the H columns of {d} determinants exceed the memory cap")
     ua, ia = np.unique(alpha, return_inverse=True)
     ub, ib = np.unique(beta, return_inverse=True)
-    # (alpha words, beta words, columns, values): each string's one-spin
-    # entries, gathered for every determinant that holds the string
-    parts = [(alpha, beta, np.arange(d), np.full(d, ints.core_energy))]
-    for spin, (strings, inverse) in enumerate(((ua, ia), (ub, ib))):
-        words, src, _, vals = _one_spin_entries(ints, strings)
-        j, e = _pair_up(inverse, src)
-        parts.append((words[e], beta[j], j, vals[e]) if spin == 0 else
-                     (alpha[j], words[e], j, vals[e]))
+    one_a, one_b = _one_spin_entries(ints, ua), _one_spin_entries(ints, ub)
     # g_os[pq, rs] E^beta_rs E^alpha_pq over the pairs with any coupling
     gos = ints.two_body_opposite_spin.reshape(m * m, m * m)
     pq, rs = np.flatnonzero(np.any(gos != 0, axis=1)), np.flatnonzero(np.any(gos != 0, axis=0))
     a_term, a_word, a_src, a_sign = _live_excitations(ua, pq, m)
     b_term, b_word, b_src, b_sign = _live_excitations(ub, rs, m)
+    # a determinant's key is rank_b * len(words_a) + rank_a, from the ranks of
+    # its strings among the words each channel reaches, so keys order like
+    # (beta, alpha); the ranks are taken before the entries are gathered
+    words_a = np.unique(np.concatenate([ua, one_a[0], a_word]))
+    words_b = np.unique(np.concatenate([ub, one_b[0], b_word]))
+    na = len(words_a)
+    set_a, set_b = np.searchsorted(words_a, ua)[ia], np.searchsorted(words_b, ub)[ib] * na
+    own = set_b + set_a
+    # (keys, columns, values): each string's one-spin entries, gathered for
+    # every determinant that holds the string
+    parts = [(own, np.arange(d), np.full(d, ints.core_energy))]
+    words, src, _, vals = one_a
+    j, e = _pair_up(ia, src)
+    parts.append((set_b[j] + np.searchsorted(words_a, words)[e], j, vals[e]))
+    words, src, _, vals = one_b
+    j, e = _pair_up(ib, src)
+    parts.append((np.searchsorted(words_b, words)[e] * na + set_a[j], j, vals[e]))
     j, x = _pair_up(ia, a_src)
     k, y = _pair_up(ib[j], b_src)
     j, x = j[k], x[k]
-    parts.append((a_word[x], b_word[y], j,
-                  gos[pq[a_term[x]], rs[b_term[y]]] * a_sign[x] * b_sign[y]))
-    row_a, row_b, cols, vals = (np.concatenate(z) for z in zip(*parts))
-    del parts, j, e, x, k, y  # bounds the peak (columns_bytes)
+    parts.append((np.searchsorted(words_b, b_word)[y] * na + np.searchsorted(words_a, a_word)[x],
+                  j, gos[pq[a_term[x]], rs[b_term[y]]] * a_sign[x] * b_sign[y]))
+    key, cols, vals = (np.concatenate(z) for z in zip(*parts))
+    del parts, one_a, one_b, j, e, x, k, y  # bounds the peak (columns_bytes)
     keep = vals != 0
-    row_a, row_b, cols, vals = row_a[keep], row_b[keep], cols[keep], vals[keep]
-    # (beta, alpha) as one key from the ranks of the words, ordered like the pair
-    words_a, rank_a = np.unique(np.concatenate([alpha, row_a]), return_inverse=True)
-    words_b, rank_b = np.unique(np.concatenate([beta, row_b]), return_inverse=True)
-    key = rank_b * len(words_a) + rank_a
-    outside = np.setdiff1d(key[d:], key[:d])
-    keys = np.concatenate([key[:d], outside])
-    order = np.argsort(keys)
-    rows = order[np.searchsorted(keys, key[d:], sorter=order)]
+    key = np.concatenate([own, key[keep]])
+    cols, vals = cols[keep], vals[keep]
+    # the set's own keys are rows 0..d-1, and the outside keys follow from d
+    # in ascending order
+    keys, place = np.unique(key, return_inverse=True)
+    row_of = np.full(len(keys), -1)
+    row_of[place[:d]] = np.arange(d)
+    outside = np.flatnonzero(row_of < 0)
+    row_of[outside] = np.arange(d, d + len(outside))
     # vals is complex exactly when the integrals are
-    mat = sp.coo_matrix((vals, (rows, cols)), shape=(len(keys), d)).tocsr()
+    mat = sp.coo_matrix((vals, (row_of[place[d:]], cols)), shape=(len(keys), d)).tocsr()
     mat.eliminate_zeros()
-    return words_a[outside % len(words_a)], words_b[outside // len(words_a)], mat
+    outside = keys[outside]
+    return words_a[outside % na], words_b[outside // na], mat
 
 
 def sigma_bytes(spec: SectorSpec, ints: ElectronicIntegrals) -> int:
@@ -328,12 +344,14 @@ def sigma(
     order = np.argsort(b_row, kind="stable")
     b_term, b_col, b_sign = b_term[order], b_col[order], b_sign[order]
     b_ptr = np.concatenate([[0], np.cumsum(np.bincount(b_row, minlength=len(beta)))])
+    w = sp.csr_matrix((np.empty(len(b_col), dtype=gos.dtype), b_col, b_ptr),
+                      shape=(len(beta),) * 2)
     d = np.empty(c.shape, dtype=np.result_type(c, gos))
     for pq in np.flatnonzero(np.any(gos != 0, axis=1)):
         # D = C E^alpha_pq^T, then W^beta_pq D
         part = slice(a_cut[pq], a_cut[pq + 1])
         d.fill(0)
         d[:, a_row[part]] = c[:, a_col[part]] * a_sign[part]
-        w = sp.csr_matrix((gos[pq, b_term] * b_sign, b_col, b_ptr), shape=(len(beta),) * 2)
+        np.multiply(gos[pq, b_term], b_sign, out=w.data)
         out += w @ d
     return out

@@ -16,11 +16,11 @@ import numpy as np
 import scipy.sparse as sp
 
 from .davidson import GroundStateResult, lowest_eigenpair
-from .determinants import SECTOR_CAP, Determinant, generate_excitations, half_strings
+from .determinants import SECTOR_CAP, Determinant, half_strings
 from .errors import ValidationError
 from .model import ElectronicIntegrals, SectorSpec
 from .statevector import SampleSet
-from .strings import SIGMA_BYTES_CAP, product_hamiltonian, sigma, sigma_bytes
+from .strings import SIGMA_BYTES_CAP, excite, product_hamiltonian, sigma, sigma_bytes
 
 
 @dataclass(frozen=True)
@@ -235,18 +235,36 @@ def extsqd_expand(
         raise ValidationError("threshold must be nonnegative")
     if not levels or not levels <= {1, 2}:
         raise ValidationError("levels must be a nonempty subset of {1, 2}")
-    dets = basis.determinants()
-    weights = np.abs(result.ci_vector) ** 2
-    kept = [det for det, wgt in zip(dets, weights) if wgt >= threshold]
-    if not kept:
+    # the CI vector is beta-major over the ascending strings
+    kept = np.abs(result.ci_vector.reshape(len(basis.beta_strings), -1)) ** 2 >= threshold
+    if not kept.any():
         raise ValidationError("threshold removed every configuration")
-    alpha, beta = set(basis.alpha_strings), set(basis.beta_strings)
-    m = basis.spec.n_orbitals
-    for det in kept:
-        for other in generate_excitations(det, m, levels):
-            alpha.add(other.alpha)
-            beta.add(other.beta)
-    return SubspaceBasis(basis.spec, tuple(sorted(alpha)), tuple(sorted(beta)))
+    spec = basis.spec
+    # a mixed double is a single in each channel, so with levels {2} a channel
+    # gains its singles when the other channel has any (0 < n < M)
+    alpha = _excited_strings(
+        np.array(sorted(basis.alpha_strings), dtype=np.int64)[kept.any(axis=0)], spec.n_orbitals,
+        1 in levels or 0 < spec.n_beta < spec.n_orbitals, 2 in levels)
+    beta = _excited_strings(
+        np.array(sorted(basis.beta_strings), dtype=np.int64)[kept.any(axis=1)], spec.n_orbitals,
+        1 in levels or 0 < spec.n_alpha < spec.n_orbitals, 2 in levels)
+    return SubspaceBasis(spec, tuple(np.union1d(basis.alpha_strings, alpha).tolist()),
+                         tuple(np.union1d(basis.beta_strings, beta).tolist()))
+
+
+def _excited_strings(strings: np.ndarray, m: int, singles: bool, doubles: bool) -> np.ndarray:
+    """The single and/or double excitations of the string words ``strings``,
+    with repeats; a double is a single of a single that differs from its
+    source string in four orbitals."""
+    p, q = np.divmod(np.flatnonzero(~np.eye(m, dtype=bool)), m)
+    words, sign = excite(strings[:, None], p, q)
+    live = sign != 0
+    out = [words[live]] if singles else []
+    if doubles:
+        words2, sign2 = excite(words[live][:, None], p, q)
+        source = np.broadcast_to(strings[:, None], words.shape)[live]
+        out.append(words2[(sign2 != 0) & (np.bitwise_count(words2 ^ source[:, None]) == 4)])
+    return np.concatenate(out)
 
 
 @dataclass(frozen=True)

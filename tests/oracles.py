@@ -2,7 +2,10 @@
 
 Everything here is built straight from operator definitions (explicit
 creation/annihilation action on bitstrings), deliberately sharing no code
-with the package's Slater-Condon paths.
+with the package's Slater-Condon paths; the exception is
+``extsqd_expand_reference``, the per-determinant ext-SQD loop over
+``hsqd.determinants.generate_excitations`` that the vectorized expansion
+replaced.
 """
 
 from dataclasses import dataclass
@@ -302,3 +305,22 @@ def dense_heat_bath_ci(ham, dets, reference, epsilons, max_determinants):
             energy, vec = solve()
         stages.append(([dets[i] for i in chosen], energy))
     return stages
+
+
+def extsqd_expand_reference(result, basis, threshold, levels):
+    """``subspace.extsqd_expand`` as a loop over the kept determinants: each
+    one is excited by the per-determinant ``generate_excitations`` and every
+    string of every excitation joins its channel."""
+    from hsqd.determinants import generate_excitations
+    from hsqd.subspace import SubspaceBasis
+
+    weights = np.abs(result.ci_vector) ** 2
+    kept = [det for det, wgt in zip(basis.determinants(), weights) if wgt >= threshold]
+    if not kept:
+        raise ValidationError("threshold removed every configuration")
+    alpha, beta = set(basis.alpha_strings), set(basis.beta_strings)
+    for det in kept:
+        for other in generate_excitations(det, basis.spec.n_orbitals, levels):
+            alpha.add(other.alpha)
+            beta.add(other.beta)
+    return SubspaceBasis(basis.spec, tuple(sorted(alpha)), tuple(sorted(beta)))

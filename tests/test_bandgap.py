@@ -217,17 +217,42 @@ class TestRunWorkflow:
         assert gaps[0] == pytest.approx(gaps[1], abs=1e-9)
 
     def test_solver_failure_isolated(self, tmp_path, dimer_lattice):
+        """A sample file whose every sample has the wrong particle numbers
+        fails SQD's postselection in that sector and leaves FCI's gap."""
         save_lattice(dimer_lattice, tmp_path / "dimer.json")
+        (tmp_path / "empty_sector.txt").write_text("0000 10\n0011 5\n")
         config = WorkflowConfig(
             lattice_path=str(tmp_path / "dimer.json"),
             n_electrons=2,
             solvers=("fci", "sqd"),
-            samples_files={"Ne": str(tmp_path / "missing.txt")},
+            samples_files={"Ne": str(tmp_path / "empty_sector.txt")},
         )
         report, runs = run_workflow(config)
         assert "fci" in report.gaps
         assert "sqd" not in report.gaps
-        assert any(key.startswith("sqd/") for key in report.failures)
+        assert list(report.failures) == ["sqd/Ne"]
+
+    def test_unreadable_sample_file_fails_before_any_solver(self, tmp_path, dimer_lattice,
+                                                            monkeypatch):
+        """Sample files are read once, before the mean field, so a missing
+        or malformed one ends the run before any solver starts."""
+        import hsqd.bandgap
+
+        def fail(*args, **kwargs):
+            raise AssertionError("solver ran")
+
+        monkeypatch.setattr(hsqd.bandgap, "solve_mean_field", fail)
+        save_lattice(dimer_lattice, tmp_path / "dimer.json")
+        (tmp_path / "bad.txt").write_text("01x0 12\n")
+        for name in ("missing.txt", "bad.txt"):
+            config = WorkflowConfig(
+                lattice_path=str(tmp_path / "dimer.json"),
+                n_electrons=2,
+                solvers=("fci", "sqd"),
+                samples_files={"Ne": str(tmp_path / name)},
+            )
+            with pytest.raises(ValidationError):
+                run_workflow(config)
 
     def test_report_json_energies_have_nine_decimals(self, tmp_path, dimer_lattice):
         save_lattice(dimer_lattice, tmp_path / "dimer.json")
@@ -252,15 +277,18 @@ class TestRunWorkflow:
         assert doc["gap_deltas"]["fci-sqd"] == 0.0
 
     def test_no_solver_calls_matrix_element(self, tmp_path, dimer_lattice, monkeypatch):
-        """Every solver builds its matrices on the string engine."""
+        """Every solver builds its matrices, and ext-SQD its expansion, on the
+        string engine."""
         import sys
 
         def fail(*args):
-            raise AssertionError("matrix_element called")
+            raise AssertionError("per-determinant routine called")
 
         for name, module in list(sys.modules.items()):
-            if (name == "hsqd" or name.startswith("hsqd.")) and hasattr(module, "matrix_element"):
-                monkeypatch.setattr(module, "matrix_element", fail)
+            if name == "hsqd" or name.startswith("hsqd."):
+                for routine in ("matrix_element", "generate_excitations"):
+                    if hasattr(module, routine):
+                        monkeypatch.setattr(module, routine, fail)
         save_lattice(dimer_lattice, tmp_path / "dimer.json")
         config = WorkflowConfig(lattice_path=str(tmp_path / "dimer.json"), n_electrons=2,
                                 solvers=("fci", "hci", "sqd", "extsqd"), fractions=(0.5, 1.0),

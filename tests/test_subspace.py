@@ -43,7 +43,7 @@ from hsqd.statevector import SampleSet
 from hsqd.subspace import SubspaceBasis, build_subspace
 
 from conftest import make_chain, random_lattice
-from oracles import dense_fock_hamiltonian, fock_index
+from oracles import dense_fock_hamiltonian, extsqd_expand_reference, fock_index
 
 
 def samples_from(counts, m, provenance="file"):
@@ -389,6 +389,38 @@ class TestHamiltonianColumns:
         ints = _random_integrals(rng, 3, complex_hopping=True, rotate=True)
         sector = enumerate_sector(SectorSpec(3, n_alpha, n_beta))
         _check_columns(ints, [sector[i] for i in rng.permutation(len(sector))[:size]])
+
+    def test_all_zero_integrals_drop_every_entry(self):
+        """Every entry is zero and dropped: the set determinants, which then
+        appear in no entry, still own rows 0..d-1, and nothing lies outside."""
+        m = 4
+        ints = ElectronicIntegrals(m, np.zeros((m, m)), np.zeros((m,) * 4), np.zeros((m,) * 4))
+        sector = enumerate_sector(SectorSpec(m, 2, 1))
+        dets = [sector[i] for i in np.random.default_rng(4).permutation(len(sector))[:7]]
+        alpha = np.array([d.alpha for d in dets], dtype=np.int64)
+        beta = np.array([d.beta for d in dets], dtype=np.int64)
+        out_a, out_b, mat = hamiltonian_columns(ints, alpha, beta)
+        assert len(out_a) == len(out_b) == 0
+        assert mat.shape == (7, 7) and mat.nnz == 0
+        _check_columns(ints, dets)
+
+    @pytest.mark.parametrize("shared", ["alpha", "beta", "both"])
+    def test_determinants_sharing_strings(self, shared):
+        """Lists in which many determinants hold the same string: one alpha
+        string under every beta string, one beta string under every alpha
+        string, and a shuffled product of a few strings of each channel."""
+        rng = np.random.default_rng({"alpha": 1, "beta": 2, "both": 3}[shared])
+        ints = _random_integrals(rng, 5, complex_hopping=True, rotate=True)
+        wa, wb = half_strings(5, 2), half_strings(5, 3)
+        if shared == "alpha":
+            pairs = [(wa[3], b) for b in wb]
+        elif shared == "beta":
+            pairs = [(a, wb[6]) for a in wa]
+        else:
+            pairs = [(a, b) for a in rng.choice(wa, 4, replace=False)
+                     for b in rng.choice(wb, 5, replace=False)]
+        _check_columns(ints, [Determinant(int(a), int(b))
+                              for a, b in (pairs[i] for i in rng.permutation(len(pairs)))])
 
     def test_columns_bytes_bounds_measured_peak(self):
         rng = np.random.default_rng(8)
@@ -767,6 +799,31 @@ class TestExtsqdExpand:
         basis, res = self._solved(ints, spec, 0.3)
         with pytest.raises(ValidationError, match="removed every"):
             extsqd_expand(res, basis, threshold=2.0, levels={1})
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        data=st.data(),
+        m=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+        levels=st.sampled_from([{1}, {2}, {1, 2}]),
+    )
+    def test_matches_per_determinant_loop(self, data, m, seed, levels):
+        """The same basis as exciting each kept determinant on its own, for
+        empty and full channels and every level set."""
+        n_alpha = data.draw(st.integers(0, m), label="n_alpha")
+        n_beta = data.draw(st.integers(0, m), label="n_beta")
+        rng = np.random.default_rng(seed)
+        spec = SectorSpec(m, n_alpha, n_beta)
+        basis = SubspaceBasis(spec, _random_strings(rng, m, n_alpha),
+                              _random_strings(rng, m, n_beta))
+        vec = rng.normal(size=basis.dimension)
+        vec /= np.linalg.norm(vec)
+        res = GroundStateResult(0.0, vec, 0.0, 1, True)
+        # zero, or between the weights, so that some determinants are dropped
+        threshold = data.draw(st.sampled_from([0.0, float(rng.uniform(0, np.max(vec**2)))]),
+                              label="threshold")
+        assert extsqd_expand(res, basis, threshold, levels) == \
+            extsqd_expand_reference(res, basis, threshold, levels)
 
 
 class TestEnergyVariance:
