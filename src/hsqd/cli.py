@@ -17,8 +17,10 @@ import csv
 import hashlib
 import json
 import os
+import re
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +28,6 @@ import numpy as np
 from . import __version__
 from .bandgap import (
     MODES,
-    SECTOR_LABELS,
     SOLVERS,
     WorkflowConfig,
     _simulate_sector_samples,
@@ -46,6 +47,11 @@ from .reference import solve_mean_field
 from .statevector import save_samples
 
 SWEEP_FIELDS = ("fraction", "d", "energy", "residual", "variance", "converged")
+SAMPLE_KEYS = {"Ne-1": "samples_neminus1", "Ne": "samples_ne", "Ne+1": "samples_neplus1"}
+# samples_files is filled from SAMPLE_KEYS, not set by a key of its own
+CONFIG_KEYS = {f.name for f in fields(WorkflowConfig)} - {"samples_files"} | set(SAMPLE_KEYS.values())
+# a config line up to its first "#" outside a quoted string
+_UNCOMMENTED = re.compile(r"""(?:[^#"']|"[^"]*"?|'[^']*'?)*""")
 
 
 def _sha256(path) -> str:
@@ -85,7 +91,7 @@ def _parse_config(path) -> dict:
             raise ValidationError(f"{path}: cannot parse value {tok!r}") from None
 
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _UNCOMMENTED.match(raw).group().strip()
         if not line:
             continue
         if "=" not in line:
@@ -101,8 +107,20 @@ def _parse_config(path) -> dict:
     return values
 
 
+def _integer(path, key: str, value) -> int:
+    """``value`` of config key ``key`` as an int; integral floats such as 2.5e6 pass."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValidationError(f"{path}: {key} must be an integer, got {value!r}")
+    return value
+
+
 def config_from_file(path, overrides: dict | None = None) -> WorkflowConfig:
     raw = _parse_config(path)
+    unknown = sorted(set(raw) - CONFIG_KEYS)
+    if unknown:
+        raise ValidationError(f"{path}: unknown config key(s) {', '.join(unknown)}")
     if overrides:
         raw.update({k: v for k, v in overrides.items() if v is not None})
     if "lattice_path" not in raw:
@@ -113,8 +131,7 @@ def config_from_file(path, overrides: dict | None = None) -> WorkflowConfig:
     if not os.path.isabs(lattice_path):
         lattice_path = str((Path(path).parent / lattice_path).resolve())
     samples_files = {}
-    for label in SECTOR_LABELS:
-        key = "samples_" + label.replace("+", "plus").replace("-", "minus").replace("Ne", "ne")
+    for label, key in SAMPLE_KEYS.items():
         if key in raw:
             sample_path = str(raw[key])
             if not os.path.isabs(sample_path):
@@ -124,17 +141,17 @@ def config_from_file(path, overrides: dict | None = None) -> WorkflowConfig:
     for name, cast in (
         ("mode", str),
         ("extsqd_threshold", float),
-        ("shots", int),
-        ("seed", int),
         ("out_dir", str),
         ("material", str),
         ("literal_2u", bool),
         ("flip_spin", bool),
-        ("lucj_layers", int),
         ("sector_mean_field", bool),
     ):
         if name in raw:
             kwargs[name] = cast(raw[name])
+    for name in ("shots", "seed", "lucj_layers"):
+        if name in raw:
+            kwargs[name] = _integer(path, name, raw[name])
     for name in ("solvers",):
         if name in raw:
             v = raw[name]
@@ -145,10 +162,12 @@ def config_from_file(path, overrides: dict | None = None) -> WorkflowConfig:
             kwargs[name] = tuple(float(x) for x in (v if isinstance(v, list) else [v]))
     if "extsqd_levels" in raw:
         v = raw["extsqd_levels"]
-        kwargs["extsqd_levels"] = tuple(int(x) for x in (v if isinstance(v, list) else [v]))
+        kwargs["extsqd_levels"] = tuple(
+            _integer(path, "extsqd_levels", x) for x in (v if isinstance(v, list) else [v])
+        )
     return WorkflowConfig(
         lattice_path=lattice_path,
-        n_electrons=int(raw["n_electrons"]),
+        n_electrons=_integer(path, "n_electrons", raw["n_electrons"]),
         samples_files=samples_files,
         **kwargs,
     )

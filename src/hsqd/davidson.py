@@ -45,10 +45,10 @@ class GroundStateResult:
         )
 
 
-def lowest_eigenpair(matrix, tol: float = DEFAULT_TOL) -> GroundStateResult:
+def lowest_eigenpair(matrix) -> GroundStateResult:
     """Lowest eigenpair of a Hermitian matrix (dense array or scipy sparse);
-    dense ``eigh`` up to ``DENSE_FALLBACK_DIM``, Lanczos above.  ``tol``
-    bounds the absolute residual of a converged result."""
+    dense ``eigh`` up to ``DENSE_FALLBACK_DIM``, Lanczos above.  A converged
+    Lanczos result has an absolute residual of at most ``DEFAULT_TOL``."""
     n = matrix.shape[0]
     if matrix.shape != (n, n):
         raise ValidationError("matrix must be square")
@@ -56,7 +56,7 @@ def lowest_eigenpair(matrix, tol: float = DEFAULT_TOL) -> GroundStateResult:
         raise ValidationError("empty matrix")
     if n <= DENSE_FALLBACK_DIM:
         return _dense_lowest(matrix)
-    return _lanczos_lowest(matrix, tol)
+    return _lanczos_lowest(matrix, DEFAULT_TOL)
 
 
 def _residual(matrix, energy: float, vec: np.ndarray) -> float:

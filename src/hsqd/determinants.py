@@ -59,11 +59,11 @@ def half_strings(n_orbitals: int, n_occ: int) -> list[int]:
     return sorted(sum(1 << i for i in combo) for combo in combinations(range(n_orbitals), n_occ))
 
 
-def enumerate_sector(spec: SectorSpec, cap: int = SECTOR_CAP) -> list[Determinant]:
+def enumerate_sector(spec: SectorSpec) -> list[Determinant]:
     """All determinants of a sector in canonical (beta-major) order."""
     dim = spec.dimension()
-    if dim > cap:
-        raise CapExceededError(f"sector dimension {dim} exceeds cap {cap}")
+    if dim > SECTOR_CAP:
+        raise CapExceededError(f"sector dimension {dim} exceeds cap {SECTOR_CAP}")
     alphas = half_strings(spec.n_orbitals, spec.n_alpha)
     betas = half_strings(spec.n_orbitals, spec.n_beta)
     return [Determinant(a, b) for b in betas for a in alphas]
@@ -106,8 +106,6 @@ def _single_element(hole: int, part: int, same_occ: tuple[int, ...], other_occ: 
     gss = ints.two_body_same_spin
     gos = ints.two_body_opposite_spin
     val = h[part, hole]
-    if ints.density_density:
-        return sign * val
     for j in same_occ:
         if j == hole:
             continue
@@ -141,8 +139,6 @@ def matrix_element(d1: Determinant, d2: Determinant, ints: ElectronicIntegrals):
         sign = _single_sign(d2.beta, hole, part)
         return _single_element(hole, part, _bits(d2.beta), _bits(d2.alpha), ints, sign)
     # rank 2
-    if ints.density_density:
-        return 0.0
     if na == 4:  # same-spin alpha double
         holes = _bits(diff_a & d2.alpha)
         parts = _bits(diff_a & d1.alpha)

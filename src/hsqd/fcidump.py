@@ -21,9 +21,9 @@ from .model import ElectronicIntegrals
 _FLOAT_FMT = "%21.15g"
 
 
-def write_fcidump(ints: ElectronicIntegrals, path, nelec: int = 0, ms2: int = 0,
-                  tol: float = 0.0) -> None:
-    """Write integrals in spin-free FCIDUMP form."""
+def write_fcidump(ints: ElectronicIntegrals, path, nelec: int = 0) -> None:
+    """Write integrals in spin-free FCIDUMP form, with ``MS2=0`` and without
+    zero entries."""
     if ints.is_complex:
         raise ValidationError("FCIDUMP export supports real integrals only")
     m = ints.n_orbitals
@@ -40,11 +40,10 @@ def write_fcidump(ints: ElectronicIntegrals, path, nelec: int = 0, ms2: int = 0,
         )
     g = gos
     with open(path, "w") as fh:
-        fh.write(f"&FCI NORB={m},NELEC={nelec},MS2={ms2},\n")
+        fh.write(f"&FCI NORB={m},NELEC={nelec},MS2=0,\n")
         fh.write(" ORBSYM=" + "1," * m + "\n")
         fh.write(" ISYM=1,\n")
         fh.write("&END\n")
-        seen = set()
         for i in range(m):
             for j in range(i + 1):
                 ij = i * (i + 1) // 2 + j
@@ -54,13 +53,12 @@ def write_fcidump(ints: ElectronicIntegrals, path, nelec: int = 0, ms2: int = 0,
                         if ij < kl:
                             continue
                         val = g[i, j, k, l]
-                        if abs(val) > tol and (ij, kl) not in seen:
-                            seen.add((ij, kl))
+                        if val != 0.0:
                             fh.write(f"{_FLOAT_FMT % val} {i+1:4d} {j+1:4d} {k+1:4d} {l+1:4d}\n")
         h = ints.one_body
         for i in range(m):
             for j in range(i + 1):
-                if abs(h[i, j]) > tol:
+                if h[i, j] != 0.0:
                     fh.write(f"{_FLOAT_FMT % h[i, j]} {i+1:4d} {j+1:4d} {0:4d} {0:4d}\n")
         fh.write(f"{_FLOAT_FMT % ints.core_energy} {0:4d} {0:4d} {0:4d} {0:4d}\n")
 

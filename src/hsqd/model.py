@@ -33,6 +33,8 @@ HARTREE_TO_EV = 27.211386245988
 
 HERMITICITY_TOL = 1e-12
 UNITARITY_TOL = 1e-10
+# largest coupling lattice_from_electronic tolerates outside the lattice form
+LATTICE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -100,9 +102,7 @@ class ElectronicIntegrals:
 
     ``two_body_same_spin[p, q, r, s]`` multiplies c+_ps c+_rs c_ss c_qs and
     ``two_body_opposite_spin[p, q, r, s]`` multiplies c+_ps c+_rt c_st c_qs
-    for s != t, both under the global 1/2 prefactor.  ``density_density``
-    marks tensors that vanish unless p == q and r == s, which unlocks the
-    single-hop fast paths in the determinant machinery.
+    for s != t, both under the global 1/2 prefactor.
     """
 
     n_orbitals: int
@@ -110,7 +110,6 @@ class ElectronicIntegrals:
     two_body_same_spin: np.ndarray
     two_body_opposite_spin: np.ndarray
     core_energy: float = 0.0
-    density_density: bool = False
 
     def __post_init__(self):
         m = self.n_orbitals
@@ -140,14 +139,6 @@ class ElectronicIntegrals:
             # pair-swap redundancy of the operator form: g_pqrs ~ g_rspq
             if np.abs(g - g.transpose(2, 3, 0, 1)).max(initial=0.0) > 1e-10:
                 raise ValidationError(f"{name} violates pair-swap symmetry g_pqrs = g_rspq")
-        if self.density_density:
-            for name, g in (("two_body_same_spin", gss), ("two_body_opposite_spin", gos)):
-                off = g.copy()
-                for p in range(m):
-                    for r in range(m):
-                        off[p, p, r, r] = 0.0
-                if np.abs(off).max(initial=0.0) > 0.0:
-                    raise ValidationError(f"density_density set but {name} has non-diagonal entries")
         for name, val in (
             ("one_body", h),
             ("two_body_same_spin", gss),
@@ -239,16 +230,6 @@ def map_to_electronic(lat: LatticeHamiltonian, literal_2u: bool = False) -> Elec
         two_body_same_spin=gss,
         two_body_opposite_spin=gos,
         core_energy=0.0,
-        density_density=True,
-    )
-
-
-def _is_permutation(c: np.ndarray, tol: float = 1e-12) -> bool:
-    mags = np.abs(c)
-    return bool(
-        np.all(np.isclose(mags[mags > tol], 1.0, atol=tol))
-        and np.all((mags > 1.0 - tol).sum(axis=0) == 1)
-        and np.all((mags > 1.0 - tol).sum(axis=1) == 1)
     )
 
 
@@ -274,7 +255,6 @@ def rotate_basis(ints: ElectronicIntegrals, c: np.ndarray) -> ElectronicIntegral
         two_body_same_spin=gss,
         two_body_opposite_spin=gos,
         core_energy=ints.core_energy,
-        density_density=ints.density_density and _is_permutation(c),
     )
 
 
@@ -347,20 +327,19 @@ def save_lattice(lat: LatticeHamiltonian, path) -> None:
         fh.write("\n")
 
 
-def lattice_from_electronic(ints: ElectronicIntegrals, tol: float = 1e-10) -> LatticeHamiltonian:
+def lattice_from_electronic(ints: ElectronicIntegrals) -> LatticeHamiltonian:
     """Invert the mapping for density-density integrals (t, U, V recovery)."""
     m = ints.n_orbitals
-    if not ints.density_density:
-        gss, gos = ints.two_body_same_spin, ints.two_body_opposite_spin
-        for name, g in (("same-spin", gss), ("opposite-spin", gos)):
-            off = g.copy()
-            for p in range(m):
-                for r in range(m):
-                    off[p, p, r, r] = 0.0
-            if np.abs(off).max(initial=0.0) > tol:
-                raise ValidationError(
-                    f"integrals are not density-density ({name} channel); cannot recover a lattice form"
-                )
+    gss, gos = ints.two_body_same_spin, ints.two_body_opposite_spin
+    for name, g in (("same-spin", gss), ("opposite-spin", gos)):
+        off = g.copy()
+        for p in range(m):
+            for r in range(m):
+                off[p, p, r, r] = 0.0
+        if np.abs(off).max(initial=0.0) > LATTICE_TOL:
+            raise ValidationError(
+                f"integrals are not density-density ({name} channel); cannot recover a lattice form"
+            )
     d_os = ints.diag_coulomb_opposite
     d_ss = ints.diag_coulomb_same
     u = np.real(np.diag(d_os)).copy()
@@ -368,7 +347,7 @@ def lattice_from_electronic(ints: ElectronicIntegrals, tol: float = 1e-10) -> La
     np.fill_diagonal(v, 0.0)
     v_ss = np.real(d_ss).copy()
     np.fill_diagonal(v_ss, 0.0)
-    if np.abs(v_ss - v).max(initial=0.0) > tol:
+    if np.abs(v_ss - v).max(initial=0.0) > LATTICE_TOL:
         raise ValidationError("channel mismatch: inter-site couplings differ between spin channels")
     return LatticeHamiltonian(
         n_orbitals=m,

@@ -21,6 +21,8 @@ from .model import ElectronicIntegrals, SectorSpec, rotate_basis
 
 SCF_DENSITY_TOL = 1e-8
 SCF_MAX_ITER = 500
+# smallest HOMO-LUMO gap and MP2 denominator that mp2_doubles accepts
+MP2_GAP_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -57,26 +59,17 @@ def _electronic_energy(ints: ElectronicIntegrals, p: np.ndarray) -> float:
     return float(np.real(e1 + e_dir - e_x)) + ints.core_energy
 
 
-def solve_mean_field(
-    ints: ElectronicIntegrals,
-    spec: SectorSpec,
-    damping: float | None = None,
-    density_tol: float = SCF_DENSITY_TOL,
-    max_iter: int = SCF_MAX_ITER,
-) -> MeanFieldSolution:
+def solve_mean_field(ints: ElectronicIntegrals, spec: SectorSpec) -> MeanFieldSolution:
     """Fixed-point Roothaan SCF with density damping.
 
-    By default each step mixes the old and the aufbau density with the
-    factor that exactly minimizes the (quadratic) energy along the segment;
-    passing ``damping`` forces a fixed mixing factor instead.  Open-shell
+    Each step mixes the old and the aufbau density with the factor that
+    exactly minimizes the (quadratic) energy along the segment.  Open-shell
     sectors are served by running the closed-shell iteration on the paired
     part of the sector and filling the resulting orbitals by aufbau, so
     ``hf_energy`` is always the energy of the returned reference determinant
     in the returned orbital basis.
     """
     m = ints.n_orbitals
-    if damping is not None and not 0.0 <= damping < 1.0:
-        raise ValidationError("damping must lie in [0, 1)")
     n_pairs = min(spec.n_alpha, spec.n_beta)
 
     evals, c = scipy.linalg.eigh(ints.one_body)
@@ -84,48 +77,40 @@ def solve_mean_field(
     converged = False
     iterations = 0
     p = c[:, :n_pairs] @ c[:, :n_pairs].conj().T if n_pairs else np.zeros((m, m))
-    if ints.density_density and np.abs(ints.two_body_same_spin).max(initial=0.0) == 0.0 \
-            and np.abs(ints.two_body_opposite_spin).max(initial=0.0) == 0.0:
-        converged = True  # non-interacting: core guess is exact
     stalls = 0
     a_prev = 1.0
-    for it in range(1, max_iter + 1):
-        if converged:
-            break
+    for it in range(1, SCF_MAX_ITER + 1):
         iterations = it
         f = _fock(ints, p)
         evals, c = scipy.linalg.eigh(f)
         p_new = c[:, :n_pairs] @ c[:, :n_pairs].conj().T if n_pairs else np.zeros((m, m))
         step = p_new - p
         delta = np.abs(step).max()
-        if delta < density_tol:
+        if delta < SCF_DENSITY_TOL:
             converged = True
             history.append(_electronic_energy(ints, p_new))
             p = p_new
             break
-        if damping is None:
-            # E((1-a) p + a p_new) is quadratic in a; minimize it exactly
-            e0 = _electronic_energy(ints, p)
-            e1 = _electronic_energy(ints, p_new)
-            em = _electronic_energy(ints, p + 0.5 * step)
-            curv = 2.0 * (e0 + e1 - 2.0 * em)
-            slope = 4.0 * em - 3.0 * e0 - e1
-            noise = 1e-11 * max(1.0, abs(e0))
-            if max(abs(slope), abs(curv)) < noise:
-                a = a_prev  # fit is below roundoff; keep the working factor
-            elif curv > noise:
-                a = float(np.clip(-slope / (2.0 * curv), 0.0, 1.0))
-            else:
-                a = 1.0 if e1 <= e0 else 0.0
-            if a == 0.0:
-                stalls += 1
-                if stalls >= 3:
-                    break  # aufbau degeneracy: no descent direction left
-                continue
-            stalls = 0
-            a_prev = a
+        # E((1-a) p + a p_new) is quadratic in a; minimize it exactly
+        e0 = _electronic_energy(ints, p)
+        e1 = _electronic_energy(ints, p_new)
+        em = _electronic_energy(ints, p + 0.5 * step)
+        curv = 2.0 * (e0 + e1 - 2.0 * em)
+        slope = 4.0 * em - 3.0 * e0 - e1
+        noise = 1e-11 * max(1.0, abs(e0))
+        if max(abs(slope), abs(curv)) < noise:
+            a = a_prev  # fit is below roundoff; keep the working factor
+        elif curv > noise:
+            a = float(np.clip(-slope / (2.0 * curv), 0.0, 1.0))
         else:
-            a = 1.0 - damping
+            a = 1.0 if e1 <= e0 else 0.0
+        if a == 0.0:
+            stalls += 1
+            if stalls >= 3:
+                break  # aufbau degeneracy: no descent direction left
+            continue
+        stalls = 0
+        a_prev = a
         p = p + a * step
         e = _electronic_energy(ints, p)
         if not np.isfinite(e):
@@ -150,7 +135,7 @@ def solve_mean_field(
 
 
 def mp2_doubles(mf: MeanFieldSolution, mo_ints: ElectronicIntegrals,
-                spec: SectorSpec, gap_tol: float = 1e-8) -> tuple[np.ndarray, float]:
+                spec: SectorSpec) -> tuple[np.ndarray, float]:
     """Closed-shell MP2 doubles amplitudes and correlation energy.
 
     ``mo_ints`` must already be expressed in the mean-field orbital basis.
@@ -166,7 +151,7 @@ def mp2_doubles(mf: MeanFieldSolution, mo_ints: ElectronicIntegrals,
     nocc = spec.n_alpha
     nvirt = m - nocc
     eps = np.real(mf.orbital_energies)
-    if nocc and nvirt and eps[nocc] - eps[nocc - 1] <= gap_tol:
+    if nocc and nvirt and eps[nocc] - eps[nocc - 1] <= MP2_GAP_TOL:
         raise ValidationError("degenerate HOMO-LUMO gap; MP2 denominators are singular")
     t2 = np.zeros((nocc, nocc, nvirt, nvirt))
     if nocc == 0 or nvirt == 0:
@@ -184,7 +169,7 @@ def mp2_doubles(mf: MeanFieldSolution, mo_ints: ElectronicIntegrals,
         - eps[virt][None, None, :, None]
         - eps[virt][None, None, None, :]
     )
-    if np.abs(denom).min() <= gap_tol:
+    if np.abs(denom).min() <= MP2_GAP_TOL:
         raise ValidationError("degenerate MP2 denominator")
     t2 = g_os_iajb / denom
     t_ss = (g_ss_iajb - g_ss_iajb.swapaxes(2, 3)) / denom

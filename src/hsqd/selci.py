@@ -48,16 +48,15 @@ class SelectedCiStage:
     determinants: tuple[Determinant, ...] = field(repr=False, default=())
 
 
-def fci_ground(spec: SectorSpec, ints: ElectronicIntegrals,
-               cap: int = FCI_CAP) -> GroundStateResult:
+def fci_ground(spec: SectorSpec, ints: ElectronicIntegrals) -> GroundStateResult:
     """Lowest eigenpair over the complete sector basis.
 
     The sector is closed under H, so H c = E c + r with r orthogonal to c and
     the relative variance is exactly (|r| / E)^2; it is None when E is zero.
     """
     dim = spec.dimension()
-    if dim > cap:
-        raise CapExceededError(f"sector dimension {dim} exceeds FCI cap {cap}")
+    if dim > FCI_CAP:
+        raise CapExceededError(f"sector dimension {dim} exceeds FCI cap {FCI_CAP}")
     # project_hamiltonian, the one entry point for every product space
     basis = SubspaceBasis(
         spec,

@@ -74,10 +74,10 @@ class SampleSet:
             raise ValidationError("sample counts do not add up to the shot total")
 
 
-def basis_state(spec: SectorSpec, ref: Determinant, cap: int = STATE_CAP) -> SectorStatevector:
+def basis_state(spec: SectorSpec, ref: Determinant) -> SectorStatevector:
     dim = spec.dimension()
-    if dim > cap:
-        raise CapExceededError(f"sector dimension {dim} exceeds cap {cap}")
+    if dim > STATE_CAP:
+        raise CapExceededError(f"sector dimension {dim} exceeds cap {STATE_CAP}")
     alphas = half_strings(spec.n_orbitals, spec.n_alpha)
     betas = half_strings(spec.n_orbitals, spec.n_beta)
     if ref.alpha not in alphas or ref.beta not in betas:
@@ -172,12 +172,7 @@ def apply_density_phase(
     return SectorStatevector(state.spec, amps)
 
 
-def build_state(
-    params: LucjParameters,
-    ref: Determinant,
-    spec: SectorSpec,
-    cap: int = STATE_CAP,
-) -> SectorStatevector:
+def build_state(params: LucjParameters, ref: Determinant, spec: SectorSpec) -> SectorStatevector:
     """Construct the layered ansatz state W exp(iJ) W^T ... |ref>.
 
     Layers are applied in index order: each layer rotates into its orbital
@@ -187,7 +182,7 @@ def build_state(
     """
     if params.n_orbitals != spec.n_orbitals:
         raise ValidationError("parameter/sector orbital count mismatch")
-    amps = basis_state(spec, ref, cap=cap).amplitudes
+    amps = basis_state(spec, ref).amplitudes
     [(ib, ia)] = np.argwhere(amps)
     for index, layer in enumerate(params.layers):
         u = _compounds(layer.rotation, {spec.n_alpha, spec.n_beta})

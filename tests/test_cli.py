@@ -13,7 +13,7 @@ from hsqd import (
     read_fcidump,
     save_lattice,
 )
-from hsqd.cli import main
+from hsqd.cli import config_from_file, main
 
 from conftest import make_chain
 
@@ -264,6 +264,47 @@ class TestRun:
         assert code == 0
         report = json.loads((out_dir / "gap_report.json").read_text())
         assert report["gaps"]["sqd"] == pytest.approx(3.656854249, abs=1e-8)
+
+
+class TestConfig:
+    @pytest.mark.parametrize("name", ["dimer", "chain6"])
+    def test_shipped_configs_parse(self, name):
+        config = Path(__file__).resolve().parents[1] / "configs" / f"{name}.toml"
+        config_from_file(config)
+
+    @pytest.mark.parametrize("line", ['solver = ["hci"]', "fraction = [0.5]", 'samples_files = "s.txt"'])
+    def test_unknown_key_exits_2(self, tmp_path, capsys, line):
+        config = write_config(tmp_path, write_dimer(tmp_path), tmp_path / "o")
+        config.write_text(config.read_text() + line + "\n")
+        assert main(["run", str(config)]) == 2
+        assert line.split(" = ")[0] in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("n_electrons", "2.9"), ("shots", "1000.7"), ("seed", "1.5"), ("lucj_layers", "1.5"),
+        ("extsqd_levels", "[1, 1.5]"), ("shots", '"20000"'), ("seed", "true"),
+    ])
+    def test_non_integral_integer_exits_2(self, tmp_path, capsys, key, value):
+        config = write_config(tmp_path, write_dimer(tmp_path), tmp_path / "o", **{key: value})
+        assert main(["run", str(config)]) == 2
+        assert f"{key} must be an integer" in capsys.readouterr().err
+
+    def test_integral_float_accepted(self, tmp_path):
+        config = write_config(tmp_path, write_dimer(tmp_path), tmp_path / "o",
+                              n_electrons="2.0", shots="2e4", extsqd_levels="[1.0, 2]")
+        parsed = config_from_file(config)
+        assert (parsed.n_electrons, parsed.shots, parsed.extsqd_levels) == (2, 20000, (1, 2))
+        assert all(type(x) is int for x in (parsed.n_electrons, parsed.shots, *parsed.extsqd_levels))
+
+    def test_hash_inside_quotes_is_not_a_comment(self, tmp_path):
+        lattice_dir = tmp_path / "a#b"
+        lattice_dir.mkdir()
+        out_dir = tmp_path / "o#1"
+        config = write_config(tmp_path, write_dimer(lattice_dir), out_dir, material="'x # y'  # comment")
+        assert config_from_file(config).material == "x # y"
+        assert main(["run", str(config), "--solver", "fci"]) == 0
+        report = json.loads((out_dir / "gap_report.json").read_text())
+        assert report["gaps"]["fci"] == pytest.approx(3.656854249, abs=1e-8)
 
 
 class TestPlotdata:

@@ -54,7 +54,7 @@ class TestEnumerateSector:
 
     def test_cap(self):
         with pytest.raises(CapExceededError):
-            enumerate_sector(SectorSpec(20, 10, 10), cap=1000)
+            enumerate_sector(SectorSpec(20, 10, 10))
 
 
 class TestDiagonalEnergy:

@@ -155,7 +155,6 @@ class TestRotateBasis:
         assert np.array_equal(rot.one_body, dimer_ints.one_body)
         assert np.array_equal(rot.two_body_same_spin, dimer_ints.two_body_same_spin)
         assert np.array_equal(rot.two_body_opposite_spin, dimer_ints.two_body_opposite_spin)
-        assert rot.density_density
 
     def test_swap_permutation_relabels(self):
         lat = LatticeHamiltonian(2, [[0.5, -1.0], [-1.0, 0.25]], [4.0, 2.0], np.zeros((2, 2)))
@@ -165,12 +164,6 @@ class TestRotateBasis:
         assert rot.one_body[0, 1] == pytest.approx(-1.0)
         assert rot.two_body_opposite_spin[0, 0, 0, 0] == pytest.approx(2.0)
         assert rot.two_body_opposite_spin[1, 1, 1, 1] == pytest.approx(4.0)
-        assert rot.density_density  # permutations keep the structure
-
-    def test_generic_rotation_clears_density_flag(self, dimer_ints):
-        th = 0.3
-        c = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
-        assert not rotate_basis(dimer_ints, c).density_density
 
     def test_non_unitary_rejected(self, dimer_ints):
         with pytest.raises(ValidationError, match="unitary"):
@@ -224,6 +217,17 @@ class TestLatticeRoundTrip:
         assert np.allclose(back.hopping, dimer_lattice.hopping)
         assert np.allclose(back.u_intra, dimer_lattice.u_intra)
         assert np.allclose(back.v_inter, dimer_lattice.v_inter)
+
+    def test_inverse_mapping_of_permuted_basis(self):
+        """A permutation keeps the integrals density-density, so the inverse
+        mapping recovers the relabelled t, U and V."""
+        rng = np.random.default_rng(13)
+        lat = random_lattice(rng, m=5)
+        perm = rng.permutation(5)
+        back = lattice_from_electronic(rotate_basis(map_to_electronic(lat), np.eye(5)[:, perm]))
+        assert np.abs(back.hopping - lat.hopping[np.ix_(perm, perm)]).max() <= 1e-12
+        assert np.abs(back.u_intra - lat.u_intra[perm]).max() <= 1e-12
+        assert np.abs(back.v_inter - lat.v_inter[np.ix_(perm, perm)]).max() <= 1e-12
 
     def test_inverse_mapping_rejects_general_tensors(self):
         from oracles import random_general_integrals
@@ -331,14 +335,6 @@ class TestIntegralInvariants:
                 2, np.array([[0.0, 1.0], [0.5, 0.0]]),
                 np.zeros((2,) * 4), np.zeros((2,) * 4),
             )
-
-    def test_constructor_rejects_density_flag_violation(self):
-        g = np.zeros((2,) * 4)
-        g[0, 1, 0, 1] = 0.5
-        g = (g + g.transpose(1, 0, 3, 2)) / 2
-        g = (g + g.transpose(2, 3, 0, 1)) / 2
-        with pytest.raises(ValidationError):
-            ElectronicIntegrals(2, np.zeros((2, 2)), g, np.zeros((2,) * 4), density_density=True)
 
     @pytest.mark.parametrize("field, value", [
         ("one_body", np.nan),

@@ -38,9 +38,10 @@ class TestFciGround:
     def test_three_electron_sector(self, dimer_ints):
         assert fci_ground(SectorSpec(2, 2, 1), dimer_ints).energy == pytest.approx(3.0, abs=1e-10)
 
-    def test_cap_exceeded(self, dimer_ints):
+    def test_cap_exceeded(self, dimer_ints, monkeypatch):
+        monkeypatch.setattr(selci_mod, "FCI_CAP", 2)
         with pytest.raises(CapExceededError):
-            fci_ground(SectorSpec(2, 1, 1), dimer_ints, cap=2)
+            fci_ground(SectorSpec(2, 1, 1), dimer_ints)
 
     def test_basis_independence(self):
         rng = np.random.default_rng(2)

@@ -101,7 +101,7 @@ class TestBuildState:
         spec = SectorSpec(14, 7, 7)
         ref = Determinant(0b1111111, 0b1111111)
         with pytest.raises(CapExceededError):
-            build_state(zero_params(14), ref, spec, cap=1000)
+            build_state(zero_params(14), ref, spec)
 
 
 class TestOrbitalRotation:
