@@ -107,6 +107,20 @@ def _parse_config(path) -> dict:
     return values
 
 
+def _boolean(path, key: str, value) -> bool:
+    """``value`` of config key ``key``, which must be a TOML boolean."""
+    if not isinstance(value, bool):
+        raise ValidationError(f"{path}: {key} must be true or false, got {value!r}")
+    return value
+
+
+def _number(path, key: str, value) -> float:
+    """``value`` of config key ``key`` as a float; ints pass, bools do not."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ValidationError(f"{path}: {key} must be a number, got {value!r}")
+    return float(value)
+
+
 def _integer(path, key: str, value) -> int:
     """``value`` of config key ``key`` as an int; integral floats such as 2.5e6 pass."""
     if isinstance(value, float) and value.is_integer():
@@ -138,17 +152,14 @@ def config_from_file(path, overrides: dict | None = None) -> WorkflowConfig:
                 sample_path = str((Path(path).parent / sample_path).resolve())
             samples_files[label] = sample_path
     kwargs = {}
-    for name, cast in (
-        ("mode", str),
-        ("extsqd_threshold", float),
-        ("out_dir", str),
-        ("material", str),
-        ("literal_2u", bool),
-        ("flip_spin", bool),
-        ("sector_mean_field", bool),
-    ):
+    for name in ("mode", "out_dir", "material"):
         if name in raw:
-            kwargs[name] = cast(raw[name])
+            kwargs[name] = str(raw[name])
+    for name in ("literal_2u", "flip_spin", "sector_mean_field"):
+        if name in raw:
+            kwargs[name] = _boolean(path, name, raw[name])
+    if "extsqd_threshold" in raw:
+        kwargs["extsqd_threshold"] = _number(path, "extsqd_threshold", raw["extsqd_threshold"])
     for name in ("shots", "seed", "lucj_layers"):
         if name in raw:
             kwargs[name] = _integer(path, name, raw[name])
@@ -159,7 +170,7 @@ def config_from_file(path, overrides: dict | None = None) -> WorkflowConfig:
     for name in ("fractions", "hci_epsilons"):
         if name in raw:
             v = raw[name]
-            kwargs[name] = tuple(float(x) for x in (v if isinstance(v, list) else [v]))
+            kwargs[name] = tuple(_number(path, name, x) for x in (v if isinstance(v, list) else [v]))
     if "extsqd_levels" in raw:
         v = raw["extsqd_levels"]
         kwargs["extsqd_levels"] = tuple(
@@ -266,7 +277,11 @@ def cmd_run(args) -> int:
     if args.solver:
         overrides["solvers"] = args.solver
     if args.fractions:
-        overrides["fractions"] = [float(x) for x in args.fractions.split(",")]
+        try:
+            overrides["fractions"] = [float(x) for x in args.fractions.split(",")]
+        except ValueError:
+            raise ValidationError(f"--fractions must be comma-separated numbers, "
+                                  f"got {args.fractions!r}") from None
     config = config_from_file(args.config, overrides)
     if config.out_dir is None:
         raise ValidationError("out_dir required (config key out_dir or flag --out-dir)")

@@ -292,12 +292,23 @@ def hamiltonian_columns(
     # the set's own keys are rows 0..d-1, and the outside keys follow from d
     # in ascending order
     keys, place = np.unique(key, return_inverse=True)
+    del key
     row_of = np.full(len(keys), -1)
     row_of[place[:d]] = np.arange(d)
     outside = np.flatnonzero(row_of < 0)
     row_of[outside] = np.arange(d, d + len(outside))
+    rows = row_of[place[d:]]
+    del place
+    # in column order, each column's entries as they were generated (core,
+    # alpha, beta, opposite-spin): the conversion then finds every row sorted
+    # and sums each entry's duplicates in that order, which depends on the
+    # column's own determinant only, so a column has the same bits whichever
+    # determinants share the call
+    order = np.argsort(cols, kind="stable")
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    del order
     # vals is complex exactly when the integrals are
-    mat = sp.coo_matrix((vals, (row_of[place[d:]], cols)), shape=(len(keys), d)).tocsr()
+    mat = sp.coo_matrix((vals, (rows, cols)), shape=(len(keys), d)).tocsr()
     mat.eliminate_zeros()
     outside = keys[outside]
     return words_a[outside % na], words_b[outside // na], mat

@@ -2,10 +2,11 @@
 
 Everything here is built straight from operator definitions (explicit
 creation/annihilation action on bitstrings), deliberately sharing no code
-with the package's Slater-Condon paths; the exception is
+with the package's Slater-Condon paths.  The exceptions are
 ``extsqd_expand_reference``, the per-determinant ext-SQD loop over
 ``hsqd.determinants.generate_excitations`` that the vectorized expansion
-replaced.
+replaced, and ``hci_ground_reference``, the selected-CI loop that rebuilt
+``hsqd.strings.hamiltonian_columns`` over the whole set every round.
 """
 
 from dataclasses import dataclass
@@ -324,3 +325,39 @@ def extsqd_expand_reference(result, basis, threshold, levels):
             alpha.add(other.alpha)
             beta.add(other.beta)
     return SubspaceBasis(basis.spec, tuple(sorted(alpha)), tuple(sorted(beta)))
+
+
+def hci_ground_reference(spec, ints, schedule, reference=None):
+    """``selci.hci_ground`` as it was before it kept its columns: every round
+    rebuilds H[:, set] with one ``hamiltonian_columns`` call over the whole
+    set and ranks the rows outside it from that CSR."""
+    from hsqd.davidson import lowest_eigenpair
+    from hsqd.selci import SelectedCiStage
+    from hsqd.strings import hamiltonian_columns
+    from hsqd.subspace import relative_variance
+
+    if reference is None:
+        reference = Determinant((1 << spec.n_alpha) - 1, (1 << spec.n_beta) - 1)
+    alpha, beta = (np.array([word], dtype=np.int64) for word in (reference.alpha, reference.beta))
+    out_a, out_b, cols = hamiltonian_columns(ints, alpha, beta)
+    result = lowest_eigenpair(cols[:1])
+    stages = []
+    for eps in schedule.epsilons:
+        while len(alpha) < schedule.max_determinants:
+            coupling = abs(cols[len(alpha):])
+            coupling.data *= np.abs(result.ci_vector)[coupling.indices]
+            imp = coupling.max(axis=1).toarray().ravel()
+            hits = np.flatnonzero((imp >= eps) & (imp > 0))
+            # stable, as the rows outside the set are in (beta, alpha) order
+            pick = hits[np.argsort(-imp[hits], kind="stable")]
+            pick = pick[:schedule.max_determinants - len(alpha)]
+            if not len(pick):
+                break
+            alpha = np.concatenate([alpha, out_a[pick]])
+            beta = np.concatenate([beta, out_b[pick]])
+            out_a, out_b, cols = hamiltonian_columns(ints, alpha, beta)
+            result = lowest_eigenpair(cols[:len(alpha)])
+        dets = tuple(Determinant(int(a), int(b)) for a, b in zip(alpha, beta))
+        res = result.with_variance(relative_variance(result.ci_vector, cols @ result.ci_vector))
+        stages.append(SelectedCiStage(eps, len(dets), len(dets) / spec.dimension(), res, dets))
+    return stages

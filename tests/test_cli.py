@@ -289,6 +289,49 @@ class TestConfig:
         assert main(["run", str(config)]) == 2
         assert f"{key} must be an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("literal_2u", '"false"'), ("flip_spin", "0.5"), ("sector_mean_field", "1"),
+        ("flip_spin", "[true]"),
+    ])
+    def test_non_boolean_flag_exits_2(self, tmp_path, capsys, key, value):
+        """A quoted "false" or a number used to be cast with bool() and read
+        as True."""
+        config = write_config(tmp_path, write_dimer(tmp_path), tmp_path / "o", **{key: value})
+        assert main(["run", str(config)]) == 2
+        assert f"{key} must be true or false" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_boolean_flags_accepted(self, tmp_path):
+        config = write_config(tmp_path, write_dimer(tmp_path), tmp_path / "o",
+                              literal_2u="false", flip_spin="true", sector_mean_field="false")
+        parsed = config_from_file(config)
+        assert (parsed.literal_2u, parsed.flip_spin, parsed.sector_mean_field) == (False, True, False)
+
+    @pytest.mark.parametrize("key, value", [
+        ("extsqd_threshold", '"abc"'), ("extsqd_threshold", "true"), ("hci_epsilons", '["x"]'),
+        ("hci_epsilons", "[0.1, false]"), ("fractions", "[true]"), ("fractions", '"0.5"'),
+    ])
+    def test_non_numeric_float_exits_2(self, tmp_path, capsys, key, value):
+        """A string used to end the run with an internal ValueError (exit 1),
+        and a boolean fraction ran silently as 1.0."""
+        config = write_config(tmp_path, write_dimer(tmp_path), tmp_path / "o", **{key: value})
+        assert main(["run", str(config)]) == 2
+        assert f"{key} must be a number" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_numeric_floats_accepted(self, tmp_path):
+        config = write_config(tmp_path, write_dimer(tmp_path), tmp_path / "o",
+                              extsqd_threshold="1", hci_epsilons="[0.1, 1e-3]", fractions="[1]")
+        parsed = config_from_file(config)
+        assert (parsed.extsqd_threshold, parsed.hci_epsilons, parsed.fractions) == \
+            (1.0, (0.1, 1e-3), (1.0,))
+        assert all(type(x) is float for x in (parsed.extsqd_threshold, *parsed.fractions))
+
+    def test_non_numeric_fractions_flag_exits_2(self, tmp_path, capsys):
+        config = write_config(tmp_path, write_dimer(tmp_path), tmp_path / "o")
+        assert main(["run", str(config), "--fractions", "0.5,abc"]) == 2
+        assert "--fractions must be comma-separated numbers" in capsys.readouterr().err
+
     def test_integral_float_accepted(self, tmp_path):
         config = write_config(tmp_path, write_dimer(tmp_path), tmp_path / "o",
                               n_electrons="2.0", shots="2e4", extsqd_levels="[1.0, 2]")

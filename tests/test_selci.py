@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,9 +23,10 @@ from hsqd import (
 from hsqd import selci as selci_mod
 from hsqd import strings as strings_mod
 from hsqd.determinants import enumerate_sector
+from hsqd.strings import columns_bytes
 
 from conftest import DIMER_E, make_chain, random_lattice
-from oracles import dense_fock_hamiltonian, dense_heat_bath_ci, fock_index
+from oracles import dense_fock_hamiltonian, dense_heat_bath_ci, fock_index, hci_ground_reference
 
 
 class TestFciGround:
@@ -235,3 +238,158 @@ class TestHciAgainstDenseOracle:
         stages, want = self._compare(spec, ints, Determinant(0b11, 0b1), schedule)
         assert [list(stage.determinants) for stage in stages] == [dets for dets, _ in want]
         assert stages[-1].size == cap
+
+
+def _record_rounds(monkeypatch):
+    """Wrap the column store's ``extend`` and ``selci.hamiltonian_columns``:
+    returns a list with one entry per round, the determinants of each
+    ``hamiltonian_columns`` call of that round, and a dict that holds the
+    store and the round's target size."""
+    rounds, current = [], {}
+    extend, columns = selci_mod._ColumnStore.extend, selci_mod.hamiltonian_columns
+
+    def record_extend(self, alpha, beta):
+        current["store"], current["size"] = self, len(self.members) + len(alpha)
+        rounds.append([])
+        return extend(self, alpha, beta)
+
+    def record_columns(ints, alpha, beta):
+        rounds[-1].append(list(zip(alpha.tolist(), beta.tolist())))
+        return columns(ints, alpha, beta)
+
+    monkeypatch.setattr(selci_mod._ColumnStore, "extend", record_extend)
+    monkeypatch.setattr(selci_mod, "hamiltonian_columns", record_columns)
+    return rounds, current
+
+
+class TestHciColumnStore:
+    """hci_ground keeps H[:, set] across rounds; ``hci_ground_reference``
+    rebuilds it over the whole set every round."""
+
+    @staticmethod
+    def _same_stages(stages, want, exact_energies=False):
+        assert len(stages) == len(want)
+        for stage, ref in zip(stages, want):
+            # the same sets, in the same insertion order
+            assert stage.determinants == ref.determinants
+            assert (stage.cutoff, stage.size, stage.fraction) == (ref.cutoff, ref.size, ref.fraction)
+            if exact_energies:
+                assert stage.result.energy == ref.result.energy
+            assert stage.result.energy == pytest.approx(ref.result.energy, abs=1e-12)
+            if ref.result.variance is None:
+                assert stage.result.variance is None
+            else:
+                # the absolute floor admits round-off where the variance vanishes
+                assert stage.result.variance == pytest.approx(ref.result.variance,
+                                                              rel=1e-10, abs=1e-13)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        data=st.data(),
+        m=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+        complex_hopping=st.booleans(),
+        rotate=st.booleans(),
+        epsilons=st.sampled_from([(0.5, 0.05, 1e-4), (1e-1, 1e-3, 1e-6), (0.3,), (1e-2, 1e-8)]),
+        cap=st.sampled_from([2, 7, 30, 10**6]),
+    )
+    def test_same_stages_as_rebuilding_oracle(self, data, m, seed, complex_hopping, rotate,
+                                              epsilons, cap):
+        """A spin-symmetric reference keeps pairs of determinants whose
+        importances tie up to round-off; their order then depends on the last
+        bits of the columns, so this also checks that a column's bits do not
+        depend on which determinants were built with it."""
+        spec = SectorSpec(m, data.draw(st.integers(0, m), label="n_alpha"),
+                          data.draw(st.integers(0, m), label="n_beta"))
+        rng = np.random.default_rng(seed)
+        ints = _integrals(rng, m, complex_hopping, rotate)
+        sector = enumerate_sector(spec)
+        reference = sector[int(rng.integers(len(sector)))]
+        if spec.n_alpha == spec.n_beta and data.draw(st.booleans(), label="spin_symmetric"):
+            reference = Determinant(reference.alpha, reference.alpha)
+        schedule = SelectionSchedule(epsilons=epsilons, max_determinants=cap)
+        self._same_stages(hci_ground(spec, ints, schedule, reference=reference),
+                          hci_ground_reference(spec, ints, schedule, reference=reference),
+                          exact_energies=True)
+
+    def test_each_determinant_built_once(self, monkeypatch):
+        rounds, _ = _record_rounds(monkeypatch)
+        ints = _integrals(np.random.default_rng(4), 6, complex_hopping=False, rotate=True)
+        stages = hci_ground(SectorSpec(6, 3, 2), ints, SelectionSchedule(epsilons=(0.1, 1e-3, 1e-6)))
+        built = [det for calls in rounds for call in calls for det in call]
+        assert len(rounds) > 3
+        assert len(built) == len(set(built))
+        assert built == [(d.alpha, d.beta) for d in stages[-1].determinants]
+
+    def test_chunked_rounds_match_unchunked(self, monkeypatch):
+        """A cap that splits the largest round into three or more chunks
+        leaves every stage as it was: each column has the same bits
+        whichever chunk built it, so the energies agree exactly."""
+        ints = _integrals(np.random.default_rng(9), 6, complex_hopping=True, rotate=True)
+        spec = SectorSpec(6, 3, 3)
+        schedule = SelectionSchedule(epsilons=(0.1, 1e-3, 1e-6))
+        rounds, current = _record_rounds(monkeypatch)
+        want = hci_ground(spec, ints, schedule)
+        store = current["store"]
+        largest = max(len(call) for calls in rounds for call in calls)
+        cap = store._kept_bytes(len(store.members)) + columns_bytes(largest // 8, spec, ints)
+        monkeypatch.setattr(strings_mod, "SIGMA_BYTES_CAP", cap)
+        rounds.clear()
+        stages = hci_ground(spec, ints, schedule)
+        assert max(len(calls) for calls in rounds) >= 3
+        self._same_stages(stages, want, exact_energies=True)
+
+    def test_cap_raises_before_a_chunk_that_cannot_fit(self, monkeypatch):
+        """After the first round the cap drops to one determinant's columns,
+        so the kept columns plus one more exceed it: the next round raises
+        before it calls ``hamiltonian_columns``."""
+        ints = map_to_electronic(make_chain(4))
+        spec = SectorSpec(4, 2, 2)
+        calls = []
+        columns = selci_mod.hamiltonian_columns
+
+        def first_only(ints_, alpha, beta):
+            if calls:
+                raise AssertionError("hamiltonian_columns called past the cap")
+            calls.append(len(alpha))
+            out = columns(ints_, alpha, beta)
+            monkeypatch.setattr(strings_mod, "SIGMA_BYTES_CAP", columns_bytes(1, spec, ints_))
+            return out
+
+        monkeypatch.setattr(selci_mod, "hamiltonian_columns", first_only)
+        with pytest.raises(CapExceededError, match="memory cap"):
+            hci_ground(spec, ints, SelectionSchedule(epsilons=(1e-3,)))
+        assert calls == [1]
+
+    def test_peak_within_accounted_bytes(self, monkeypatch):
+        """An M = 8 rotated run of 500 determinants, traced from fresh
+        integrals: between two ``hamiltonian_columns`` calls the traced peak
+        stays under what the store accounted there, the kept bytes plus the
+        chunk's ``columns_bytes`` while the chunk is built and the kept bytes
+        while the round reads the store."""
+        ints = _integrals(np.random.default_rng(3), 8, complex_hopping=False, rotate=True)
+        spec = SectorSpec(8, 4, 3)
+        rounds, current = _record_rounds(monkeypatch)
+        peaks, builds, kept = [], [], []
+        columns = selci_mod.hamiltonian_columns
+
+        def measure(ints_, alpha, beta):
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            kept.append(current["store"]._kept_bytes(current["size"]))
+            builds.append(kept[-1] + columns_bytes(len(alpha), spec, ints_))
+            tracemalloc.reset_peak()
+            return columns(ints_, alpha, beta)
+
+        monkeypatch.setattr(selci_mod, "hamiltonian_columns", measure)
+        tracemalloc.start()
+        try:
+            stages = hci_ground(spec, ints, SelectionSchedule(epsilons=(0.1, 1e-3),
+                                                              max_determinants=500))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        store = current["store"]
+        kept.append(store._kept_bytes(len(store.members)))
+        assert stages[-1].size == 500
+        for i, build in enumerate(builds):
+            assert peaks[i + 1] <= max(build, kept[i + 1])
