@@ -24,10 +24,8 @@ from .reference import (
     LucjLayer,
     LucjParameters,
     MeanFieldSolution,
-    load_amplitudes,
     lucj_from_t2,
     mp2_doubles,
-    save_amplitudes,
     solve_mean_field,
 )
 from .statevector import (
@@ -43,7 +41,6 @@ from .statevector import (
 )
 from .subspace import (
     SubspaceBasis,
-    build_subspace,
     energy_variance,
     extsqd_expand,
     filter_samples,

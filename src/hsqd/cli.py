@@ -16,10 +16,11 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
-import re
 import sys
 import time
+import tomllib
 from dataclasses import fields
 from pathlib import Path
 
@@ -50,8 +51,6 @@ SWEEP_FIELDS = ("fraction", "d", "energy", "residual", "variance", "converged")
 SAMPLE_KEYS = {"Ne-1": "samples_neminus1", "Ne": "samples_ne", "Ne+1": "samples_neplus1"}
 # samples_files is filled from SAMPLE_KEYS, not set by a key of its own
 CONFIG_KEYS = {f.name for f in fields(WorkflowConfig)} - {"samples_files"} | set(SAMPLE_KEYS.values())
-# a config line up to its first "#" outside a quoted string
-_UNCOMMENTED = re.compile(r"""(?:[^#"']|"[^"]*"?|'[^']*'?)*""")
 
 
 def _sha256(path) -> str:
@@ -62,49 +61,11 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _parse_config(path) -> dict:
-    """Flat TOML-style key/value parser (strings, numbers, booleans, arrays)."""
-    values: dict[str, object] = {}
-    try:
-        lines = Path(path).read_text().splitlines()
-    except OSError as exc:
-        raise ValidationError(f"cannot read config {path}: {exc}") from exc
-
-    def scalar(tok: str):
-        tok = tok.strip()
-        if tok.startswith('"') and tok.endswith('"') and len(tok) >= 2:
-            return tok[1:-1]
-        if tok.startswith("'") and tok.endswith("'") and len(tok) >= 2:
-            return tok[1:-1]
-        low = tok.lower()
-        if low == "true":
-            return True
-        if low == "false":
-            return False
-        try:
-            return int(tok)
-        except ValueError:
-            pass
-        try:
-            return float(tok)
-        except ValueError:
-            raise ValidationError(f"{path}: cannot parse value {tok!r}") from None
-
-    for lineno, raw in enumerate(lines, start=1):
-        line = _UNCOMMENTED.match(raw).group().strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValidationError(f"{path}:{lineno}: expected key = value")
-        key, _, val = line.partition("=")
-        key = key.strip()
-        val = val.strip()
-        if val.startswith("[") and val.endswith("]"):
-            inner = val[1:-1].strip()
-            values[key] = [scalar(tok) for tok in inner.split(",") if tok.strip()] if inner else []
-        else:
-            values[key] = scalar(val)
-    return values
+def _string(path, key: str, value) -> str:
+    """``value`` of config key ``key``, which must be a TOML string."""
+    if not isinstance(value, str):
+        raise ValidationError(f"{path}: {key} must be a string, got {value!r}")
+    return value
 
 
 def _boolean(path, key: str, value) -> bool:
@@ -115,10 +76,16 @@ def _boolean(path, key: str, value) -> bool:
 
 
 def _number(path, key: str, value) -> float:
-    """``value`` of config key ``key`` as a float; ints pass, bools do not."""
+    """``value`` of config key ``key`` as a finite float; ints pass, bools do not."""
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ValidationError(f"{path}: {key} must be a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValidationError(f"{path}: {key} must be finite, got {value!r}")
+    return number
 
 
 def _integer(path, key: str, value) -> int:
@@ -131,7 +98,13 @@ def _integer(path, key: str, value) -> int:
 
 
 def config_from_file(path, overrides: dict | None = None) -> WorkflowConfig:
-    raw = _parse_config(path)
+    try:
+        with open(path, "rb") as fh:
+            raw = tomllib.load(fh)
+    except OSError as exc:
+        raise ValidationError(f"cannot read config {path}: {exc}") from exc
+    except tomllib.TOMLDecodeError as exc:
+        raise ValidationError(f"{path}: invalid TOML: {exc}") from exc
     unknown = sorted(set(raw) - CONFIG_KEYS)
     if unknown:
         raise ValidationError(f"{path}: unknown config key(s) {', '.join(unknown)}")
@@ -141,20 +114,20 @@ def config_from_file(path, overrides: dict | None = None) -> WorkflowConfig:
         raise ValidationError(f"{path}: missing lattice_path")
     if "n_electrons" not in raw:
         raise ValidationError(f"{path}: missing n_electrons")
-    lattice_path = str(raw["lattice_path"])
+    lattice_path = _string(path, "lattice_path", raw["lattice_path"])
     if not os.path.isabs(lattice_path):
         lattice_path = str((Path(path).parent / lattice_path).resolve())
     samples_files = {}
     for label, key in SAMPLE_KEYS.items():
         if key in raw:
-            sample_path = str(raw[key])
+            sample_path = _string(path, key, raw[key])
             if not os.path.isabs(sample_path):
                 sample_path = str((Path(path).parent / sample_path).resolve())
             samples_files[label] = sample_path
     kwargs = {}
     for name in ("mode", "out_dir", "material"):
         if name in raw:
-            kwargs[name] = str(raw[name])
+            kwargs[name] = _string(path, name, raw[name])
     for name in ("literal_2u", "flip_spin", "sector_mean_field"):
         if name in raw:
             kwargs[name] = _boolean(path, name, raw[name])
@@ -163,10 +136,9 @@ def config_from_file(path, overrides: dict | None = None) -> WorkflowConfig:
     for name in ("shots", "seed", "lucj_layers"):
         if name in raw:
             kwargs[name] = _integer(path, name, raw[name])
-    for name in ("solvers",):
-        if name in raw:
-            v = raw[name]
-            kwargs[name] = tuple(str(x) for x in (v if isinstance(v, list) else [v]))
+    if "solvers" in raw:
+        v = raw["solvers"]
+        kwargs["solvers"] = tuple(_string(path, "solvers", x) for x in (v if isinstance(v, list) else [v]))
     for name in ("fractions", "hci_epsilons"):
         if name in raw:
             v = raw[name]
@@ -228,8 +200,6 @@ def cmd_convert(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    if args.shots < 1:
-        raise ValidationError("shots must be at least 1")
     lat = load_lattice(args.lattice).to_ev()
     ints = map_to_electronic(lat)
     m = lat.n_orbitals
@@ -411,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("run", help="run the band-gap workflow from a config file")
-    p.add_argument("config", help="TOML-style key/value config file")
+    p.add_argument("config", help="TOML config file (UTF-8, flat key = value table)")
     p.add_argument("--solver", action="append", choices=SOLVERS, default=None,
                    help="override the solver list (repeatable)")
     p.add_argument("--mode", choices=MODES, default=None, help="interaction mode override")
@@ -438,6 +408,10 @@ def main(argv: list[str] | None = None) -> int:
         return exc.exit_code
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except UnicodeDecodeError as exc:
+        # a config, lattice, FCIDUMP or sample file that is not UTF-8 text
+        print(f"error: input is not UTF-8 text: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:
         # a cap the estimates missed: the same exit code as a CapExceededError

@@ -3,13 +3,12 @@
 The self-consistent field is a plain closed-shell Roothaan iteration with
 density damping.  Open-shell sectors do not get their own SCF; they reuse
 closed-shell orbitals and fill by aufbau, which keeps the reference cheap
-and reproducible.  MP2 doubles stand in for externally computed coupled-
-cluster amplitudes; either source can seed the cluster-Jastrow parameters.
+and reproducible.  MP2 doubles amplitudes seed the cluster-Jastrow
+parameters.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -256,8 +255,6 @@ def lucj_from_t2(
     n_orbitals: int,
     n_occ: int,
     layers: int = 1,
-    mask_same: np.ndarray | None = None,
-    mask_opposite: np.ndarray | None = None,
 ) -> LucjParameters:
     """Seed cluster-Jastrow layers from doubles amplitudes.
 
@@ -266,7 +263,7 @@ def lucj_from_t2(
     eigenpair yields one layer whose orbital rotation diagonalizes the
     corresponding one-body generator and whose couplings are the outer
     product of its eigenvalues, scaled by the amplitude eigenvalue and
-    truncated to the connectivity mask.
+    truncated to the connectivity masks of ``default_masks``.
     """
     if np.iscomplexobj(t2):
         raise ValidationError("amplitude tensor must be real")
@@ -279,10 +276,7 @@ def lucj_from_t2(
     if layers < 1:
         raise ValidationError("at least one layer required")
     m = n_orbitals
-    if mask_same is None or mask_opposite is None:
-        ms_default, mo_default = default_masks(m)
-        mask_same = ms_default if mask_same is None else np.asarray(mask_same, dtype=bool)
-        mask_opposite = mo_default if mask_opposite is None else np.asarray(mask_opposite, dtype=bool)
+    mask_same, mask_opposite = default_masks(m)
 
     pair_dim = nocc * nvirt
     built: list[LucjLayer] = []
@@ -313,36 +307,3 @@ def lucj_from_t2(
             )
         )
     return LucjParameters(m, tuple(built), mask_same, mask_opposite)
-
-
-def load_amplitudes(path) -> tuple[np.ndarray, int, int]:
-    """Read a doubles-amplitude JSON file; returns (t2, n_orbitals, n_occ)."""
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise ValidationError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
-    for key in ("n_orbitals", "n_occ", "t2"):
-        if key not in raw:
-            raise ValidationError(f"{path}: missing key {key!r}")
-    m = int(raw["n_orbitals"])
-    nocc = int(raw["n_occ"])
-    t2 = np.asarray(raw["t2"], dtype=float)
-    if not np.all(np.isfinite(t2)):
-        raise ValidationError(f"{path}: non-finite amplitude")
-    nvirt = m - nocc
-    if t2.shape != (nocc, nocc, nvirt, nvirt):
-        raise ValidationError(
-            f"{path}: amplitude shape {t2.shape} does not match "
-            f"(n_occ, n_occ, n_virt, n_virt) = {(nocc, nocc, nvirt, nvirt)}"
-        )
-    return t2, m, nocc
-
-
-def save_amplitudes(t2: np.ndarray, n_orbitals: int, n_occ: int, path) -> None:
-    doc = {"n_orbitals": n_orbitals, "n_occ": n_occ, "t2": np.asarray(t2).tolist()}
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")

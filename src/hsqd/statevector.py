@@ -27,6 +27,8 @@ from .model import SectorSpec
 from .reference import LucjParameters, orthogonal_matrix, real_matrix
 
 STATE_CAP = 10**6
+# the largest shot count the multinomial draw takes (a signed 64-bit count)
+MAX_SHOTS = 2**63 - 1
 # largest estimated allocation of the compound matrices of one rotation
 ROTATION_BYTES_CAP = 2 * 1024**3
 
@@ -198,8 +200,10 @@ def build_state(params: LucjParameters, ref: Determinant, spec: SectorSpec) -> S
 
 def sample(state: SectorStatevector, shots: int, seed: int | None = None) -> SampleSet:
     """Multinomial sampling of determinants from the state's distribution."""
-    if shots < 1:
-        raise ValidationError("shots must be at least 1")
+    if not 1 <= shots <= MAX_SHOTS:
+        raise ValidationError(f"shots must lie in [1, {MAX_SHOTS}], got {shots}")
+    if seed is not None and seed < 0:
+        raise ValidationError(f"seed must be nonnegative, got {seed}")
     p = state.probabilities().ravel()
     rng = np.random.default_rng(seed)
     draws = rng.multinomial(shots, p)

@@ -20,7 +20,7 @@ from .determinants import SECTOR_CAP, Determinant, half_strings
 from .errors import ValidationError
 from .model import ElectronicIntegrals, SectorSpec
 from .statevector import SampleSet
-from .strings import SIGMA_BYTES_CAP, excite, product_hamiltonian, sigma, sigma_bytes
+from .strings import SIGMA_BYTES_CAP, _locate, excite, product_hamiltonian, sigma, sigma_bytes
 
 
 @dataclass(frozen=True)
@@ -55,9 +55,6 @@ class SubspaceBasis:
         alphas = sorted(self.alpha_strings)
         betas = sorted(self.beta_strings)
         return [Determinant(a, b) for b in betas for a in alphas]
-
-    def contains(self, det: Determinant) -> bool:
-        return det.alpha in set(self.alpha_strings) and det.beta in set(self.beta_strings)
 
 
 def filter_samples(samples: SampleSet, spec: SectorSpec) -> SampleSet:
@@ -134,21 +131,6 @@ def growth_sequence(
     return seq
 
 
-def build_subspace(
-    samples: SampleSet,
-    spec: SectorSpec,
-    target_fraction: float,
-    reference: Determinant | None = None,
-) -> SubspaceBasis:
-    """Smallest greedy product subspace covering the requested fraction."""
-    if not 0.0 < target_fraction <= 1.0:
-        raise ValidationError("target_fraction must lie in (0, 1]")
-    if not samples.counts:
-        raise ValidationError("empty sample set")
-    seq = growth_sequence(samples, spec, reference)
-    return SubspaceBasis(spec, *_covering(seq, target_fraction * spec.dimension()))
-
-
 def _covering(seq, target: float) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """First growth step whose product dimension reaches ``target``; the last
     step when none does (a sector too large to pad with unobserved strings)."""
@@ -167,15 +149,6 @@ def project_hamiltonian(basis: SubspaceBasis, ints: ElectronicIntegrals) -> sp.c
 
 def solve_subspace(basis: SubspaceBasis, ints: ElectronicIntegrals) -> GroundStateResult:
     return lowest_eigenpair(project_hamiltonian(basis, ints))
-
-
-def _positions(strings: np.ndarray, words: list[int]) -> np.ndarray:
-    """Positions of ``words`` in the ascending sector ``strings``."""
-    words = np.asarray(words, dtype=np.int64)
-    pos = np.minimum(np.searchsorted(strings, words), len(strings) - 1)
-    if np.any(strings[pos] != words):
-        raise ValidationError("determinant outside the sector")
-    return pos
 
 
 def energy_variance(
@@ -202,8 +175,11 @@ def energy_variance(
         (len(beta), len(alpha)),
         dtype=np.result_type(result.ci_vector, complex if ints.is_complex else float),
     )
-    c[_positions(beta, [d.beta for d in dets]),
-      _positions(alpha, [d.alpha for d in dets])] = result.ci_vector
+    rows = _locate(beta, np.array([d.beta for d in dets], dtype=np.int64))
+    cols = _locate(alpha, np.array([d.alpha for d in dets], dtype=np.int64))
+    if (rows < 0).any() or (cols < 0).any():
+        raise ValidationError("determinant outside the sector")
+    c[rows, cols] = result.ci_vector
     return relative_variance(c, sigma(c, ints, alpha, beta))
 
 

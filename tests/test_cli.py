@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,7 @@ from hsqd import (
     read_fcidump,
     save_lattice,
 )
-from hsqd.cli import config_from_file, main
+from hsqd.cli import CONFIG_KEYS, config_from_file, main
 
 from conftest import make_chain
 
@@ -348,6 +349,104 @@ class TestConfig:
         assert main(["run", str(config), "--solver", "fci"]) == 0
         report = json.loads((out_dir / "gap_report.json").read_text())
         assert report["gaps"]["fci"] == pytest.approx(3.656854249, abs=1e-8)
+
+    @pytest.mark.parametrize("key, value", [
+        ("hci_epsilons", "[0.1, inf]"), ("extsqd_threshold", "nan"), ("fractions", "[0.5, -inf]"),
+        pytest.param("extsqd_threshold", "1" + "0" * 400, id="extsqd_threshold-10**400"),
+    ])
+    def test_non_finite_number_exits_2(self, tmp_path, capsys, key, value):
+        """An infinite epsilon used to run an HCI stage of only the reference,
+        a NaN threshold failed every ext-SQD sector with a misleading message,
+        and an integer past the float range ended in an OverflowError."""
+        config = write_config(tmp_path, write_dimer(tmp_path), tmp_path / "o", **{key: value})
+        assert main(["run", str(config)]) == 2
+        assert f"{key} must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("flag, value, key", [
+        ("--threshold", "nan", "extsqd_threshold"), ("--fractions", "0.5,inf", "fractions"),
+    ])
+    def test_non_finite_flag_exits_2(self, tmp_path, capsys, flag, value, key):
+        config = write_config(tmp_path, write_dimer(tmp_path), tmp_path / "o")
+        assert main(["run", str(config), flag, value]) == 2
+        assert f"{key} must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("material", "5"), ("out_dir", "5"), ("lattice_path", "5"), ("samples_ne", "[]"),
+        ("mode", "1"), ("solvers", '["fci", 5]'),
+    ])
+    def test_non_string_exits_2(self, tmp_path, capsys, key, value):
+        """A number used to pass as its decimal string."""
+        config = write_config(tmp_path, write_dimer(tmp_path), tmp_path / "o")
+        lines = [line for line in config.read_text().splitlines() if not line.startswith(key)]
+        config.write_text("\n".join(lines + [f"{key} = {value}"]) + "\n")
+        assert main(["run", str(config)]) == 2
+        assert f"{key} must be a string" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["flip_spin = TRUE", "seed = 4", 'out_dir = "elsewhere'])
+    def test_invalid_toml_exits_2(self, tmp_path, capsys, line):
+        """An uppercase TRUE used to read as true, and a repeated key let the
+        last one win."""
+        config = write_config(tmp_path, write_dimer(tmp_path), tmp_path / "o")
+        config.write_text(config.read_text() + line + "\n")
+        assert main(["run", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {config}: invalid TOML") and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
+    def test_table_header_is_an_unknown_key(self, tmp_path, capsys):
+        config = write_config(tmp_path, write_dimer(tmp_path), tmp_path / "o")
+        config.write_text(config.read_text() + "[extra]\nseed = 4\n")
+        assert main(["run", str(config)]) == 2
+        assert "unknown config key(s) extra" in capsys.readouterr().err
+
+    def test_readme_config_table_lists_every_key(self):
+        """The keys in README's config table are exactly the keys a config accepts."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        table = readme.split("### Config keys", 1)[1].split("\n\n| key |", 1)[1]
+        rows = [line for line in table.split("\n\n", 1)[0].splitlines() if line.startswith("| `")]
+        documented = {key for row in rows for key in re.findall(r"`(\w+)`", row.split("|")[1])}
+        assert documented == CONFIG_KEYS
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("case", ["config", "lattice", "samples", "to_fcidump", "to_lattice"])
+    def test_non_utf8_input_exits_2(self, tmp_path, capsys, case):
+        """A byte that is not UTF-8 used to end as an internal UnicodeDecodeError (exit 1)."""
+        lattice = write_dimer(tmp_path)
+        config = write_config(tmp_path, lattice, tmp_path / "o", samples_ne='"s.txt"')
+        (tmp_path / "s.txt").write_text("0101 10\n")
+        dump = tmp_path / "d.fcidump"
+        assert main(["convert", str(lattice), str(dump)]) == 0
+        bad = {"config": config, "lattice": lattice, "samples": tmp_path / "s.txt",
+               "to_fcidump": lattice, "to_lattice": dump}[case]
+        bad.write_bytes(bad.read_bytes() + b"\xff\n")
+        argv = {"to_fcidump": ["convert", str(lattice), str(tmp_path / "x.fcidump")],
+                "to_lattice": ["convert", str(dump), str(tmp_path / "x.json"), "--to", "lattice"],
+                }.get(case, ["run", str(config)])
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: input is not UTF-8 text")
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--seed", "-1", "seed must be nonnegative"),
+        ("--shots", "100000000000000000000", "shots must lie in"),
+    ])
+    def test_sample_seed_and_shots_exit_2(self, tmp_path, capsys, flag, value, message):
+        """A negative seed used to end as an internal ValueError and a shot
+        count past 64 bits as an OverflowError (exit 1)."""
+        code = main(["sample", str(write_dimer(tmp_path)), str(tmp_path / "s.txt"),
+                     "--n-alpha", "1", "--n-beta", "1", flag, value])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("seed", "-1", "seed must be nonnegative"), ("shots", "1e30", "shots must lie in"),
+    ])
+    def test_run_seed_and_shots_exit_2(self, tmp_path, capsys, key, value, message):
+        config = write_config(tmp_path, write_dimer(tmp_path), tmp_path / "o", **{key: value})
+        assert main(["run", str(config)]) == 2
+        assert message in capsys.readouterr().err
 
 
 class TestPlotdata:

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -8,12 +6,10 @@ from hsqd import (
     SectorSpec,
     ValidationError,
     diagonal_energy,
-    load_amplitudes,
     lucj_from_t2,
     map_to_electronic,
     mp2_doubles,
     rotate_basis,
-    save_amplitudes,
     solve_mean_field,
 )
 from hsqd.determinants import enumerate_sector, matrix_element
@@ -199,41 +195,3 @@ class TestLucjParameters:
     def test_shape_validation(self):
         with pytest.raises(ValidationError):
             lucj_from_t2(np.zeros((2, 2, 1, 1)), 4, 2)  # 2 occ + 1 virt != 4
-
-
-class TestAmplitudeFiles:
-    def test_zero_tensor(self, tmp_path):
-        path = tmp_path / "amp.json"
-        path.write_text(json.dumps({
-            "n_orbitals": 3, "n_occ": 1,
-            "t2": np.zeros((1, 1, 2, 2)).tolist(),
-        }))
-        t2, m, nocc = load_amplitudes(path)
-        assert not t2.any() and m == 3 and nocc == 1
-
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(5)
-        t2 = rng.normal(size=(2, 2, 2, 2))
-        save_amplitudes(t2, 4, 2, tmp_path / "amp.json")
-        back, m, nocc = load_amplitudes(tmp_path / "amp.json")
-        assert np.array_equal(back, t2)
-        assert (m, nocc) == (4, 2)
-
-    def test_shape_mismatch(self, tmp_path):
-        path = tmp_path / "amp.json"
-        path.write_text(json.dumps({
-            "n_orbitals": 5, "n_occ": 1,
-            "t2": np.zeros((1, 1, 2, 2)).tolist(),
-        }))
-        with pytest.raises(ValidationError, match="shape"):
-            load_amplitudes(path)
-
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
-    def test_nonfinite_amplitude(self, tmp_path, bad):
-        t2 = np.zeros((1, 1, 2, 2))
-        t2[0, 0, 1, 0] = bad
-        path = tmp_path / "amp.json"
-        path.write_text(json.dumps({"n_orbitals": 3, "n_occ": 1, "t2": t2.tolist()}))
-        with pytest.raises(ValidationError, match="non-finite") as info:
-            load_amplitudes(path)
-        assert info.value.exit_code == 2
