@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""One SHA-256 over what the string engine returns on a fixed set of cases.
+"""SHA-256 digests of what the string engine returns on a fixed set of cases.
 
     PYTHONPATH=src python3 scripts/engine_digest.py
 
@@ -10,7 +10,9 @@ sector) and the outside words and CSR arrays of ``hamiltonian_columns``
 basis, with real and complex integrals, over sectors that include empty and
 full channels.  Each integrals object serves its requests three times, so
 the one-spin memo is cold on the first pass and warm on the others.  A change
-to the engine that must not change its output leaves the digest as it is.
+to the engine that must not change its output leaves the digests as they are.
+One digest is printed per function, so a change that may move one of them
+shows which, followed by the total over every array of every case.
 """
 
 import hashlib
@@ -75,6 +77,7 @@ def update(h, *arrays) -> None:
 def main() -> None:
     rng = np.random.default_rng(SEED)
     h = hashlib.sha256()
+    per = {}  # function name -> its own digest
     cases = 0
     for m in range(2, 9):
         for rotated in (False, True):
@@ -85,10 +88,19 @@ def main() -> None:
                     for alpha, beta, wa, wb, c, dets_a, dets_b in reqs:
                         mat = product_hamiltonian(ints, alpha, beta)
                         out_a, out_b, cols = hamiltonian_columns(ints, dets_a, dets_b)
-                        update(h, mat.indptr, mat.indices, mat.data, sigma(c, ints, wa, wb),
-                               out_a, out_b, cols.indptr, cols.indices, cols.data)
+                        arrays = {
+                            "product_hamiltonian": (mat.indptr, mat.indices, mat.data),
+                            "sigma": (sigma(c, ints, wa, wb),),
+                            "hamiltonian_columns": (out_a, out_b, cols.indptr, cols.indices,
+                                                    cols.data),
+                        }
+                        for name, xs in arrays.items():
+                            update(h, *xs)
+                            update(per.setdefault(name, hashlib.sha256()), *xs)
                         cases += 1
-    print(f"{h.hexdigest()}  ({cases} cases)")
+    for name, digest in per.items():
+        print(f"{digest.hexdigest()}  {name}")
+    print(f"{h.hexdigest()}  total ({cases} cases)")
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -41,11 +42,12 @@ from .model import (
     lattice_from_electronic,
     load_lattice,
     map_to_electronic,
+    read_text,
     rotate_basis,
     save_lattice,
 )
 from .reference import solve_mean_field
-from .statevector import save_samples
+from .statevector import MAX_SHOTS, save_samples
 
 SWEEP_FIELDS = ("fraction", "d", "energy", "residual", "variance", "converged")
 SAMPLE_KEYS = {"Ne-1": "samples_neminus1", "Ne": "samples_ne", "Ne+1": "samples_neplus1"}
@@ -105,6 +107,8 @@ def config_from_file(path, overrides: dict | None = None) -> WorkflowConfig:
         raise ValidationError(f"cannot read config {path}: {exc}") from exc
     except tomllib.TOMLDecodeError as exc:
         raise ValidationError(f"{path}: invalid TOML: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"input is not UTF-8 text: {path}: {exc}") from exc
     unknown = sorted(set(raw) - CONFIG_KEYS)
     if unknown:
         raise ValidationError(f"{path}: unknown config key(s) {', '.join(unknown)}")
@@ -136,6 +140,11 @@ def config_from_file(path, overrides: dict | None = None) -> WorkflowConfig:
     for name in ("shots", "seed", "lucj_layers"):
         if name in raw:
             kwargs[name] = _integer(path, name, raw[name])
+    # the ranges that sampling enforces, checked before any sector runs
+    if not 1 <= kwargs.get("shots", 1) <= MAX_SHOTS:
+        raise ValidationError(f"{path}: shots must lie in [1, {MAX_SHOTS}], got {kwargs['shots']}")
+    if kwargs.get("seed", 0) < 0:
+        raise ValidationError(f"{path}: seed must be nonnegative, got {kwargs['seed']}")
     if "solvers" in raw:
         v = raw["solvers"]
         kwargs["solvers"] = tuple(_string(path, "solvers", x) for x in (v if isinstance(v, list) else [v]))
@@ -299,13 +308,7 @@ def cmd_run(args) -> int:
 def cmd_plotdata(args) -> int:
     rows = []
     for path in args.csvs:
-        try:
-            with open(path, newline="") as fh:
-                reader = csv.DictReader(fh)
-                for rec in reader:
-                    rows.append(rec)
-        except OSError as exc:
-            raise ValidationError(f"cannot read {path}: {exc}") from exc
+        rows.extend(csv.DictReader(io.StringIO(read_text(path))))
     if not rows:
         raise ValidationError("no sweep rows found")
     reference = args.reference
@@ -408,10 +411,6 @@ def main(argv: list[str] | None = None) -> int:
         return exc.exit_code
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except UnicodeDecodeError as exc:
-        # a config, lattice, FCIDUMP or sample file that is not UTF-8 text
-        print(f"error: input is not UTF-8 text: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:
         # a cap the estimates missed: the same exit code as a CapExceededError

@@ -74,8 +74,9 @@ def _lanczos_lowest(matrix, tol: float, max_iter: int = DEFAULT_MAX_ITER) -> Gro
     """ARPACK run to machine precision; ``iterations`` counts its matvecs.
     Without convergence, the best Ritz pair ARPACK reports (or the start
     vector) is returned with ``converged=False``."""
-    # loaded here: the import costs about 0.45 s, which runs whose every
-    # subspace fits the dense path should not pay
+    # loaded here: after ``import hsqd`` the import costs about 15 ms more
+    # (2 vCPUs), which runs whose every subspace fits the dense path need
+    # not pay
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
     n = matrix.shape[0]

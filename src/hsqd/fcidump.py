@@ -16,7 +16,7 @@ import warnings
 import numpy as np
 
 from .errors import ValidationError
-from .model import ElectronicIntegrals
+from .model import ElectronicIntegrals, read_text
 
 _FLOAT_FMT = "%21.15g"
 
@@ -69,11 +69,7 @@ def read_fcidump(path) -> ElectronicIntegrals:
     Both spin channels are set to the spin-free tensor, which reproduces the
     conventional spin-summed Hamiltonian.
     """
-    try:
-        with open(path) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ValidationError(f"cannot read {path}: {exc}") from exc
+    text = read_text(path)
     header_match = re.search(r"&FCI(.*?)(?:&END|/)", text, re.S | re.I)
     if not header_match:
         raise ValidationError(f"{path}: missing &FCI ... &END header")

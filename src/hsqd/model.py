@@ -283,13 +283,23 @@ def _matrix_from_json(data, m: int, path: str) -> np.ndarray:
     return mat
 
 
-def load_lattice(path) -> LatticeHamiltonian:
-    """Read a lattice Hamiltonian from its JSON interchange file."""
+def read_text(path) -> str:
+    """The text of the input file ``path``, which must be UTF-8; a
+    ``ValidationError`` naming the file when it cannot be read or decoded."""
     try:
-        with open(path) as fh:
-            raw = json.load(fh)
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"input is not UTF-8 text: {path}: {exc}") from exc
+
+
+def load_lattice(path) -> LatticeHamiltonian:
+    """Read a lattice Hamiltonian from its JSON interchange file."""
+    text = read_text(path)
+    try:
+        raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
     for key in ("n_orbitals", "hopping", "u", "v"):

@@ -23,7 +23,7 @@ import numpy as np
 
 from .determinants import Determinant, half_strings
 from .errors import CapExceededError, ValidationError
-from .model import SectorSpec
+from .model import SectorSpec, read_text
 from .reference import LucjParameters, orthogonal_matrix, real_matrix
 
 STATE_CAP = 10**6
@@ -229,32 +229,27 @@ def load_samples(path, spec: SectorSpec) -> SampleSet:
     m = spec.n_orbitals
     counts: dict[Determinant, int] = {}
     total = 0
-    try:
-        fh = open(path)
-    except OSError as exc:
-        raise ValidationError(f"cannot read {path}: {exc}") from exc
-    with fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValidationError(f"{path}:{lineno}: expected 'bitstring count'")
-            bits, count_str = parts
-            if len(bits) != 2 * m or set(bits) - {"0", "1"}:
-                raise ValidationError(
-                    f"{path}:{lineno}: bitstring must be {2 * m} binary characters"
-                )
-            try:
-                count = int(count_str)
-            except ValueError:
-                raise ValidationError(f"{path}:{lineno}: malformed count {count_str!r}") from None
-            if count <= 0:
-                raise ValidationError(f"{path}:{lineno}: count must be positive")
-            det = Determinant(int(bits[m:], 2), int(bits[:m], 2))
-            counts[det] = counts.get(det, 0) + count
-            total += count
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise ValidationError(f"{path}:{lineno}: expected 'bitstring count'")
+        bits, count_str = parts
+        if len(bits) != 2 * m or set(bits) - {"0", "1"}:
+            raise ValidationError(
+                f"{path}:{lineno}: bitstring must be {2 * m} binary characters"
+            )
+        try:
+            count = int(count_str)
+        except ValueError:
+            raise ValidationError(f"{path}:{lineno}: malformed count {count_str!r}") from None
+        if count <= 0:
+            raise ValidationError(f"{path}:{lineno}: count must be positive")
+        det = Determinant(int(bits[m:], 2), int(bits[:m], 2))
+        counts[det] = counts.get(det, 0) + count
+        total += count
     if not counts:
         raise ValidationError(f"{path}: no samples")
     return SampleSet(m, counts, total, None, "file")

@@ -31,6 +31,7 @@ from math import comb
 import numpy as np
 import scipy.sparse as sp
 
+from .davidson import DENSE_FALLBACK_DIM
 from .errors import CapExceededError
 from .model import ElectronicIntegrals, SectorSpec
 
@@ -95,15 +96,26 @@ def _one_spin_terms(strings: np.ndarray, h: np.ndarray, g: np.ndarray):
     term, word, col, sign = _live_excitations(strings, pairs, m)
     words_l, cols_l, keys_l, vals_l = [word], [col], [pairs[term]], [k[pairs[term]] * sign]
     gmat = g.reshape(m * m, m * m)
-    for rs in np.flatnonzero(np.any(gmat != 0, axis=0)):
-        mid, mid_sign = excite(strings, *divmod(int(rs), m))
-        live = np.flatnonzero(mid_sign)
-        pq = np.flatnonzero(gmat[:, rs])
-        term, word, j, sign = _live_excitations(mid[live], pq, m)
+    coupled = (gmat != 0).T.reshape(m * m, m, m)  # [rs, p, q]
+    coupled_rs = np.flatnonzero(coupled.any(axis=(1, 2)))
+    orbitals, same = np.arange(m), np.eye(m, dtype=bool)
+    # one pass per r: E_rs for every coupled s, then on each live intermediate
+    # only the E_pq that keep it alive (q occupied, p empty or p = q) and are
+    # coupled to its rs, in ascending pq; the entries come (s, column, pq)
+    # ordered, so the stable sort below leaves each column in key order
+    for r in np.unique(coupled_rs // m):
+        rs = coupled_rs[coupled_rs // m == r]
+        mid, mid_sign = excite(strings, r, rs[:, None] % m)
+        t, j = np.nonzero(mid_sign)
+        mid, mid_sign, rs = mid[t, j], mid_sign[t, j], rs[t]
+        occ = ((mid[:, None] >> orbitals) & 1) != 0
+        e, p, q = np.nonzero(occ[:, None, :] & (same | ~occ[:, :, None]) & coupled[rs])
+        pq, rs = p * m + q, rs[e]
+        word, sign = excite(mid[e], p, q)
         words_l.append(word)
-        cols_l.append(live[j])
-        keys_l.append(m * m * (rs + 1) + pq[term])
-        vals_l.append(0.5 * gmat[pq, rs][term] * sign * mid_sign[live[j]])
+        cols_l.append(j[e])
+        keys_l.append(m * m * (rs + 1) + pq)
+        vals_l.append(0.5 * gmat[pq, rs] * sign * mid_sign[e])
     vals = np.concatenate(vals_l)
     keep = np.flatnonzero(vals != 0)
     cols = np.concatenate(cols_l)[keep]
@@ -182,6 +194,21 @@ def product_hamiltonian(
         rows_l.append(b_row[w][:, None] * stride + a_row[part])
         cols_l.append(b_col[w][:, None] * stride + a_col[part])
         vals_l.append((gos[pair, b_rs[w]] * b_sign[w])[:, None] * a_sign[part])
+    dtype = complex if ints.is_complex else float
+    if d <= DENSE_FALLBACK_DIM:
+        # the size of the dense eigensolve: the triplets are summed into a
+        # d x d array in the order they were generated (bincount adds its
+        # weights in input order, so each component sums as np.add.at would),
+        # and its nonzeros in row-major order are the canonical CSR, without
+        # the conversion's per-row sort
+        flat = np.concatenate([(r * d + c).ravel() for r, c in zip(rows_l, cols_l)])
+        vals = np.concatenate([v.ravel() for v in vals_l])
+        dense = np.bincount(flat, vals.real, d * d).astype(dtype, copy=False)
+        if ints.is_complex:
+            dense.imag = np.bincount(flat, vals.imag, d * d)
+        nz = np.flatnonzero(dense != 0)
+        return sp.csr_matrix((dense[nz], nz % d, np.searchsorted(nz, np.arange(0, d * d + 1, d))),
+                             shape=(d, d))
     # every triplet is live and nonzero; one conversion sums the duplicates,
     # and the pieces are dropped as soon as they are joined to bound the peak
     rows = np.concatenate([r.ravel() for r in rows_l])
@@ -189,7 +216,6 @@ def product_hamiltonian(
     del rows_l, cols_l
     vals = np.concatenate([v.ravel() for v in vals_l])
     del vals_l
-    dtype = complex if ints.is_complex else float
     mat = sp.coo_matrix((vals.astype(dtype, copy=False), (rows, cols)), shape=(d, d)).tocsr()
     mat.eliminate_zeros()
     return mat

@@ -5,8 +5,10 @@ creation/annihilation action on bitstrings), deliberately sharing no code
 with the package's Slater-Condon paths.  The exceptions are
 ``extsqd_expand_reference``, the per-determinant ext-SQD loop over
 ``hsqd.determinants.generate_excitations`` that the vectorized expansion
-replaced, and ``hci_ground_reference``, the selected-CI loop that rebuilt
-``hsqd.strings.hamiltonian_columns`` over the whole set every round.
+replaced, ``hci_ground_reference``, the selected-CI loop that rebuilt
+``hsqd.strings.hamiltonian_columns`` over the whole set every round, and
+``one_spin_terms_reference``, the loop over rs that
+``hsqd.strings._one_spin_terms`` replaced.
 """
 
 from dataclasses import dataclass
@@ -361,3 +363,31 @@ def hci_ground_reference(spec, ints, schedule, reference=None):
         res = result.with_variance(relative_variance(result.ci_vector, cols @ result.ci_vector))
         stages.append(SelectedCiStage(eps, len(dets), len(dets) / spec.dimension(), res, dets))
     return stages
+
+
+def one_spin_terms_reference(strings, h, g):
+    """``hsqd.strings._one_spin_terms`` as one ``excite`` per coupled rs,
+    followed by every coupled pq on the strings E_rs leaves alive."""
+    from hsqd.strings import _live_excitations, _one_body_k, excite
+
+    m = h.shape[0]
+    k = _one_body_k(h, g)
+    pairs = np.flatnonzero(k)
+    term, word, col, sign = _live_excitations(strings, pairs, m)
+    words_l, cols_l, keys_l, vals_l = [word], [col], [pairs[term]], [k[pairs[term]] * sign]
+    gmat = g.reshape(m * m, m * m)
+    for rs in np.flatnonzero(np.any(gmat != 0, axis=0)):
+        mid, mid_sign = excite(strings, *divmod(int(rs), m))
+        live = np.flatnonzero(mid_sign)
+        pq = np.flatnonzero(gmat[:, rs])
+        term, word, j, sign = _live_excitations(mid[live], pq, m)
+        words_l.append(word)
+        cols_l.append(live[j])
+        keys_l.append(m * m * (rs + 1) + pq[term])
+        vals_l.append(0.5 * gmat[pq, rs][term] * sign * mid_sign[live[j]])
+    vals = np.concatenate(vals_l)
+    keep = np.flatnonzero(vals != 0)
+    cols = np.concatenate(cols_l)[keep]
+    keep = keep[np.argsort(cols, kind="stable")]
+    return (np.concatenate(words_l)[keep], np.sort(cols, kind="stable"),
+            np.concatenate(keys_l).astype(np.int32)[keep], vals[keep])

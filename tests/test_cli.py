@@ -448,6 +448,53 @@ class TestInputErrors:
         assert main(["run", str(config)]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("seed", "-1", "seed must be nonnegative, got -1"),
+        ("shots", "0", f"shots must lie in [1, {2**63 - 1}], got 0"),
+        ("shots", "1e30", f"shots must lie in [1, {2**63 - 1}], got {int(1e30)}"),
+    ])
+    def test_seed_and_shots_rejected_before_any_work(self, tmp_path, capsys, key, value, message):
+        """The shipped dimer config with every solver: a negative seed used to
+        fail only the Ne-1 sampling, and zero shots every SQD and ext-SQD
+        sector, after FCI and HCI had run and the report had been written."""
+        shipped = Path(__file__).resolve().parents[1] / "configs" / "dimer.toml"
+        lines = [line for line in shipped.read_text().splitlines()
+                 if not line.startswith(("lattice_path", key))]
+        config = tmp_path / "dimer.toml"
+        config.write_text("\n".join(lines + [
+            f'lattice_path = "{shipped.parents[1] / "lattices" / "dimer.json"}"',
+            f"{key} = {value}"]) + "\n")
+        out = tmp_path / "o"
+        assert main(["run", str(config), "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {config}: {message}\n"
+        assert not (out / "gap_report.json").exists()
+
+    @pytest.mark.parametrize("case", ["config", "lattice", "samples", "to_fcidump",
+                                      "to_lattice", "plotdata"])
+    def test_non_utf8_error_names_the_file(self, tmp_path, capsys, case):
+        """The one-line error names the file with the byte that is not UTF-8;
+        it used to give only the codec's position, whichever input it was."""
+        lattice = write_dimer(tmp_path)
+        config = write_config(tmp_path, lattice, tmp_path / "o", samples_ne='"s.txt"')
+        (tmp_path / "s.txt").write_text("0101 10\n")
+        dump = tmp_path / "d.fcidump"
+        sweep = tmp_path / "sweep.csv"
+        sweep.write_text("solver,sector,fraction,d,energy\nfci,Ne,1,4,-1.0\n")
+        assert main(["convert", str(lattice), str(dump)]) == 0
+        bad = {"config": config, "lattice": lattice, "samples": tmp_path / "s.txt",
+               "to_fcidump": lattice, "to_lattice": dump, "plotdata": sweep}[case]
+        bad.write_bytes(bad.read_bytes() + b"\xff\n")
+        argv = {"to_fcidump": ["convert", str(lattice), str(tmp_path / "x.fcidump")],
+                "to_lattice": ["convert", str(dump), str(tmp_path / "x.json"), "--to", "lattice"],
+                "plotdata": ["plotdata", str(sweep), "--reference", "fci",
+                             "--output", str(tmp_path / "long.csv")],
+                }.get(case, ["run", str(config)])
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: input is not UTF-8 text: {bad}: ")
+        assert "0xff" in err and err.count("\n") == 1
+
 
 class TestPlotdata:
     def _run_dimer(self, tmp_path, solvers='["fci", "sqd", "extsqd"]'):
@@ -503,8 +550,9 @@ def run_fresh(code: str) -> str:
 
 class TestImportCost:
     def test_import_does_not_load_sparse_linalg(self):
-        """scipy.sparse.linalg costs about half a second of import time, which
-        every ``hsqd`` invocation would pay before doing any work."""
+        """scipy.sparse.linalg adds about 15 ms of import time after
+        ``import hsqd`` (2 vCPUs), which only runs with a subspace above the
+        dense path need pay."""
         out = run_fresh("import sys, hsqd, hsqd.cli; print('scipy.sparse.linalg' in sys.modules)")
         assert out.strip() == "False"
 

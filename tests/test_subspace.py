@@ -43,7 +43,13 @@ from hsqd.statevector import SampleSet
 from hsqd.subspace import SubspaceBasis, _covering, growth_sequence
 
 from conftest import make_chain, random_lattice
-from oracles import dense_fock_hamiltonian, extsqd_expand_reference, fock_index
+from oracles import (
+    dense_fock_hamiltonian,
+    extsqd_expand_reference,
+    fock_index,
+    one_spin_terms_reference,
+    random_general_integrals,
+)
 
 
 def samples_from(counts, m, provenance="file"):
@@ -531,6 +537,97 @@ class TestOneSpinMemo:
         assert _engine_bytes(served, *target) == want
         # and a second time, from a memo that holds every string of the request
         assert _engine_bytes(served, *target) == want
+
+
+class TestOneSpinTermsAgainstLoop:
+    """``_one_spin_terms`` against the loop over rs that it replaced
+    (``one_spin_terms_reference``): the same target words, columns, keys and
+    values, byte for byte and in the same dtypes."""
+
+    @staticmethod
+    def _assert_identical(strings, h, g):
+        got = strings_mod._one_spin_terms(strings, h, g)
+        want = one_spin_terms_reference(strings, h, g)
+        for x, y in zip(got, want):
+            assert x.dtype == y.dtype and x.shape == y.shape
+            assert x.tobytes() == y.tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        data=st.data(),
+        m=st.integers(1, 7),
+        seed=st.integers(0, 2**32 - 1),
+        complex_ints=st.booleans(),
+        pattern=st.sampled_from(["full", "sparse", "site"]),
+        subset=st.booleans(),
+    )
+    def test_bytes_match_the_loop(self, data, m, seed, complex_ints, pattern, subset):
+        """Full g (a rotated basis), a random sparse g and the site pattern
+        of U and V, on full channels and on ascending subsets (empty ones
+        included) of any electron count."""
+        n = data.draw(st.integers(0, m), label="n")
+        rng = np.random.default_rng(seed)
+        if pattern == "sparse":
+            ints = random_general_integrals(rng, m)
+            h = ints.one_body * (rng.random((m, m)) < 0.5)
+            g = ints.two_body_same_spin * (rng.random((m,) * 4) < 0.2)
+            if complex_ints:
+                h, g = h * (1 + 0.5j), g * (0.5 - 1j)
+        else:
+            ints = _random_integrals(rng, m, complex_ints, rotate=pattern == "full")
+            h, g = ints.one_body, ints.two_body_same_spin
+        words = np.array(half_strings(m, n), dtype=np.int64)
+        if subset:
+            words = np.sort(rng.choice(words, size=int(rng.integers(0, len(words) + 1)),
+                                       replace=False))
+        self._assert_identical(words, h, g)
+
+    @pytest.mark.parametrize("n", [0, 2, 4])
+    @pytest.mark.parametrize("complex_ints", [False, True])
+    def test_empty_full_and_half_channels(self, n, complex_ints):
+        rng = np.random.default_rng(n)
+        ints = _random_integrals(rng, 4, complex_ints, rotate=True)
+        for words in (np.array(half_strings(4, n), dtype=np.int64), np.zeros(0, dtype=np.int64)):
+            self._assert_identical(words, ints.one_body, ints.two_body_same_spin)
+
+
+def _complex_chain(m, v):
+    """An open chain whose hoppings carry a phase, so that its integrals are
+    complex with the site pattern of U and V."""
+    lat = make_chain(m, v=v)
+    hop = lat.hopping.astype(complex)
+    for i in range(m - 1):
+        hop[i, i + 1] *= np.exp(0.3j * (i + 1))
+        hop[i + 1, i] = np.conj(hop[i, i + 1])
+    return LatticeHamiltonian(m, hop, lat.u_intra, lat.v_inter)
+
+
+class TestProductHamiltonianAssembly:
+    """Both sides of ``DENSE_FALLBACK_DIM``: the dense scatter-add (d = 400)
+    and the COO-to-CSR conversion (d = 616) return canonical CSR matrices
+    without stored zeros that agree with the Fock-space operator."""
+
+    @pytest.mark.parametrize("complex_ints", [False, True])
+    @pytest.mark.parametrize("m, n_alpha, n_beta, n_beta_kept", [(6, 3, 3, 20), (8, 3, 6, 11)])
+    def test_canonical_and_exact(self, complex_ints, m, n_alpha, n_beta, n_beta_kept):
+        if m == 6:  # dense random hopping and V
+            lat = random_lattice(np.random.default_rng(6), m, complex_ints)
+        else:
+            lat = _complex_chain(m, v=0.6) if complex_ints else make_chain(m, v=0.6)
+        ints = map_to_electronic(lat)
+        assert ints.is_complex == complex_ints
+        alpha = np.array(half_strings(m, n_alpha), dtype=np.int64)
+        beta = np.array(half_strings(m, n_beta), dtype=np.int64)[:n_beta_kept]
+        d = len(alpha) * len(beta)
+        assert (d <= DENSE_FALLBACK_DIM) == (m == 6) and d in (400, 616)
+        mat = product_hamiltonian(ints, alpha, beta)
+        assert mat.format == "csr" and mat.has_canonical_format
+        assert np.count_nonzero(mat.data == 0) == 0
+        basis = SubspaceBasis(SectorSpec(m, n_alpha, n_beta), tuple(alpha.tolist()),
+                              tuple(beta.tolist()))
+        idx = [fock_index(det, m) for det in basis.determinants()]
+        expected = dense_fock_hamiltonian(ints).tocsr()[idx][:, idx].toarray()
+        assert np.abs(mat.toarray() - expected).max() <= 1e-12
 
 
 class TestLargeChannelProjection:
