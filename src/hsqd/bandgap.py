@@ -30,7 +30,6 @@ from .selci import SelectionSchedule, fci_ground, hci_ground
 from .statevector import SampleSet, build_state, load_samples, sample
 from .subspace import (
     SweepPoint,
-    energy_variance,
     extsqd_expand,
     filter_samples,
     solve_subspace,
@@ -296,9 +295,6 @@ def run_workflow(config: WorkflowConfig) -> tuple[GapReport, dict[str, list[Sect
                             set(config.extsqd_levels),
                         )
                         res = solve_subspace(basis, sector_mo[label])
-                        res = res.with_variance(
-                            energy_variance(res, basis.determinants(), sector_mo[label])
-                        )
                         run.points = [_point(basis.fraction, basis.dimension, res)]
                 run.energy = run.points[-1][2]
                 sector_energies[label][solver] = run.energy

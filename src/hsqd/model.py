@@ -195,6 +195,11 @@ class SectorSpec:
     def n_electrons(self) -> int:
         return self.n_alpha + self.n_beta
 
+    def holds(self, word: int, channel: str) -> bool:
+        """Whether ``word`` is an M-orbital string of the "alpha" or "beta" channel."""
+        n_occ = self.n_alpha if channel == "alpha" else self.n_beta
+        return 0 <= word < 1 << self.n_orbitals and bin(word).count("1") == n_occ
+
     def dimension(self) -> int:
         from math import comb
 

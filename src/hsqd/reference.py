@@ -41,20 +41,30 @@ class MeanFieldSolution:
         return Determinant((1 << spec.n_alpha) - 1, (1 << spec.n_beta) - 1)
 
 
-def _fock(ints: ElectronicIntegrals, p: np.ndarray) -> np.ndarray:
+# the M^4 contractions: J and K of the Fock matrix, direct and exchange energy
+_J, _K, _E_DIR, _E_X = "pqrs,sr->pq", "pqrs,qr->ps", "pqrs,qp,sr->", "pqrs,sp,qr->"
+
+
+def _contraction_paths(g: np.ndarray, p: np.ndarray) -> dict[str, list]:
+    """The path ``optimize=True`` plans on every call, planned once per SCF."""
+    return {spec: np.einsum_path(spec, g, *[p] * spec.count(","), optimize=True)[0]
+            for spec in (_J, _K, _E_DIR, _E_X)}
+
+
+def _fock(ints: ElectronicIntegrals, p: np.ndarray, paths: dict[str, list]) -> np.ndarray:
     g_dir = ints.two_body_same_spin + ints.two_body_opposite_spin
-    j = np.einsum("pqrs,sr->pq", g_dir, p, optimize=True)
-    k = np.einsum("pqrs,qr->ps", ints.two_body_same_spin, p, optimize=True)
+    j = np.einsum(_J, g_dir, p, optimize=paths[_J])
+    k = np.einsum(_K, ints.two_body_same_spin, p, optimize=paths[_K])
     return ints.one_body + j - k
 
 
-def _electronic_energy(ints: ElectronicIntegrals, p: np.ndarray) -> float:
+def _electronic_energy(ints: ElectronicIntegrals, p: np.ndarray, paths: dict[str, list]) -> float:
     h = ints.one_body
     gss = ints.two_body_same_spin
     gos = ints.two_body_opposite_spin
     e1 = 2.0 * np.einsum("pq,qp->", h, p)
-    e_dir = np.einsum("pqrs,qp,sr->", gss + gos, p, p, optimize=True)
-    e_x = np.einsum("pqrs,sp,qr->", gss, p, p, optimize=True)
+    e_dir = np.einsum(_E_DIR, gss + gos, p, p, optimize=paths[_E_DIR])
+    e_x = np.einsum(_E_X, gss, p, p, optimize=paths[_E_X])
     return float(np.real(e1 + e_dir - e_x)) + ints.core_energy
 
 
@@ -76,24 +86,25 @@ def solve_mean_field(ints: ElectronicIntegrals, spec: SectorSpec) -> MeanFieldSo
     converged = False
     iterations = 0
     p = c[:, :n_pairs] @ c[:, :n_pairs].conj().T if n_pairs else np.zeros((m, m))
+    paths = _contraction_paths(ints.two_body_same_spin, p)
     stalls = 0
     a_prev = 1.0
     for it in range(1, SCF_MAX_ITER + 1):
         iterations = it
-        f = _fock(ints, p)
+        f = _fock(ints, p, paths)
         evals, c = scipy.linalg.eigh(f)
         p_new = c[:, :n_pairs] @ c[:, :n_pairs].conj().T if n_pairs else np.zeros((m, m))
         step = p_new - p
         delta = np.abs(step).max()
         if delta < SCF_DENSITY_TOL:
             converged = True
-            history.append(_electronic_energy(ints, p_new))
+            history.append(_electronic_energy(ints, p_new, paths))
             p = p_new
             break
         # E((1-a) p + a p_new) is quadratic in a; minimize it exactly
-        e0 = _electronic_energy(ints, p)
-        e1 = _electronic_energy(ints, p_new)
-        em = _electronic_energy(ints, p + 0.5 * step)
+        e0 = _electronic_energy(ints, p, paths)
+        e1 = _electronic_energy(ints, p_new, paths)
+        em = _electronic_energy(ints, p + 0.5 * step, paths)
         curv = 2.0 * (e0 + e1 - 2.0 * em)
         slope = 4.0 * em - 3.0 * e0 - e1
         noise = 1e-11 * max(1.0, abs(e0))
@@ -111,12 +122,12 @@ def solve_mean_field(ints: ElectronicIntegrals, spec: SectorSpec) -> MeanFieldSo
         stalls = 0
         a_prev = a
         p = p + a * step
-        e = _electronic_energy(ints, p)
+        e = _electronic_energy(ints, p, paths)
         if not np.isfinite(e):
             raise ConvergenceError("SCF diverged (energy is not finite)")
         history.append(e)
     # final canonical orbitals for the converged density
-    f = _fock(ints, p)
+    f = _fock(ints, p, paths)
     evals, c = scipy.linalg.eigh(f)
 
     ref = Determinant((1 << spec.n_alpha) - 1, (1 << spec.n_beta) - 1)

@@ -20,7 +20,7 @@ from .determinants import Determinant, half_strings
 from .errors import CapExceededError, ValidationError
 from .model import ElectronicIntegrals, SectorSpec
 from .strings import columns_bytes, hamiltonian_columns
-from .subspace import SubspaceBasis, project_hamiltonian, relative_variance
+from .subspace import SubspaceBasis, relative_variance, solve_subspace
 
 FCI_CAP = 10**6
 
@@ -51,24 +51,13 @@ class SelectedCiStage:
 
 
 def fci_ground(spec: SectorSpec, ints: ElectronicIntegrals) -> GroundStateResult:
-    """Lowest eigenpair over the complete sector basis.
-
-    The sector is closed under H, so H c = E c + r with r orthogonal to c and
-    the relative variance is exactly (|r| / E)^2; it is None when E is zero.
-    """
+    """Lowest eigenpair over the complete sector basis (``solve_subspace``,
+    whose variance there is the exact one from the residual)."""
     dim = spec.dimension()
     if dim > FCI_CAP:
         raise CapExceededError(f"sector dimension {dim} exceeds FCI cap {FCI_CAP}")
-    # project_hamiltonian, the one entry point for every product space
-    basis = SubspaceBasis(
-        spec,
-        tuple(half_strings(spec.n_orbitals, spec.n_alpha)),
-        tuple(half_strings(spec.n_orbitals, spec.n_beta)),
-    )
-    result = lowest_eigenpair(project_hamiltonian(basis, ints))
-    if abs(result.energy) < 1e-14:
-        return result
-    return result.with_variance((result.residual_norm / result.energy) ** 2)
+    strings = (tuple(half_strings(spec.n_orbitals, n)) for n in (spec.n_alpha, spec.n_beta))
+    return solve_subspace(SubspaceBasis(spec, *strings), ints)
 
 
 def _intern(table, keys: np.ndarray):
@@ -229,8 +218,7 @@ def hci_ground(
     """
     if reference is None:
         reference = Determinant((1 << spec.n_alpha) - 1, (1 << spec.n_beta) - 1)
-    elif (reference.alpha.bit_count(), reference.beta.bit_count()) != \
-            (spec.n_alpha, spec.n_beta) or (reference.alpha | reference.beta) >> spec.n_orbitals:
+    elif not (spec.holds(reference.alpha, "alpha") and spec.holds(reference.beta, "beta")):
         raise ValidationError("reference determinant outside the sector")
     store = _ColumnStore(ints, spec)
     store.extend(*(np.array([word], dtype=np.int64) for word in (reference.alpha, reference.beta)))

@@ -2,15 +2,17 @@
 
 A subspace is kept in product form: an ordered set of alpha half-strings
 times an ordered set of beta half-strings.  Samples rank the strings by
-marginal frequency; a greedy growth sequence then realizes any requested
-fraction of the sector, and nested fractions reuse prefixes of the same
-sequence, which makes fraction sweeps monotone by construction.
+marginal frequency; a fraction takes the shortest prefixes of the rankings
+that cover it, the alpha ranking filling before the beta one grows, so sweeps
+are nested and monotone by construction.  ``solve_subspace`` solves every
+subspace, and takes its variance from the residual when the subspace is the
+whole sector, from one full-sector sigma otherwise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import ceil, comb
 
 import numpy as np
 import scipy.sparse as sp
@@ -32,15 +34,12 @@ class SubspaceBasis:
     beta_strings: tuple[int, ...]
 
     def __post_init__(self):
-        for name, strings, nocc in (
-            ("alpha", self.alpha_strings, self.spec.n_alpha),
-            ("beta", self.beta_strings, self.spec.n_beta),
-        ):
+        for name, strings in (("alpha", self.alpha_strings), ("beta", self.beta_strings)):
             if len(set(strings)) != len(strings):
                 raise ValidationError(f"duplicate {name} strings")
             for s in strings:
-                if bin(s).count("1") != nocc:
-                    raise ValidationError(f"{name} string {s:b} has wrong particle number")
+                if not self.spec.holds(s, name):
+                    raise ValidationError(f"{name} string {s:b} outside the sector")
 
     @property
     def dimension(self) -> int:
@@ -97,44 +96,34 @@ def _ranked_strings(samples: SampleSet, spec: SectorSpec, channel: str) -> list[
 
 def growth_sequence(
     samples: SampleSet, spec: SectorSpec, reference: Determinant | None = None
-) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Nested product subspaces realized by greedy frequency-ranked growth.
+) -> tuple[list[int], list[int]]:
+    """The alpha and beta string rankings (reference strings, when given,
+    first) whose prefixes make every subspace of a sweep (``_covering``).
 
-    Each entry is (alpha_strings, beta_strings) after one addition; the
-    channel added at every step is the one whose next string yields the
-    smaller product dimension (alpha on ties).  Reference strings, when
-    given, are forced to the front of both rankings.
+    A subspace grows from one string of each channel by the channel whose
+    next string gives the smaller product, alpha on ties: (na + 1) nb
+    against na (nb + 1) picks alpha whenever nb <= na, so the alpha ranking
+    fills before the beta one grows.
     """
     ranked_a = _ranked_strings(samples, spec, "alpha")
     ranked_b = _ranked_strings(samples, spec, "beta")
     if reference is not None:
-        if bin(reference.alpha).count("1") != spec.n_alpha or \
-                bin(reference.beta).count("1") != spec.n_beta:
+        if not (spec.holds(reference.alpha, "alpha") and spec.holds(reference.beta, "beta")):
             raise ValidationError("reference determinant outside the sector")
         ranked_a = [reference.alpha] + [w for w in ranked_a if w != reference.alpha]
         ranked_b = [reference.beta] + [w for w in ranked_b if w != reference.beta]
-    seq = []
-    a: list[int] = [ranked_a[0]]
-    b: list[int] = [ranked_b[0]]
-    ia, ib = 1, 1
-    seq.append((tuple(a), tuple(b)))
-    while ia < len(ranked_a) or ib < len(ranked_b):
-        grow_a = (len(a) + 1) * len(b) if ia < len(ranked_a) else None
-        grow_b = len(a) * (len(b) + 1) if ib < len(ranked_b) else None
-        if grow_b is None or (grow_a is not None and grow_a <= grow_b):
-            a.append(ranked_a[ia])
-            ia += 1
-        else:
-            b.append(ranked_b[ib])
-            ib += 1
-        seq.append((tuple(a), tuple(b)))
-    return seq
+    return ranked_a, ranked_b
 
 
-def _covering(seq, target: float) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """First growth step whose product dimension reaches ``target``; the last
-    step when none does (a sector too large to pad with unobserved strings)."""
-    return next(((a, b) for a, b in seq if len(a) * len(b) >= target), seq[-1])
+def _covering(rankings, target: float) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The first subspace of the growth over ``rankings`` whose product
+    dimension reaches ``target``; the whole rankings when none does (a sector
+    too large to pad with unobserved strings)."""
+    ranked_a, ranked_b = rankings
+    t = ceil(target)
+    na = min(len(ranked_a), max(1, t))
+    nb = min(len(ranked_b), max(1, -(-t // na)))
+    return tuple(ranked_a[:na]), tuple(ranked_b[:nb])
 
 
 def project_hamiltonian(basis: SubspaceBasis, ints: ElectronicIntegrals) -> sp.csr_matrix:
@@ -148,7 +137,18 @@ def project_hamiltonian(basis: SubspaceBasis, ints: ElectronicIntegrals) -> sp.c
 
 
 def solve_subspace(basis: SubspaceBasis, ints: ElectronicIntegrals) -> GroundStateResult:
-    return lowest_eigenpair(project_hamiltonian(basis, ints))
+    """Lowest eigenpair over ``basis`` with its relative variance.
+
+    The whole sector is closed under H, so there H c = E c + r with r
+    orthogonal to c and the variance is exactly (|r| / E)^2, None when E is
+    zero; any other subspace takes ``energy_variance``.
+    """
+    result = lowest_eigenpair(project_hamiltonian(basis, ints))
+    if basis.dimension == basis.spec.dimension():
+        if abs(result.energy) < 1e-14:
+            return result
+        return result.with_variance((result.residual_norm / result.energy) ** 2)
+    return result.with_variance(energy_variance(result, basis.determinants(), ints))
 
 
 def energy_variance(
@@ -264,11 +264,9 @@ def sqd_sweep(
         raise ValidationError("fractions must lie in (0, 1]")
     if any(b <= a for a, b in zip(fractions, fractions[1:])):
         raise ValidationError("fractions must be strictly increasing")
-    seq = growth_sequence(samples, spec, reference)
+    rankings = growth_sequence(samples, spec, reference)
     points = []
     for fraction in fractions:
-        basis = SubspaceBasis(spec, *_covering(seq, fraction * spec.dimension()))
-        result = solve_subspace(basis, ints)
-        result = result.with_variance(energy_variance(result, basis.determinants(), ints))
-        points.append(SweepPoint(fraction, basis, result))
+        basis = SubspaceBasis(spec, *_covering(rankings, fraction * spec.dimension()))
+        points.append(SweepPoint(fraction, basis, solve_subspace(basis, ints)))
     return points

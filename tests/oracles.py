@@ -6,9 +6,10 @@ with the package's Slater-Condon paths.  The exceptions are
 ``extsqd_expand_reference``, the per-determinant ext-SQD loop over
 ``hsqd.determinants.generate_excitations`` that the vectorized expansion
 replaced, ``hci_ground_reference``, the selected-CI loop that rebuilt
-``hsqd.strings.hamiltonian_columns`` over the whole set every round, and
+``hsqd.strings.hamiltonian_columns`` over the whole set every round,
 ``one_spin_terms_reference``, the loop over rs that
-``hsqd.strings._one_spin_terms`` replaced.
+``hsqd.strings._one_spin_terms`` replaced, and ``covering_reference``, the
+step-by-step growth loop that ``hsqd.subspace._covering`` replaced.
 """
 
 from dataclasses import dataclass
@@ -391,3 +392,25 @@ def one_spin_terms_reference(strings, h, g):
     keep = keep[np.argsort(cols, kind="stable")]
     return (np.concatenate(words_l)[keep], np.sort(cols, kind="stable"),
             np.concatenate(keys_l).astype(np.int32)[keep], vals[keep])
+
+
+def covering_reference(ranked_a, ranked_b, target):
+    """The first step of greedy product growth over the two rankings whose
+    dimension reaches ``target``, the last step when none does.  Growth
+    starts from the first string of each ranking and adds, one string at a
+    time, the channel whose next string gives the smaller product (alpha on
+    ties) until both rankings are used up."""
+    a, b = [ranked_a[0]], [ranked_b[0]]
+    ia, ib = 1, 1
+    seq = [(tuple(a), tuple(b))]
+    while ia < len(ranked_a) or ib < len(ranked_b):
+        grow_a = (len(a) + 1) * len(b) if ia < len(ranked_a) else None
+        grow_b = len(a) * (len(b) + 1) if ib < len(ranked_b) else None
+        if grow_b is None or (grow_a is not None and grow_a <= grow_b):
+            a.append(ranked_a[ia])
+            ia += 1
+        else:
+            b.append(ranked_b[ib])
+            ib += 1
+        seq.append((tuple(a), tuple(b)))
+    return next(((a, b) for a, b in seq if len(a) * len(b) >= target), seq[-1])

@@ -189,11 +189,24 @@ class TestRunWorkflow:
         assert report.failures == {}
         assert report.sector_energies == want.sector_energies
         assert report.gaps == want.gaps
-        # sqd and extsqd skip the full-sector sigma; hci takes its variance
-        # from its own columns, which no variance cap bounds
-        for solver in ("sqd", "extsqd"):
-            for run in runs[solver]:
-                assert [point[4] for point in run.points] == [None] * len(run.points)
+        # sqd and extsqd skip the full-sector sigma on proper subspaces and
+        # take a whole sector's variance from the residual, which needs no
+        # sigma; hci takes its variance from its own columns, which no
+        # variance cap bounds
+        whole = {"sqd": 0, "extsqd": 0}
+        for solver in whole:
+            for run, free in zip(runs[solver], uncapped[solver]):
+                assert [p[:4] for p in run.points] == [p[:4] for p in free.points]
+                n_alpha, n_beta = report.sector_specs[run.sector]
+                for _, d, energy, residual, variance, _ in run.points:
+                    if d == SectorSpec(2, n_alpha, n_beta).dimension():
+                        whole[solver] += 1
+                        assert variance == (residual / energy) ** 2
+                    else:
+                        assert variance is None
+        # fraction 1.0 and every ext-SQD point cover the whole dimer sector
+        assert whole == {"sqd": 3, "extsqd": 3}
+        assert sum(len(run.points) for run in runs["sqd"]) == 6
         assert all(p[4] is not None for run in runs["hci"] for p in run.points)
         assert [[p[4] for p in run.points] for run in runs["hci"]] == \
             [[p[4] for p in run.points] for run in uncapped["hci"]]

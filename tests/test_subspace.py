@@ -44,6 +44,7 @@ from hsqd.subspace import SubspaceBasis, _covering, growth_sequence
 
 from conftest import make_chain, random_lattice
 from oracles import (
+    covering_reference,
     dense_fock_hamiltonian,
     extsqd_expand_reference,
     fock_index,
@@ -139,6 +140,30 @@ class TestBuildSubspace:
         basis = covering_basis(s, spec, 0.25, reference=ref)
         assert ref.alpha in basis.alpha_strings and ref.beta in basis.beta_strings
 
+    def test_strings_outside_the_orbitals_rejected(self):
+        """A string above the M orbitals used to be accepted and, in a
+        whole-sector-sized basis, would pass for the sector."""
+        with pytest.raises(ValidationError, match="alpha string 1000 outside the sector"):
+            SubspaceBasis(SectorSpec(3, 1, 1), (0b1000,), (0b1000,))
+        with pytest.raises(ValidationError, match="beta string 100 outside the sector"):
+            SubspaceBasis(SectorSpec(2, 1, 1), (0b01, 0b10), (0b01, 0b100))
+        with pytest.raises(ValidationError, match="alpha string -1 outside the sector"):
+            SubspaceBasis(SectorSpec(2, 1, 1), (-1,), (0b01,))
+
+    def test_reference_outside_the_orbitals_rejected_before_any_solve(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("eigensolve called")
+
+        monkeypatch.setattr(subspace_mod, "lowest_eigenpair", fail)
+        spec = SectorSpec(3, 1, 1)
+        s = samples_from({Determinant(0b001, 0b010): 50}, 3)
+        for ref in (Determinant(0b1000, 0b001), Determinant(0b001, 0b1000),
+                    Determinant(0b011, 0b001)):
+            with pytest.raises(ValidationError, match="reference determinant outside the sector"):
+                growth_sequence(s, spec, ref)
+            with pytest.raises(ValidationError, match="reference determinant outside the sector"):
+                sqd_sweep(s, spec, map_to_electronic(make_chain(3)), [0.5, 1.0], reference=ref)
+
     def test_sqd_energy_is_variational(self):
         rng = np.random.default_rng(5)
         lat = make_chain(4)
@@ -149,6 +174,88 @@ class TestBuildSubspace:
         basis = covering_basis(samples, spec, 0.25)
         res = solve_subspace(basis, ints)
         assert res.energy >= e_fci - 1e-12
+
+
+class TestCoveringAgainstGrowthLoop:
+    """``_covering`` against the step-by-step growth loop it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.data(),
+        la=st.integers(1, 30),
+        lb=st.integers(1, 30),
+        kind=st.sampled_from(["integer", "fraction", "above"]),
+    )
+    def test_first_covering_step(self, data, la, lb, kind):
+        ranked_a = data.draw(st.permutations(range(la)))
+        ranked_b = data.draw(st.permutations(range(100, 100 + lb)))
+        if kind == "integer":
+            target = data.draw(st.integers(0, la * lb))
+        elif kind == "fraction":
+            # a sector too large to pad has more determinants than the product
+            dim = data.draw(st.integers(la * lb, 3 * la * lb))
+            fraction = data.draw(st.sampled_from([0.02, 0.05, 0.1, 0.15, 0.25, 0.3, 0.5, 0.7, 1.0])
+                                 | st.floats(0.0, 1.0, exclude_min=True))
+            target = fraction * dim
+        else:
+            target = data.draw(st.integers(la * lb + 1, 4 * la * lb + 4)
+                               | st.floats(la * lb + 1e-9, 4.0 * la * lb + 4))
+        got = _covering((ranked_a, ranked_b), target)
+        assert got == covering_reference(ranked_a, ranked_b, target)
+
+    @pytest.mark.parametrize("la, lb", [(1, 1), (1, 5), (5, 1), (2, 2)])
+    def test_one_string_channels(self, la, lb):
+        ranked_a, ranked_b = list(range(la)), list(range(la, la + lb))
+        for target in [0, 0.5, 1, 1.5, *range(2, la * lb + 3), 0.1 * la * lb, 10.0 * la * lb]:
+            assert _covering((ranked_a, ranked_b), target) == \
+                covering_reference(ranked_a, ranked_b, target)
+
+    def test_twelve_site_five_percent(self):
+        spec = SectorSpec(12, 6, 6)
+        rankings = (half_strings(12, 6), half_strings(12, 6))
+        a, b = _covering(rankings, 0.05 * spec.dimension())
+        assert (len(a), len(b)) == (924, 47)
+        assert (a, b) == covering_reference(*rankings, 0.05 * spec.dimension())
+
+
+class TestSolveSubspace:
+    @pytest.mark.parametrize("complex_hopping", [False, True])
+    def test_fci_ground_is_solve_subspace_on_the_sector(self, complex_hopping):
+        rng = np.random.default_rng(31)
+        # d = 36, 24 and 100 take the dense path, d = 1,225 Lanczos
+        for m, n_alpha, n_beta in [(4, 2, 2), (4, 3, 2), (5, 3, 2), (7, 4, 3)]:
+            ints = map_to_electronic(random_lattice(rng, m, complex_hopping=complex_hopping))
+            spec = SectorSpec(m, n_alpha, n_beta)
+            want, got = fci_ground(spec, ints), solve_subspace(full_basis(spec), ints)
+            for f in dataclasses.fields(want):
+                a, b = getattr(want, f.name), getattr(got, f.name)
+                if isinstance(a, np.ndarray):
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+                else:
+                    assert a == b
+
+    @pytest.mark.parametrize("complex_hopping", [False, True])
+    def test_whole_sector_variance_is_the_residual_one(self, complex_hopping):
+        rng = np.random.default_rng(32)
+        for m, n_alpha, n_beta in [(3, 1, 1), (4, 2, 2), (4, 1, 3), (5, 3, 2), (7, 4, 3)]:
+            lat = random_lattice(rng, m, complex_hopping=complex_hopping)
+            q = np.linalg.qr(rng.normal(size=(m, m)))[0]
+            for ints in (map_to_electronic(lat), rotate_basis(map_to_electronic(lat), q)):
+                basis = full_basis(SectorSpec(m, n_alpha, n_beta))
+                res = solve_subspace(basis, ints)
+                assert res.variance >= 0.0
+                assert res.variance == (res.residual_norm / res.energy) ** 2
+                sigma_var = energy_variance(res, basis.determinants(), ints)
+                assert res.variance == pytest.approx(sigma_var, abs=1e-13)
+
+    def test_whole_sector_zero_energy_has_no_variance(self, dimer_ints):
+        res = solve_subspace(full_basis(SectorSpec(2, 0, 0)), dimer_ints)
+        assert res.energy == 0.0 and res.variance is None
+
+    def test_proper_subspace_takes_the_sigma_variance(self, dimer_ints):
+        basis = SubspaceBasis(SectorSpec(2, 1, 1), (0b01,), (0b01, 0b10))
+        res = solve_subspace(basis, dimer_ints)
+        assert res.variance == energy_variance(res, basis.determinants(), dimer_ints)
 
 
 class TestProjectHamiltonian:
