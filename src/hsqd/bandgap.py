@@ -25,11 +25,13 @@ from .model import (
     map_to_electronic,
     rotate_basis,
 )
-from .reference import MeanFieldSolution, lucj_from_t2, mp2_doubles, solve_mean_field
+from .reference import MeanFieldSolution, check_layers, lucj_from_t2, mp2_doubles, solve_mean_field
 from .selci import SelectionSchedule, fci_ground, hci_ground
 from .statevector import SampleSet, build_state, load_samples, sample
 from .subspace import (
     SweepPoint,
+    check_expansion,
+    check_fractions,
     extsqd_expand,
     filter_samples,
     solve_subspace,
@@ -130,6 +132,12 @@ class WorkflowConfig:
         for label in self.samples_files:
             if label not in SECTOR_LABELS:
                 raise ValidationError(f"unknown sector label {label!r} in samples files")
+        # the rules of the routines that take these settings, checked before
+        # any work starts
+        check_fractions(self.fractions)
+        SelectionSchedule(epsilons=tuple(self.hci_epsilons))
+        check_expansion(self.extsqd_threshold, set(self.extsqd_levels))
+        check_layers(self.lucj_layers)
 
 
 @dataclass

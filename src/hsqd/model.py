@@ -155,20 +155,6 @@ class ElectronicIntegrals:
         )
 
     @cached_property
-    def diag_coulomb_same(self) -> np.ndarray:
-        """Density-density couplings g[p, p, q, q] of the same-spin channel."""
-        return np.ascontiguousarray(np.einsum("ppqq->pq", self.two_body_same_spin))
-
-    @cached_property
-    def diag_coulomb_opposite(self) -> np.ndarray:
-        return np.ascontiguousarray(np.einsum("ppqq->pq", self.two_body_opposite_spin))
-
-    @cached_property
-    def diag_exchange_same(self) -> np.ndarray:
-        """Same-spin exchange couplings g[p, q, q, p]."""
-        return np.ascontiguousarray(np.einsum("pqqp->pq", self.two_body_same_spin))
-
-    @cached_property
     def one_spin_memo(self) -> dict:
         """Each string word's one-spin entries under these integrals, filled
         by ``hsqd.strings`` as strings are requested; it lives and dies with
@@ -355,8 +341,8 @@ def lattice_from_electronic(ints: ElectronicIntegrals) -> LatticeHamiltonian:
             raise ValidationError(
                 f"integrals are not density-density ({name} channel); cannot recover a lattice form"
             )
-    d_os = ints.diag_coulomb_opposite
-    d_ss = ints.diag_coulomb_same
+    # the density-density couplings g[p, p, q, q] of each channel
+    d_os, d_ss = (np.einsum("ppqq->pq", g) for g in (gos, gss))
     u = np.real(np.diag(d_os)).copy()
     v = np.real(d_os).copy()
     np.fill_diagonal(v, 0.0)

@@ -14,9 +14,10 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .determinants import Determinant, diagonal_energy
+from .determinants import Determinant
 from .errors import ConvergenceError, ValidationError
 from .model import ElectronicIntegrals, SectorSpec, rotate_basis
+from .strings import product_hamiltonian
 
 SCF_DENSITY_TOL = 1e-8
 SCF_MAX_ITER = 500
@@ -132,7 +133,9 @@ def solve_mean_field(ints: ElectronicIntegrals, spec: SectorSpec) -> MeanFieldSo
 
     ref = Determinant((1 << spec.n_alpha) - 1, (1 << spec.n_beta) - 1)
     mo_ints = rotate_basis(ints, c)
-    hf_energy = diagonal_energy(ref, mo_ints)
+    # the engine's H over the 1 x 1 product space of the reference
+    hf_energy = float(np.real(product_hamiltonian(
+        mo_ints, np.array([ref.alpha], dtype=np.int64), np.array([ref.beta], dtype=np.int64))[0, 0]))
     return MeanFieldSolution(
         orbital_coefficients=c,
         orbital_energies=evals,
@@ -261,6 +264,12 @@ def default_masks(m: int) -> tuple[np.ndarray, np.ndarray]:
     return mask_same, mask_opposite
 
 
+def check_layers(layers: int) -> None:
+    """``lucj_from_t2`` builds one or more layers."""
+    if layers < 1:
+        raise ValidationError("at least one layer required")
+
+
 def lucj_from_t2(
     t2: np.ndarray,
     n_orbitals: int,
@@ -284,8 +293,7 @@ def lucj_from_t2(
             f"amplitude tensor shape {t2.shape} inconsistent with "
             f"{n_orbitals} orbitals and {n_occ} occupied"
         )
-    if layers < 1:
-        raise ValidationError("at least one layer required")
+    check_layers(layers)
     m = n_orbitals
     mask_same, mask_opposite = default_masks(m)
 

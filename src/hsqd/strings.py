@@ -56,6 +56,21 @@ def excite(words: np.ndarray, p, q) -> tuple[np.ndarray, np.ndarray]:
     return gone | bit_p, sign
 
 
+def excited_strings(strings: np.ndarray, m: int, singles: bool, doubles: bool) -> np.ndarray:
+    """The single and/or double excitations of the string words ``strings``
+    over ``m`` orbitals, with repeats; a double is a single of a single that
+    differs from its source string in four orbitals."""
+    p, q = np.divmod(np.flatnonzero(~np.eye(m, dtype=bool)), m)
+    words, sign = excite(strings[:, None], p, q)
+    live = sign != 0
+    out = [words[live]] if singles else []
+    if doubles:
+        words2, sign2 = excite(words[live][:, None], p, q)
+        source = np.broadcast_to(strings[:, None], words.shape)[live]
+        out.append(words2[(sign2 != 0) & (np.bitwise_count(words2 ^ source[:, None]) == 4)])
+    return np.concatenate(out)
+
+
 def _locate(strings: np.ndarray, words: np.ndarray) -> np.ndarray:
     """Positions of ``words`` in the ascending ``strings``; -1 where absent."""
     pos = np.minimum(np.searchsorted(strings, words), len(strings) - 1)

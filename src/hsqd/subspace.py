@@ -18,11 +18,12 @@ import numpy as np
 import scipy.sparse as sp
 
 from .davidson import GroundStateResult, lowest_eigenpair
-from .determinants import SECTOR_CAP, Determinant, half_strings
+from .determinants import SECTOR_CAP, Determinant, check_levels, half_strings
 from .errors import ValidationError
 from .model import ElectronicIntegrals, SectorSpec
 from .statevector import SampleSet
-from .strings import SIGMA_BYTES_CAP, _locate, excite, product_hamiltonian, sigma, sigma_bytes
+from .strings import (SIGMA_BYTES_CAP, _locate, excited_strings, product_hamiltonian, sigma,
+                      sigma_bytes)
 
 
 @dataclass(frozen=True)
@@ -184,14 +185,26 @@ def energy_variance(
 
 
 def relative_variance(c: np.ndarray, s: np.ndarray) -> float | None:
-    """(<H^2> - <H>^2) / <H>^2 of the vector ``c`` from s = H c, where ``s``
-    covers every determinant that H reaches from ``c`` and its first
-    ``c.size`` entries (flattened) are those of ``c``; None when <H> is zero."""
-    h1 = float(np.real(np.vdot(c, s.reshape(-1)[:c.size])))
-    h2 = float(np.real(np.vdot(s, s)))
+    """Relative variance (<H^2> - <H>^2) / <H>^2 of the normalized vector
+    ``c`` from s = H c, where ``s`` covers every determinant that H reaches
+    from ``c`` and its first ``c.size`` entries (flattened) are those of
+    ``c``; None when <H> is zero.  It is taken as |s - <H> c|^2 / <H>^2, the
+    squared residual, which cannot go negative by cancellation."""
+    c, s = c.reshape(-1), s.reshape(-1)
+    h1 = float(np.real(np.vdot(c, s[:c.size])))
     if abs(h1) < 1e-14:
         return None
-    return (h2 - h1 * h1) / (h1 * h1)
+    r = s.copy()
+    r[:c.size] -= h1 * c
+    return float(np.real(np.vdot(r, r))) / (h1 * h1)
+
+
+def check_expansion(threshold: float, levels: set[int]) -> None:
+    """``extsqd_expand`` takes a nonnegative threshold and levels that are a
+    nonempty subset of {1, 2}."""
+    if threshold < 0:
+        raise ValidationError("threshold must be nonnegative")
+    check_levels(levels)
 
 
 def extsqd_expand(
@@ -207,10 +220,7 @@ def extsqd_expand(
     input strings is re-closed into product form, which makes
     re-diagonalization variationally monotone.
     """
-    if threshold < 0:
-        raise ValidationError("threshold must be nonnegative")
-    if not levels or not levels <= {1, 2}:
-        raise ValidationError("levels must be a nonempty subset of {1, 2}")
+    check_expansion(threshold, levels)
     # the CI vector is beta-major over the ascending strings
     kept = np.abs(result.ci_vector.reshape(len(basis.beta_strings), -1)) ** 2 >= threshold
     if not kept.any():
@@ -218,29 +228,14 @@ def extsqd_expand(
     spec = basis.spec
     # a mixed double is a single in each channel, so with levels {2} a channel
     # gains its singles when the other channel has any (0 < n < M)
-    alpha = _excited_strings(
+    alpha = excited_strings(
         np.array(sorted(basis.alpha_strings), dtype=np.int64)[kept.any(axis=0)], spec.n_orbitals,
         1 in levels or 0 < spec.n_beta < spec.n_orbitals, 2 in levels)
-    beta = _excited_strings(
+    beta = excited_strings(
         np.array(sorted(basis.beta_strings), dtype=np.int64)[kept.any(axis=1)], spec.n_orbitals,
         1 in levels or 0 < spec.n_alpha < spec.n_orbitals, 2 in levels)
     return SubspaceBasis(spec, tuple(np.union1d(basis.alpha_strings, alpha).tolist()),
                          tuple(np.union1d(basis.beta_strings, beta).tolist()))
-
-
-def _excited_strings(strings: np.ndarray, m: int, singles: bool, doubles: bool) -> np.ndarray:
-    """The single and/or double excitations of the string words ``strings``,
-    with repeats; a double is a single of a single that differs from its
-    source string in four orbitals."""
-    p, q = np.divmod(np.flatnonzero(~np.eye(m, dtype=bool)), m)
-    words, sign = excite(strings[:, None], p, q)
-    live = sign != 0
-    out = [words[live]] if singles else []
-    if doubles:
-        words2, sign2 = excite(words[live][:, None], p, q)
-        source = np.broadcast_to(strings[:, None], words.shape)[live]
-        out.append(words2[(sign2 != 0) & (np.bitwise_count(words2 ^ source[:, None]) == 4)])
-    return np.concatenate(out)
 
 
 @dataclass(frozen=True)
@@ -248,6 +243,16 @@ class SweepPoint:
     fraction: float
     basis: SubspaceBasis
     result: GroundStateResult
+
+
+def check_fractions(fractions) -> None:
+    """``sqd_sweep`` takes one or more strictly increasing fractions in (0, 1]."""
+    if not fractions:
+        raise ValidationError("no fractions requested")
+    if any(f <= 0.0 or f > 1.0 for f in fractions):
+        raise ValidationError("fractions must lie in (0, 1]")
+    if any(b <= a for a, b in zip(fractions, fractions[1:])):
+        raise ValidationError("fractions must be strictly increasing")
 
 
 def sqd_sweep(
@@ -258,12 +263,7 @@ def sqd_sweep(
     reference: Determinant | None = None,
 ) -> list[SweepPoint]:
     """One subspace solve per requested fraction, on nested subspaces."""
-    if not fractions:
-        raise ValidationError("no fractions requested")
-    if any(f <= 0.0 or f > 1.0 for f in fractions):
-        raise ValidationError("fractions must lie in (0, 1]")
-    if any(b <= a for a, b in zip(fractions, fractions[1:])):
-        raise ValidationError("fractions must be strictly increasing")
+    check_fractions(fractions)
     rankings = growth_sequence(samples, spec, reference)
     points = []
     for fraction in fractions:

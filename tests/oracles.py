@@ -2,10 +2,13 @@
 
 Everything here is built straight from operator definitions (explicit
 creation/annihilation action on bitstrings), deliberately sharing no code
-with the package's Slater-Condon paths.  The exceptions are
-``extsqd_expand_reference``, the per-determinant ext-SQD loop over
-``hsqd.determinants.generate_excitations`` that the vectorized expansion
-replaced, ``hci_ground_reference``, the selected-CI loop that rebuilt
+with the package's string engine.  That includes the Slater-Condon engine at
+the end (``matrix_element``, ``diagonal_energy``, ``generate_excitations``),
+the reference for the package's per-determinant routines of the same names
+and for every engine cross-check built one element at a time.  The
+exceptions are ``extsqd_expand_reference``, the per-determinant ext-SQD loop
+over the Slater-Condon ``generate_excitations`` that the vectorized
+expansion replaced, ``hci_ground_reference``, the selected-CI loop that rebuilt
 ``hsqd.strings.hamiltonian_columns`` over the whole set every round,
 ``one_spin_terms_reference``, the loop over rs that
 ``hsqd.strings._one_spin_terms`` replaced, and ``covering_reference``, the
@@ -13,11 +16,12 @@ step-by-step growth loop that ``hsqd.subspace._covering`` replaced.
 """
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 import scipy.sparse as sp
 
-from hsqd import Determinant, ValidationError
+from hsqd import Determinant, ElectronicIntegrals, ValidationError
 
 
 @dataclass(frozen=True)
@@ -313,9 +317,8 @@ def dense_heat_bath_ci(ham, dets, reference, epsilons, max_determinants):
 
 def extsqd_expand_reference(result, basis, threshold, levels):
     """``subspace.extsqd_expand`` as a loop over the kept determinants: each
-    one is excited by the per-determinant ``generate_excitations`` and every
+    one is excited by the Slater-Condon ``generate_excitations`` and every
     string of every excitation joins its channel."""
-    from hsqd.determinants import generate_excitations
     from hsqd.subspace import SubspaceBasis
 
     weights = np.abs(result.ci_vector) ** 2
@@ -414,3 +417,165 @@ def covering_reference(ranked_a, ranked_b, target):
             ib += 1
         seq.append((tuple(a), tuple(b)))
     return next(((a, b) for a, b in seq if len(a) * len(b) >= target), seq[-1])
+
+
+# The Slater-Condon engine: matrix elements and excitations one determinant
+# (pair) at a time, from occupied-orbital lists and the excitation rank.
+
+
+def _bits(word: int) -> tuple[int, ...]:
+    out = []
+    while word:
+        low = word & -word
+        out.append(low.bit_length() - 1)
+        word ^= low
+    return tuple(out)
+
+
+def _single_sign(word: int, hole: int, particle: int) -> int:
+    """Parity of moving one electron hole -> particle within one spin word."""
+    lo, hi = (hole, particle) if hole < particle else (particle, hole)
+    mask = ((1 << hi) - 1) & ~((1 << (lo + 1)) - 1)
+    return -1 if bin(word & mask).count("1") % 2 else 1
+
+
+def diagonal_energy(det: Determinant, ints: ElectronicIntegrals) -> float:
+    """Expectation value of the Hamiltonian on a single determinant."""
+    occ_a, occ_b = _bits(det.alpha), _bits(det.beta)
+    h = ints.one_body
+    val = ints.core_energy
+    if occ_a:
+        val = val + h[occ_a, occ_a].sum()
+    if occ_b:
+        val = val + h[occ_b, occ_b].sum()
+    d_ss = np.einsum("ppqq->pq", ints.two_body_same_spin)
+    x_ss = np.einsum("pqqp->pq", ints.two_body_same_spin)
+    d_os = np.einsum("ppqq->pq", ints.two_body_opposite_spin)
+    a = np.array(occ_a, dtype=int)
+    b = np.array(occ_b, dtype=int)
+    if a.size:
+        val = val + 0.5 * (d_ss[np.ix_(a, a)].sum() - x_ss[np.ix_(a, a)].sum())
+    if b.size:
+        val = val + 0.5 * (d_ss[np.ix_(b, b)].sum() - x_ss[np.ix_(b, b)].sum())
+    if a.size and b.size:
+        val = val + d_os[np.ix_(a, b)].sum()
+    # exactly real for Hermitian integrals
+    return float(np.real(val))
+
+
+def _single_element(hole: int, part: int, same_occ: tuple[int, ...], other_occ: tuple[int, ...],
+                    ints: ElectronicIntegrals, sign: int):
+    h = ints.one_body
+    gss = ints.two_body_same_spin
+    gos = ints.two_body_opposite_spin
+    val = h[part, hole]
+    for j in same_occ:
+        if j == hole:
+            continue
+        val = val + gss[part, hole, j, j] - gss[part, j, j, hole]
+    for j in other_occ:
+        val = val + gos[part, hole, j, j]
+    return sign * val
+
+
+def matrix_element(d1: Determinant, d2: Determinant, ints: ElectronicIntegrals):
+    """Slater-Condon matrix element <d1|H|d2>."""
+    diff_a = d1.alpha ^ d2.alpha
+    diff_b = d1.beta ^ d2.beta
+    na = bin(diff_a).count("1")
+    nb = bin(diff_b).count("1")
+    rank = (na + nb) // 2
+    if rank == 0:
+        return diagonal_energy(d1, ints)
+    if rank > 2:
+        return 0.0
+    gss = ints.two_body_same_spin
+    gos = ints.two_body_opposite_spin
+    if rank == 1:
+        if na == 2:
+            hole = _bits(diff_a & d2.alpha)[0]
+            part = _bits(diff_a & d1.alpha)[0]
+            sign = _single_sign(d2.alpha, hole, part)
+            return _single_element(hole, part, _bits(d2.alpha), _bits(d2.beta), ints, sign)
+        hole = _bits(diff_b & d2.beta)[0]
+        part = _bits(diff_b & d1.beta)[0]
+        sign = _single_sign(d2.beta, hole, part)
+        return _single_element(hole, part, _bits(d2.beta), _bits(d2.alpha), ints, sign)
+    # rank 2
+    if na == 4:  # same-spin alpha double
+        holes = _bits(diff_a & d2.alpha)
+        parts = _bits(diff_a & d1.alpha)
+        return _same_spin_double(d2.alpha, holes, parts, gss)
+    if nb == 4:  # same-spin beta double
+        holes = _bits(diff_b & d2.beta)
+        parts = _bits(diff_b & d1.beta)
+        return _same_spin_double(d2.beta, holes, parts, gss)
+    # mixed alpha-beta double
+    hole_a = _bits(diff_a & d2.alpha)[0]
+    part_a = _bits(diff_a & d1.alpha)[0]
+    hole_b = _bits(diff_b & d2.beta)[0]
+    part_b = _bits(diff_b & d1.beta)[0]
+    sign = _single_sign(d2.alpha, hole_a, part_a) * _single_sign(d2.beta, hole_b, part_b)
+    return sign * gos[part_a, hole_a, part_b, hole_b]
+
+
+def _same_spin_double(word: int, holes: tuple[int, ...], parts: tuple[int, ...], gss: np.ndarray):
+    h1, h2 = holes
+    p1, p2 = parts
+    sign = _single_sign(word, h1, p1)
+    word1 = word ^ (1 << h1) | (1 << p1)
+    sign *= _single_sign(word1, h2, p2)
+    return sign * (gss[p1, h1, p2, h2] - gss[p2, h1, p1, h2])
+
+
+def _word_singles(word: int, n_orbitals: int):
+    occ = _bits(word)
+    for i in occ:
+        for a in range(n_orbitals):
+            if not (word >> a) & 1:
+                yield word ^ (1 << i) | (1 << a)
+
+
+def generate_excitations(
+    det: Determinant, n_orbitals: int, levels: set[int]
+) -> list[Determinant]:
+    """Distinct spin-preserving excitations of a determinant.
+
+    Level 1 produces all single excitations in either spin channel; level 2
+    adds same-spin and mixed alpha-beta doubles.  Particle numbers per spin
+    are preserved throughout.
+    """
+    if not levels or not levels <= {1, 2}:
+        raise ValidationError("levels must be a nonempty subset of {1, 2}")
+    alpha_singles = sorted(set(_word_singles(det.alpha, n_orbitals)))
+    beta_singles = sorted(set(_word_singles(det.beta, n_orbitals)))
+    out: dict[tuple[int, int], Determinant] = {}
+
+    def add(a: int, b: int):
+        key = (b, a)
+        if key not in out:
+            out[key] = Determinant(a, b)
+
+    if 1 in levels:
+        for a in alpha_singles:
+            add(a, det.beta)
+        for b in beta_singles:
+            add(det.alpha, b)
+    if 2 in levels:
+        for a in sorted(set(_word_doubles(det.alpha, n_orbitals))):
+            add(a, det.beta)
+        for b in sorted(set(_word_doubles(det.beta, n_orbitals))):
+            add(det.alpha, b)
+        for a in alpha_singles:
+            for b in beta_singles:
+                add(a, b)
+    out.pop((det.beta, det.alpha), None)
+    return [out[k] for k in sorted(out)]
+
+
+def _word_doubles(word: int, n_orbitals: int):
+    occ = _bits(word)
+    virt = [a for a in range(n_orbitals) if not (word >> a) & 1]
+    for i, j in combinations(occ, 2):
+        for a, b in combinations(virt, 2):
+            yield word ^ (1 << i) ^ (1 << j) | (1 << a) | (1 << b)

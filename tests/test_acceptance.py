@@ -21,7 +21,6 @@ from hsqd import (
     load_lattice,
     lucj_from_t2,
     map_to_electronic,
-    matrix_element,
     mp2_doubles,
     read_fcidump,
     rotate_basis,
@@ -39,7 +38,7 @@ from hsqd.cli import main as cli_main
 from hsqd.determinants import enumerate_sector
 
 from conftest import make_chain, random_lattice
-from oracles import lattice_apply
+from oracles import lattice_apply, matrix_element
 
 
 def report(name: str, ok: bool, detail: str = ""):

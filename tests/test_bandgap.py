@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -367,3 +368,17 @@ class TestConfigValidation:
         with pytest.raises(ValidationError):
             WorkflowConfig(lattice_path="x.json", n_electrons=2,
                            samples_files={"N": "s.txt"})
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("fractions", (1.5,), "fractions must lie in (0, 1]"),
+        ("hci_epsilons", (0.1, 0.5), "epsilons must be strictly descending"),
+        ("extsqd_levels", (3,), "levels must be a nonempty subset of {1, 2}"),
+        ("extsqd_threshold", -1e-4, "threshold must be nonnegative"),
+        ("lucj_layers", 0, "at least one layer required"),
+    ], ids=["fractions", "hci_epsilons", "extsqd_levels", "extsqd_threshold", "lucj_layers"])
+    def test_out_of_range_setting(self, key, value, message):
+        """Each setting is held to the rule of the routine that takes it, when
+        the config is built, whichever solvers run."""
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            WorkflowConfig(lattice_path="x.json", n_electrons=2, solvers=("fci",),
+                           **{key: value})

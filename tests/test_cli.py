@@ -469,6 +469,29 @@ class TestInputErrors:
         assert capsys.readouterr().err == f"error: {config}: {message}\n"
         assert not (out / "gap_report.json").exists()
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("fractions", "[1.5]", "fractions must lie in (0, 1]"),
+        ("hci_epsilons", "[0.1, 0.5]", "epsilons must be strictly descending"),
+        ("extsqd_levels", "[3]", "levels must be a nonempty subset of {1, 2}"),
+        ("extsqd_threshold", "-1e-4", "threshold must be nonnegative"),
+        ("lucj_layers", "0", "at least one layer required"),
+    ], ids=["fractions", "hci_epsilons", "extsqd_levels", "extsqd_threshold", "lucj_layers"])
+    def test_run_settings_rejected_before_any_work(self, tmp_path, capsys, key, value, message):
+        """The shipped dimer config with every solver: each of these settings
+        used to fail only the solver that takes it, after the mean field, the
+        sampling and every other sector had run and the report was written."""
+        shipped = Path(__file__).resolve().parents[1] / "configs" / "dimer.toml"
+        lines = [line for line in shipped.read_text().splitlines()
+                 if not line.startswith(("lattice_path", key))]
+        config = tmp_path / "dimer.toml"
+        config.write_text("\n".join(lines + [
+            f'lattice_path = "{shipped.parents[1] / "lattices" / "dimer.json"}"',
+            f"{key} = {value}"]) + "\n")
+        out = tmp_path / "o"
+        assert main(["run", str(config), "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (out / "gap_report.json").exists()
+
     @pytest.mark.parametrize("case", ["config", "lattice", "samples", "to_fcidump",
                                       "to_lattice", "plotdata"])
     def test_non_utf8_error_names_the_file(self, tmp_path, capsys, case):
@@ -571,3 +594,16 @@ class TestImportCost:
             "print(code, 'scipy.special' in sys.modules)\n"
         )
         assert out.splitlines()[-1] == "0 False"
+
+
+class TestBenchmarkTracer:
+    def test_install_finds_every_traced_name(self):
+        """``benchmark/tracer.py`` looks its spans and kernel counters up by
+        name on the package modules; a name that is gone fails here, not
+        only in a traced benchmark run."""
+        bench = str(Path(__file__).resolve().parents[1] / "benchmark")
+        out = run_fresh(f"import sys; sys.path.insert(0, {bench!r})\n"
+                        "from tracer import Tracer\n"
+                        "Tracer().install()\n"
+                        "print('installed')\n")
+        assert out.strip() == "installed"

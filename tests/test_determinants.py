@@ -3,16 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hsqd.determinants
+import oracles
 from hsqd import (
     CapExceededError,
     Determinant,
     SectorSpec,
     ValidationError,
-    diagonal_energy,
     enumerate_sector,
-    generate_excitations,
     map_to_electronic,
-    matrix_element,
+    rotate_basis,
 )
 from hsqd import LatticeHamiltonian
 from hsqd.determinants import excitation_rank
@@ -26,6 +26,10 @@ from oracles import (
     fock_index,
     random_general_integrals,
 )
+
+# the public routines on the string engine, and the Slater-Condon oracle;
+# each test of a routine checks both
+ROUTINES = (hsqd.determinants, oracles)
 
 
 class TestEnumerateSector:
@@ -59,14 +63,17 @@ class TestEnumerateSector:
 
 class TestDiagonalEnergy:
     def test_double_occupancy(self, dimer_ints):
-        assert diagonal_energy(Determinant(0b01, 0b01), dimer_ints) == pytest.approx(4.0)
+        for impl in ROUTINES:
+            assert impl.diagonal_energy(Determinant(0b01, 0b01), dimer_ints) == pytest.approx(4.0)
 
     def test_intersite_pair(self):
         v = np.array([[0.0, 0.64], [0.64, 0.0]])
         lat = LatticeHamiltonian(2, np.zeros((2, 2)), np.zeros(2), v)
         ints = map_to_electronic(lat)
         # alpha on 0, beta on 1: both ordered (p,q) spin pairs contribute
-        assert diagonal_energy(Determinant(0b01, 0b10), ints) == pytest.approx(1.28, abs=1e-14)
+        for impl in ROUTINES:
+            assert impl.diagonal_energy(Determinant(0b01, 0b10), ints) == pytest.approx(
+                1.28, abs=1e-14)
 
     def test_empty_determinant_is_core(self):
         from hsqd import ElectronicIntegrals
@@ -74,13 +81,15 @@ class TestDiagonalEnergy:
         ints = ElectronicIntegrals(
             2, np.zeros((2, 2)), np.zeros((2,) * 4), np.zeros((2,) * 4), core_energy=1.5
         )
-        assert diagonal_energy(Determinant(0, 0), ints) == 1.5
+        for impl in ROUTINES:
+            assert impl.diagonal_energy(Determinant(0, 0), ints) == 1.5
 
 
 class TestMatrixElement:
     def test_pure_hopping(self, dimer_ints):
-        val = matrix_element(Determinant(0b01, 0), Determinant(0b10, 0), dimer_ints)
-        assert val == pytest.approx(-1.0)
+        for impl in ROUTINES:
+            val = impl.matrix_element(Determinant(0b01, 0), Determinant(0b10, 0), dimer_ints)
+            assert val == pytest.approx(-1.0)
 
     def test_triple_excitation_vanishes(self):
         rng = np.random.default_rng(1)
@@ -88,13 +97,15 @@ class TestMatrixElement:
         d1 = Determinant(0b0011, 0b0001)
         d3 = Determinant(0b1100, 0b1000)  # double alpha hop plus a beta hop
         assert excitation_rank(d1, d3) == 3
-        assert matrix_element(d1, d3, ints) == 0.0
+        for impl in ROUTINES:
+            assert impl.matrix_element(d1, d3, ints) == 0.0
 
     def test_density_density_double_vanishes(self, dimer_ints):
         d1 = Determinant(0b01, 0b01)
         d2 = Determinant(0b10, 0b10)
         assert excitation_rank(d1, d2) == 2
-        assert matrix_element(d1, d2, dimer_ints) == 0.0
+        for impl in ROUTINES:
+            assert impl.matrix_element(d1, d2, dimer_ints) == 0.0
 
     def test_matches_dense_fock_oracle(self):
         rng = np.random.default_rng(4)
@@ -104,18 +115,20 @@ class TestMatrixElement:
             dense = dense_fock_hamiltonian(ints).toarray()
             spec = SectorSpec(m, int(rng.integers(1, m + 1)), int(rng.integers(0, m + 1)))
             dets = enumerate_sector(spec)
-            for ket in dets:
-                for bra in dets:
-                    want = dense[fock_index(bra, m), fock_index(ket, m)]
-                    got = matrix_element(bra, ket, ints)
-                    assert abs(want - got) <= 1e-12
+            for impl in ROUTINES:
+                for ket in dets:
+                    for bra in dets:
+                        want = dense[fock_index(bra, m), fock_index(ket, m)]
+                        got = impl.matrix_element(bra, ket, ints)
+                        assert abs(want - got) <= 1e-12
 
     def test_full_sector_matrix_hermitian(self):
         rng = np.random.default_rng(9)
         ints = random_general_integrals(rng, 4)
         dets = enumerate_sector(SectorSpec(4, 2, 1))
-        mat = np.array([[matrix_element(a, b, ints) for b in dets] for a in dets])
-        assert np.abs(mat - mat.conj().T).max() <= 1e-12
+        for impl in ROUTINES:
+            mat = np.array([[impl.matrix_element(a, b, ints) for b in dets] for a in dets])
+            assert np.abs(mat - mat.conj().T).max() <= 1e-12
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 2**31 - 1))
@@ -125,44 +138,108 @@ class TestMatrixElement:
         ints = map_to_electronic(lat)
         dets = enumerate_sector(SectorSpec(4, 2, 2))
         idx = rng.integers(0, len(dets), size=(8, 2))
-        for i, j in idx:
-            assert matrix_element(dets[i], dets[j], ints) == pytest.approx(
-                np.conj(matrix_element(dets[j], dets[i], ints)), abs=1e-13
-            )
+        for impl in ROUTINES:
+            for i, j in idx:
+                assert impl.matrix_element(dets[i], dets[j], ints) == pytest.approx(
+                    np.conj(impl.matrix_element(dets[j], dets[i], ints)), abs=1e-13
+                )
 
 
 class TestExcitations:
     def test_dimer_singles(self):
         det = Determinant(0b01, 0b01)
-        out = generate_excitations(det, 2, {1})
-        assert set(out) == {Determinant(0b10, 0b01), Determinant(0b01, 0b10)}
+        for impl in ROUTINES:
+            out = impl.generate_excitations(det, 2, {1})
+            assert set(out) == {Determinant(0b10, 0b01), Determinant(0b01, 0b10)}
 
     def test_blocked_channel(self):
         det = Determinant(0b1111, 0b0011)
-        out = generate_excitations(det, 4, {1})
-        assert all(d.alpha == det.alpha for d in out)
+        for impl in ROUTINES:
+            out = impl.generate_excitations(det, 4, {1})
+            assert out and all(d.alpha == det.alpha for d in out)
 
     def test_singles_doubles_match_rank_classification(self):
         spec = SectorSpec(4, 2, 2)
         hf = Determinant(0b0011, 0b0011)
-        got = set(generate_excitations(hf, 4, {1, 2}))
         want = {
             d for d in enumerate_sector(spec)
             if excitation_rank(hf, d) in (1, 2)
         }
-        assert got == want
+        for impl in ROUTINES:
+            assert set(impl.generate_excitations(hf, 4, {1, 2})) == want
 
     def test_levels_validated(self):
-        with pytest.raises(ValidationError):
-            generate_excitations(Determinant(1, 1), 2, set())
-        with pytest.raises(ValidationError):
-            generate_excitations(Determinant(1, 1), 2, {3})
+        for impl in ROUTINES:
+            with pytest.raises(ValidationError):
+                impl.generate_excitations(Determinant(1, 1), 2, set())
+            with pytest.raises(ValidationError):
+                impl.generate_excitations(Determinant(1, 1), 2, {3})
 
     def test_particle_numbers_preserved(self):
         det = Determinant(0b0101, 0b0011)
-        for d in generate_excitations(det, 4, {1, 2}):
-            assert bin(d.alpha).count("1") == 2
-            assert bin(d.beta).count("1") == 2
+        for impl in ROUTINES:
+            for d in impl.generate_excitations(det, 4, {1, 2}):
+                assert bin(d.alpha).count("1") == 2
+                assert bin(d.beta).count("1") == 2
+
+
+class TestEngineAgainstSlaterCondon:
+    """The public routines on the string engine against the Slater-Condon
+    oracle, on random real and complex integrals."""
+
+    @staticmethod
+    def integrals(rng, m, complex_):
+        ints = random_general_integrals(rng, m)
+        if not complex_:
+            return ints
+        u = np.linalg.qr(rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))[0]
+        return rotate_basis(ints, u)
+
+    # (M, n_alpha, n_beta): twelve sectors over M = 2..6, with empty and full channels
+    SECTORS = ((2, 1, 1), (3, 1, 2), (3, 2, 2), (4, 2, 2), (4, 3, 1), (4, 1, 0),
+               (5, 2, 3), (5, 4, 2), (5, 5, 1), (6, 3, 3), (6, 2, 4), (6, 0, 3))
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_matrix_elements(self, complex_):
+        """Two kets per sector, each against itself, up to 20 of the
+        determinants the oracle couples it to, and four random others."""
+        rng = np.random.default_rng(31 + complex_)
+        for m, n_alpha, n_beta in self.SECTORS:
+            ints = self.integrals(rng, m, complex_)
+            assert ints.is_complex == complex_
+            dets = enumerate_sector(SectorSpec(m, n_alpha, n_beta))
+            for k in rng.choice(len(dets), size=min(2, len(dets)), replace=False):
+                ket = dets[k]
+                coupled = oracles.generate_excitations(ket, m, {1, 2})
+                picks = rng.choice(len(coupled), size=min(20, len(coupled)), replace=False)
+                others = [dets[i] for i in rng.choice(len(dets), size=4)]
+                for bra in [ket] + [coupled[i] for i in picks] + others:
+                    want = oracles.matrix_element(bra, ket, ints)
+                    assert abs(hsqd.determinants.matrix_element(bra, ket, ints) - want) <= 1e-12
+                assert hsqd.determinants.diagonal_energy(ket, ints) == pytest.approx(
+                    oracles.diagonal_energy(ket, ints), abs=1e-12)
+
+    def test_other_sector_is_zero(self):
+        """A bra of another sector couples to nothing, though its words differ
+        from the ket's in two orbitals (rank 1 by the bit count alone)."""
+        rng = np.random.default_rng(5)
+        ints = random_general_integrals(rng, 4)
+        ket = Determinant(0b0011, 0b0001)
+        for bra in (Determinant(0b0111, 0b0001), Determinant(0b0001, 0b0011),
+                    Determinant(0b0011, 0b0000)):
+            assert hsqd.determinants.matrix_element(bra, ket, ints) == 0.0
+
+    def test_excitation_lists(self):
+        """The same excitations in the same (beta, alpha) order for every
+        level set, including empty and full channels."""
+        for m, spec in ((2, SectorSpec(2, 1, 1)), (4, SectorSpec(4, 2, 2)),
+                        (5, SectorSpec(5, 3, 0)), (5, SectorSpec(5, 5, 2)),
+                        (6, SectorSpec(6, 2, 4))):
+            dets = enumerate_sector(spec)
+            for det in dets[::max(1, len(dets) // 5)]:
+                for levels in ({1}, {2}, {1, 2}):
+                    got = hsqd.determinants.generate_excitations(det, m, levels)
+                    assert got == oracles.generate_excitations(det, m, levels)
 
 
 class TestExcitationSigns:
@@ -225,9 +302,10 @@ class TestExcitationSigns:
         assert exc.created == (2,)
         # sign -1 from crossing the occupied orbital 1; element = sign * t_20
         assert exc.sign == -1
-        assert matrix_element(d2, d1, ints) == pytest.approx(exc.sign * -1.0)
+        for impl in ROUTINES:
+            assert impl.matrix_element(d2, d1, ints) == pytest.approx(exc.sign * -1.0)
 
-    def test_sign_matches_matrix_element(self, dimer_ints):
+    def test_sign_matches_matrix_element(self):
         # alpha hop across an occupied orbital picks up a fermionic minus
         lat3 = LatticeHamiltonian(
             3,
@@ -239,4 +317,5 @@ class TestExcitationSigns:
         d1 = Determinant(0b011, 0)  # orbitals 0,1
         d2 = Determinant(0b110, 0)  # orbitals 1,2
         # 0 -> 2 hop crosses occupied orbital 1
-        assert matrix_element(d2, d1, ints) == pytest.approx(+1.0)
+        for impl in ROUTINES:
+            assert impl.matrix_element(d2, d1, ints) == pytest.approx(+1.0)

@@ -12,14 +12,13 @@ from hsqd import (
     lattice_from_electronic,
     load_lattice,
     map_to_electronic,
-    matrix_element,
     rotate_basis,
     save_lattice,
 )
 from hsqd.model import HARTREE_TO_EV
 
 from conftest import random_lattice
-from oracles import lattice_apply
+from oracles import diagonal_energy, lattice_apply, matrix_element
 
 
 def write_lattice_json(path, **overrides):
@@ -112,7 +111,7 @@ class TestMapToElectronic:
         assert ints.two_body_opposite_spin[0, 0, 1, 1] == pytest.approx(1.28)
 
     def test_onsite_double_occupancy_energy(self, dimer_lattice, dimer_ints):
-        from hsqd import Determinant, diagonal_energy
+        from hsqd import Determinant
 
         both_on_site0 = Determinant(0b01, 0b01)
         assert diagonal_energy(both_on_site0, dimer_ints) == pytest.approx(4.0, abs=1e-12)
@@ -254,7 +253,7 @@ class TestFcidump:
         assert ints.core_energy == 0.5
 
     def test_dimer_round_trip_operator_identity(self, tmp_path, dimer_ints):
-        from hsqd import matrix_element, read_fcidump, write_fcidump
+        from hsqd import read_fcidump, write_fcidump
 
         write_fcidump(dimer_ints, tmp_path / "d.dump", nelec=2)
         back = read_fcidump(tmp_path / "d.dump")

@@ -5,17 +5,17 @@ from hsqd import (
     LatticeHamiltonian,
     SectorSpec,
     ValidationError,
-    diagonal_energy,
     lucj_from_t2,
     map_to_electronic,
     mp2_doubles,
     rotate_basis,
     solve_mean_field,
 )
-from hsqd.determinants import enumerate_sector, matrix_element
+from hsqd.determinants import enumerate_sector
 from hsqd.reference import default_masks
 
 from conftest import random_lattice
+from oracles import diagonal_energy, matrix_element
 
 
 class TestMeanField:

@@ -13,10 +13,8 @@ from hsqd import (
     ValidationError,
     energy_variance,
     fci_ground,
-    generate_excitations,
     hci_ground,
     map_to_electronic,
-    matrix_element,
     rotate_basis,
     solve_mean_field,
 )
@@ -26,7 +24,14 @@ from hsqd.determinants import enumerate_sector
 from hsqd.strings import columns_bytes
 
 from conftest import DIMER_E, make_chain, random_lattice
-from oracles import dense_fock_hamiltonian, dense_heat_bath_ci, fock_index, hci_ground_reference
+from oracles import (
+    dense_fock_hamiltonian,
+    dense_heat_bath_ci,
+    fock_index,
+    generate_excitations,
+    hci_ground_reference,
+    matrix_element,
+)
 
 
 class TestFciGround:

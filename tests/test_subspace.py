@@ -31,7 +31,7 @@ from hsqd import davidson as davidson_mod
 from hsqd import strings as strings_mod
 from hsqd.davidson import DEFAULT_TOL, DENSE_FALLBACK_DIM, _dense_lowest, _lanczos_lowest
 from hsqd import subspace as subspace_mod
-from hsqd.determinants import SECTOR_CAP, enumerate_sector, half_strings, matrix_element
+from hsqd.determinants import SECTOR_CAP, enumerate_sector, half_strings
 from hsqd.strings import (
     SIGMA_BYTES_CAP,
     columns_bytes,
@@ -46,8 +46,10 @@ from conftest import make_chain, random_lattice
 from oracles import (
     covering_reference,
     dense_fock_hamiltonian,
+    diagonal_energy,
     extsqd_expand_reference,
     fock_index,
+    matrix_element,
     one_spin_terms_reference,
     random_general_integrals,
 )
@@ -260,8 +262,6 @@ class TestSolveSubspace:
 
 class TestProjectHamiltonian:
     def test_single_determinant(self, dimer_ints):
-        from hsqd import diagonal_energy
-
         spec = SectorSpec(2, 1, 1)
         basis = SubspaceBasis(spec, (0b01,), (0b01,))
         mat = project_hamiltonian(basis, dimer_ints)
@@ -295,8 +295,6 @@ class TestProjectHamiltonian:
         ints = map_to_electronic(lat)
         spec = SectorSpec(4, 2, 2)
         basis = full_basis(spec)
-        from hsqd import matrix_element
-
         dets = basis.determinants()
         dense = np.array([[matrix_element(a, b, ints) for b in dets] for a in dets])
         sparse = project_hamiltonian(basis, ints).toarray()
@@ -1048,7 +1046,7 @@ class TestEnergyVariance:
         vec = np.zeros(4)
         vec[dets.index(Determinant(0b01, 0b01))] = 1 / np.sqrt(2)
         vec[dets.index(Determinant(0b10, 0b10))] = 1 / np.sqrt(2)
-        from hsqd import GroundStateResult, matrix_element
+        from hsqd import GroundStateResult
 
         res = GroundStateResult(4.0, vec, 0.0, 1, True)
         var = energy_variance(res, dets, dimer_ints)
@@ -1079,6 +1077,24 @@ class TestEnergyVariance:
             res = solve_subspace(basis, ints)
             var = energy_variance(res, basis.determinants(), ints)
             assert var is None or var >= -1e-12  # None: zero energy expectation
+
+
+    def test_eigenvector_variance_never_negative(self):
+        """An eigenvector to round-off: (<H^2> - <H>^2) / <H>^2 cancels to
+        values on either side of zero (six of these twenty went negative),
+        and the squared residual cannot."""
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            a = rng.normal(size=(30, 30))
+            h = (a + a.T) / 2 + 5 * np.eye(30)
+            c = np.linalg.eigh(h)[1][:, 0]
+            var = subspace_mod.relative_variance(c, h @ c)
+            assert 0.0 <= var <= 1e-24
+            # rows outside the vector's determinants add their squares
+            s = np.concatenate([h @ c, [3e-3, -4e-3]])
+            energy = c @ h @ c
+            assert subspace_mod.relative_variance(c, s) == pytest.approx(
+                var + 25e-6 / energy**2, rel=1e-12)
 
 
 class TestVariationalChain:
