@@ -1,8 +1,11 @@
 #!/usr/bin/env python3
 """End-to-end demo on the two-site dimer (t = -1 eV, U = 4 eV).
 
-Runs all four solvers in the three charge sectors and prints the per-sector
-energies, the assembled gaps, and the analytic references.
+Runs all four solvers in the three charge sectors with the settings of
+``configs/dimer.toml`` and prints the per-sector energies, the assembled
+gaps, and the analytic references.
+
+    PYTHONPATH=src python3 scripts/dimer_demo.py
 """
 
 import time
@@ -10,9 +13,10 @@ from pathlib import Path
 
 import numpy as np
 
-from hsqd import WorkflowConfig, run_workflow
+from hsqd import run_workflow
+from hsqd.cli import config_from_file
 
-LATTICE = Path(__file__).resolve().parent.parent / "lattices" / "dimer.json"
+CONFIG = Path(__file__).resolve().parent.parent / "configs" / "dimer.toml"
 
 U, T = 4.0, -1.0
 ANALYTIC = {
@@ -23,14 +27,7 @@ ANALYTIC = {
 
 
 def main() -> None:
-    config = WorkflowConfig(
-        lattice_path=str(LATTICE),
-        n_electrons=2,
-        solvers=("fci", "hci", "sqd", "extsqd"),
-        fractions=(0.5, 1.0),
-        shots=100_000,
-        seed=3,
-    )
+    config = config_from_file(CONFIG)
     t0 = time.time()
     report, _ = run_workflow(config)
     elapsed = time.time() - t0

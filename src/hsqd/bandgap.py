@@ -27,7 +27,7 @@ from .model import (
 )
 from .reference import MeanFieldSolution, check_layers, lucj_from_t2, mp2_doubles, solve_mean_field
 from .selci import SelectionSchedule, fci_ground, hci_ground
-from .statevector import SampleSet, build_state, load_samples, sample
+from .statevector import SampleSet, build_state, check_sampling, load_samples, sample
 from .subspace import (
     SweepPoint,
     check_expansion,
@@ -41,8 +41,6 @@ from .subspace import (
 SECTOR_LABELS = ("Ne-1", "Ne", "Ne+1")
 SOLVERS = ("fci", "hci", "sqd", "extsqd")
 MODES = ("TB", "U", "V", "U+V")
-DEFAULT_FRACTIONS = (0.1, 0.25, 0.5, 1.0)
-DEFAULT_SHOTS = 2_500_000
 
 
 def compute_gap(e_minus: float, e_0: float, e_plus: float) -> float:
@@ -105,10 +103,10 @@ class WorkflowConfig:
     n_electrons: int
     mode: str = "U+V"
     solvers: tuple[str, ...] = ("fci",)
-    fractions: tuple[float, ...] = DEFAULT_FRACTIONS
+    fractions: tuple[float, ...] = (0.1, 0.25, 0.5, 1.0)
     extsqd_threshold: float = 1e-4
     extsqd_levels: tuple[int, ...] = (1,)
-    shots: int = DEFAULT_SHOTS
+    shots: int = 2_500_000
     seed: int = 0
     samples_files: dict[str, str] = field(default_factory=dict)
     out_dir: str | None = None
@@ -134,6 +132,7 @@ class WorkflowConfig:
                 raise ValidationError(f"unknown sector label {label!r} in samples files")
         # the rules of the routines that take these settings, checked before
         # any work starts
+        check_sampling(self.shots, self.seed)
         check_fractions(self.fractions)
         SelectionSchedule(epsilons=tuple(self.hci_epsilons))
         check_expansion(self.extsqd_threshold, set(self.extsqd_levels))

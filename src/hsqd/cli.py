@@ -17,13 +17,14 @@ import csv
 import hashlib
 import io
 import json
-import math
 import os
 import sys
 import time
 import tomllib
-from dataclasses import fields
+from dataclasses import MISSING, asdict, fields
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -39,6 +40,10 @@ from .errors import ConvergenceError, HsqdError, ValidationError
 from .fcidump import read_fcidump, write_fcidump
 from .model import (
     SectorSpec,
+    _boolean,
+    _integer,
+    _number,
+    _string,
     lattice_from_electronic,
     load_lattice,
     map_to_electronic,
@@ -47,56 +52,43 @@ from .model import (
     save_lattice,
 )
 from .reference import solve_mean_field
-from .statevector import MAX_SHOTS, save_samples
+from .statevector import save_samples
 
 SWEEP_FIELDS = ("fraction", "d", "energy", "residual", "variance", "converged")
+# the columns plotdata reads from each sweep CSV; a missing one exits 2
+PLOT_FIELDS = ("solver", "sector", "fraction", "d", "energy")
 SAMPLE_KEYS = {"Ne-1": "samples_neminus1", "Ne": "samples_ne", "Ne+1": "samples_neplus1"}
-# samples_files is filled from SAMPLE_KEYS, not set by a key of its own
-CONFIG_KEYS = {f.name for f in fields(WorkflowConfig)} - {"samples_files"} | set(SAMPLE_KEYS.values())
+READERS = {str: _string, bool: _boolean, int: _integer, float: _number}
+
+
+def config_reader(tp):
+    """The reader of a config value whose ``WorkflowConfig`` field has type
+    ``tp``: ``str``, ``bool``, ``int``, ``float``, ``T | None`` or
+    ``tuple[T, ...]``, where a lone item stands for a list of one."""
+    args = get_args(tp)
+    if get_origin(tp) is tuple and args[1:] == (Ellipsis,):
+        item = config_reader(args[0])
+        return lambda path, key, value: tuple(
+            item(path, key, x) for x in (value if isinstance(value, list) else [value]))
+    if get_origin(tp) is UnionType and args[1:] == (type(None),):
+        return config_reader(args[0])
+    if tp not in READERS:
+        raise TypeError(f"no config reader for field type {tp!r}")
+    return READERS[tp]
+
+
+# each config key's reader, chosen by the type of its WorkflowConfig field;
+# the sample-file keys fill samples_files, which no key sets directly
+CONFIG_READERS = {
+    name: config_reader(tp) for name, tp in get_type_hints(WorkflowConfig).items()
+    if name != "samples_files"
+} | dict.fromkeys(SAMPLE_KEYS.values(), _string)
+CONFIG_KEYS = set(CONFIG_READERS)
 
 
 def _sha256(path) -> str:
-    h = hashlib.sha256()
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
-def _string(path, key: str, value) -> str:
-    """``value`` of config key ``key``, which must be a TOML string."""
-    if not isinstance(value, str):
-        raise ValidationError(f"{path}: {key} must be a string, got {value!r}")
-    return value
-
-
-def _boolean(path, key: str, value) -> bool:
-    """``value`` of config key ``key``, which must be a TOML boolean."""
-    if not isinstance(value, bool):
-        raise ValidationError(f"{path}: {key} must be true or false, got {value!r}")
-    return value
-
-
-def _number(path, key: str, value) -> float:
-    """``value`` of config key ``key`` as a finite float; ints pass, bools do not."""
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ValidationError(f"{path}: {key} must be a number, got {value!r}")
-    try:
-        number = float(value)
-    except OverflowError:  # an integer beyond the float range
-        number = math.inf
-    if not math.isfinite(number):
-        raise ValidationError(f"{path}: {key} must be finite, got {value!r}")
-    return number
-
-
-def _integer(path, key: str, value) -> int:
-    """``value`` of config key ``key`` as an int; integral floats such as 2.5e6 pass."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValidationError(f"{path}: {key} must be an integer, got {value!r}")
-    return value
+        return hashlib.file_digest(fh, "sha256").hexdigest()
 
 
 def config_from_file(path, overrides: dict | None = None) -> WorkflowConfig:
@@ -114,64 +106,30 @@ def config_from_file(path, overrides: dict | None = None) -> WorkflowConfig:
         raise ValidationError(f"{path}: unknown config key(s) {', '.join(unknown)}")
     if overrides:
         raw.update({k: v for k, v in overrides.items() if v is not None})
-    if "lattice_path" not in raw:
-        raise ValidationError(f"{path}: missing lattice_path")
-    if "n_electrons" not in raw:
-        raise ValidationError(f"{path}: missing n_electrons")
-    lattice_path = _string(path, "lattice_path", raw["lattice_path"])
-    if not os.path.isabs(lattice_path):
-        lattice_path = str((Path(path).parent / lattice_path).resolve())
-    samples_files = {}
-    for label, key in SAMPLE_KEYS.items():
-        if key in raw:
-            sample_path = _string(path, key, raw[key])
-            if not os.path.isabs(sample_path):
-                sample_path = str((Path(path).parent / sample_path).resolve())
-            samples_files[label] = sample_path
-    kwargs = {}
-    for name in ("mode", "out_dir", "material"):
-        if name in raw:
-            kwargs[name] = _string(path, name, raw[name])
-    for name in ("literal_2u", "flip_spin", "sector_mean_field"):
-        if name in raw:
-            kwargs[name] = _boolean(path, name, raw[name])
-    if "extsqd_threshold" in raw:
-        kwargs["extsqd_threshold"] = _number(path, "extsqd_threshold", raw["extsqd_threshold"])
-    for name in ("shots", "seed", "lucj_layers"):
-        if name in raw:
-            kwargs[name] = _integer(path, name, raw[name])
-    # the ranges that sampling enforces, checked before any sector runs
-    if not 1 <= kwargs.get("shots", 1) <= MAX_SHOTS:
-        raise ValidationError(f"{path}: shots must lie in [1, {MAX_SHOTS}], got {kwargs['shots']}")
-    if kwargs.get("seed", 0) < 0:
-        raise ValidationError(f"{path}: seed must be nonnegative, got {kwargs['seed']}")
-    if "solvers" in raw:
-        v = raw["solvers"]
-        kwargs["solvers"] = tuple(_string(path, "solvers", x) for x in (v if isinstance(v, list) else [v]))
-    for name in ("fractions", "hci_epsilons"):
-        if name in raw:
-            v = raw[name]
-            kwargs[name] = tuple(_number(path, name, x) for x in (v if isinstance(v, list) else [v]))
-    if "extsqd_levels" in raw:
-        v = raw["extsqd_levels"]
-        kwargs["extsqd_levels"] = tuple(
-            _integer(path, "extsqd_levels", x) for x in (v if isinstance(v, list) else [v])
-        )
-    return WorkflowConfig(
-        lattice_path=lattice_path,
-        n_electrons=_integer(path, "n_electrons", raw["n_electrons"]),
-        samples_files=samples_files,
-        **kwargs,
-    )
+    for f in fields(WorkflowConfig):
+        if f.name not in raw and f.default is MISSING and f.default_factory is MISSING:
+            raise ValidationError(f"{path}: missing {f.name}")
+    values = {key: CONFIG_READERS[key](path, key, value) for key, value in raw.items()}
+    # input paths are relative to the config's directory
+    for key in ("lattice_path", *SAMPLE_KEYS.values()):
+        if key in values and not os.path.isabs(values[key]):
+            values[key] = str((Path(path).parent / values[key]).resolve())
+    values["samples_files"] = {label: values.pop(key) for label, key in SAMPLE_KEYS.items()
+                               if key in values}
+    try:
+        return WorkflowConfig(**values)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
 
 
-def _write_manifest(out_dir: Path, config_doc: dict, inputs: list[str], seeds: list[int],
+def _write_manifest(out_dir: Path, config: WorkflowConfig, config_path,
                     stage_seconds: dict) -> None:
+    inputs = [str(Path(config_path).resolve()), config.lattice_path, *config.samples_files.values()]
     manifest = {
         "tool_version": __version__,
-        "config": config_doc,
+        "config": asdict(config),
         "input_hashes": {p: _sha256(p) for p in inputs if os.path.exists(p)},
-        "seeds": seeds,
+        "seeds": [config.seed],
         "stage_seconds": stage_seconds,
         "created_unix": time.time(),
     }
@@ -226,8 +184,7 @@ def cmd_sample(args) -> int:
 # ---------------------------- run ----------------------------
 
 
-def _write_sweep_csvs(out_dir: Path, runs) -> list[Path]:
-    written = []
+def _write_sweep_csvs(out_dir: Path, runs) -> None:
     for solver, sector_runs in runs.items():
         for run in sector_runs:
             if run.error is not None or not run.points:
@@ -243,18 +200,11 @@ def _write_sweep_csvs(out_dir: Path, runs) -> list[Path]:
                         "" if variance is None else f"{variance:.6e}",
                         int(bool(converged)),
                     ])
-            written.append(path)
-    return written
 
 
 def cmd_run(args) -> int:
-    overrides = {
-        "mode": args.mode,
-        "extsqd_threshold": args.threshold,
-        "out_dir": args.out_dir,
-    }
-    if args.solver:
-        overrides["solvers"] = args.solver
+    overrides = {"mode": args.mode, "extsqd_threshold": args.threshold,
+                 "out_dir": args.out_dir, "solvers": args.solver}
     if args.fractions:
         try:
             overrides["fractions"] = [float(x) for x in args.fractions.split(",")]
@@ -271,19 +221,7 @@ def cmd_run(args) -> int:
         json.dump(report.to_json_dict(), fh, indent=1)
         fh.write("\n")
     _write_sweep_csvs(out_dir, runs)
-    inputs = [config.lattice_path] + list(config.samples_files.values())
-    _write_manifest(
-        out_dir,
-        config_doc=report.to_json_dict()["metadata"] | {
-            "lattice_path": config.lattice_path,
-            "n_electrons": config.n_electrons,
-            "mode": config.mode,
-            "out_dir": str(out_dir),
-        },
-        inputs=inputs,
-        seeds=[config.seed],
-        stage_seconds=report.stage_seconds,
-    )
+    _write_manifest(out_dir, config, args.config, report.stage_seconds)
     for solver, gap in report.gaps.items():
         print(f"gap[{solver}] = {gap:.9f} eV")
     print(f"single-particle gap = {report.single_particle_gap:.9f} eV")
@@ -308,7 +246,18 @@ def cmd_run(args) -> int:
 def cmd_plotdata(args) -> int:
     rows = []
     for path in args.csvs:
-        rows.extend(csv.DictReader(io.StringIO(read_text(path))))
+        reader = csv.DictReader(io.StringIO(read_text(path)), restval="")
+        missing = [key for key in PLOT_FIELDS if key not in (reader.fieldnames or ())]
+        if missing:
+            raise ValidationError(f"{path}: missing column(s) {', '.join(missing)}")
+        for rec in reader:
+            for key in ("fraction", "energy"):
+                try:
+                    value = float(rec[key])
+                except ValueError:
+                    value = rec[key]  # not a number, which _number reports
+                _number(f"{path}:{reader.line_num}", key, value)
+            rows.append(rec)
     if not rows:
         raise ValidationError("no sweep rows found")
     reference = args.reference

@@ -22,6 +22,7 @@ in chemists' index order (pq|rs).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -187,9 +188,7 @@ class SectorSpec:
         return 0 <= word < 1 << self.n_orbitals and bin(word).count("1") == n_occ
 
     def dimension(self) -> int:
-        from math import comb
-
-        return comb(self.n_orbitals, self.n_alpha) * comb(self.n_orbitals, self.n_beta)
+        return math.comb(self.n_orbitals, self.n_alpha) * math.comb(self.n_orbitals, self.n_beta)
 
 
 def map_to_electronic(lat: LatticeHamiltonian, literal_2u: bool = False) -> ElectronicIntegrals:
@@ -259,21 +258,6 @@ def _matrix_to_json(mat: np.ndarray):
     return [[float(x) for x in row] for row in mat]
 
 
-def _matrix_from_json(data, m: int, path: str) -> np.ndarray:
-    if len(data) != m or any(len(row) != m for row in data):
-        raise ValidationError(f"hopping in {path}: expected {m}x{m} entries")
-    def entry(x):
-        if isinstance(x, (list, tuple)):
-            if len(x) != 2:
-                raise ValidationError(f"hopping in {path}: complex entries must be [re, im]")
-            return complex(x[0], x[1])
-        return float(x)
-    mat = np.array([[entry(x) for x in row] for row in data])
-    if np.iscomplexobj(mat) and np.abs(mat.imag).max(initial=0.0) == 0.0:
-        mat = mat.real
-    return mat
-
-
 def read_text(path) -> str:
     """The text of the input file ``path``, which must be UTF-8; a
     ``ValidationError`` naming the file when it cannot be read or decoded."""
@@ -286,28 +270,89 @@ def read_text(path) -> str:
         raise ValidationError(f"input is not UTF-8 text: {path}: {exc}") from exc
 
 
+# Readers of one parsed value of key ``key`` in input file ``path``: each
+# returns the value as its type or raises a ValidationError naming both.
+def _string(path, key: str, value) -> str:
+    """``value``, which must be a string."""
+    if not isinstance(value, str):
+        raise ValidationError(f"{path}: {key} must be a string, got {value!r}")
+    return value
+
+
+def _boolean(path, key: str, value) -> bool:
+    """``value``, which must be a boolean."""
+    if not isinstance(value, bool):
+        raise ValidationError(f"{path}: {key} must be true or false, got {value!r}")
+    return value
+
+
+def _real(path, key: str, value) -> float:
+    """``value`` as a float, which may be infinite or NaN; ints pass, bools do not."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ValidationError(f"{path}: {key} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the float range
+        return math.inf
+
+
+def _number(path, key: str, value) -> float:
+    """``value`` as a finite float; ints pass, bools do not."""
+    number = _real(path, key, value)
+    if not math.isfinite(number):
+        raise ValidationError(f"{path}: {key} must be finite, got {value!r}")
+    return number
+
+
+def _integer(path, key: str, value) -> int:
+    """``value`` as an int; integral floats such as 2.5e6 pass."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValidationError(f"{path}: {key} must be an integer, got {value!r}")
+    return value
+
+
+def _nested(path, key: str, value, shape: tuple[int, ...], entry=_real) -> list:
+    """``value`` as lists nested to ``shape``, each entry (``v[0][1]``) read by ``entry``."""
+    if not shape:
+        return entry(path, key, value)
+    if not isinstance(value, list) or len(value) != shape[0]:
+        raise ValidationError(f"{path}: {key} must be a list of {shape[0]} entries, got {value!r}")
+    return [_nested(path, f"{key}[{i}]", x, shape[1:], entry) for i, x in enumerate(value)]
+
+
+def _hopping_entry(path, key: str, value) -> float | complex:
+    """A hopping entry: a number, or a complex number as its ``[re, im]`` pair."""
+    if isinstance(value, list):
+        return complex(*_nested(path, key, value, (2,)))
+    return _real(path, key, value)
+
+
 def load_lattice(path) -> LatticeHamiltonian:
     """Read a lattice Hamiltonian from its JSON interchange file."""
-    text = read_text(path)
     try:
-        raw = json.loads(text)
+        raw = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ValidationError(f"{path}: expected a JSON object, got {raw!r}")
     for key in ("n_orbitals", "hopping", "u", "v"):
         if key not in raw:
             raise ValidationError(f"{path}: missing required key {key!r}")
-    m = int(raw["n_orbitals"])
+    m = _integer(path, "n_orbitals", raw["n_orbitals"])
     labels = raw.get("labels")
+    values = dict(
+        n_orbitals=m,
+        hopping=_nested(path, "hopping", raw["hopping"], (m, m), _hopping_entry),
+        u_intra=_nested(path, "u", raw["u"], (m,)),
+        v_inter=_nested(path, "v", raw["v"], (m, m)),
+        kpoint_label=_string(path, "kpoint", raw.get("kpoint", "Gamma")),
+        unit=_string(path, "unit", raw.get("unit", "eV")),
+        orbital_labels=None if labels is None else tuple(_nested(path, "labels", labels, (m,), _string)),
+    )
     try:
-        return LatticeHamiltonian(
-            n_orbitals=m,
-            hopping=_matrix_from_json(raw["hopping"], m, str(path)),
-            u_intra=np.asarray(raw["u"], dtype=float),
-            v_inter=np.asarray(raw["v"], dtype=float),
-            kpoint_label=raw.get("kpoint", "Gamma"),
-            unit=raw.get("unit", "eV"),
-            orbital_labels=tuple(labels) if labels is not None else None,
-        )
+        return LatticeHamiltonian(**values)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
 

@@ -198,12 +198,17 @@ def build_state(params: LucjParameters, ref: Determinant, spec: SectorSpec) -> S
     return SectorStatevector(spec, amps)
 
 
-def sample(state: SectorStatevector, shots: int, seed: int | None = None) -> SampleSet:
-    """Multinomial sampling of determinants from the state's distribution."""
+def check_sampling(shots: int, seed: int | None) -> None:
+    """``sample`` takes 1 to ``MAX_SHOTS`` shots and a nonnegative seed or none."""
     if not 1 <= shots <= MAX_SHOTS:
         raise ValidationError(f"shots must lie in [1, {MAX_SHOTS}], got {shots}")
     if seed is not None and seed < 0:
         raise ValidationError(f"seed must be nonnegative, got {seed}")
+
+
+def sample(state: SectorStatevector, shots: int, seed: int | None = None) -> SampleSet:
+    """Multinomial sampling of determinants from the state's distribution."""
+    check_sampling(shots, seed)
     p = state.probabilities().ravel()
     rng = np.random.default_rng(seed)
     draws = rng.multinomial(shots, p)

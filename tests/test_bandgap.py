@@ -375,7 +375,11 @@ class TestConfigValidation:
         ("extsqd_levels", (3,), "levels must be a nonempty subset of {1, 2}"),
         ("extsqd_threshold", -1e-4, "threshold must be nonnegative"),
         ("lucj_layers", 0, "at least one layer required"),
-    ], ids=["fractions", "hci_epsilons", "extsqd_levels", "extsqd_threshold", "lucj_layers"])
+        ("shots", 0, f"shots must lie in [1, {2**63 - 1}], got 0"),
+        ("shots", 2**63, f"shots must lie in [1, {2**63 - 1}], got {2**63}"),
+        ("seed", -1, "seed must be nonnegative, got -1"),
+    ], ids=["fractions", "hci_epsilons", "extsqd_levels", "extsqd_threshold", "lucj_layers",
+            "shots-0", "shots-2**63", "seed"])
     def test_out_of_range_setting(self, key, value, message):
         """Each setting is held to the rule of the routine that takes it, when
         the config is built, whichever solvers run."""

@@ -1,15 +1,19 @@
+import dataclasses
+import hashlib
 import json
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 import pytest
 
 from hsqd import (
     LatticeHamiltonian,
+    WorkflowConfig,
     load_lattice,
     read_fcidump,
     save_lattice,
@@ -89,6 +93,29 @@ class TestConvert:
 
     def test_missing_input_exits_2(self, tmp_path):
         assert main(["convert", str(tmp_path / "nope.json"), str(tmp_path / "o.fcidump")]) == 2
+
+    @pytest.mark.parametrize("key, value", [
+        ("n_orbitals", "two"), ("u", ["a", "b"]), ("hopping", [1, 2]), ("labels", 5),
+        ("n_orbitals", 2.7), ("u", [True, True]), ("hopping", [[0.0, True], [True, 0.0]]),
+        ("v", [["0", "0"], ["0", "0"]]), ("kpoint", 5),
+    ], ids=["n_orbitals-two", "u-strings", "hopping-flat", "labels-5", "n_orbitals-2.7",
+            "u-booleans", "hopping-boolean", "v-strings", "kpoint-5"])
+    def test_mistyped_lattice_key_exits_2(self, tmp_path, capsys, key, value):
+        """The first four used to end in an internal error (exit 1); the
+        others were read silently, 2.7 orbitals as 2, a boolean entry as 1.0
+        and a quoted "0" as 0.0."""
+        src = write_dimer(tmp_path)
+        doc = json.loads(src.read_text()) | {key: value}
+        src.write_text(json.dumps(doc))
+        assert main(["convert", str(src), str(tmp_path / "o.fcidump")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {src}: {key}") and err.count("\n") == 1
+
+    def test_lattice_that_is_not_an_object_exits_2(self, tmp_path, capsys):
+        src = tmp_path / "five.json"
+        src.write_text("5\n")
+        assert main(["convert", str(src), str(tmp_path / "o.fcidump")]) == 2
+        assert capsys.readouterr().err == f"error: {src}: expected a JSON object, got 5\n"
 
 
 class TestSample:
@@ -226,8 +253,6 @@ class TestRun:
         assert main(["run", str(config)]) == 4
 
     def test_manifest_hashes_inputs(self, tmp_path):
-        import hashlib
-
         lattice = write_dimer(tmp_path)
         out_dir = tmp_path / "out_h"
         config = write_config(tmp_path, lattice, out_dir)
@@ -236,6 +261,24 @@ class TestRun:
         want = hashlib.sha256(lattice.read_bytes()).hexdigest()
         assert manifest["input_hashes"][str(lattice)] == want
         assert manifest["tool_version"]
+
+    def test_manifest_records_the_resolved_config(self, tmp_path):
+        """The manifest's config rebuilds the run's WorkflowConfig, and the
+        config file is hashed with the other inputs; the config used to lack
+        hci_epsilons, lucj_layers, material and the sample files."""
+        lattice = write_dimer(tmp_path)
+        (tmp_path / "s.txt").write_text("0101 60\n1010 40\n")
+        out_dir = tmp_path / "out_c"
+        config = write_config(tmp_path, lattice, out_dir, samples_ne='"s.txt"',
+                              hci_epsilons="[0.5, 0.01]", lucj_layers=2, material='"dimer2"')
+        assert main(["run", str(config), "--solver", "hci", "--solver", "sqd"]) == 0
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        rebuilt = WorkflowConfig(**{key: tuple(value) if isinstance(value, list) else value
+                                    for key, value in manifest["config"].items()})
+        assert rebuilt == config_from_file(config, {"solvers": ["hci", "sqd"]})
+        assert rebuilt.samples_files == {"Ne": str((tmp_path / "s.txt").resolve())}
+        want = hashlib.sha256(config.read_bytes()).hexdigest()
+        assert manifest["input_hashes"][str(config.resolve())] == want
 
     def test_outputs_idempotent(self, tmp_path):
         lattice = write_dimer(tmp_path)
@@ -408,6 +451,23 @@ class TestConfig:
         documented = {key for row in rows for key in re.findall(r"`(\w+)`", row.split("|")[1])}
         assert documented == CONFIG_KEYS
 
+    def test_every_key_has_a_reader_for_its_field_type(self):
+        """Each key is read through the declared type of its WorkflowConfig
+        field, and reads its default back; a field of a type that no reader
+        takes fails here instead of being misread."""
+        from hsqd.cli import CONFIG_READERS, SAMPLE_KEYS, config_reader
+
+        assert set(CONFIG_READERS) == CONFIG_KEYS
+        for field in dataclasses.fields(WorkflowConfig):
+            if field.name in CONFIG_KEYS and field.default not in (dataclasses.MISSING, None):
+                toml = list(field.default) if isinstance(field.default, tuple) else field.default
+                assert CONFIG_READERS[field.name]("c.toml", field.name, toml) == field.default
+        for tp in (dict[str, str], list[int], tuple[int, int], complex, int | str):
+            with pytest.raises(TypeError, match="no config reader"):
+                config_reader(tp)
+        hints = get_type_hints(WorkflowConfig)
+        assert CONFIG_KEYS - set(SAMPLE_KEYS.values()) == set(hints) - {"samples_files"}
+
 
 class TestInputErrors:
     @pytest.mark.parametrize("case", ["config", "lattice", "samples", "to_fcidump", "to_lattice"])
@@ -489,7 +549,7 @@ class TestInputErrors:
             f"{key} = {value}"]) + "\n")
         out = tmp_path / "o"
         assert main(["run", str(config), "--out-dir", str(out)]) == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == f"error: {config}: {message}\n"
         assert not (out / "gap_report.json").exists()
 
     @pytest.mark.parametrize("case", ["config", "lattice", "samples", "to_fcidump",
@@ -552,6 +612,21 @@ class TestPlotdata:
         csvs = sorted(str(p) for p in out_dir.glob("sweep_*.csv"))
         assert main(["plotdata", *csvs, "--reference", "hci",
                      "--output", str(tmp_path / "x.csv")]) == 2
+
+    @pytest.mark.parametrize("text, message", [
+        ("sector,fraction,d,energy\nNe,1,4,-1.0\n", ": missing column(s) solver"),
+        ("solver,sector,fraction,d,energy\nfci,Ne,x,4,-1.0\n", ":2: fraction must be a number, got 'x'"),
+        ("solver,sector,fraction,d,energy\nfci,Ne,1,4\n", ":2: energy must be a number, got ''"),
+        ("solver,sector,fraction,d,energy\nfci,Ne,1,4,nan\n", ":2: energy must be finite, got nan"),
+    ], ids=["no-solver-column", "fraction-x", "short-row", "nan-energy"])
+    def test_malformed_csv_exits_2(self, tmp_path, capsys, text, message):
+        """A missing column used to end in an internal KeyError and a
+        non-numeric fraction in an internal ValueError (exit 1)."""
+        sweep = tmp_path / "sweep.csv"
+        sweep.write_text(text)
+        assert main(["plotdata", str(sweep), "--reference", "fci",
+                     "--output", str(tmp_path / "long.csv")]) == 2
+        assert capsys.readouterr().err == f"error: {sweep}{message}\n"
 
     def test_mismatched_sectors_exit_2(self, tmp_path):
         out_dir = self._run_dimer(tmp_path, solvers='["fci", "sqd"]')
