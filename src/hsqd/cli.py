@@ -51,8 +51,8 @@ from .model import (
     rotate_basis,
     save_lattice,
 )
-from .reference import solve_mean_field
-from .statevector import save_samples
+from .reference import check_layers, solve_mean_field
+from .statevector import check_sampling, save_samples
 
 SWEEP_FIELDS = ("fraction", "d", "energy", "residual", "variance", "converged")
 # the columns plotdata reads from each sweep CSV; a missing one exits 2
@@ -167,12 +167,13 @@ def cmd_convert(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    check_sampling(args.shots, args.seed)
+    check_layers(args.layers)
     lat = load_lattice(args.lattice).to_ev()
     ints = map_to_electronic(lat)
-    m = lat.n_orbitals
-    spec = SectorSpec(m, args.n_alpha, args.n_beta)
+    spec = SectorSpec(lat.n_orbitals, args.n_alpha, args.n_beta)
     n_pairs = min(args.n_alpha, args.n_beta)
-    neutral = SectorSpec(m, n_pairs, n_pairs)
+    neutral = SectorSpec(lat.n_orbitals, n_pairs, n_pairs)
     mf = solve_mean_field(ints, neutral)
     mo = rotate_basis(ints, mf.orbital_coefficients)
     samples = _simulate_sector_samples(mo, mf, spec, neutral, args.layers, args.shots, args.seed)

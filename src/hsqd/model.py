@@ -36,6 +36,8 @@ HERMITICITY_TOL = 1e-12
 UNITARITY_TOL = 1e-10
 # largest coupling lattice_from_electronic tolerates outside the lattice form
 LATTICE_TOL = 1e-10
+LATTICE_REQUIRED = ("n_orbitals", "hopping", "u", "v")
+LATTICE_KEYS = LATTICE_REQUIRED + ("kpoint", "unit", "labels")
 
 
 @dataclass(frozen=True)
@@ -337,9 +339,11 @@ def load_lattice(path) -> LatticeHamiltonian:
         raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ValidationError(f"{path}: expected a JSON object, got {raw!r}")
-    for key in ("n_orbitals", "hopping", "u", "v"):
+    for key in LATTICE_REQUIRED:
         if key not in raw:
             raise ValidationError(f"{path}: missing required key {key!r}")
+    if unknown := sorted(set(raw) - set(LATTICE_KEYS)):
+        raise ValidationError(f"{path}: unknown lattice key(s) {', '.join(unknown)}")
     m = _integer(path, "n_orbitals", raw["n_orbitals"])
     labels = raw.get("labels")
     values = dict(

@@ -267,7 +267,7 @@ def default_masks(m: int) -> tuple[np.ndarray, np.ndarray]:
 def check_layers(layers: int) -> None:
     """``lucj_from_t2`` builds one or more layers."""
     if layers < 1:
-        raise ValidationError("at least one layer required")
+        raise ValidationError(f"layers must be at least 1, got {layers}")
 
 
 def lucj_from_t2(

@@ -19,9 +19,14 @@ pq = p * M + q.  Each string's one-spin entries are kept on the integrals
 integrals object, whichever routine meets the string first.
 
 Determinants are ordered beta-major (as in ``SubspaceBasis.determinants``),
-so a vector over a product space A x B is the matrix C[ib, ia] and
+so a vector over a product space A x B is the matrix C[ib, ia], with
 
-    sigma = H_beta C + C H_alpha^T + core C + sum g_os[pq,rs] E^beta_rs C E^alpha_pq^T .
+    sigma = H_beta C + C H_alpha^T + core C + sum g_os[pq,rs] E^beta_rs C E^alpha_pq^T ,
+
+and the matrix is the block form H = sum_{ib,jb} |ib><jb| (x) B(ib, jb), with
+B(ib, jb) = sum_k W[(ib,jb), k] O_k over the alpha operators O = (1,
+H_alpha + core, E^alpha_pq for each pq that g_os couples) and W[(ib,jb), k] =
+H_beta[ib,jb], delta(ib,jb) and sum_rs g_os[pq,rs] E^beta_rs[ib,jb].
 """
 
 from __future__ import annotations
@@ -31,7 +36,6 @@ from math import comb
 import numpy as np
 import scipy.sparse as sp
 
-from .davidson import DENSE_FALLBACK_DIM
 from .errors import CapExceededError
 from .model import ElectronicIntegrals, SectorSpec
 
@@ -172,68 +176,54 @@ def one_spin_operator(ints: ElectronicIntegrals, strings: np.ndarray) -> sp.coo_
     return sp.coo_matrix((vals[keep], (rows[keep], cols[keep])), shape=(n, n))
 
 
+def _operator_rows(k: np.ndarray, pos: np.ndarray, val: np.ndarray, n_rows: int):
+    """Rows k (ascending) of ``val`` over the sorted distinct ``pos``, and those positions."""
+    pattern, col = np.unique(pos, return_inverse=True)
+    ptr = np.searchsorted(k, np.arange(n_rows + 1))
+    return sp.csr_matrix((val, col, ptr), shape=(n_rows, len(pattern))), pattern
+
+
 def product_hamiltonian(
     ints: ElectronicIntegrals, alpha: np.ndarray, beta: np.ndarray
 ) -> sp.csr_matrix:
     """H over the product space of the ascending ``alpha`` and ``beta``
-    string words, in beta-major order."""
-    m = ints.n_orbitals
-    na, nb = len(alpha), len(beta)
+    string words, in beta-major order and canonical CSR without stored zeros."""
+    m, na, nb = ints.n_orbitals, len(alpha), len(beta)
     d = na * nb
-    ha = one_spin_operator(ints, alpha)
-    hb = one_spin_operator(ints, beta)
-    index = np.int32 if d <= np.iinfo(np.int32).max else np.int64
-    stride = index(na)  # row of (ib, ia) is ib * na + ia, in the index dtype
-    a_range, b_range = np.arange(na, dtype=index), np.arange(nb, dtype=index)
-    # H_beta (x) 1, 1 (x) H_alpha, and the core energy on the diagonal
-    rows_l = [hb.row[:, None] * stride + a_range, b_range[:, None] * stride + ha.row]
-    cols_l = [hb.col[:, None] * stride + a_range, b_range[:, None] * stride + ha.col]
-    vals_l = [np.repeat(hb.data, na), np.tile(ha.data, nb)]
-    if ints.core_energy:
-        rows_l.append(np.arange(d, dtype=index))
-        cols_l.append(rows_l[-1])
-        vals_l.append(np.full(d, ints.core_energy))
     gos = ints.two_body_opposite_spin.reshape(m * m, m * m)
     nonzero = gos != 0
     pq, rs = np.flatnonzero(nonzero.any(axis=1)), np.flatnonzero(nonzero.any(axis=0))
-    # E^alpha of each coupled pq and E^beta of each coupled rs, pair-major
+    ha, hb = one_spin_operator(ints, alpha), one_spin_operator(ints, beta)
     a_term, a_row, a_col, a_sign = _excitations(alpha, pq, m)
-    a_row, a_col = a_row.astype(index), a_col.astype(index)
-    a_cut = np.searchsorted(a_term, np.arange(len(pq) + 1))
     b_term, b_row, b_col, b_sign = _excitations(beta, rs, m)
-    b_row, b_col, b_rs = b_row.astype(index), b_col.astype(index), rs[b_term]
-    for i, pair in enumerate(pq.tolist()):
-        # W^beta_pq = sum_rs g_os[pq, rs] E^beta_rs[B, B], duplicates unsummed
-        w = np.flatnonzero(nonzero[pair, b_rs])
-        part = slice(a_cut[i], a_cut[i + 1])
-        rows_l.append(b_row[w][:, None] * stride + a_row[part])
-        cols_l.append(b_col[w][:, None] * stride + a_col[part])
-        vals_l.append((gos[pair, b_rs[w]] * b_sign[w])[:, None] * a_sign[part])
-    dtype = complex if ints.is_complex else float
-    if d <= DENSE_FALLBACK_DIM:
-        # the size of the dense eigensolve: the triplets are summed into a
-        # d x d array in the order they were generated (bincount adds its
-        # weights in input order, so each component sums as np.add.at would),
-        # and its nonzeros in row-major order are the canonical CSR, without
-        # the conversion's per-row sort
-        flat = np.concatenate([(r * d + c).ravel() for r, c in zip(rows_l, cols_l)])
-        vals = np.concatenate([v.ravel() for v in vals_l])
-        dense = np.bincount(flat, vals.real, d * d).astype(dtype, copy=False)
-        if ints.is_complex:
-            dense.imag = np.bincount(flat, vals.imag, d * d)
-        nz = np.flatnonzero(dense != 0)
-        return sp.csr_matrix((dense[nz], nz % d, np.searchsorted(nz, np.arange(0, d * d + 1, d))),
-                             shape=(d, d))
-    # every triplet is live and nonzero; one conversion sums the duplicates,
-    # and the pieces are dropped as soon as they are joined to bound the peak
-    rows = np.concatenate([r.ravel() for r in rows_l])
-    cols = np.concatenate([c.ravel() for c in cols_l])
-    del rows_l, cols_l
-    vals = np.concatenate([v.ravel() for v in vals_l])
-    del vals_l
-    mat = sp.coo_matrix((vals.astype(dtype, copy=False), (rows, cols)), shape=(d, d)).tocsr()
-    mat.eliminate_zeros()
-    return mat
+    i, e = np.nonzero(nonzero[pq][:, rs[b_term]])
+    # O_k and W[:, k] as row k, over positions ia * na + ja and ib * nb + jb
+    diag_a, diag_b = np.arange(na) * (na + 1), np.arange(nb) * (nb + 1)
+    ops, a_pos = _operator_rows(
+        np.concatenate([np.zeros(na, int), np.ones(na + ha.nnz, int), a_term + 2]),
+        np.concatenate([diag_a, diag_a, ha.row * np.int64(na) + ha.col, a_row * na + a_col]),
+        np.concatenate([np.ones(na), np.full(na, ints.core_energy), ha.data, a_sign]), len(pq) + 2)
+    coef, b_pos = _operator_rows(
+        np.concatenate([np.zeros(hb.nnz, int), np.ones(nb, int), i + 2]),
+        np.concatenate([hb.row * np.int64(nb) + hb.col, diag_b, b_row[e] * nb + b_col[e]]),
+        np.concatenate([hb.data, np.ones(nb), gos[pq[i], rs[b_term[e]]] * b_sign[e]]), len(pq) + 2)
+    # B(ib, jb) per block pair, duplicates summed, zeros dropped; transposing CSC to CSR sorts rows
+    blocks = (coef.T @ ops).tocsr()
+    index = np.int32 if d <= np.iinfo(np.int32).max else np.int64
+    # positions run to na^2 and nb^2, past int32 when d is not: split them first
+    ib, jb = (x.astype(index) for x in np.divmod(b_pos, nb))
+    ia, ja = (x.astype(index) for x in np.divmod(a_pos, na))
+    count = np.diff(blocks.indptr)
+    rows = np.repeat(ib * index(na), count) + ia[blocks.indices]
+    # each block pair is one ascending run of rows; a stable merge keeps each row in (jb, ja) order
+    order = np.argsort(rows, kind="stable")
+    indptr = np.searchsorted(rows[order], np.arange(d + 1, dtype=index))
+    del rows  # the deletions bound the peak at about 2.5 times the result
+    cols = np.repeat(jb * index(na), count)
+    cols += ja[blocks.indices]
+    cols, data = cols[order], blocks.data
+    del blocks
+    return sp.csr_matrix((data[order], cols, indptr), shape=(d, d))
 
 
 def _live_count(pattern: np.ndarray, m: int, n: int) -> int:

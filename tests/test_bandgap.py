@@ -374,7 +374,7 @@ class TestConfigValidation:
         ("hci_epsilons", (0.1, 0.5), "epsilons must be strictly descending"),
         ("extsqd_levels", (3,), "levels must be a nonempty subset of {1, 2}"),
         ("extsqd_threshold", -1e-4, "threshold must be nonnegative"),
-        ("lucj_layers", 0, "at least one layer required"),
+        ("lucj_layers", 0, "layers must be at least 1, got 0"),
         ("shots", 0, f"shots must lie in [1, {2**63 - 1}], got 0"),
         ("shots", 2**63, f"shots must lie in [1, {2**63 - 1}], got {2**63}"),
         ("seed", -1, "seed must be nonnegative, got -1"),

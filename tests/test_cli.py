@@ -111,6 +111,16 @@ class TestConvert:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {src}: {key}") and err.count("\n") == 1
 
+    def test_unknown_lattice_key_exits_2(self, tmp_path, capsys):
+        """A misspelt optional key used to be dropped: the dimer converted with
+        exit 0 and reported its k-point as Gamma."""
+        src = write_dimer(tmp_path)
+        doc = json.loads(src.read_text())
+        doc["kpiont"] = doc.pop("kpoint")
+        src.write_text(json.dumps(doc))
+        assert main(["convert", str(src), str(tmp_path / "o.fcidump")]) == 2
+        assert capsys.readouterr().err == f"error: {src}: unknown lattice key(s) kpiont\n"
+
     def test_lattice_that_is_not_an_object_exits_2(self, tmp_path, capsys):
         src = tmp_path / "five.json"
         src.write_text("5\n")
@@ -141,6 +151,25 @@ class TestSample:
                          "--shots", "5000", "--seed", "11"])
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--shots", "0", f"shots must lie in [1, {2**63 - 1}], got 0"),
+        ("--seed", "-1", "seed must be nonnegative, got -1"),
+        ("--layers", "0", "layers must be at least 1, got 0"),
+    ])
+    def test_flags_checked_before_the_lattice(self, tmp_path, capsys, monkeypatch, flag, value,
+                                              message):
+        """Each flag used to be checked only where it was used, after the mean
+        field (0.9 s for ``--layers 0`` on a 6-site chain), and the layers
+        message did not name it."""
+        def unreachable(path):
+            raise AssertionError("the lattice was read")
+
+        monkeypatch.setattr("hsqd.cli.load_lattice", unreachable)
+        code = main(["sample", str(write_dimer(tmp_path)), str(tmp_path / "s.txt"),
+                     "--n-alpha", "1", "--n-beta", "1", flag, value])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_zero_shots_rejected(self, tmp_path):
         path = write_dimer(tmp_path)
@@ -534,7 +563,7 @@ class TestInputErrors:
         ("hci_epsilons", "[0.1, 0.5]", "epsilons must be strictly descending"),
         ("extsqd_levels", "[3]", "levels must be a nonempty subset of {1, 2}"),
         ("extsqd_threshold", "-1e-4", "threshold must be nonnegative"),
-        ("lucj_layers", "0", "at least one layer required"),
+        ("lucj_layers", "0", "layers must be at least 1, got 0"),
     ], ids=["fractions", "hci_epsilons", "extsqd_levels", "extsqd_threshold", "lucj_layers"])
     def test_run_settings_rejected_before_any_work(self, tmp_path, capsys, key, value, message):
         """The shipped dimer config with every solver: each of these settings

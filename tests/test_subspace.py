@@ -49,6 +49,7 @@ from oracles import (
     diagonal_energy,
     extsqd_expand_reference,
     fock_index,
+    generate_excitations,
     matrix_element,
     one_spin_terms_reference,
     random_general_integrals,
@@ -346,8 +347,10 @@ class TestStringEngineAgainstFockOracle:
             dets = basis.determinants()
             idx = [fock_index(d, m) for d in dets]
             expected = fock[idx][:, idx].toarray()
-            got = project_hamiltonian(basis, ints).toarray()
-            assert np.abs(got - expected).max() <= 1e-10
+            mat = project_hamiltonian(basis, ints)
+            assert mat.format == "csr" and mat.has_canonical_format
+            assert np.count_nonzero(mat.data == 0) == 0
+            assert np.abs(mat.toarray() - expected).max() <= 1e-10
         else:
             # a non-product determinant list in arbitrary order, as HCI keeps it
             size = int(rng.integers(1, len(sector) + 1))
@@ -708,31 +711,75 @@ def _complex_chain(m, v):
 
 
 class TestProductHamiltonianAssembly:
-    """Both sides of ``DENSE_FALLBACK_DIM``: the dense scatter-add (d = 400)
-    and the COO-to-CSR conversion (d = 616) return canonical CSR matrices
-    without stored zeros that agree with the Fock-space operator."""
+    """The one block assembly, from the 1 x 1 space of a reference
+    determinant (the mean field's HF energy) to the 8-site half-filled site
+    basis (d = 4,900), returns canonical CSR matrices without stored zeros
+    that agree with the Fock-space operator."""
 
     @pytest.mark.parametrize("complex_ints", [False, True])
-    @pytest.mark.parametrize("m, n_alpha, n_beta, n_beta_kept", [(6, 3, 3, 20), (8, 3, 6, 11)])
-    def test_canonical_and_exact(self, complex_ints, m, n_alpha, n_beta, n_beta_kept):
+    @pytest.mark.parametrize("m, n_alpha, n_beta, kept", [
+        pytest.param(6, 3, 3, (1, 1), id="6-3-3-reference"),
+        pytest.param(6, 3, 3, (20, 20), id="6-3-3-20"),
+        pytest.param(8, 3, 6, (56, 11), id="8-3-6-11"),
+        pytest.param(8, 4, 4, (70, 70), id="8-4-4-70"),
+    ])
+    def test_canonical_and_exact(self, complex_ints, m, n_alpha, n_beta, kept):
         if m == 6:  # dense random hopping and V
             lat = random_lattice(np.random.default_rng(6), m, complex_ints)
         else:
             lat = _complex_chain(m, v=0.6) if complex_ints else make_chain(m, v=0.6)
         ints = map_to_electronic(lat)
         assert ints.is_complex == complex_ints
-        alpha = np.array(half_strings(m, n_alpha), dtype=np.int64)
-        beta = np.array(half_strings(m, n_beta), dtype=np.int64)[:n_beta_kept]
-        d = len(alpha) * len(beta)
-        assert (d <= DENSE_FALLBACK_DIM) == (m == 6) and d in (400, 616)
+        alpha = np.array(half_strings(m, n_alpha), dtype=np.int64)[:kept[0]]
+        beta = np.array(half_strings(m, n_beta), dtype=np.int64)[:kept[1]]
         mat = product_hamiltonian(ints, alpha, beta)
         assert mat.format == "csr" and mat.has_canonical_format
         assert np.count_nonzero(mat.data == 0) == 0
         basis = SubspaceBasis(SectorSpec(m, n_alpha, n_beta), tuple(alpha.tolist()),
                               tuple(beta.tolist()))
         idx = [fock_index(det, m) for det in basis.determinants()]
-        expected = dense_fock_hamiltonian(ints).tocsr()[idx][:, idx].toarray()
-        assert np.abs(mat.toarray() - expected).max() <= 1e-12
+        expected = dense_fock_hamiltonian(ints).tocsr()[idx][:, idx]
+        assert abs(mat - expected).max() <= 1e-12
+
+    def test_peak_memory_of_a_rotated_full_sector(self):
+        """The 8-site half-filled sector (70 x 70 strings, 1.77 million
+        nonzeros) in a rotated basis, with the one-spin memo warm: the COO
+        build this assembly replaced peaked at 184 MiB, and this one at
+        about 52 MiB, 2.5 times its result."""
+        m = 8
+        rng = np.random.default_rng(m)
+        ints = rotate_basis(map_to_electronic(make_chain(m, v=0.6)),
+                            np.linalg.qr(rng.normal(size=(m, m)))[0])
+        words = np.array(half_strings(m, 4), dtype=np.int64)
+        product_hamiltonian(ints, words, words)
+        tracemalloc.start()
+        try:
+            mat = product_hamiltonian(ints, words, words)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert mat.nnz == 1_768_900
+        assert peak <= 100 * 2**20
+
+    def test_channel_past_int32_positions(self):
+        """All 48,620 alpha strings of the 18-site half-filled sector against
+        one beta string (as ``_covering`` ranks them at small fractions):
+        d fits int32 but alpha positions run to na^2 = 2.4e9, which wrapped to
+        negative rows when they were cast before being split."""
+        m = 18
+        ints = map_to_electronic(make_chain(m, v=0.6))
+        alpha = np.array(half_strings(m, 9), dtype=np.int64)
+        beta = alpha[:1]
+        assert len(alpha) ** 2 > np.iinfo(np.int32).max
+        mat = product_hamiltonian(ints, alpha, beta)
+        assert mat.format == "csr" and mat.has_canonical_format
+        for row in (0, 1000, 46_341, len(alpha) - 1):
+            det = Determinant(int(alpha[row]), int(beta[0]))
+            near = [e for e in generate_excitations(det, m, {1}) if e.beta == det.beta]
+            cols = np.searchsorted(alpha, [e.alpha for e in near] + [det.alpha])
+            expected = np.zeros(len(alpha))
+            expected[cols] = [matrix_element(det, e, ints) for e in near] + [diagonal_energy(det, ints)]
+            assert np.abs(mat[row].toarray().ravel() - expected).max() <= 1e-12
 
 
 class TestLargeChannelProjection:
