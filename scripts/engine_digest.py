@@ -90,7 +90,7 @@ def main() -> None:
                         out_a, out_b, cols = hamiltonian_columns(ints, dets_a, dets_b)
                         arrays = {
                             "product_hamiltonian": (mat.indptr, mat.indices, mat.data),
-                            "sigma": (sigma(c, ints, wa, wb),),
+                            "sigma": sigma(c, ints, wa, wb)[:1],
                             "hamiltonian_columns": (out_a, out_b, cols.indptr, cols.indices,
                                                     cols.data),
                         }

@@ -165,6 +165,8 @@ class GapReport:
     failures: dict[str, str]
     metadata: dict
     stage_seconds: dict[str, float] = field(default_factory=dict)
+    # per sampled sector: its seed or sample file, and the discarded fraction
+    samples: dict[str, dict] = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
         def round9(x):
@@ -221,8 +223,9 @@ def run_workflow(config: WorkflowConfig) -> tuple[GapReport, dict[str, list[Sect
     t_start = time.time()
     lat = load_lattice(config.lattice_path).to_ev()
     lat = apply_interaction_mode(lat, config.mode)
-    ints = map_to_electronic(lat, literal_2u=config.literal_2u)
+    # the sectors are checked before the M^4 integrals are allocated
     specs = sector_specs(lat.n_orbitals, config.n_electrons, config.flip_spin)
+    ints = map_to_electronic(lat, literal_2u=config.literal_2u)
     neutral = specs["Ne"]
     # a malformed sample file fails the run here, before any solver
     loaded = {label: load_samples(path, specs[label])
@@ -354,5 +357,8 @@ def run_workflow(config: WorkflowConfig) -> tuple[GapReport, dict[str, list[Sect
             "sector_mean_field": config.sector_mean_field,
         },
         stage_seconds={k: round(v, 6) for k, v in stage_seconds.items()},
+        samples={label: ({"file": config.samples_files[label]} if s.seed is None
+                         else {"seed": s.seed}) | {"discarded_fraction": s.discarded_fraction}
+                 for label, s in sample_cache.items()},
     )
     return report, runs

@@ -122,15 +122,14 @@ def config_from_file(path, overrides: dict | None = None) -> WorkflowConfig:
         raise ValidationError(f"{path}: {exc}") from exc
 
 
-def _write_manifest(out_dir: Path, config: WorkflowConfig, config_path,
-                    stage_seconds: dict) -> None:
+def _write_manifest(out_dir: Path, config: WorkflowConfig, config_path, report) -> None:
     inputs = [str(Path(config_path).resolve()), config.lattice_path, *config.samples_files.values()]
     manifest = {
         "tool_version": __version__,
         "config": asdict(config),
         "input_hashes": {p: _sha256(p) for p in inputs if os.path.exists(p)},
-        "seeds": [config.seed],
-        "stage_seconds": stage_seconds,
+        "samples": report.samples,
+        "stage_seconds": report.stage_seconds,
         "created_unix": time.time(),
     }
     with open(out_dir / "manifest.json", "w") as fh:
@@ -170,10 +169,11 @@ def cmd_sample(args) -> int:
     check_sampling(args.shots, args.seed)
     check_layers(args.layers)
     lat = load_lattice(args.lattice).to_ev()
-    ints = map_to_electronic(lat)
+    # the sectors are checked before the M^4 integrals are allocated
     spec = SectorSpec(lat.n_orbitals, args.n_alpha, args.n_beta)
     n_pairs = min(args.n_alpha, args.n_beta)
     neutral = SectorSpec(lat.n_orbitals, n_pairs, n_pairs)
+    ints = map_to_electronic(lat)
     mf = solve_mean_field(ints, neutral)
     mo = rotate_basis(ints, mf.orbital_coefficients)
     samples = _simulate_sector_samples(mo, mf, spec, neutral, args.layers, args.shots, args.seed)
@@ -222,7 +222,7 @@ def cmd_run(args) -> int:
         json.dump(report.to_json_dict(), fh, indent=1)
         fh.write("\n")
     _write_sweep_csvs(out_dir, runs)
-    _write_manifest(out_dir, config, args.config, report.stage_seconds)
+    _write_manifest(out_dir, config, args.config, report)
     for solver, gap in report.gaps.items():
         print(f"gap[{solver}] = {gap:.9f} eV")
     print(f"single-particle gap = {report.single_particle_gap:.9f} eV")

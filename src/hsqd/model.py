@@ -38,6 +38,7 @@ UNITARITY_TOL = 1e-10
 LATTICE_TOL = 1e-10
 LATTICE_REQUIRED = ("n_orbitals", "hopping", "u", "v")
 LATTICE_KEYS = LATTICE_REQUIRED + ("kpoint", "unit", "labels")
+MAX_ORBITALS = 63  # the bits of an int64 string word below its sign bit
 
 
 @dataclass(frozen=True)
@@ -175,6 +176,8 @@ class SectorSpec:
 
     def __post_init__(self):
         m = self.n_orbitals
+        if m > MAX_ORBITALS:
+            raise ValidationError(f"{m} orbitals: a sector holds at most {MAX_ORBITALS}")
         if not (0 <= self.n_alpha <= m and 0 <= self.n_beta <= m):
             raise ValidationError(
                 f"electron counts ({self.n_alpha}, {self.n_beta}) outside [0, {m}]"
@@ -184,10 +187,11 @@ class SectorSpec:
     def n_electrons(self) -> int:
         return self.n_alpha + self.n_beta
 
-    def holds(self, word: int, channel: str) -> bool:
-        """Whether ``word`` is an M-orbital string of the "alpha" or "beta" channel."""
+    def holds(self, words, channel: str) -> np.ndarray:
+        """Whether each of ``words`` is an M-orbital string of the "alpha" or "beta" channel."""
+        words = np.asarray(words, dtype=np.int64)
         n_occ = self.n_alpha if channel == "alpha" else self.n_beta
-        return 0 <= word < 1 << self.n_orbitals and bin(word).count("1") == n_occ
+        return ((words >> self.n_orbitals) == 0) & (np.bitwise_count(words) == n_occ)
 
     def dimension(self) -> int:
         return math.comb(self.n_orbitals, self.n_alpha) * math.comb(self.n_orbitals, self.n_beta)

@@ -56,7 +56,7 @@ def fci_ground(spec: SectorSpec, ints: ElectronicIntegrals) -> GroundStateResult
     dim = spec.dimension()
     if dim > FCI_CAP:
         raise CapExceededError(f"sector dimension {dim} exceeds FCI cap {FCI_CAP}")
-    strings = (tuple(half_strings(spec.n_orbitals, n)) for n in (spec.n_alpha, spec.n_beta))
+    strings = (half_strings(spec.n_orbitals, n) for n in (spec.n_alpha, spec.n_beta))
     return solve_subspace(SubspaceBasis(spec, *strings), ints)
 
 
@@ -152,24 +152,16 @@ class _ColumnStore:
         self.position = np.concatenate([self.position, np.full(len(new), -1, dtype=np.int32)])
         return rows
 
-    def square(self):
-        """H[S, S]: dense up to ``DENSE_FALLBACK_DIM``, CSC above, filled
-        block by block (the blocks hold ascending columns)."""
+    def square(self) -> sp.csc_matrix:
+        """H[S, S] as CSC, filled block by block (the blocks hold ascending
+        columns); ``lowest_eigenpair`` densifies the small ones itself."""
         d = len(self.members)
         inside = [np.flatnonzero(self.position[rows] >= 0).astype(np.int32)
                   for _, _, rows, _ in self.blocks]
-        blocks = zip(self.blocks, inside)
-        dtype = self.blocks[0][3].dtype
-        if d <= DENSE_FALLBACK_DIM:
-            out = np.zeros((d, d), dtype=dtype)
-            for (first, indptr, rows, vals), keep in blocks:
-                col = first + np.searchsorted(indptr, keep, side="right") - 1
-                out[self.position[rows[keep]], col] = vals[keep]
-            return out
-        val = np.empty(sum(map(len, inside)), dtype=dtype)
+        val = np.empty(sum(map(len, inside)), dtype=self.blocks[0][3].dtype)
         row = np.empty(len(val), dtype=np.int32)
         ptr, start = [np.zeros(1, dtype=np.int64)], 0
-        for (first, indptr, rows, vals), keep in blocks:
+        for (first, indptr, rows, vals), keep in zip(self.blocks, inside):
             end = start + len(keep)
             val[start:end] = vals[keep]
             row[start:end] = self.position[rows[keep]]
@@ -212,7 +204,7 @@ def hci_ground(
     important first (ties in ascending (beta, alpha) order), up to
     ``max_determinants``.  The same columns give each stage's variance:
     s = H[:, set] c holds H c over every determinant the set couples to, so
-    no full-sector sigma is needed and the variance is reported whatever the
+    no further sigma is needed and the variance is reported whatever the
     sector size.  The kept columns plus the chunk being built stay under
     ``SIGMA_BYTES_CAP``.
     """

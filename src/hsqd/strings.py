@@ -18,15 +18,16 @@ pq = p * M + q.  Each string's one-spin entries are kept on the integrals
 (``ElectronicIntegrals.one_spin_memo``), so they are built once per
 integrals object, whichever routine meets the string first.
 
-Determinants are ordered beta-major (as in ``SubspaceBasis.determinants``),
-so a vector over a product space A x B is the matrix C[ib, ia], with
+Determinants are ordered beta-major, so a vector over a product space A x B
+is the matrix C[ib, ia], with
 
     sigma = H_beta C + C H_alpha^T + core C + sum g_os[pq,rs] E^beta_rs C E^alpha_pq^T ,
 
-and the matrix is the block form H = sum_{ib,jb} |ib><jb| (x) B(ib, jb), with
-B(ib, jb) = sum_k W[(ib,jb), k] O_k over the alpha operators O = (1,
-H_alpha + core, E^alpha_pq for each pq that g_os couples) and W[(ib,jb), k] =
-H_beta[ib,jb], delta(ib,jb) and sum_rs g_os[pq,rs] E^beta_rs[ib,jb].
+over the strings each channel reaches (``_reach``), and the matrix is the
+block form H = sum_{ib,jb} |ib><jb| (x) B(ib, jb), with B(ib, jb) = sum_k
+W[(ib,jb), k] O_k over the alpha operators O = (1, H_alpha + core,
+E^alpha_pq for each pq that g_os couples) and W[(ib,jb), k] = H_beta[ib,jb],
+delta(ib,jb) and sum_rs g_os[pq,rs] E^beta_rs[ib,jb].
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import scipy.sparse as sp
 from .errors import CapExceededError
 from .model import ElectronicIntegrals, SectorSpec
 
-# largest estimated allocation of one full-sector sigma (see sigma_bytes)
+# largest estimated allocation of one sigma (see sigma_bytes) or of H columns
 SIGMA_BYTES_CAP = 2 * 1024**3
 
 
@@ -165,15 +166,23 @@ def _one_spin_entries(ints: ElectronicIntegrals, strings: np.ndarray):
     return words, np.repeat(np.arange(len(strings)), count), keys, vals
 
 
-def one_spin_operator(ints: ElectronicIntegrals, strings: np.ndarray) -> sp.coo_matrix:
-    """k.E + 1/2 sum g E_pq E_rs restricted to the ascending ``strings``,
-    with its entries term-major as ``_one_spin_terms`` builds them."""
-    words, cols, keys, vals = _one_spin_entries(ints, strings)
-    rows = _locate(strings, words)
-    keep = np.flatnonzero(rows >= 0)
+def one_spin_operator(entries, rows: np.ndarray, n: int) -> sp.coo_matrix:
+    """k.E + 1/2 sum g E_pq E_rs from the n strings of the one-spin ``entries``
+    (``_one_spin_entries``) onto the ascending ``rows``, dropping the words
+    outside them, with its entries term-major as ``_one_spin_terms`` builds them."""
+    words, cols, keys, vals = entries
+    at = _locate(rows, words)
+    keep = np.flatnonzero(at >= 0)
     keep = keep[np.argsort(keys[keep], kind="stable")]
-    n = len(strings)
-    return sp.coo_matrix((vals[keep], (rows[keep], cols[keep])), shape=(n, n))
+    return sp.coo_matrix((vals[keep], (at[keep], cols[keep])), shape=(len(rows), n))
+
+
+def _reach(ints: ElectronicIntegrals, strings: np.ndarray, pairs: np.ndarray):
+    """The one-spin entries and live E_pq, pq in ``pairs``, of the ascending
+    ``strings``, and the ascending words they reach, the strings included."""
+    one = _one_spin_entries(ints, strings)
+    live = _live_excitations(strings, pairs, ints.n_orbitals)
+    return one, live, np.unique(np.concatenate([strings, one[0], live[1]]))
 
 
 def _operator_rows(k: np.ndarray, pos: np.ndarray, val: np.ndarray, n_rows: int):
@@ -193,7 +202,8 @@ def product_hamiltonian(
     gos = ints.two_body_opposite_spin.reshape(m * m, m * m)
     nonzero = gos != 0
     pq, rs = np.flatnonzero(nonzero.any(axis=1)), np.flatnonzero(nonzero.any(axis=0))
-    ha, hb = one_spin_operator(ints, alpha), one_spin_operator(ints, beta)
+    ha = one_spin_operator(_one_spin_entries(ints, alpha), alpha, na)
+    hb = one_spin_operator(_one_spin_entries(ints, beta), beta, nb)
     a_term, a_row, a_col, a_sign = _excitations(alpha, pq, m)
     b_term, b_row, b_col, b_sign = _excitations(beta, rs, m)
     i, e = np.nonzero(nonzero[pq][:, rs[b_term]])
@@ -234,33 +244,39 @@ def _live_count(pattern: np.ndarray, m: int, n: int) -> int:
     return min(diag, n) + min(int(np.count_nonzero(pattern)) - diag, n * (m - n))
 
 
+def _per_string(spec: SectorSpec, ints: ElectronicIntegrals):
+    """Per channel, at most how many one-spin entries (singles and doubles by
+    the nonzero patterns of k and g_ss) and opposite-spin E_pq (by that of
+    g_os) keep a string alive; and the most pairs an excitation pass visits."""
+    m = spec.n_orbitals
+    k = _one_body_k(ints.one_body, ints.two_body_same_spin) != 0
+    gss = ints.two_body_same_spin.reshape(m * m, m * m) != 0
+    gos = ints.two_body_opposite_spin.reshape(m * m, m * m) != 0
+    counts = []
+    for n, coupled in ((spec.n_alpha, gos.any(axis=1)), (spec.n_beta, gos.any(axis=0))):
+        doubles = _live_count(gss.any(axis=0), m, n) * _live_count(gss.any(axis=1), m, n)
+        counts.append((_live_count(k, m, n) + min(doubles, int(np.count_nonzero(gss))),
+                       _live_count(coupled, m, n)))
+    visited = max(np.count_nonzero(k), np.count_nonzero(gos.any(axis=1)),
+                  np.count_nonzero(gos.any(axis=0)), np.count_nonzero(gss.any(axis=1)))
+    return counts, int(visited)
+
+
 def columns_bytes(n_dets: int, spec: SectorSpec, ints: ElectronicIntegrals) -> int:
     """Estimated peak memory of ``hamiltonian_columns`` over ``n_dets``
     determinants of ``spec``, with no string's entries memoized yet.
 
-    Each column has, per spin, at most the singles and doubles that the
-    nonzero patterns of k and g_ss keep alive (``_live_count``), the
-    opposite-spin pairs that the pattern of g_os keeps alive, and the core,
-    at fourteen 8-byte indices and three values each; an excitation pass
-    adds 160 bytes of temporaries per visited orbital pair, and each call
-    4 M^4 bytes of integral masks and 64 KiB of fixed cost.  In a rotated
-    basis every pattern is full, and this is 1.2-2x the peak measured from
-    M = 6 to 12 with 20 or more determinants; in a site basis it is 4-5x
-    the peak of 400 determinants at M = 8.
+    Each column has at most the one-spin entries of its two strings, the
+    products of their opposite-spin E_pq (``_per_string``) and the core, at
+    fourteen 8-byte indices and three values each; an excitation pass adds
+    160 bytes per visited orbital pair, and each call 4 M^4 bytes of integral
+    masks and 64 KiB.  In a rotated basis this is 1.2-2x the peak measured
+    from M = 6 to 12 with 20 or more determinants; in a site basis it is
+    4-5x the peak of 400 determinants at M = 8.
     """
-    m = spec.n_orbitals
-    item = 16 if ints.is_complex else 8
-    k = _one_body_k(ints.one_body, ints.two_body_same_spin) != 0
-    gss = ints.two_body_same_spin.reshape(m * m, m * m) != 0
-    gos = ints.two_body_opposite_spin.reshape(m * m, m * m) != 0
-    entries = 1 + (_live_count(gos.any(axis=1), m, spec.n_alpha)
-                   * _live_count(gos.any(axis=0), m, spec.n_beta))
-    for n in (spec.n_alpha, spec.n_beta):
-        doubles = _live_count(gss.any(axis=0), m, n) * _live_count(gss.any(axis=1), m, n)
-        entries += _live_count(k, m, n) + min(doubles, int(np.count_nonzero(gss)))
-    visited = max(np.count_nonzero(k), np.count_nonzero(gos.any(axis=1)),
-                  np.count_nonzero(gos.any(axis=0)), np.count_nonzero(gss.any(axis=1)))
-    return n_dets * (entries * (112 + 3 * item) + 160 * visited) + 4 * m**4 + 65536
+    ((one_a, os_a), (one_b, os_b)), visited = _per_string(spec, ints)
+    entries, item = 1 + one_a + one_b + os_a * os_b, 16 if ints.is_complex else 8
+    return n_dets * (entries * (112 + 3 * item) + 160 * visited) + 4 * spec.n_orbitals**4 + 65536
 
 
 def _pair_up(keys: np.ndarray, src: np.ndarray):
@@ -287,17 +303,14 @@ def hamiltonian_columns(
         raise CapExceededError(f"the H columns of {d} determinants exceed the memory cap")
     ua, ia = np.unique(alpha, return_inverse=True)
     ub, ib = np.unique(beta, return_inverse=True)
-    one_a, one_b = _one_spin_entries(ints, ua), _one_spin_entries(ints, ub)
     # g_os[pq, rs] E^beta_rs E^alpha_pq over the pairs with any coupling
     gos = ints.two_body_opposite_spin.reshape(m * m, m * m)
     pq, rs = np.flatnonzero(np.any(gos != 0, axis=1)), np.flatnonzero(np.any(gos != 0, axis=0))
-    a_term, a_word, a_src, a_sign = _live_excitations(ua, pq, m)
-    b_term, b_word, b_src, b_sign = _live_excitations(ub, rs, m)
+    one_a, (a_term, a_word, a_src, a_sign), words_a = _reach(ints, ua, pq)
+    one_b, (b_term, b_word, b_src, b_sign), words_b = _reach(ints, ub, rs)
     # a determinant's key is rank_b * len(words_a) + rank_a, from the ranks of
     # its strings among the words each channel reaches, so keys order like
     # (beta, alpha); the ranks are taken before the entries are gathered
-    words_a = np.unique(np.concatenate([ua, one_a[0], a_word]))
-    words_b = np.unique(np.concatenate([ub, one_b[0], b_word]))
     na = len(words_a)
     set_a, set_b = np.searchsorted(words_a, ua)[ia], np.searchsorted(words_b, ub)[ib] * na
     own = set_b + set_a
@@ -345,55 +358,66 @@ def hamiltonian_columns(
     return words_a[outside % na], words_b[outside // na], mat
 
 
-def sigma_bytes(spec: SectorSpec, ints: ElectronicIntegrals) -> int:
-    """Estimated peak memory of one ``sigma`` over the full sector of ``spec``.
+def sigma_bytes(spec: SectorSpec, ints: ElectronicIntegrals, n_alpha: int, n_beta: int) -> int:
+    """Estimated peak memory of one ``sigma`` from ``n_alpha`` alpha and
+    ``n_beta`` beta strings of ``spec``, from the counts alone.
 
-    Counts five sector-sized arrays (the vector, the result and the
-    temporaries of one term); ten 8-byte temporaries per string and orbital
-    pair for the excitations of each channel; and three copies (joined,
-    filtered, converted) of each one-spin triplet of two 8-byte indices and
-    a value, with L^2 + L triplets per string, where L = n (M - n) + n is the
-    number of E_rs that keep a string alive.
+    A channel of s strings reaches R = min(C(M, n), s (1 + r)) words, with r
+    the one-spin entries and opposite-spin E_pq of a string (``_per_string``)
+    or the words within a double excitation, if fewer.  Counts five R_alpha x
+    R_beta arrays, 80 bytes per string and visited orbital pair, three copies
+    of each entry (three indices and a value), 4 M^4 bytes of integral masks
+    and 64 KiB.  In a rotated basis this is 1.2-2.9x the peak measured from
+    M = 6 to 12 with ten or more strings per channel (4.6x for one); in a
+    site basis, where few pairs of the reached words are reached, 2-50x.
     """
-    m = spec.n_orbitals
-    item = 16 if ints.is_complex else 8
-    total = 5 * item * spec.dimension()
-    for n in (spec.n_alpha, spec.n_beta):
-        live = n * (m - n) + n
-        total += comb(m, n) * (80 * m * m + 3 * (16 + item) * (live * live + live))
-    return total
+    m, item = spec.n_orbitals, 16 if ints.is_complex else 8
+    counts, visited = _per_string(spec, ints)
+    total, reach = 4 * m**4 + 65536, 1
+    for n, strings, (one, live) in zip((spec.n_alpha, spec.n_beta), (n_alpha, n_beta), counts):
+        near = min(one + live, n * (m - n) + comb(n, 2) * comb(m - n, 2))
+        reach *= min(comb(m, n), strings * (1 + near))
+        total += strings * (80 * visited + 3 * (20 + item) * (one + live))
+    return total + 5 * item * reach
 
 
 def sigma(
     c: np.ndarray, ints: ElectronicIntegrals, alpha: np.ndarray, beta: np.ndarray
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """H applied to a vector over the product of the ascending ``alpha`` and
-    ``beta`` string words, given as the matrix C[ib, ia].  The product space
-    must be closed under H (a full sector) for the result to be H c."""
+    ``beta`` string words, given as the matrix C[ib, ia]: S[jb, ja] over the
+    words each channel reaches (``_reach``; the strings on a full sector),
+    returned with those ascending alpha and beta words."""
     m = ints.n_orbitals
-    ha = one_spin_operator(ints, alpha).tocsr()
-    hb = one_spin_operator(ints, beta).tocsr()
-    out = hb @ c
-    out += (ha @ c.T).T
-    out += ints.core_energy * c
     gos = ints.two_body_opposite_spin.reshape(m * m, m * m)
-    pairs = np.arange(m * m)
-    # E^alpha of every pair, pair-major, and one row-sorted CSR pattern of all
-    # E^beta_rs that each W^beta_pq = sum_rs g_os[pq, rs] E^beta_rs refills
-    a_term, a_row, a_col, a_sign = _excitations(alpha, pairs, m)
-    a_cut = np.searchsorted(a_term, np.arange(m * m + 1))
-    b_term, b_row, b_col, b_sign = _excitations(beta, pairs, m)
+    pq, rs = np.flatnonzero(np.any(gos != 0, axis=1)), np.flatnonzero(np.any(gos != 0, axis=0))
+    one_a, (a_term, a_word, a_col, a_sign), words_a = _reach(ints, alpha, pq)
+    ha = one_spin_operator(one_a, words_a, len(alpha)).tocsr()
+    del one_a  # each channel's entries are gone before the next is gathered
+    one_b, (b_term, b_word, b_col, b_sign), words_b = _reach(ints, beta, rs)
+    hb = one_spin_operator(one_b, words_b, len(beta)).tocsr()
+    del one_b
+    ia, ib = np.searchsorted(words_a, alpha), np.searchsorted(words_b, beta)
+    out = np.zeros((len(words_b), len(words_a)),
+                   dtype=np.result_type(c, complex if ints.is_complex else float))
+    out[:, ia] += hb @ c
+    out[ib] += (ha @ c.T).T
+    out[np.ix_(ib, ia)] += ints.core_energy * c
+    # E^alpha_pq pair-major, and one row-sorted CSR pattern of all E^beta_rs
+    # that each W^beta_pq = sum_rs g_os[pq, rs] E^beta_rs refills
+    a_row, b_row = _locate(words_a, a_word), _locate(words_b, b_word)
+    a_cut = np.searchsorted(a_term, np.arange(len(pq) + 1))
     order = np.argsort(b_row, kind="stable")
-    b_term, b_col, b_sign = b_term[order], b_col[order], b_sign[order]
-    b_ptr = np.concatenate([[0], np.cumsum(np.bincount(b_row, minlength=len(beta)))])
-    w = sp.csr_matrix((np.empty(len(b_col), dtype=gos.dtype), b_col, b_ptr),
-                      shape=(len(beta),) * 2)
-    d = np.empty(c.shape, dtype=np.result_type(c, gos))
-    for pq in np.flatnonzero(np.any(gos != 0, axis=1)):
+    b_rs, b_sign = rs[b_term[order]], b_sign[order]
+    b_ptr = np.searchsorted(b_row[order], np.arange(len(words_b) + 1))
+    w = sp.csr_matrix((np.empty(len(order), dtype=gos.dtype), b_col[order], b_ptr),
+                      shape=(len(words_b), len(beta)))
+    d = np.empty((len(beta), len(words_a)), dtype=out.dtype)
+    for k, p in enumerate(pq):
         # D = C E^alpha_pq^T, then W^beta_pq D
-        part = slice(a_cut[pq], a_cut[pq + 1])
+        part = slice(a_cut[k], a_cut[k + 1])
         d.fill(0)
         d[:, a_row[part]] = c[:, a_col[part]] * a_sign[part]
-        np.multiply(gos[pq, b_term], b_sign, out=w.data)
+        np.multiply(gos[p, b_rs], b_sign, out=w.data)
         out += w @ d
-    return out
+    return out, words_a, words_b

@@ -6,7 +6,7 @@ marginal frequency; a fraction takes the shortest prefixes of the rankings
 that cover it, the alpha ranking filling before the beta one grows, so sweeps
 are nested and monotone by construction.  ``solve_subspace`` solves every
 subspace, and takes its variance from the residual when the subspace is the
-whole sector, from one full-sector sigma otherwise.
+whole sector, from one sigma over the strings it reaches otherwise.
 """
 
 from __future__ import annotations
@@ -18,29 +18,34 @@ import numpy as np
 import scipy.sparse as sp
 
 from .davidson import GroundStateResult, lowest_eigenpair
-from .determinants import SECTOR_CAP, Determinant, check_levels, half_strings
+from .determinants import Determinant, check_levels, half_strings
 from .errors import ValidationError
 from .model import ElectronicIntegrals, SectorSpec
 from .statevector import SampleSet
-from .strings import (SIGMA_BYTES_CAP, _locate, excited_strings, product_hamiltonian, sigma,
-                      sigma_bytes)
+from .strings import SIGMA_BYTES_CAP, excited_strings, product_hamiltonian, sigma, sigma_bytes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubspaceBasis:
-    """Product-form determinant subspace A x B with canonical ordering."""
+    """Product-form determinant subspace A x B.  The alpha and beta string
+    words are kept ascending, as read-only int64 arrays, and determinants are
+    ordered beta-major, so a vector over the subspace is the matrix C[ib, ia]."""
 
     spec: SectorSpec
-    alpha_strings: tuple[int, ...]
-    beta_strings: tuple[int, ...]
+    alpha_strings: np.ndarray
+    beta_strings: np.ndarray
 
     def __post_init__(self):
-        for name, strings in (("alpha", self.alpha_strings), ("beta", self.beta_strings)):
-            if len(set(strings)) != len(strings):
+        for name in ("alpha", "beta"):
+            given = np.array(getattr(self, f"{name}_strings"), dtype=np.int64)
+            words = np.sort(given)
+            if (words[1:] == words[:-1]).any():
                 raise ValidationError(f"duplicate {name} strings")
-            for s in strings:
-                if not self.spec.holds(s, name):
-                    raise ValidationError(f"{name} string {s:b} outside the sector")
+            bad = given[~self.spec.holds(given, name)]
+            if len(bad):
+                raise ValidationError(f"{name} string {int(bad[0]):b} outside the sector")
+            words.setflags(write=False)
+            object.__setattr__(self, f"{name}_strings", words)
 
     @property
     def dimension(self) -> int:
@@ -50,30 +55,16 @@ class SubspaceBasis:
     def fraction(self) -> float:
         return self.dimension / self.spec.dimension()
 
-    def determinants(self) -> list[Determinant]:
-        """Product basis in canonical (beta-major, ascending string) order."""
-        alphas = sorted(self.alpha_strings)
-        betas = sorted(self.beta_strings)
-        return [Determinant(a, b) for b in betas for a in alphas]
-
 
 def filter_samples(samples: SampleSet, spec: SectorSpec) -> SampleSet:
     """Keep only samples with the sector's per-spin particle numbers."""
-    kept: dict[Determinant, int] = {}
-    total = 0
-    for det, count in samples.counts.items():
-        if (
-            bin(det.alpha).count("1") == spec.n_alpha
-            and bin(det.beta).count("1") == spec.n_beta
-        ):
-            kept[det] = count
-            total += count
+    kept = {det: count for det, count in samples.counts.items()
+            if det.alpha.bit_count() == spec.n_alpha and det.beta.bit_count() == spec.n_beta}
     if not kept:
         raise ValidationError("postselection discarded every sample (empty subspace)")
-    discarded = 1.0 - total / samples.shots
-    return SampleSet(
-        samples.n_orbitals, kept, total, samples.seed, samples.provenance, discarded
-    )
+    total = sum(kept.values())
+    return SampleSet(samples.n_orbitals, kept, total, samples.seed, samples.provenance,
+                     1.0 - total / samples.shots)
 
 
 PADDING_LIMIT = 10**6
@@ -128,13 +119,9 @@ def _covering(rankings, target: float) -> tuple[tuple[int, ...], tuple[int, ...]
 
 
 def project_hamiltonian(basis: SubspaceBasis, ints: ElectronicIntegrals) -> sp.csr_matrix:
-    """Hamiltonian projected onto the subspace, in ``determinants()`` order
-    (sparse Hermitian), built from the per-spin string operators."""
-    return product_hamiltonian(
-        ints,
-        np.array(sorted(basis.alpha_strings), dtype=np.int64),
-        np.array(sorted(basis.beta_strings), dtype=np.int64),
-    )
+    """Hamiltonian projected onto the subspace, beta-major over its ascending
+    strings (sparse Hermitian), built from the per-spin string operators."""
+    return product_hamiltonian(ints, basis.alpha_strings, basis.beta_strings)
 
 
 def solve_subspace(basis: SubspaceBasis, ints: ElectronicIntegrals) -> GroundStateResult:
@@ -149,53 +136,41 @@ def solve_subspace(basis: SubspaceBasis, ints: ElectronicIntegrals) -> GroundSta
         if abs(result.energy) < 1e-14:
             return result
         return result.with_variance((result.residual_norm / result.energy) ** 2)
-    return result.with_variance(energy_variance(result, basis.determinants(), ints))
+    return result.with_variance(energy_variance(result, basis, ints))
 
 
 def energy_variance(
-    result: GroundStateResult, dets: list[Determinant], ints: ElectronicIntegrals
+    result: GroundStateResult, basis: SubspaceBasis, ints: ElectronicIntegrals
 ) -> float | None:
-    """Relative variance (<H^2> - <H>^2) / <H>^2 of an eigenvector over ``dets``.
+    """Relative variance (<H^2> - <H>^2) / <H>^2 of an eigenvector over ``basis``.
 
-    ``dets`` lists the determinants of one sector in the order of the CI
-    vector, in any order and not necessarily a product set.  The vector is
-    embedded in the full sector and H is applied once, so contributions from
-    determinants outside the list are included.  Returns None when <H> is
-    zero, where the relative variance is undefined, and for sectors above
-    ``SECTOR_CAP`` or whose sigma is estimated (``strings.sigma_bytes``) to
-    need more than ``SIGMA_BYTES_CAP`` bytes; that is decided before
-    anything is allocated, so the caller keeps its energy either way.
+    H is applied once to the CI vector C[ib, ia], from the basis strings onto
+    every string they reach (``strings.sigma``), so determinants outside the
+    basis contribute.  None when <H> is zero, and when ``strings.sigma_bytes``
+    estimates from the string counts, before anything is allocated, more
+    than ``SIGMA_BYTES_CAP`` bytes; the caller keeps its energy either way.
     """
-    m = ints.n_orbitals
-    spec = SectorSpec(m, bin(dets[0].alpha).count("1"), bin(dets[0].beta).count("1"))
-    if spec.dimension() > SECTOR_CAP or sigma_bytes(spec, ints) > SIGMA_BYTES_CAP:
+    alpha, beta = basis.alpha_strings, basis.beta_strings
+    if sigma_bytes(basis.spec, ints, len(alpha), len(beta)) > SIGMA_BYTES_CAP:
         return None
-    alpha = np.array(half_strings(m, spec.n_alpha), dtype=np.int64)
-    beta = np.array(half_strings(m, spec.n_beta), dtype=np.int64)
-    c = np.zeros(
-        (len(beta), len(alpha)),
-        dtype=np.result_type(result.ci_vector, complex if ints.is_complex else float),
-    )
-    rows = _locate(beta, np.array([d.beta for d in dets], dtype=np.int64))
-    cols = _locate(alpha, np.array([d.alpha for d in dets], dtype=np.int64))
-    if (rows < 0).any() or (cols < 0).any():
-        raise ValidationError("determinant outside the sector")
-    c[rows, cols] = result.ci_vector
-    return relative_variance(c, sigma(c, ints, alpha, beta))
+    c = result.ci_vector.reshape(len(beta), len(alpha))
+    s, words_a, words_b = sigma(c, ints, alpha, beta)
+    return relative_variance(c, s, np.ix_(np.searchsorted(words_b, beta),
+                                          np.searchsorted(words_a, alpha)))
 
 
-def relative_variance(c: np.ndarray, s: np.ndarray) -> float | None:
+def relative_variance(c: np.ndarray, s: np.ndarray, own=None) -> float | None:
     """Relative variance (<H^2> - <H>^2) / <H>^2 of the normalized vector
-    ``c`` from s = H c, where ``s`` covers every determinant that H reaches
-    from ``c`` and its first ``c.size`` entries (flattened) are those of
-    ``c``; None when <H> is zero.  It is taken as |s - <H> c|^2 / <H>^2, the
+    ``c`` from s = H c over every determinant that H reaches from ``c``,
+    where ``s[own]`` (by default the first ``c.size``) holds c's own in its
+    shape; None when <H> is zero.  It is taken as |s - <H> c|^2 / <H>^2, the
     squared residual, which cannot go negative by cancellation."""
-    c, s = c.reshape(-1), s.reshape(-1)
-    h1 = float(np.real(np.vdot(c, s[:c.size])))
+    own = slice(c.size) if own is None else own
+    h1 = float(np.real(np.vdot(c, s[own])))
     if abs(h1) < 1e-14:
         return None
     r = s.copy()
-    r[:c.size] -= h1 * c
+    r[own] -= h1 * c
     return float(np.real(np.vdot(r, r))) / (h1 * h1)
 
 
@@ -228,14 +203,12 @@ def extsqd_expand(
     spec = basis.spec
     # a mixed double is a single in each channel, so with levels {2} a channel
     # gains its singles when the other channel has any (0 < n < M)
-    alpha = excited_strings(
-        np.array(sorted(basis.alpha_strings), dtype=np.int64)[kept.any(axis=0)], spec.n_orbitals,
-        1 in levels or 0 < spec.n_beta < spec.n_orbitals, 2 in levels)
-    beta = excited_strings(
-        np.array(sorted(basis.beta_strings), dtype=np.int64)[kept.any(axis=1)], spec.n_orbitals,
-        1 in levels or 0 < spec.n_alpha < spec.n_orbitals, 2 in levels)
-    return SubspaceBasis(spec, tuple(np.union1d(basis.alpha_strings, alpha).tolist()),
-                         tuple(np.union1d(basis.beta_strings, beta).tolist()))
+    alpha = excited_strings(basis.alpha_strings[kept.any(axis=0)], spec.n_orbitals,
+                            1 in levels or 0 < spec.n_beta < spec.n_orbitals, 2 in levels)
+    beta = excited_strings(basis.beta_strings[kept.any(axis=1)], spec.n_orbitals,
+                           1 in levels or 0 < spec.n_alpha < spec.n_orbitals, 2 in levels)
+    return SubspaceBasis(spec, np.union1d(basis.alpha_strings, alpha),
+                         np.union1d(basis.beta_strings, beta))
 
 
 @dataclass(frozen=True)

@@ -315,6 +315,12 @@ def dense_heat_bath_ci(ham, dets, reference, epsilons, max_determinants):
     return stages
 
 
+def basis_determinants(basis):
+    """The determinants of a product basis in the order of its CI vector:
+    beta-major over the ascending strings."""
+    return [Determinant(int(a), int(b)) for b in basis.beta_strings for a in basis.alpha_strings]
+
+
 def extsqd_expand_reference(result, basis, threshold, levels):
     """``subspace.extsqd_expand`` as a loop over the kept determinants: each
     one is excited by the Slater-Condon ``generate_excitations`` and every
@@ -322,10 +328,10 @@ def extsqd_expand_reference(result, basis, threshold, levels):
     from hsqd.subspace import SubspaceBasis
 
     weights = np.abs(result.ci_vector) ** 2
-    kept = [det for det, wgt in zip(basis.determinants(), weights) if wgt >= threshold]
+    kept = [det for det, wgt in zip(basis_determinants(basis), weights) if wgt >= threshold]
     if not kept:
         raise ValidationError("threshold removed every configuration")
-    alpha, beta = set(basis.alpha_strings), set(basis.beta_strings)
+    alpha, beta = set(basis.alpha_strings.tolist()), set(basis.beta_strings.tolist())
     for det in kept:
         for other in generate_excitations(det, basis.spec.n_orbitals, levels):
             alpha.add(other.alpha)

@@ -176,7 +176,7 @@ class TestRunWorkflow:
                 assert variance == (residual / energy) ** 2
                 assert variance >= 0.0
 
-    @pytest.mark.parametrize("cap", ["SECTOR_CAP", "SIGMA_BYTES_CAP"])
+    @pytest.mark.parametrize("cap", ["SIGMA_BYTES_CAP"])
     def test_variance_cap_keeps_energies(self, tmp_path, dimer_lattice, monkeypatch, cap):
         import hsqd.subspace
 
@@ -190,7 +190,7 @@ class TestRunWorkflow:
         assert report.failures == {}
         assert report.sector_energies == want.sector_energies
         assert report.gaps == want.gaps
-        # sqd and extsqd skip the full-sector sigma on proper subspaces and
+        # sqd and extsqd skip the subspace's sigma on proper subspaces and
         # take a whole sector's variance from the residual, which needs no
         # sigma; hci takes its variance from its own columns, which no
         # variance cap bounds

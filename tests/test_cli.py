@@ -281,6 +281,45 @@ class TestRun:
                               solvers='["fci"]')
         assert main(["run", str(config)]) == 4
 
+    def test_64_orbitals_exit_2_before_the_integrals(self, tmp_path, monkeypatch, capsys):
+        """A 64-site chain used to run ``hci`` to a gap with a hop lost to the
+        sign bit of the string words; ``run`` and ``sample`` now refuse it
+        with one line, before the M^4 integrals are allocated."""
+        def unreachable(*args, **kwargs):
+            raise AssertionError("integrals allocated")
+
+        monkeypatch.setattr("hsqd.bandgap.map_to_electronic", unreachable)
+        monkeypatch.setattr("hsqd.cli.map_to_electronic", unreachable)
+        lattice = tmp_path / "c64.json"
+        save_lattice(make_chain(64), lattice)
+        config = write_config(tmp_path, lattice, tmp_path / "o", n_electrons=64,
+                              solvers='["hci"]')
+        message = "error: 64 orbitals: a sector holds at most 63\n"
+        assert main(["run", str(config)]) == 2
+        assert capsys.readouterr().err == message
+        assert main(["sample", str(lattice), str(tmp_path / "s.txt"),
+                     "--n-alpha", "32", "--n-beta", "32"]) == 2
+        assert capsys.readouterr().err == message
+
+    def test_manifest_records_each_sampled_sector(self, tmp_path):
+        """The manifest used to record one seed, ``seeds: [seed]``, though the
+        simulated sectors sample with seed + 0, 1 and 2 and a file sector with
+        none, and the discarded fraction reached no artifact."""
+        lattice = write_dimer(tmp_path)
+        (tmp_path / "s.txt").write_text("0101 50\n1010 25\n1110 25\n")
+        out_dir = tmp_path / "out_s"
+        config = write_config(tmp_path, lattice, out_dir, samples_ne='"s.txt"')
+        assert main(["run", str(config), "--solver", "sqd"]) == 0
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert "seeds" not in manifest
+        assert manifest["samples"] == {
+            "Ne-1": {"seed": 3, "discarded_fraction": 0.0},
+            "Ne": {"file": str((tmp_path / "s.txt").resolve()), "discarded_fraction": 0.25},
+            "Ne+1": {"seed": 5, "discarded_fraction": 0.0},
+        }
+        assert main(["run", str(config), "--solver", "fci"]) == 0
+        assert json.loads((out_dir / "manifest.json").read_text())["samples"] == {}
+
     def test_manifest_hashes_inputs(self, tmp_path):
         lattice = write_dimer(tmp_path)
         out_dir = tmp_path / "out_h"

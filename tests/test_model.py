@@ -21,6 +21,22 @@ from conftest import random_lattice
 from oracles import diagonal_energy, lattice_apply, matrix_element
 
 
+class TestSectorSpec:
+    def test_more_orbitals_than_a_word_holds_refused(self):
+        """A string word is an int64, so orbital 63 would be its sign bit: at
+        M = 64 a hop onto that orbital was lost, and the run still reported
+        a gap."""
+        with pytest.raises(ValidationError, match="^64 orbitals: a sector holds at most 63$"):
+            SectorSpec(64, 32, 32)
+        assert SectorSpec(63, 1, 62).dimension() == 63 * 63
+
+    def test_holds_checks_each_word(self):
+        spec = SectorSpec(63, 2, 1)
+        words = [0b11, 1 << 62 | 1, 1 << 62, -1, 0b111]
+        assert spec.holds(words, "alpha").tolist() == [True, True, False, False, False]
+        assert spec.holds(words, "beta").tolist() == [False, False, True, False, False]
+
+
 def write_lattice_json(path, **overrides):
     doc = {
         "n_orbitals": 2,

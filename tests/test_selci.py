@@ -11,7 +11,6 @@ from hsqd import (
     SectorSpec,
     SelectionSchedule,
     ValidationError,
-    energy_variance,
     fci_ground,
     hci_ground,
     map_to_electronic,
@@ -205,13 +204,18 @@ class TestHciAgainstDenseOracle:
         for stage, (dets, energy) in zip(stages, want):
             assert set(stage.determinants) == set(dets)
             assert stage.result.energy == pytest.approx(energy, abs=1e-12)
-            # the variance from the stage's own columns against the full-sector
-            # sigma; the absolute floor admits round-off where the stage
-            # reached the whole sector and the variance vanishes
-            full = energy_variance(stage.result, list(stage.determinants), ints)
-            if full is None:
+            # the variance from the stage's own columns against the dense
+            # sector matrix; the absolute floor admits round-off where the
+            # stage reached the whole sector and the variance vanishes
+            pos = {det: i for i, det in enumerate(sector)}
+            c = np.zeros(len(sector), dtype=stage.result.ci_vector.dtype)
+            c[[pos[det] for det in stage.determinants]] = stage.result.ci_vector
+            s = ham @ c
+            h1 = np.vdot(c, s).real
+            if abs(h1) < 1e-14:
                 assert stage.result.variance is None
             else:
+                full = np.linalg.norm(s - h1 * c) ** 2 / h1**2
                 assert stage.result.variance == pytest.approx(full, rel=1e-10, abs=1e-13)
         return stages, want
 
