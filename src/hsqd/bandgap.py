@@ -147,6 +147,7 @@ class SectorRun:
     sector: str
     energy: float | None
     points: list = field(default_factory=list)  # (fraction, d, energy, residual, variance, converged)
+    iterations: list = field(default_factory=list)  # the eigensolve matvecs of each point
     error: HsqdError | None = None
 
 
@@ -212,15 +213,17 @@ def _simulate_sector_samples(
     return sample(state, shots, seed=seed)
 
 
-def _point(fraction: float, d: int, result: GroundStateResult) -> tuple:
-    """One sweep row: (fraction, d, energy, residual, variance, converged)."""
-    return (fraction, d, result.energy, result.residual_norm, result.variance,
-            result.converged)
+def _record(run: SectorRun, rows: list[tuple[float, int, GroundStateResult]]) -> None:
+    """The sweep rows (fraction, d, energy, residual, variance, converged) of
+    ``run``, and the matvec count of each row's eigensolve (1 when dense)."""
+    run.points = [(fraction, d, res.energy, res.residual_norm, res.variance, res.converged)
+                  for fraction, d, res in rows]
+    run.iterations = [res.iterations for _, _, res in rows]
 
 
 def run_workflow(config: WorkflowConfig) -> tuple[GapReport, dict[str, list[SectorRun]]]:
     """Run every requested solver in the three symmetry sectors."""
-    t_start = time.time()
+    t_start = time.perf_counter()
     lat = load_lattice(config.lattice_path).to_ev()
     lat = apply_interaction_mode(lat, config.mode)
     # the sectors are checked before the M^4 integrals are allocated
@@ -232,7 +235,7 @@ def run_workflow(config: WorkflowConfig) -> tuple[GapReport, dict[str, list[Sect
               for label, path in config.samples_files.items()}
 
     stage_seconds: dict[str, float] = {}
-    t0 = time.time()
+    t0 = time.perf_counter()
     mf = solve_mean_field(ints, neutral)
     mo_ints = rotate_basis(ints, mf.orbital_coefficients)
     sector_mf: dict[str, MeanFieldSolution] = {}
@@ -244,7 +247,7 @@ def run_workflow(config: WorkflowConfig) -> tuple[GapReport, dict[str, list[Sect
         else:
             sector_mf[label] = mf
             sector_mo[label] = mo_ints
-    stage_seconds["mean_field"] = time.time() - t0
+    stage_seconds["mean_field"] = time.perf_counter() - t0
 
     sector_energies: dict[str, dict[str, float]] = {lbl: {} for lbl in SECTOR_LABELS}
     runs: dict[str, list[SectorRun]] = {s: [] for s in config.solvers}
@@ -279,25 +282,22 @@ def run_workflow(config: WorkflowConfig) -> tuple[GapReport, dict[str, list[Sect
         return sweep_cache[label]
 
     for solver in config.solvers:
-        t0 = time.time()
+        t0 = time.perf_counter()
         for offset, label in enumerate(SECTOR_LABELS):
             spec = specs[label]
             run = SectorRun(solver=solver, sector=label, energy=None)
             try:
                 if solver == "fci":
-                    res = fci_ground(spec, ints)
-                    run.points = [_point(1.0, spec.dimension(), res)]
+                    _record(run, [(1.0, spec.dimension(), fci_ground(spec, ints))])
                 elif solver == "hci":
                     schedule = SelectionSchedule(epsilons=tuple(config.hci_epsilons))
                     stages = hci_ground(spec, sector_mo[label], schedule,
                                         reference=sector_mf[label].reference_for(spec))
-                    run.points = [_point(st.fraction, st.size, st.result) for st in stages]
+                    _record(run, [(st.fraction, st.size, st.result) for st in stages])
                 else:
                     points = sector_sweep(label, spec, config.seed + offset)
                     if solver == "sqd":
-                        run.points = [
-                            _point(p.fraction, p.basis.dimension, p.result) for p in points
-                        ]
+                        _record(run, [(p.fraction, p.basis.dimension, p.result) for p in points])
                     else:
                         last = points[-1]
                         basis = extsqd_expand(
@@ -305,14 +305,14 @@ def run_workflow(config: WorkflowConfig) -> tuple[GapReport, dict[str, list[Sect
                             set(config.extsqd_levels),
                         )
                         res = solve_subspace(basis, sector_mo[label])
-                        run.points = [_point(basis.fraction, basis.dimension, res)]
+                        _record(run, [(basis.fraction, basis.dimension, res)])
                 run.energy = run.points[-1][2]
                 sector_energies[label][solver] = run.energy
             except HsqdError as exc:
                 run.error = exc
                 failures[f"{solver}/{label}"] = f"{type(exc).__name__}: {exc}"
             runs[solver].append(run)
-        stage_seconds[f"solver_{solver}"] = time.time() - t0
+        stage_seconds[f"solver_{solver}"] = time.perf_counter() - t0
 
     gaps: dict[str, float] = {}
     for solver in config.solvers:
@@ -329,7 +329,7 @@ def run_workflow(config: WorkflowConfig) -> tuple[GapReport, dict[str, list[Sect
             gap_deltas[f"{a}-{b}"] = gaps[a] - gaps[b]
 
     sp_gap = single_particle_gap(lat, config.n_electrons // 2)
-    stage_seconds["total"] = time.time() - t_start
+    stage_seconds["total"] = time.perf_counter() - t_start
     material = config.material or Path(config.lattice_path).stem
     report = GapReport(
         material=material,

@@ -122,13 +122,17 @@ def config_from_file(path, overrides: dict | None = None) -> WorkflowConfig:
         raise ValidationError(f"{path}: {exc}") from exc
 
 
-def _write_manifest(out_dir: Path, config: WorkflowConfig, config_path, report) -> None:
+def _write_manifest(out_dir: Path, config: WorkflowConfig, config_path, report, runs) -> None:
     inputs = [str(Path(config_path).resolve()), config.lattice_path, *config.samples_files.values()]
     manifest = {
         "tool_version": __version__,
         "config": asdict(config),
         "input_hashes": {p: _sha256(p) for p in inputs if os.path.exists(p)},
         "samples": report.samples,
+        # per solver and sector, the matvecs of each sweep row's eigensolve
+        "eigensolve_iterations": {solver: {run.sector: run.iterations for run in sector_runs
+                                           if run.error is None}
+                                  for solver, sector_runs in runs.items()},
         "stage_seconds": report.stage_seconds,
         "created_unix": time.time(),
     }
@@ -222,7 +226,7 @@ def cmd_run(args) -> int:
         json.dump(report.to_json_dict(), fh, indent=1)
         fh.write("\n")
     _write_sweep_csvs(out_dir, runs)
-    _write_manifest(out_dir, config, args.config, report)
+    _write_manifest(out_dir, config, args.config, report, runs)
     for solver, gap in report.gaps.items():
         print(f"gap[{solver}] = {gap:.9f} eV")
     print(f"single-particle gap = {report.single_particle_gap:.9f} eV")

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import strings
-from .davidson import DENSE_FALLBACK_DIM, GroundStateResult, lowest_eigenpair
+from .davidson import GroundStateResult, eigensolve_bytes, lowest_eigenpair
 from .determinants import Determinant, half_strings
 from .errors import CapExceededError, ValidationError
 from .model import ElectronicIntegrals, SectorSpec
@@ -103,17 +103,14 @@ class _ColumnStore:
 
     def _kept_bytes(self, size: int) -> int:
         """The store's arrays three times over, plus the eigensolve of
-        ``size`` members (2 d^2 values dense, 32 d for Lanczos).  A round's
-        reads of the store (H[S, S], the importances, the variance) allocate
-        at most 1.8 times its arrays, measured from M = 6 to 8 up to full
-        coverage; the eigensolve's sparse H[S, S] and its absolute value are
-        each at most the store's size."""
+        ``size`` members (``eigensolve_bytes``).  A round's reads of the
+        store (H[S, S], the importances, the variance) allocate at most 1.8
+        times its arrays, measured from M = 6 to 8 up to full coverage; the
+        eigensolve's sparse H[S, S] is at most the store's size."""
         arrays = [self.members, self.row_alpha, self.row_beta, self.position,
                   *self._alpha, *self._beta, *self._keys]
         arrays += [a for block in self.blocks for a in block[1:]]
-        item = 16 if self.ints.is_complex else 8
-        solve = 2 * size * size * item if size <= DENSE_FALLBACK_DIM else 32 * size * item
-        return 3 * sum(a.nbytes for a in arrays) + solve
+        return 3 * sum(a.nbytes for a in arrays) + eigensolve_bytes(size, self.ints.is_complex)
 
     def extend(self, alpha: np.ndarray, beta: np.ndarray) -> None:
         """Append the determinants (alpha[j], beta[j]) to S in chunks, each as

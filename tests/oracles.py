@@ -12,7 +12,9 @@ expansion replaced, ``hci_ground_reference``, the selected-CI loop that rebuilt
 ``hsqd.strings.hamiltonian_columns`` over the whole set every round,
 ``one_spin_terms_reference``, the loop over rs that
 ``hsqd.strings._one_spin_terms`` replaced, and ``covering_reference``, the
-step-by-step growth loop that ``hsqd.subspace._covering`` replaced.
+step-by-step growth loop that ``hsqd.subspace._covering`` replaced, and
+``arpack_lowest``, the ARPACK eigensolve that ``hsqd.davidson._lanczos_lowest``
+replaced.
 """
 
 from dataclasses import dataclass
@@ -21,7 +23,7 @@ from itertools import combinations
 import numpy as np
 import scipy.sparse as sp
 
-from hsqd import Determinant, ElectronicIntegrals, ValidationError
+from hsqd import Determinant, ElectronicIntegrals, GroundStateResult, ValidationError
 
 
 @dataclass(frozen=True)
@@ -585,3 +587,41 @@ def _word_doubles(word: int, n_orbitals: int):
     for i, j in combinations(occ, 2):
         for a, b in combinations(virt, 2):
             yield word ^ (1 << i) ^ (1 << j) | (1 << a) | (1 << b)
+
+
+def arpack_lowest(matrix, tol: float, max_iter: int = 200) -> GroundStateResult:
+    """Lowest eigenpair from ARPACK's implicitly restarted Lanczos
+    (``scipy.sparse.linalg.eigsh``, Lehoucq, Sorensen & Yang, ARPACK Users'
+    Guide, SIAM 1998) run to machine precision (``tol=0``) on H shifted below
+    its Gershgorin bound, from the unit vector at the smallest diagonal
+    element; ``iterations`` counts its matvecs, and ``max_iter`` its restarts.
+    The energy is the Rayleigh quotient of the unshifted H."""
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+
+    n = matrix.shape[0]
+    diag = matrix.diagonal() if sp.issparse(matrix) else np.diag(matrix)
+    start = np.zeros(n, dtype=matrix.dtype)
+    start[int(np.argmin(diag.real))] = 1.0
+    # ARPACK builds its Krylov space from H v0, which has no component in
+    # the null space of H, so a ground state at exactly zero energy would be
+    # missed; below Gershgorin's bound, H - shift is definite
+    radius = np.asarray(abs(matrix).sum(axis=1)).ravel() - np.abs(diag)
+    shift = float(np.min(diag.real - radius)) - 1.0
+    matvecs = 0
+
+    def apply(x):
+        nonlocal matvecs
+        matvecs += 1
+        return matrix @ x - shift * x
+
+    op = LinearOperator((n, n), matvec=apply, dtype=matrix.dtype)
+    try:
+        vals, vecs = eigsh(op, k=1, which="SA", v0=start, tol=0, maxiter=max_iter)
+        done = True
+    except ArpackNoConvergence as exc:
+        vals, vecs = exc.eigenvalues, exc.eigenvectors
+        done = False
+    vec = vecs[:, 0] if len(vals) else start
+    energy = float(np.real(np.vdot(vec, matrix @ vec)))
+    resid = float(np.linalg.norm(matrix @ vec - energy * vec))
+    return GroundStateResult(energy, vec, resid, matvecs, done and resid <= tol)

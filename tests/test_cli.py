@@ -1,5 +1,7 @@
+import csv
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import re
@@ -11,6 +13,8 @@ from typing import get_type_hints
 import numpy as np
 import pytest
 
+import hsqd.selci
+import hsqd.subspace
 from hsqd import (
     LatticeHamiltonian,
     WorkflowConfig,
@@ -48,6 +52,14 @@ def write_config(tmp_path, lattice, out_dir, **extra):
     path = tmp_path / "run.toml"
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+def write_chain7(tmp_path, out_dir, solvers='["fci"]'):
+    """A run of the open 7-site chain at N = 6, whose sectors hold 735-1,225
+    determinants."""
+    lattice = tmp_path / "chain7.json"
+    save_lattice(make_chain(7), lattice)
+    return write_config(tmp_path, lattice, out_dir, n_electrons=6, solvers=solvers)
 
 
 class TestConvert:
@@ -319,6 +331,37 @@ class TestRun:
         }
         assert main(["run", str(config), "--solver", "fci"]) == 0
         assert json.loads((out_dir / "manifest.json").read_text())["samples"] == {}
+
+    def test_manifest_records_each_eigensolve_matvec_count(self, tmp_path, monkeypatch):
+        """Per solver and sector, the manifest lists the matvec count of each
+        sweep row's eigensolve as the solve returned it (1 on the dense
+        path), and a rerun lists the same counts; the FCI sectors here take
+        the Lanczos path."""
+        solved = []
+        for module in (hsqd.subspace, hsqd.selci):
+            def record(matrix, solve=module.lowest_eigenpair):
+                res = solve(matrix)
+                solved.append((matrix.shape[0], res.iterations))
+                return res
+            monkeypatch.setattr(module, "lowest_eigenpair", record)
+        out_dir = tmp_path / "out_i"
+        config = write_chain7(tmp_path, out_dir, solvers='["fci", "sqd"]')
+        counts = []
+        for _ in range(2):
+            solved.clear()
+            assert main(["run", str(config)]) == 0
+            counts.append(json.loads((out_dir / "manifest.json").read_text())
+                          ["eigensolve_iterations"])
+            rows = []
+            for solver in ("fci", "sqd"):
+                assert list(counts[-1][solver]) == ["Ne-1", "Ne", "Ne+1"]
+                for sector, iterations in counts[-1][solver].items():
+                    sweep = (out_dir / f"sweep_{solver}_{sector}.csv").read_text()
+                    dims = [int(row["d"]) for row in csv.DictReader(io.StringIO(sweep))]
+                    rows += zip(dims, iterations, strict=True)
+            assert rows == solved
+        assert counts[0] == counts[1]
+        assert all(rows[0] > 1 for rows in counts[0]["fci"].values())
 
     def test_manifest_hashes_inputs(self, tmp_path):
         lattice = write_dimer(tmp_path)
@@ -716,11 +759,23 @@ def run_fresh(code: str) -> str:
 
 class TestImportCost:
     def test_import_does_not_load_sparse_linalg(self):
-        """scipy.sparse.linalg adds about 15 ms of import time after
-        ``import hsqd`` (2 vCPUs), which only runs with a subspace above the
-        dense path need pay."""
+        """scipy.sparse.linalg adds about 12 ms of import time after
+        ``import hsqd`` (2 vCPUs), and no part of the package uses it."""
         out = run_fresh("import sys, hsqd, hsqd.cli; print('scipy.sparse.linalg' in sys.modules)")
         assert out.strip() == "False"
+
+    def test_run_above_the_dense_path_does_not_load_sparse_linalg(self, tmp_path):
+        """Every FCI sector of the 7-site chain at N = 6 (d = 735-1,225) is
+        above ``DENSE_FALLBACK_DIM``, so each takes the Lanczos path; that
+        path used to import scipy.sparse.linalg for ARPACK."""
+        config = write_chain7(tmp_path, tmp_path / "out")
+        out = run_fresh(
+            "import sys\n"
+            "from hsqd.cli import main\n"
+            f"code = main(['run', {str(config)!r}])\n"
+            "print(code, 'scipy.sparse.linalg' in sys.modules)\n"
+        )
+        assert out.splitlines()[-1] == "0 False"
 
     def test_state_build_needs_no_matrix_functions(self, tmp_path):
         """The dimer run builds its LUCJ states without logm or expm; the

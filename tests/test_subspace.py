@@ -29,7 +29,14 @@ from hsqd import (
 )
 from hsqd import davidson as davidson_mod
 from hsqd import strings as strings_mod
-from hsqd.davidson import DEFAULT_TOL, DENSE_FALLBACK_DIM, _dense_lowest, _lanczos_lowest
+from hsqd.davidson import (
+    DEFAULT_TOL,
+    DENSE_FALLBACK_DIM,
+    LANCZOS_BASIS,
+    _dense_lowest,
+    _lanczos_lowest,
+    eigensolve_bytes,
+)
 from hsqd import subspace as subspace_mod
 from hsqd.determinants import SECTOR_CAP, enumerate_sector, half_strings
 from hsqd.strings import (
@@ -46,6 +53,7 @@ from conftest import make_chain, random_lattice
 from oracles import (
     _single_sign,
     _word_singles,
+    arpack_lowest,
     basis_determinants,
     covering_reference,
     dense_fock_hamiltonian,
@@ -1013,6 +1021,70 @@ class TestLanczosAgainstDense:
             exact = scipy.linalg.eigvalsh(mat.toarray(), subset_by_index=[0, 0])[0]
             assert res.converged
             assert abs(res.energy - exact) <= 1e-9
+
+
+class TestLanczosAgainstArpack:
+    """Spaces where dense ``eigh`` is slow: the 8-site chain's site-basis FCI
+    sectors (d = 3,920 and 4,900) and a rotated 8-site SQD space, each
+    checked against ARPACK (``arpack_lowest``, the solver that the package's
+    Lanczos replaced)."""
+
+    @pytest.fixture(scope="class")
+    def chain8_fci(self):
+        ints = map_to_electronic(make_chain(8))
+        specs = sector_specs(8, 8)
+        return [project_hamiltonian(full_basis(specs[label]), ints) for label in ("Ne-1", "Ne")]
+
+    @pytest.fixture(scope="class")
+    def chain8_sqd(self):
+        ints = map_to_electronic(make_chain(8, v=0.6))
+        spec = SectorSpec(8, 4, 4)
+        mf = solve_mean_field(ints, spec)
+        strings = half_strings(8, 4)
+        basis = SubspaceBasis(spec, tuple(strings[::2]), tuple(strings[:20]))
+        return project_hamiltonian(basis, rotate_basis(ints, mf.orbital_coefficients))
+
+    def test_site_basis_fci_sectors(self, chain8_fci):
+        assert [mat.shape[0] for mat in chain8_fci] == [3920, 4900]
+        for mat in chain8_fci:
+            self._check(mat)
+        # past one basis, so the solve restarted from its Ritz vector
+        assert _lanczos_lowest(chain8_fci[0], DEFAULT_TOL).iterations > LANCZOS_BASIS
+
+    def test_rotated_sqd_space(self, chain8_sqd):
+        assert chain8_sqd.shape[0] == 700
+        self._check(chain8_sqd)
+
+    def test_reruns_are_bit_identical(self, chain8_fci):
+        first, second = (_lanczos_lowest(chain8_fci[1], DEFAULT_TOL) for _ in range(2))
+        assert np.array_equal(first.ci_vector, second.ci_vector)
+        assert (first.energy, first.residual_norm, first.iterations) == \
+            (second.energy, second.residual_norm, second.iterations)
+
+    @staticmethod
+    def _check(mat):
+        got, want = _lanczos_lowest(mat, DEFAULT_TOL), arpack_lowest(mat, DEFAULT_TOL)
+        assert got.converged and want.converged
+        assert abs(got.energy - want.energy) <= 1e-12
+        assert got.residual_norm <= DEFAULT_TOL
+
+
+class TestEigensolveBytes:
+    @pytest.mark.parametrize("phase", [0.0, 0.3])
+    def test_bounds_measured_peak(self, phase):
+        """``eigensolve_bytes`` bounds the traced peak of a Lanczos solve,
+        real and complex; the ``hci_ground`` memory cap charges it."""
+        ints = map_to_electronic(ring(7, 4.0, phase))
+        mat = project_hamiltonian(full_basis(SectorSpec(7, 3, 3)), ints)
+        assert mat.shape[0] > DENSE_FALLBACK_DIM
+        tracemalloc.start()
+        try:
+            res = lowest_eigenpair(mat)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.converged
+        assert peak <= eigensolve_bytes(mat.shape[0], ints.is_complex)
 
 
 class TestSqdSweep:
