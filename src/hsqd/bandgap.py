@@ -9,7 +9,7 @@ aborts only that solver's gap.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -62,15 +62,7 @@ def apply_interaction_mode(lat: LatticeHamiltonian, mode: str) -> LatticeHamilto
         raise ValidationError(f"unknown interaction mode {mode!r}; choose from {MODES}")
     u = lat.u_intra if mode in ("U", "U+V") else np.zeros_like(lat.u_intra)
     v = lat.v_inter if mode in ("V", "U+V") else np.zeros_like(lat.v_inter)
-    return LatticeHamiltonian(
-        n_orbitals=lat.n_orbitals,
-        hopping=lat.hopping,
-        u_intra=u,
-        v_inter=v,
-        kpoint_label=lat.kpoint_label,
-        unit=lat.unit,
-        orbital_labels=lat.orbital_labels,
-    )
+    return replace(lat, u_intra=u, v_inter=v)
 
 
 def sector_specs(n_orbitals: int, n_electrons: int, flip_spin: bool = False) -> dict[str, SectorSpec]:
@@ -141,13 +133,28 @@ class WorkflowConfig:
 
 @dataclass
 class SectorRun:
-    """Everything computed for one solver in one sector."""
+    """Everything computed for one solver in one sector: one row
+    (fraction, d, result) per sweep point, HCI stage or solve."""
 
     solver: str
     sector: str
-    energy: float | None
-    points: list = field(default_factory=list)  # (fraction, d, energy, residual, variance, converged)
-    iterations: list = field(default_factory=list)  # the eigensolve matvecs of each point
+    rows: list[tuple[float, int, GroundStateResult]] = field(default_factory=list)
+    error: HsqdError | None = None
+
+    @property
+    def energy(self) -> float | None:
+        """The energy of the last row; None when the run failed."""
+        return self.rows[-1][2].energy if self.rows else None
+
+
+@dataclass
+class SectorSweep:
+    """A sector's postselected samples and the SQD sweep over them, or the
+    error that stopped either: sqd reports the sweep, extsqd expands its
+    last point, and both fail with the same error."""
+
+    samples: SampleSet | None = None
+    points: list[SweepPoint] = field(default_factory=list)
     error: HsqdError | None = None
 
 
@@ -196,29 +203,40 @@ class GapReport:
         }
 
 
-def _simulate_sector_samples(
-    mo_ints: ElectronicIntegrals,
-    mf: MeanFieldSolution,
-    spec: SectorSpec,
-    amplitude_spec: SectorSpec,
-    layers: int,
-    shots: int,
-    seed: int,
-) -> SampleSet:
+def pair_mean_field(ints: ElectronicIntegrals,
+                    n_pairs: int) -> tuple[MeanFieldSolution, ElectronicIntegrals]:
+    """The closed-shell mean field of ``n_pairs`` electron pairs and ``ints``
+    rotated into its orbitals.  ``solve_mean_field`` gives every sector whose
+    smaller spin count is ``n_pairs`` these same orbitals."""
+    mf = solve_mean_field(ints, SectorSpec(ints.n_orbitals, n_pairs, n_pairs))
+    return mf, rotate_basis(ints, mf.orbital_coefficients)
+
+
+def _simulate_sector_samples(mo_ints: ElectronicIntegrals, mf: MeanFieldSolution, spec: SectorSpec,
+                             n_pairs: int, layers: int, shots: int, seed: int) -> SampleSet:
     """``shots`` samples of the LUCJ state of ``spec``, with ``layers`` layers
-    seeded by the MP2 doubles of ``amplitude_spec`` in the orbitals of ``mf``."""
-    t2, _ = mp2_doubles(mf, mo_ints, amplitude_spec)
-    params = lucj_from_t2(t2, mo_ints.n_orbitals, amplitude_spec.n_alpha, layers=layers)
+    seeded by the MP2 doubles of ``n_pairs`` pairs in the orbitals of ``mf``."""
+    t2, _ = mp2_doubles(mf, mo_ints, SectorSpec(spec.n_orbitals, n_pairs, n_pairs))
+    params = lucj_from_t2(t2, mo_ints.n_orbitals, n_pairs, layers=layers)
     state = build_state(params, mf.reference_for(spec), spec)
     return sample(state, shots, seed=seed)
 
 
-def _record(run: SectorRun, rows: list[tuple[float, int, GroundStateResult]]) -> None:
-    """The sweep rows (fraction, d, energy, residual, variance, converged) of
-    ``run``, and the matvec count of each row's eigensolve (1 when dense)."""
-    run.points = [(fraction, d, res.energy, res.residual_norm, res.variance, res.converged)
-                  for fraction, d, res in rows]
-    run.iterations = [res.iterations for _, _, res in rows]
+def _sweep_sector(raw: SampleSet | None, spec: SectorSpec, n_pairs: int, mf: MeanFieldSolution,
+                  mo_ints: ElectronicIntegrals, config: WorkflowConfig, seed: int) -> SectorSweep:
+    """The SQD sweep of ``spec`` over the file's samples ``raw``, or over
+    samples simulated with ``seed`` when there is no file."""
+    sweep = SectorSweep()
+    try:
+        if raw is None:
+            raw = _simulate_sector_samples(mo_ints, mf, spec, n_pairs, config.lucj_layers,
+                                           config.shots, seed)
+        sweep.samples = filter_samples(raw, spec)
+        sweep.points = sqd_sweep(sweep.samples, spec, mo_ints, list(config.fractions),
+                                 reference=mf.reference_for(spec))
+    except HsqdError as exc:
+        sweep.error = exc
+    return sweep
 
 
 def run_workflow(config: WorkflowConfig) -> tuple[GapReport, dict[str, list[SectorRun]]]:
@@ -234,79 +252,51 @@ def run_workflow(config: WorkflowConfig) -> tuple[GapReport, dict[str, list[Sect
     loaded = {label: load_samples(path, specs[label])
               for label, path in config.samples_files.items()}
 
+    # each sector's orbitals and LUCJ amplitudes come from the mean field of
+    # the neutral pair count, or with sector_mean_field of its own
+    pairs = {label: min(spec.n_alpha, spec.n_beta) if config.sector_mean_field
+             else neutral.n_alpha for label, spec in specs.items()}
+
     stage_seconds: dict[str, float] = {}
     t0 = time.perf_counter()
-    mf = solve_mean_field(ints, neutral)
-    mo_ints = rotate_basis(ints, mf.orbital_coefficients)
-    sector_mf: dict[str, MeanFieldSolution] = {}
-    sector_mo: dict[str, ElectronicIntegrals] = {}
-    for label in SECTOR_LABELS:
-        if config.sector_mean_field and label != "Ne":
-            sector_mf[label] = solve_mean_field(ints, specs[label])
-            sector_mo[label] = rotate_basis(ints, sector_mf[label].orbital_coefficients)
-        else:
-            sector_mf[label] = mf
-            sector_mo[label] = mo_ints
+    mean_fields = {n: pair_mean_field(ints, n) for n in dict.fromkeys(pairs.values())}
     stage_seconds["mean_field"] = time.perf_counter() - t0
 
     sector_energies: dict[str, dict[str, float]] = {lbl: {} for lbl in SECTOR_LABELS}
     runs: dict[str, list[SectorRun]] = {s: [] for s in config.solvers}
     failures: dict[str, str] = {}
-
-    sample_cache: dict[str, SampleSet] = {}
-
-    def sector_samples(label: str, spec: SectorSpec, seed: int) -> SampleSet:
-        if label not in sample_cache:
-            if label in loaded:
-                raw = loaded.pop(label)
-            else:
-                pairs = min(spec.n_alpha, spec.n_beta) if config.sector_mean_field \
-                    else neutral.n_alpha
-                amp_spec = SectorSpec(spec.n_orbitals, pairs, pairs)
-                raw = _simulate_sector_samples(
-                    sector_mo[label], sector_mf[label], spec, amp_spec,
-                    config.lucj_layers, config.shots, seed,
-                )
-            sample_cache[label] = filter_samples(raw, spec)
-        return sample_cache[label]
-
-    sweep_cache: dict[str, list[SweepPoint]] = {}
-
-    def sector_sweep(label: str, spec: SectorSpec, seed: int) -> list[SweepPoint]:
-        # sqd reports this sweep and extsqd expands its last point
-        if label not in sweep_cache:
-            sweep_cache[label] = sqd_sweep(
-                sector_samples(label, spec, seed), spec, sector_mo[label],
-                list(config.fractions), reference=sector_mf[label].reference_for(spec),
-            )
-        return sweep_cache[label]
+    # filled by the first of sqd and extsqd to reach the sector
+    sweeps: dict[str, SectorSweep] = {}
+    schedule = SelectionSchedule(epsilons=tuple(config.hci_epsilons))
 
     for solver in config.solvers:
         t0 = time.perf_counter()
         for offset, label in enumerate(SECTOR_LABELS):
-            spec = specs[label]
-            run = SectorRun(solver=solver, sector=label, energy=None)
+            spec, n_pairs = specs[label], pairs[label]
+            mf, mo_ints = mean_fields[n_pairs]
+            run = SectorRun(solver=solver, sector=label)
             try:
                 if solver == "fci":
-                    _record(run, [(1.0, spec.dimension(), fci_ground(spec, ints))])
+                    run.rows = [(1.0, spec.dimension(), fci_ground(spec, ints))]
                 elif solver == "hci":
-                    schedule = SelectionSchedule(epsilons=tuple(config.hci_epsilons))
-                    stages = hci_ground(spec, sector_mo[label], schedule,
-                                        reference=sector_mf[label].reference_for(spec))
-                    _record(run, [(st.fraction, st.size, st.result) for st in stages])
+                    stages = hci_ground(spec, mo_ints, schedule, reference=mf.reference_for(spec))
+                    run.rows = [(st.fraction, st.size, st.result) for st in stages]
                 else:
-                    points = sector_sweep(label, spec, config.seed + offset)
+                    if label not in sweeps:
+                        sweeps[label] = _sweep_sector(loaded.get(label), spec, n_pairs, mf,
+                                                      mo_ints, config, config.seed + offset)
+                    sweep = sweeps[label]
+                    if sweep.error is not None:
+                        raise sweep.error
                     if solver == "sqd":
-                        _record(run, [(p.fraction, p.basis.dimension, p.result) for p in points])
+                        run.rows = [(p.fraction, p.basis.dimension, p.result)
+                                    for p in sweep.points]
                     else:
-                        last = points[-1]
-                        basis = extsqd_expand(
-                            last.result, last.basis, config.extsqd_threshold,
-                            set(config.extsqd_levels),
-                        )
-                        res = solve_subspace(basis, sector_mo[label])
-                        _record(run, [(basis.fraction, basis.dimension, res)])
-                run.energy = run.points[-1][2]
+                        last = sweep.points[-1]
+                        basis = extsqd_expand(last.result, last.basis, config.extsqd_threshold,
+                                              set(config.extsqd_levels))
+                        run.rows = [(basis.fraction, basis.dimension,
+                                     solve_subspace(basis, mo_ints))]
                 sector_energies[label][solver] = run.energy
             except HsqdError as exc:
                 run.error = exc
@@ -329,6 +319,7 @@ def run_workflow(config: WorkflowConfig) -> tuple[GapReport, dict[str, list[Sect
             gap_deltas[f"{a}-{b}"] = gaps[a] - gaps[b]
 
     sp_gap = single_particle_gap(lat, config.n_electrons // 2)
+    sampled = {label: sw.samples for label, sw in sweeps.items() if sw.samples is not None}
     stage_seconds["total"] = time.perf_counter() - t_start
     material = config.material or Path(config.lattice_path).stem
     report = GapReport(
@@ -353,12 +344,12 @@ def run_workflow(config: WorkflowConfig) -> tuple[GapReport, dict[str, list[Sect
             "seed": config.seed,
             "literal_2u": config.literal_2u,
             "flip_spin": config.flip_spin,
-            "mean_field_converged": mf.converged,
+            "mean_field_converged": mean_fields[neutral.n_alpha][0].converged,
             "sector_mean_field": config.sector_mean_field,
         },
         stage_seconds={k: round(v, 6) for k, v in stage_seconds.items()},
         samples={label: ({"file": config.samples_files[label]} if s.seed is None
                          else {"seed": s.seed}) | {"discarded_fraction": s.discarded_fraction}
-                 for label, s in sample_cache.items()},
+                 for label, s in sampled.items()},
     )
     return report, runs

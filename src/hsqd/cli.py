@@ -34,6 +34,7 @@ from .bandgap import (
     SOLVERS,
     WorkflowConfig,
     _simulate_sector_samples,
+    pair_mean_field,
     run_workflow,
 )
 from .errors import ConvergenceError, HsqdError, ValidationError
@@ -48,10 +49,9 @@ from .model import (
     load_lattice,
     map_to_electronic,
     read_text,
-    rotate_basis,
     save_lattice,
 )
-from .reference import check_layers, solve_mean_field
+from .reference import check_layers
 from .statevector import check_sampling, save_samples
 
 SWEEP_FIELDS = ("fraction", "d", "energy", "residual", "variance", "converged")
@@ -130,8 +130,8 @@ def _write_manifest(out_dir: Path, config: WorkflowConfig, config_path, report, 
         "input_hashes": {p: _sha256(p) for p in inputs if os.path.exists(p)},
         "samples": report.samples,
         # per solver and sector, the matvecs of each sweep row's eigensolve
-        "eigensolve_iterations": {solver: {run.sector: run.iterations for run in sector_runs
-                                           if run.error is None}
+        "eigensolve_iterations": {solver: {run.sector: [res.iterations for *_, res in run.rows]
+                                           for run in sector_runs if run.rows}
                                   for solver, sector_runs in runs.items()},
         "stage_seconds": report.stage_seconds,
         "created_unix": time.time(),
@@ -176,11 +176,8 @@ def cmd_sample(args) -> int:
     # the sectors are checked before the M^4 integrals are allocated
     spec = SectorSpec(lat.n_orbitals, args.n_alpha, args.n_beta)
     n_pairs = min(args.n_alpha, args.n_beta)
-    neutral = SectorSpec(lat.n_orbitals, n_pairs, n_pairs)
-    ints = map_to_electronic(lat)
-    mf = solve_mean_field(ints, neutral)
-    mo = rotate_basis(ints, mf.orbital_coefficients)
-    samples = _simulate_sector_samples(mo, mf, spec, neutral, args.layers, args.shots, args.seed)
+    mf, mo = pair_mean_field(map_to_electronic(lat), n_pairs)
+    samples = _simulate_sector_samples(mo, mf, spec, n_pairs, args.layers, args.shots, args.seed)
     save_samples(samples, args.output)
     print(f"wrote {args.output}: {len(samples.counts)} distinct bitstrings, {samples.shots} shots")
     return 0
@@ -192,18 +189,18 @@ def cmd_sample(args) -> int:
 def _write_sweep_csvs(out_dir: Path, runs) -> None:
     for solver, sector_runs in runs.items():
         for run in sector_runs:
-            if run.error is not None or not run.points:
+            if not run.rows:
                 continue
             path = out_dir / f"sweep_{solver}_{run.sector}.csv"
             with open(path, "w", newline="") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(("solver", "sector") + SWEEP_FIELDS)
-                for fraction, d, energy, residual, variance, converged in run.points:
+                for fraction, d, res in run.rows:
                     writer.writerow([
                         solver, run.sector, f"{fraction:.12g}", d,
-                        f"{energy:.12f}", f"{residual:.6e}",
-                        "" if variance is None else f"{variance:.6e}",
-                        int(bool(converged)),
+                        f"{res.energy:.12f}", f"{res.residual_norm:.6e}",
+                        "" if res.variance is None else f"{res.variance:.6e}",
+                        int(bool(res.converged)),
                     ])
 
 
@@ -239,7 +236,7 @@ def cmd_run(args) -> int:
         for run in sector_runs:
             if run.error is not None:
                 codes.append(run.error.exit_code)
-            if not all(point[5] for point in run.points):
+            if not all(res.converged for *_, res in run.rows):
                 print(f"UNCONVERGED {solver}/{run.sector}", file=sys.stderr)
                 codes.append(ConvergenceError.exit_code)
     return max(codes)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -89,15 +89,8 @@ class LatticeHamiltonian:
         if self.unit == "eV":
             return self
         f = HARTREE_TO_EV
-        return LatticeHamiltonian(
-            n_orbitals=self.n_orbitals,
-            hopping=self.hopping * f,
-            u_intra=self.u_intra * f,
-            v_inter=self.v_inter * f,
-            kpoint_label=self.kpoint_label,
-            unit="eV",
-            orbital_labels=self.orbital_labels,
-        )
+        return replace(self, hopping=self.hopping * f, u_intra=self.u_intra * f,
+                       v_inter=self.v_inter * f, unit="eV")
 
 
 @dataclass(frozen=True)

@@ -236,27 +236,33 @@ def product_hamiltonian(
     return sp.csr_matrix((data[order], cols, indptr), shape=(d, d))
 
 
-def _live_count(pattern: np.ndarray, m: int, n: int) -> int:
-    """At most how many E_pq with pq in the flat boolean ``pattern`` keep a
-    string of n electrons alive: E_pp needs p occupied, and E_pq (p != q)
-    needs q occupied and p empty."""
+def _live_counts(pattern: np.ndarray, m: int, n: int) -> tuple[int, int]:
+    """At most how many E_pp and how many E_pq (p != q) with pq in the flat
+    boolean ``pattern`` keep a string of n electrons alive: E_pp needs p
+    occupied, and E_pq needs q occupied and p empty."""
     diag = int(np.count_nonzero(pattern.reshape(m, m).diagonal()))
-    return min(diag, n) + min(int(np.count_nonzero(pattern)) - diag, n * (m - n))
+    return min(diag, n), min(int(np.count_nonzero(pattern)) - diag, n * (m - n))
 
 
 def _per_string(spec: SectorSpec, ints: ElectronicIntegrals):
     """Per channel, at most how many one-spin entries (singles and doubles by
     the nonzero patterns of k and g_ss) and opposite-spin E_pq (by that of
-    g_os) keep a string alive; and the most pairs an excitation pass visits."""
+    g_os) keep a string alive, and how many of those map it to another
+    string (all but E_pp and E_pp E_qq); and the most pairs an excitation
+    pass visits."""
     m = spec.n_orbitals
     k = _one_body_k(ints.one_body, ints.two_body_same_spin) != 0
     gss = ints.two_body_same_spin.reshape(m * m, m * m) != 0
     gos = ints.two_body_opposite_spin.reshape(m * m, m * m) != 0
+    diag = np.arange(m) * (m + 1)
+    gss_off = int(np.count_nonzero(gss)) - int(np.count_nonzero(gss[np.ix_(diag, diag)]))
     counts = []
     for n, coupled in ((spec.n_alpha, gos.any(axis=1)), (spec.n_beta, gos.any(axis=0))):
-        doubles = _live_count(gss.any(axis=0), m, n) * _live_count(gss.any(axis=1), m, n)
-        counts.append((_live_count(k, m, n) + min(doubles, int(np.count_nonzero(gss))),
-                       _live_count(coupled, m, n)))
+        (k_d, k_o), (c_d, c_o) = _live_counts(k, m, n), _live_counts(coupled, m, n)
+        (l_d, l_o), (r_d, r_o) = (_live_counts(gss.any(axis=a), m, n) for a in (0, 1))
+        doubles = min((l_d + l_o) * (r_d + r_o), int(np.count_nonzero(gss)))
+        moved = min(l_o * (r_d + r_o) + l_d * r_o, gss_off)
+        counts.append((k_d + k_o + doubles, c_d + c_o, k_o + moved + c_o))
     visited = max(np.count_nonzero(k), np.count_nonzero(gos.any(axis=1)),
                   np.count_nonzero(gos.any(axis=0)), np.count_nonzero(gss.any(axis=1)))
     return counts, int(visited)
@@ -274,7 +280,7 @@ def columns_bytes(n_dets: int, spec: SectorSpec, ints: ElectronicIntegrals) -> i
     from M = 6 to 12 with 20 or more determinants; in a site basis it is
     4-5x the peak of 400 determinants at M = 8.
     """
-    ((one_a, os_a), (one_b, os_b)), visited = _per_string(spec, ints)
+    ((one_a, os_a, _), (one_b, os_b, _)), visited = _per_string(spec, ints)
     entries, item = 1 + one_a + one_b + os_a * os_b, 16 if ints.is_complex else 8
     return n_dets * (entries * (112 + 3 * item) + 160 * visited) + 4 * spec.n_orbitals**4 + 65536
 
@@ -363,19 +369,21 @@ def sigma_bytes(spec: SectorSpec, ints: ElectronicIntegrals, n_alpha: int, n_bet
     ``n_beta`` beta strings of ``spec``, from the counts alone.
 
     A channel of s strings reaches R = min(C(M, n), s (1 + r)) words, with r
-    the one-spin entries and opposite-spin E_pq of a string (``_per_string``)
-    or the words within a double excitation, if fewer.  Counts five R_alpha x
-    R_beta arrays, 80 bytes per string and visited orbital pair, three copies
-    of each entry (three indices and a value), 4 M^4 bytes of integral masks
-    and 64 KiB.  In a rotated basis this is 1.2-2.9x the peak measured from
-    M = 6 to 12 with ten or more strings per channel (4.6x for one); in a
-    site basis, where few pairs of the reached words are reached, 2-50x.
+    the one-spin entries and opposite-spin E_pq that map a string to another
+    (``_per_string``) or the words within a double excitation, if fewer.
+    Counts five R_alpha x R_beta arrays, 80 bytes per string and visited
+    orbital pair, three copies of each entry (three indices and a value),
+    4 M^4 bytes of integral masks and 64 KiB.  In a rotated basis this is
+    1.2-2.9x the peak measured from M = 6 to 12 with ten or more strings per
+    channel (4.6x for one); in a site basis, where few pairs of the reached
+    words are reached, 2-31x (up to M = 20).
     """
     m, item = spec.n_orbitals, 16 if ints.is_complex else 8
     counts, visited = _per_string(spec, ints)
     total, reach = 4 * m**4 + 65536, 1
-    for n, strings, (one, live) in zip((spec.n_alpha, spec.n_beta), (n_alpha, n_beta), counts):
-        near = min(one + live, n * (m - n) + comb(n, 2) * comb(m - n, 2))
+    for n, strings, (one, live, moved) in zip((spec.n_alpha, spec.n_beta), (n_alpha, n_beta),
+                                              counts):
+        near = min(moved, n * (m - n) + comb(n, 2) * comb(m - n, 2))
         reach *= min(comb(m, n), strings * (1 + near))
         total += strings * (80 * visited + 3 * (20 + item) * (one + live))
     return total + 5 * item * reach

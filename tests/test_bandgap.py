@@ -172,9 +172,9 @@ class TestRunWorkflow:
                                 solvers=("fci",))
         _, runs = run_workflow(config)
         for run in runs["fci"]:
-            for _, _, energy, residual, variance, _ in run.points:
-                assert variance == (residual / energy) ** 2
-                assert variance >= 0.0
+            for _, _, res in run.rows:
+                assert res.variance == (res.residual_norm / res.energy) ** 2
+                assert res.variance >= 0.0
 
     @pytest.mark.parametrize("cap", ["SIGMA_BYTES_CAP"])
     def test_variance_cap_keeps_energies(self, tmp_path, dimer_lattice, monkeypatch, cap):
@@ -197,20 +197,21 @@ class TestRunWorkflow:
         whole = {"sqd": 0, "extsqd": 0}
         for solver in whole:
             for run, free in zip(runs[solver], uncapped[solver]):
-                assert [p[:4] for p in run.points] == [p[:4] for p in free.points]
+                assert [(f, d, res.energy, res.residual_norm) for f, d, res in run.rows] == \
+                    [(f, d, res.energy, res.residual_norm) for f, d, res in free.rows]
                 n_alpha, n_beta = report.sector_specs[run.sector]
-                for _, d, energy, residual, variance, _ in run.points:
+                for _, d, res in run.rows:
                     if d == SectorSpec(2, n_alpha, n_beta).dimension():
                         whole[solver] += 1
-                        assert variance == (residual / energy) ** 2
+                        assert res.variance == (res.residual_norm / res.energy) ** 2
                     else:
-                        assert variance is None
+                        assert res.variance is None
         # fraction 1.0 and every ext-SQD point cover the whole dimer sector
         assert whole == {"sqd": 3, "extsqd": 3}
-        assert sum(len(run.points) for run in runs["sqd"]) == 6
-        assert all(p[4] is not None for run in runs["hci"] for p in run.points)
-        assert [[p[4] for p in run.points] for run in runs["hci"]] == \
-            [[p[4] for p in run.points] for run in uncapped["hci"]]
+        assert sum(len(run.rows) for run in runs["sqd"]) == 6
+        assert all(res.variance is not None for run in runs["hci"] for *_, res in run.rows)
+        assert [[res.variance for *_, res in run.rows] for run in runs["hci"]] == \
+            [[res.variance for *_, res in run.rows] for run in uncapped["hci"]]
 
     def test_global_diagonal_shift_leaves_gap(self, tmp_path):
         lat = make_chain(4, u=2.0)
@@ -245,6 +246,73 @@ class TestRunWorkflow:
         assert "fci" in report.gaps
         assert "sqd" not in report.gaps
         assert list(report.failures) == ["sqd/Ne"]
+
+    def test_failed_sample_file_fails_extsqd_too(self, tmp_path, dimer_lattice):
+        """ext-SQD expands the sweep SQD reports, so a sample file that
+        postselection empties fails both; ext-SQD used to fall back to
+        simulated samples for that sector and report a gap."""
+        save_lattice(dimer_lattice, tmp_path / "dimer.json")
+        (tmp_path / "empty_sector.txt").write_text("0000 5\n0011 7\n")
+        config = WorkflowConfig(
+            lattice_path=str(tmp_path / "dimer.json"),
+            n_electrons=2,
+            solvers=("sqd", "extsqd"),
+            fractions=(0.5, 1.0),
+            seed=3,
+            samples_files={"Ne": str(tmp_path / "empty_sector.txt")},
+        )
+        report, runs = run_workflow(config)
+        message = "ValidationError: postselection discarded every sample (empty subspace)"
+        assert report.failures == {"sqd/Ne": message, "extsqd/Ne": message}
+        assert report.gaps == {}
+        assert "Ne" not in report.samples
+        assert [run.energy is None for run in runs["extsqd"]] == [False, True, False]
+
+    def test_failed_sampling_is_tried_once(self, tmp_path, monkeypatch):
+        """A sector whose sampling fails is not sampled again for the next
+        solver that needs it; both fail with the same error."""
+        import hsqd.bandgap
+        from hsqd.errors import CapExceededError
+
+        calls = []
+        simulate = hsqd.bandgap._simulate_sector_samples
+
+        def counted(mo_ints, mf, spec, *args):
+            calls.append((spec.n_alpha, spec.n_beta))
+            if spec.n_electrons == 5:
+                raise CapExceededError("state too large")
+            return simulate(mo_ints, mf, spec, *args)
+
+        monkeypatch.setattr(hsqd.bandgap, "_simulate_sector_samples", counted)
+        save_lattice(make_chain(4), tmp_path / "c4.json")
+        config = WorkflowConfig(lattice_path=str(tmp_path / "c4.json"), n_electrons=4,
+                                solvers=("sqd", "extsqd"), fractions=(0.5, 1.0),
+                                shots=20_000, seed=5)
+        report, _ = run_workflow(config)
+        assert calls == [(1, 2), (2, 2), (3, 2)]
+        assert report.failures == {"sqd/Ne+1": "CapExceededError: state too large",
+                                   "extsqd/Ne+1": "CapExceededError: state too large"}
+
+    def test_one_mean_field_per_pair_count(self, tmp_path, monkeypatch):
+        """Ne+1 = (h + 1, h) has the neutral sector's h pairs, so with
+        sector_mean_field only Ne-1 needs an SCF of its own."""
+        import hsqd.bandgap
+
+        pairs = []
+        solve = hsqd.bandgap.solve_mean_field
+
+        def counted(ints, spec):
+            pairs.append(min(spec.n_alpha, spec.n_beta))
+            return solve(ints, spec)
+
+        monkeypatch.setattr(hsqd.bandgap, "solve_mean_field", counted)
+        save_lattice(make_chain(6), tmp_path / "c6.json")
+        for flag, want in ((False, [3]), (True, [2, 3])):
+            pairs.clear()
+            config = WorkflowConfig(lattice_path=str(tmp_path / "c6.json"), n_electrons=6,
+                                    solvers=("fci",), sector_mean_field=flag)
+            run_workflow(config)
+            assert sorted(pairs) == want
 
     def test_unreadable_sample_file_fails_before_any_solver(self, tmp_path, dimer_lattice,
                                                             monkeypatch):

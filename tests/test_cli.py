@@ -805,3 +805,27 @@ class TestBenchmarkTracer:
                         "Tracer().install()\n"
                         "print('installed')\n")
         assert out.strip() == "installed"
+
+    def test_traced_run_gives_every_layer(self, tmp_path):
+        """The tracer's callbacks read result attributes (``.size``,
+        ``.dimension``, ``.shots``, ``.counts``, ``.iterations``, ``.nnz``)
+        only while a traced run makes its calls; each per-layer figure that
+        ``BENCHMARK.json`` names is then there and finite, except the
+        overhead that ``benchmark/run.py`` adds itself."""
+        root = Path(__file__).resolve().parents[1]
+        layers = [layer["name"] for layer in
+                  json.loads((root / "BENCHMARK.json").read_text())["per_layer"]]
+        config = root / "configs" / "dimer.toml"
+        out = run_fresh(f"import json, sys; sys.path.insert(0, {str(root / 'benchmark')!r})\n"
+                        "import hsqd.cli\n"
+                        "from tracer import ROOT_SPAN, Tracer\n"
+                        "tracer = Tracer()\n"
+                        "tracer.install()\n"
+                        "run = tracer.span(ROOT_SPAN, hsqd.cli.main)\n"
+                        f"code = run(['run', {str(config)!r}, '--out-dir', {str(tmp_path)!r}])\n"
+                        "print(json.dumps([code, tracer.metrics()]))\n")
+        code, metrics = json.loads(out.splitlines()[-1])
+        assert code == 0
+        for name in layers:
+            if name != "trace.overhead_s":
+                assert np.isfinite(metrics[name]), name

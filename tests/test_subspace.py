@@ -502,6 +502,27 @@ class TestVarianceCap:
         self._forbid_allocation(monkeypatch)
         assert energy_variance(res, basis, ints) is None
 
+    def test_site_basis_reach_counts_only_moves(self):
+        """E_pp and E_pp E_qq map a string to itself and reach no new word.
+        Counted as reaching, they put 100 x 100 strings of the 20-site
+        half-filled U+V chain in the site basis at 2.8 GiB, above
+        SIGMA_BYTES_CAP, and that variance was skipped; each string reaches
+        at most 38 others by hopping."""
+        m = 20
+        spec = SectorSpec(m, 10, 10)
+        ints = map_to_electronic(make_chain(m, v=0.6))
+        assert sigma_bytes(spec, ints, 100, 100) <= SIGMA_BYTES_CAP
+        rng = np.random.default_rng(m)
+        alpha, beta = (rng.choice(half_strings(m, 10), size=100, replace=False)
+                       for _ in range(2))
+        basis = SubspaceBasis(spec, alpha, beta)
+        vec = rng.normal(size=basis.dimension)
+        vec /= np.linalg.norm(vec)
+        var = energy_variance(GroundStateResult(0.0, vec, 0.0, 1, True), basis, ints)
+        *_, cols = hamiltonian_columns(ints, np.tile(basis.alpha_strings, 100),
+                                       np.repeat(basis.beta_strings, 100))
+        assert var == pytest.approx(subspace_mod.relative_variance(vec, cols @ vec), rel=1e-10)
+
     def test_sigma_bytes_bounds_measured_peak(self):
         """The estimate is an upper bound on what one variance allocates,
         with no string's entries memoized yet, in a site and in a rotated
