@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,6 @@ from .model import (
     SectorSpec,
     load_lattice,
     map_to_electronic,
-    rotate_basis,
 )
 from .reference import MeanFieldSolution, check_layers, lucj_from_t2, mp2_doubles, solve_mean_field
 from .selci import SelectionSchedule, fci_ground, hci_ground
@@ -74,12 +74,8 @@ def sector_specs(n_orbitals: int, n_electrons: int, flip_spin: bool = False) -> 
         raise ValidationError(
             f"need 2 <= n_electrons <= {2 * n_orbitals - 2} so that all three sectors exist"
         )
-    half = n_electrons // 2
-    plus = (half + 1, half)
-    minus = (half - 1, half)
-    if flip_spin:
-        plus = plus[::-1]
-        minus = minus[::-1]
+    half, step = n_electrons // 2, -1 if flip_spin else 1
+    plus, minus = (half + 1, half)[::step], (half - 1, half)[::step]
     return {
         "Ne-1": SectorSpec(n_orbitals, *minus),
         "Ne": SectorSpec(n_orbitals, half, half),
@@ -206,10 +202,11 @@ class GapReport:
 def pair_mean_field(ints: ElectronicIntegrals,
                     n_pairs: int) -> tuple[MeanFieldSolution, ElectronicIntegrals]:
     """The closed-shell mean field of ``n_pairs`` electron pairs and ``ints``
-    rotated into its orbitals.  ``solve_mean_field`` gives every sector whose
-    smaller spin count is ``n_pairs`` these same orbitals."""
+    rotated into its orbitals, the rotation that the SCF took its energy
+    from.  ``solve_mean_field`` gives every sector whose smaller spin count
+    is ``n_pairs`` these same orbitals."""
     mf = solve_mean_field(ints, SectorSpec(ints.n_orbitals, n_pairs, n_pairs))
-    return mf, rotate_basis(ints, mf.orbital_coefficients)
+    return mf, mf._mo_ints
 
 
 def _simulate_sector_samples(mo_ints: ElectronicIntegrals, mf: MeanFieldSolution, spec: SectorSpec,
@@ -304,19 +301,10 @@ def run_workflow(config: WorkflowConfig) -> tuple[GapReport, dict[str, list[Sect
             runs[solver].append(run)
         stage_seconds[f"solver_{solver}"] = time.perf_counter() - t0
 
-    gaps: dict[str, float] = {}
-    for solver in config.solvers:
-        if all(solver in sector_energies[lbl] for lbl in SECTOR_LABELS):
-            gaps[solver] = compute_gap(
-                sector_energies["Ne-1"][solver],
-                sector_energies["Ne"][solver],
-                sector_energies["Ne+1"][solver],
-            )
-    gap_deltas = {}
-    solver_list = [s for s in config.solvers if s in gaps]
-    for i, a in enumerate(solver_list):
-        for b in solver_list[i + 1:]:
-            gap_deltas[f"{a}-{b}"] = gaps[a] - gaps[b]
+    gaps = {solver: compute_gap(*(sector_energies[lbl][solver] for lbl in SECTOR_LABELS))
+            for solver in config.solvers
+            if all(solver in sector_energies[lbl] for lbl in SECTOR_LABELS)}
+    gap_deltas = {f"{a}-{b}": gaps[a] - gaps[b] for a, b in combinations(gaps, 2)}
 
     sp_gap = single_particle_gap(lat, config.n_electrons // 2)
     sampled = {label: sw.samples for label, sw in sweeps.items() if sw.samples is not None}

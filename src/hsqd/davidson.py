@@ -1,15 +1,23 @@
 """Lowest eigenpair of a sparse Hermitian subspace Hamiltonian.
 
 Matrices up to ``DENSE_FALLBACK_DIM`` go to dense ``eigh``, which is asked
-for the lowest eigenpair only (``subset_by_index``).  Larger ones go to a
-Lanczos solve (Lanczos, J. Res. NBS 45, 255 (1950)): the three-term
-recurrence on H with no reorthogonalization, which the extreme eigenpair
-does not need (Cullum & Willoughby, Lanczos Algorithms for Large Symmetric
-Eigenvalue Computations, 1985), started from the unit vector at the smallest
-diagonal element so that reruns are deterministic.
+for the lowest eigenpair only (``subset_by_index``).  That bound is the
+measured crossover (``scripts/eigen_crossover.py``, 2 vCPUs; product
+subspaces of the 8-site U+V chain, dense / Lanczos time):
+
+    d          96    160    224    256    320    416    512
+    rotated  0.37   0.81   1.07   1.91   2.06   3.72   3.79
+    site     0.29   0.64   1.42   1.36   2.64   3.78   5.05
+
+Larger ones go to a Lanczos solve (Lanczos, J. Res. NBS 45, 255 (1950)):
+the three-term recurrence on H with no reorthogonalization, which the
+extreme eigenpair does not need (Cullum & Willoughby, Lanczos Algorithms for
+Large Symmetric Eigenvalue Computations, 1985), started from the unit vector
+at the smallest diagonal element so that reruns are deterministic.
 
 - Every ``LANCZOS_CHECK`` steps, and when the basis is full, the lowest Ritz
-  pair (θ, y) of the tridiagonal T is computed.  The solve stops when its
+  pair (θ, y) of the tridiagonal T is computed, by LAPACK's bisection and
+  inverse iteration (``dstebz``, ``dstein``).  The solve stops when its
   Ritz estimate |β_j y_j| is at most machine epsilon times the scale of T
   (its largest absolute row sum over the whole solve), the machine-precision
   rule of ARPACK at ``tol=0``.
@@ -33,15 +41,16 @@ module keeps its historical name: callers and the benchmark tracer bind
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+from scipy.linalg.lapack import dstebz, dstein
 
 from .errors import ValidationError
 
-DENSE_FALLBACK_DIM = 512
+DENSE_FALLBACK_DIM = 224
 DEFAULT_TOL = 1e-9
 LANCZOS_BASIS = 60
 LANCZOS_CHECK = 5
@@ -67,10 +76,7 @@ class GroundStateResult:
     variance: float | None = None
 
     def with_variance(self, variance: float | None) -> "GroundStateResult":
-        return GroundStateResult(
-            self.energy, self.ci_vector, self.residual_norm,
-            self.iterations, self.converged, variance,
-        )
+        return replace(self, variance=variance)
 
 
 def lowest_eigenpair(matrix) -> GroundStateResult:
@@ -97,15 +103,12 @@ def eigensolve_bytes(d: int, is_complex: bool) -> int:
     return (LANCZOS_BASIS + _WORK_VECTORS) * d * item
 
 
-def _residual(matrix, energy: float, vec: np.ndarray) -> float:
-    return float(np.linalg.norm(matrix @ vec - energy * vec))
-
-
 def _dense_lowest(matrix) -> GroundStateResult:
     dense = matrix.toarray() if sp.issparse(matrix) else np.asarray(matrix)
     vals, vecs = scipy.linalg.eigh(dense, subset_by_index=[0, 0])
     energy, vec = float(vals[0]), vecs[:, 0]
-    return GroundStateResult(energy, vec, _residual(matrix, energy, vec), 1, True)
+    resid = float(np.linalg.norm(matrix @ vec - energy * vec))
+    return GroundStateResult(energy, vec, resid, 1, True)
 
 
 def _lanczos_lowest(matrix, tol: float, max_iter: int = DEFAULT_MAX_ITER) -> GroundStateResult:
@@ -154,8 +157,7 @@ def _lanczos_lowest(matrix, tol: float, max_iter: int = DEFAULT_MAX_ITER) -> Gro
                 np.divide(w, beta[j], out=basis[k])
                 continue
             # the lowest Ritz vector, in the basis
-            y = scipy.linalg.eigh_tridiagonal(alpha[:k], beta[:j], select="i",
-                                              select_range=(0, 0))[1][:, 0]
+            y = _lowest_ritz_vector(alpha[:k], beta[:j])
             done = done or abs(beta[j] * y[-1]) <= _EPS * scale
             if done or k == size:
                 break
@@ -169,6 +171,23 @@ def _lanczos_lowest(matrix, tol: float, max_iter: int = DEFAULT_MAX_ITER) -> Gro
     energy = float(np.vdot(x, hx).real)
     resid = float(np.linalg.norm(hx - energy * x))
     return GroundStateResult(energy, x, resid, matvecs, done and resid <= tol)
+
+
+def _lowest_ritz_vector(d: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """The lowest eigenvector of the symmetric tridiagonal (d, e) by the LAPACK
+    calls of ``scipy.linalg.eigh_tridiagonal(select="i")``: bisection
+    (``dstebz``, default tolerance), then inverse iteration (``dstein``)."""
+    if not (np.isfinite(d).all() and np.isfinite(e).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    if len(d) == 1:
+        return np.ones(1)
+    m, w, block, split, info = dstebz(d, e, 2, 0.0, 1.0, 1, 1, 0.0, "B")
+    if info:
+        raise np.linalg.LinAlgError(f"dstebz failed (LAPACK info={info})")
+    z, info = dstein(d, e, w[:m], block, split)
+    if info:
+        raise np.linalg.LinAlgError(f"dstein failed (LAPACK info={info})")
+    return z[:, 0]
 
 
 def _orthogonal_draw(rng: np.random.Generator, basis: np.ndarray) -> np.ndarray | None:

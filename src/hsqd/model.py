@@ -146,10 +146,8 @@ class ElectronicIntegrals:
 
     @property
     def is_complex(self) -> bool:
-        return any(
-            np.iscomplexobj(a)
-            for a in (self.one_body, self.two_body_same_spin, self.two_body_opposite_spin)
-        )
+        return any(np.iscomplexobj(a) for a in (self.one_body, self.two_body_same_spin,
+                                                self.two_body_opposite_spin))
 
     @cached_property
     def one_spin_memo(self) -> dict:
@@ -213,13 +211,7 @@ def map_to_electronic(lat: LatticeHamiltonian, literal_2u: bool = False) -> Elec
             if p != q:
                 gss[p, p, q, q] = 2.0 * lat.v_inter[p, q]
                 gos[p, p, q, q] = 2.0 * lat.v_inter[p, q]
-    return ElectronicIntegrals(
-        n_orbitals=m,
-        one_body=lat.hopping.astype(dtype),
-        two_body_same_spin=gss,
-        two_body_opposite_spin=gos,
-        core_energy=0.0,
-    )
+    return ElectronicIntegrals(m, lat.hopping.astype(dtype), gss, gos, 0.0)
 
 
 def rotate_basis(ints: ElectronicIntegrals, c: np.ndarray) -> ElectronicIntegrals:
@@ -234,17 +226,9 @@ def rotate_basis(ints: ElectronicIntegrals, c: np.ndarray) -> ElectronicIntegral
     # creation indices (p, r) pick up the conjugate
     gss = np.einsum("pi,qj,rk,sl,pqrs->ijkl", c.conj(), c, c.conj(), c, ints.two_body_same_spin, optimize=True)
     gos = np.einsum("pi,qj,rk,sl,pqrs->ijkl", c.conj(), c, c.conj(), c, ints.two_body_opposite_spin, optimize=True)
-    if not np.iscomplexobj(c) and not ints.is_complex:
+    if all(np.abs(x.imag).max(initial=0.0) == 0.0 for x in (h, gss, gos)):
         h, gss, gos = h.real, gss.real, gos.real
-    elif np.abs(h.imag).max(initial=0.0) == 0.0 and np.abs(gss.imag).max(initial=0.0) == 0.0 and np.abs(gos.imag).max(initial=0.0) == 0.0:
-        h, gss, gos = h.real, gss.real, gos.real
-    return ElectronicIntegrals(
-        n_orbitals=m,
-        one_body=h,
-        two_body_same_spin=gss,
-        two_body_opposite_spin=gos,
-        core_energy=ints.core_energy,
-    )
+    return ElectronicIntegrals(m, h, gss, gos, ints.core_energy)
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,8 @@ class MeanFieldSolution:
     converged: bool
     iterations: int
     energy_history: tuple[float, ...] = field(default=(), repr=False)
+    # the integrals in these orbitals, which hf_energy was taken from
+    _mo_ints: ElectronicIntegrals | None = field(default=None, repr=False, compare=False)
 
     def reference_for(self, spec: SectorSpec) -> Determinant:
         """Aufbau determinant of an arbitrary sector in these orbitals."""
@@ -60,9 +62,7 @@ def _fock(ints: ElectronicIntegrals, p: np.ndarray, paths: dict[str, list]) -> n
 
 
 def _electronic_energy(ints: ElectronicIntegrals, p: np.ndarray, paths: dict[str, list]) -> float:
-    h = ints.one_body
-    gss = ints.two_body_same_spin
-    gos = ints.two_body_opposite_spin
+    h, gss, gos = ints.one_body, ints.two_body_same_spin, ints.two_body_opposite_spin
     e1 = 2.0 * np.einsum("pq,qp->", h, p)
     e_dir = np.einsum(_E_DIR, gss + gos, p, p, optimize=paths[_E_DIR])
     e_x = np.einsum(_E_X, gss, p, p, optimize=paths[_E_X])
@@ -85,19 +85,16 @@ def solve_mean_field(ints: ElectronicIntegrals, spec: SectorSpec) -> MeanFieldSo
     evals, c = scipy.linalg.eigh(ints.one_body)
     history: list[float] = []
     converged = False
-    iterations = 0
     p = c[:, :n_pairs] @ c[:, :n_pairs].conj().T if n_pairs else np.zeros((m, m))
     paths = _contraction_paths(ints.two_body_same_spin, p)
     stalls = 0
     a_prev = 1.0
-    for it in range(1, SCF_MAX_ITER + 1):
-        iterations = it
+    for iterations in range(1, SCF_MAX_ITER + 1):
         f = _fock(ints, p, paths)
         evals, c = scipy.linalg.eigh(f)
         p_new = c[:, :n_pairs] @ c[:, :n_pairs].conj().T if n_pairs else np.zeros((m, m))
         step = p_new - p
-        delta = np.abs(step).max()
-        if delta < SCF_DENSITY_TOL:
+        if np.abs(step).max() < SCF_DENSITY_TOL:
             converged = True
             history.append(_electronic_energy(ints, p_new, paths))
             p = p_new
@@ -136,15 +133,8 @@ def solve_mean_field(ints: ElectronicIntegrals, spec: SectorSpec) -> MeanFieldSo
     # the engine's H over the 1 x 1 product space of the reference
     hf_energy = float(np.real(product_hamiltonian(
         mo_ints, np.array([ref.alpha], dtype=np.int64), np.array([ref.beta], dtype=np.int64))[0, 0]))
-    return MeanFieldSolution(
-        orbital_coefficients=c,
-        orbital_energies=evals,
-        hf_energy=hf_energy,
-        reference_determinant=ref,
-        converged=converged,
-        iterations=iterations,
-        energy_history=tuple(history),
-    )
+    return MeanFieldSolution(c, evals, hf_energy, ref, converged, iterations, tuple(history),
+                             mo_ints)
 
 
 def mp2_doubles(mf: MeanFieldSolution, mo_ints: ElectronicIntegrals,

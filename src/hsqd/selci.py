@@ -94,6 +94,9 @@ class _ColumnStore:
 
     def __init__(self, ints: ElectronicIntegrals, spec: SectorSpec):
         self.ints, self.spec = ints, spec
+        fixed = columns_bytes(0, spec, ints)
+        # columns_bytes is affine: a call's fixed bytes and those of each column
+        self._column_bytes = fixed, columns_bytes(1, spec, ints) - fixed
         empty = np.empty(0, dtype=np.int64)
         self.blocks = []  # (first column, indptr, rows, values) per chunk
         self.members = empty  # row of each determinant of S, in S order
@@ -118,8 +121,7 @@ class _ColumnStore:
         ``SIGMA_BYTES_CAP``; ``CapExceededError`` before a chunk is built
         when not one determinant fits."""
         size = len(self.members) + len(alpha)
-        fixed = columns_bytes(0, self.spec, self.ints)
-        each = columns_bytes(1, self.spec, self.ints) - fixed  # columns_bytes is affine
+        fixed, each = self._column_bytes
         start = 0
         while start < len(alpha):
             room = (strings.SIGMA_BYTES_CAP - self._kept_bytes(size) - fixed) // each

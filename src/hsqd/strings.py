@@ -14,9 +14,9 @@ with E_pq = a+_p a_q acting inside one spin string and the one-spin operator
 E_pq is evaluated on the string words themselves with bit operations, so the
 cost of an operator grows with the strings it is restricted to, never with
 the C(M, n) strings of the whole channel.  Orbital pairs are flat indices
-pq = p * M + q.  Each string's one-spin entries are kept on the integrals
-(``ElectronicIntegrals.one_spin_memo``), so they are built once per
-integrals object, whichever routine meets the string first.
+pq = p * M + q.  Each string's one-spin row, H_s on it summed per target
+word, is kept on the integrals (``ElectronicIntegrals.one_spin_memo``), so
+it is built once per integrals object, whichever routine meets the string.
 
 Determinants are ordered beta-major, so a vector over a product space A x B
 is the matrix C[ib, ia], with
@@ -106,15 +106,15 @@ def _one_body_k(h: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 def _one_spin_terms(strings: np.ndarray, h: np.ndarray, g: np.ndarray):
     """k.E + 1/2 sum g E_pq E_rs on each of the ascending ``strings``: the
-    nonzero entries as (target word, column, term key, value), column-major
-    and in term order within a column, over every string they reach
-    (E_pq E_rs passes through strings outside the set).  The key of E_pq is
-    pq and that of E_pq E_rs is M^2 (rs + 1) + pq, so singles come first."""
+    nonzero terms as (target word, column, value), over every string they
+    reach (E_pq E_rs passes through strings outside the set), in an order
+    that lists each column's terms in term order: the E_pq by pq, then the
+    E_pq E_rs by rs and pq."""
     m = h.shape[0]
     k = _one_body_k(h, g)
     pairs = np.flatnonzero(k)
     term, word, col, sign = _live_excitations(strings, pairs, m)
-    words_l, cols_l, keys_l, vals_l = [word], [col], [pairs[term]], [k[pairs[term]] * sign]
+    words_l, cols_l, vals_l = [word], [col], [k[pairs[term]] * sign]
     gmat = g.reshape(m * m, m * m)
     coupled = (gmat != 0).T.reshape(m * m, m, m)  # [rs, p, q]
     coupled_rs = np.flatnonzero(coupled.any(axis=(1, 2)))
@@ -122,7 +122,7 @@ def _one_spin_terms(strings: np.ndarray, h: np.ndarray, g: np.ndarray):
     # one pass per r: E_rs for every coupled s, then on each live intermediate
     # only the E_pq that keep it alive (q occupied, p empty or p = q) and are
     # coupled to its rs, in ascending pq; the entries come (s, column, pq)
-    # ordered, so the stable sort below leaves each column in key order
+    # ordered, so each column's terms stay in term order
     for r in np.unique(coupled_rs // m):
         rs = coupled_rs[coupled_rs // m == r]
         mid, mid_sign = excite(strings, r, rs[:, None] % m)
@@ -130,50 +130,59 @@ def _one_spin_terms(strings: np.ndarray, h: np.ndarray, g: np.ndarray):
         mid, mid_sign, rs = mid[t, j], mid_sign[t, j], rs[t]
         occ = ((mid[:, None] >> orbitals) & 1) != 0
         e, p, q = np.nonzero(occ[:, None, :] & (same | ~occ[:, :, None]) & coupled[rs])
-        pq, rs = p * m + q, rs[e]
         word, sign = excite(mid[e], p, q)
         words_l.append(word)
         cols_l.append(j[e])
-        keys_l.append(m * m * (rs + 1) + pq)
-        vals_l.append(0.5 * gmat[pq, rs] * sign * mid_sign[e])
+        vals_l.append(0.5 * gmat[p * m + q, rs[e]] * sign * mid_sign[e])
     vals = np.concatenate(vals_l)
-    keep = np.flatnonzero(vals != 0)
-    cols = np.concatenate(cols_l)[keep]
-    # stable, so each column keeps its entries in term order
-    keep = keep[np.argsort(cols, kind="stable")]
-    return (np.concatenate(words_l)[keep], np.sort(cols, kind="stable"),
-            np.concatenate(keys_l).astype(np.int32)[keep], vals[keep])
+    keep = vals != 0
+    return np.concatenate(words_l)[keep], np.concatenate(cols_l)[keep], vals[keep]
+
+
+def _summed_rows(words: np.ndarray, cols: np.ndarray, vals: np.ndarray):
+    """The terms of ``_one_spin_terms`` summed per (column, target word) in
+    term order, the zero sums dropped, each column's words ascending."""
+    order = np.lexsort((words, cols))  # stable, so each sum keeps term order
+    words, cols, vals = words[order], cols[order], vals[order]
+    start = (np.diff(words, prepend=-1) != 0) | (np.diff(cols, prepend=-1) != 0)
+    group = np.cumsum(start) - 1
+    total = np.zeros(np.count_nonzero(start), dtype=vals.dtype)
+    # bincount adds its weights one at a time, in order
+    total.real = np.bincount(group, vals.real, len(total))
+    if np.iscomplexobj(vals):
+        total.imag = np.bincount(group, vals.imag, len(total))
+    first = np.flatnonzero(start)[total != 0]
+    return words[first], cols[first], total[total != 0]
 
 
 def _one_spin_entries(ints: ElectronicIntegrals, strings: np.ndarray):
-    """``_one_spin_terms`` of each of the ascending ``strings`` under ``ints``,
-    as (target word, column, term key, value), column-major.  Each string's
-    entries are computed once and kept in ``ints.one_spin_memo``; the rest
-    are gathered from it."""
+    """The one-spin rows (``_summed_rows``) of the ascending ``strings``
+    under ``ints``, as (target word, column, value); a row's bits depend on
+    its string only.  Each is computed once and kept in
+    ``ints.one_spin_memo``; the rest are gathered from it."""
     memo = ints.one_spin_memo
     new = [w for w in strings.tolist() if w not in memo]
     if new or not len(strings):  # an empty request gets empty arrays of the right types
-        words, cols, keys, vals = _one_spin_terms(
-            np.array(new, dtype=np.int64), ints.one_body, ints.two_body_same_spin)
+        words, cols, vals = _summed_rows(*_one_spin_terms(
+            np.array(new, dtype=np.int64), ints.one_body, ints.two_body_same_spin))
         cut = np.searchsorted(cols, np.arange(len(new) + 1))
         for w, lo, hi in zip(new, cut[:-1].tolist(), cut[1:].tolist()):
-            memo[w] = (words[lo:hi], keys[lo:hi], vals[lo:hi])
+            memo[w] = (words[lo:hi], vals[lo:hi])
         if len(new) == len(strings):  # no copy on a cold memo, which bounds the peak
-            return words, cols, keys, vals
+            return words, cols, vals
     parts = [memo[w] for w in strings.tolist()]
     count = [len(part[0]) for part in parts]
-    words, keys, vals = (np.concatenate(x) for x in zip(*parts))
-    return words, np.repeat(np.arange(len(strings)), count), keys, vals
+    words, vals = (np.concatenate(x) for x in zip(*parts))
+    return words, np.repeat(np.arange(len(strings)), count), vals
 
 
 def one_spin_operator(entries, rows: np.ndarray, n: int) -> sp.coo_matrix:
     """k.E + 1/2 sum g E_pq E_rs from the n strings of the one-spin ``entries``
     (``_one_spin_entries``) onto the ascending ``rows``, dropping the words
-    outside them, with its entries term-major as ``_one_spin_terms`` builds them."""
-    words, cols, keys, vals = entries
+    outside them."""
+    words, cols, vals = entries
     at = _locate(rows, words)
-    keep = np.flatnonzero(at >= 0)
-    keep = keep[np.argsort(keys[keep], kind="stable")]
+    keep = at >= 0
     return sp.coo_matrix((vals[keep], (at[keep], cols[keep])), shape=(len(rows), n))
 
 
@@ -276,9 +285,10 @@ def columns_bytes(n_dets: int, spec: SectorSpec, ints: ElectronicIntegrals) -> i
     products of their opposite-spin E_pq (``_per_string``) and the core, at
     fourteen 8-byte indices and three values each; an excitation pass adds
     160 bytes per visited orbital pair, and each call 4 M^4 bytes of integral
-    masks and 64 KiB.  In a rotated basis this is 1.2-2x the peak measured
-    from M = 6 to 12 with 20 or more determinants; in a site basis it is
-    4-5x the peak of 400 determinants at M = 8.
+    masks and 64 KiB.  It counts the terms that a cold memo builds, not their
+    row sums, so in a rotated basis (the half-filled U+V chain) it is 4.0-5.4x
+    the peak measured from M = 6 to 12 with 20 to 400 determinants, and in a
+    site basis 5.4-6.5x at M = 8 and 10.
     """
     ((one_a, os_a, _), (one_b, os_b, _)), visited = _per_string(spec, ints)
     entries, item = 1 + one_a + one_b + os_a * os_b, 16 if ints.is_complex else 8
@@ -323,10 +333,10 @@ def hamiltonian_columns(
     # (keys, columns, values): each string's one-spin entries, gathered for
     # every determinant that holds the string
     parts = [(own, np.arange(d), np.full(d, ints.core_energy))]
-    words, src, _, vals = one_a
+    words, src, vals = one_a
     j, e = _pair_up(ia, src)
     parts.append((set_b[j] + np.searchsorted(words_a, words)[e], j, vals[e]))
-    words, src, _, vals = one_b
+    words, src, vals = one_b
     j, e = _pair_up(ib, src)
     parts.append((np.searchsorted(words_b, words)[e] * na + set_a[j], j, vals[e]))
     j, x = _pair_up(ia, a_src)
@@ -373,10 +383,11 @@ def sigma_bytes(spec: SectorSpec, ints: ElectronicIntegrals, n_alpha: int, n_bet
     (``_per_string``) or the words within a double excitation, if fewer.
     Counts five R_alpha x R_beta arrays, 80 bytes per string and visited
     orbital pair, three copies of each entry (three indices and a value),
-    4 M^4 bytes of integral masks and 64 KiB.  In a rotated basis this is
-    1.2-2.9x the peak measured from M = 6 to 12 with ten or more strings per
-    channel (4.6x for one); in a site basis, where few pairs of the reached
-    words are reached, 2-31x (up to M = 20).
+    4 M^4 bytes of integral masks and 64 KiB.  In a rotated basis (the U+V
+    chain at half filling) this is 2.8-3.8x the peak measured from M = 6 to
+    12 with ten or more strings per channel (2.8-4.5x for one); in a site
+    basis, where few pairs of the reached words are reached, 2.4-29x (up to
+    M = 20).
     """
     m, item = spec.n_orbitals, 16 if ints.is_complex else 8
     counts, visited = _per_string(spec, ints)

@@ -14,7 +14,8 @@ expansion replaced, ``hci_ground_reference``, the selected-CI loop that rebuilt
 ``hsqd.strings._one_spin_terms`` replaced, and ``covering_reference``, the
 step-by-step growth loop that ``hsqd.subspace._covering`` replaced, and
 ``arpack_lowest``, the ARPACK eigensolve that ``hsqd.davidson._lanczos_lowest``
-replaced.
+replaced, and ``lowest_ritz_vector_reference``, the SciPy call whose LAPACK
+routines ``hsqd.davidson._lowest_ritz_vector`` calls directly.
 """
 
 from dataclasses import dataclass
@@ -379,14 +380,15 @@ def hci_ground_reference(spec, ints, schedule, reference=None):
 
 def one_spin_terms_reference(strings, h, g):
     """``hsqd.strings._one_spin_terms`` as one ``excite`` per coupled rs,
-    followed by every coupled pq on the strings E_rs leaves alive."""
+    followed by every coupled pq on the strings E_rs leaves alive; the terms
+    column-major, each column's in term order."""
     from hsqd.strings import _live_excitations, _one_body_k, excite
 
     m = h.shape[0]
     k = _one_body_k(h, g)
     pairs = np.flatnonzero(k)
     term, word, col, sign = _live_excitations(strings, pairs, m)
-    words_l, cols_l, keys_l, vals_l = [word], [col], [pairs[term]], [k[pairs[term]] * sign]
+    words_l, cols_l, vals_l = [word], [col], [k[pairs[term]] * sign]
     gmat = g.reshape(m * m, m * m)
     for rs in np.flatnonzero(np.any(gmat != 0, axis=0)):
         mid, mid_sign = excite(strings, *divmod(int(rs), m))
@@ -395,14 +397,12 @@ def one_spin_terms_reference(strings, h, g):
         term, word, j, sign = _live_excitations(mid[live], pq, m)
         words_l.append(word)
         cols_l.append(live[j])
-        keys_l.append(m * m * (rs + 1) + pq[term])
         vals_l.append(0.5 * gmat[pq, rs][term] * sign * mid_sign[live[j]])
     vals = np.concatenate(vals_l)
     keep = np.flatnonzero(vals != 0)
     cols = np.concatenate(cols_l)[keep]
     keep = keep[np.argsort(cols, kind="stable")]
-    return (np.concatenate(words_l)[keep], np.sort(cols, kind="stable"),
-            np.concatenate(keys_l).astype(np.int32)[keep], vals[keep])
+    return np.concatenate(words_l)[keep], np.sort(cols, kind="stable"), vals[keep]
 
 
 def covering_reference(ranked_a, ranked_b, target):
@@ -625,3 +625,11 @@ def arpack_lowest(matrix, tol: float, max_iter: int = 200) -> GroundStateResult:
     energy = float(np.real(np.vdot(vec, matrix @ vec)))
     resid = float(np.linalg.norm(matrix @ vec - energy * vec))
     return GroundStateResult(energy, vec, resid, matvecs, done and resid <= tol)
+
+
+def lowest_ritz_vector_reference(d, e):
+    """The lowest eigenvector of the symmetric tridiagonal (d, e) from
+    ``scipy.linalg.eigh_tridiagonal``, asked for the first index only."""
+    import scipy.linalg
+
+    return scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=(0, 0))[1][:, 0]

@@ -314,6 +314,29 @@ class TestRunWorkflow:
             run_workflow(config)
             assert sorted(pairs) == want
 
+    def test_pair_mean_field_rotates_once(self, monkeypatch):
+        """The SCF rotates the integrals once, for its reference energy, and
+        ``pair_mean_field`` hands that rotation on: the same values as a
+        fresh ``rotate_basis``, with the reference strings' rows memoized."""
+        import hsqd.bandgap
+        import hsqd.reference
+        from hsqd.model import map_to_electronic, rotate_basis
+
+        calls = []
+
+        def counted(ints, c):
+            calls.append(c)
+            return rotate_basis(ints, c)
+
+        monkeypatch.setattr(hsqd.reference, "rotate_basis", counted)
+        ints = map_to_electronic(make_chain(6, v=0.6))
+        mf, mo = hsqd.bandgap.pair_mean_field(ints, 3)
+        assert len(calls) == 1
+        fresh = rotate_basis(ints, mf.orbital_coefficients)
+        for name in ("one_body", "two_body_same_spin", "two_body_opposite_spin"):
+            assert getattr(mo, name).tobytes() == getattr(fresh, name).tobytes()
+        assert set(mo.one_spin_memo) == {0b111}
+
     def test_unreadable_sample_file_fails_before_any_solver(self, tmp_path, dimer_lattice,
                                                             monkeypatch):
         """Sample files are read once, before the mean field, so a missing

@@ -62,6 +62,7 @@ from oracles import (
     fock_index,
     generate_excitations,
     matrix_element,
+    lowest_ritz_vector_reference,
     one_spin_terms_reference,
     random_general_integrals,
 )
@@ -742,13 +743,17 @@ class TestOneSpinMemo:
 
 class TestOneSpinTermsAgainstLoop:
     """``_one_spin_terms`` against the loop over rs that it replaced
-    (``one_spin_terms_reference``): the same target words, columns, keys and
-    values, byte for byte and in the same dtypes."""
+    (``one_spin_terms_reference``): the same target words, columns and
+    values, byte for byte and in the same dtypes, once both are sorted
+    stably by column, so each column's terms are in term order."""
 
     @staticmethod
     def _assert_identical(strings, h, g):
-        got = strings_mod._one_spin_terms(strings, h, g)
+        words, cols, vals = strings_mod._one_spin_terms(strings, h, g)
+        order = np.argsort(cols, kind="stable")
+        got = words[order], cols[order], vals[order]
         want = one_spin_terms_reference(strings, h, g)
+        assert len(got) == len(want) == 3
         for x, y in zip(got, want):
             assert x.dtype == y.dtype and x.shape == y.shape
             assert x.tobytes() == y.tobytes()
@@ -790,6 +795,49 @@ class TestOneSpinTermsAgainstLoop:
         ints = _random_integrals(rng, 4, complex_ints, rotate=True)
         for words in (np.array(half_strings(4, n), dtype=np.int64), np.zeros(0, dtype=np.int64)):
             self._assert_identical(words, ints.one_body, ints.two_body_same_spin)
+
+
+class TestSummedOneSpinRows:
+    """The memo holds each string's one-spin row summed per target word: the
+    words of a row strictly ascending, every value nonzero, and each value
+    the sum of that word's terms in ``one_spin_terms_reference``."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 4])
+    @pytest.mark.parametrize("rotate", [False, True])
+    @pytest.mark.parametrize("complex_ints", [False, True])
+    def test_rows_are_per_target_sums(self, n, rotate, complex_ints):
+        rng = np.random.default_rng(7 * n + 2 * rotate + complex_ints)
+        ints = _random_integrals(rng, 4, complex_ints, rotate)
+        full = np.array(half_strings(4, n), dtype=np.int64)
+        for strings in (full, np.zeros(0, dtype=np.int64), full[::2]):
+            words, cols, vals = strings_mod._one_spin_entries(ints, strings)
+            assert words.dtype == np.int64 and vals.dtype == ints.one_body.dtype
+            t_words, t_cols, t_vals = one_spin_terms_reference(
+                strings, ints.one_body, ints.two_body_same_spin)
+            assert np.all(np.diff(cols) >= 0)
+            for j in range(len(strings)):
+                row = cols == j
+                got = dict(zip(words[row].tolist(), vals[row].tolist()))
+                want = {}
+                for w, v in zip(t_words[t_cols == j].tolist(), t_vals[t_cols == j].tolist()):
+                    want[w] = want.get(w, 0.0) + v
+                assert np.all(np.diff(words[row]) > 0)
+                assert all(v != 0 for v in got.values())
+                assert set(got) <= set(want)
+                for w, v in want.items():
+                    assert abs(got.get(w, 0.0) - v) <= 1e-14
+
+    def test_rotated_uv_chain_rows_are_short(self):
+        """On the rotated 6-site U+V chain, a 3-electron string's 156 terms
+        reach 19 words, and a 2-electron string's 110 terms reach 15."""
+        ints = map_to_electronic(make_chain(6, v=0.6))
+        ints = rotate_basis(ints, solve_mean_field(ints, SectorSpec(6, 3, 3)).orbital_coefficients)
+        for n, terms, words in ((3, 156, 19), (2, 110, 15)):
+            strings = np.array(half_strings(6, n), dtype=np.int64)
+            raw = one_spin_terms_reference(strings, ints.one_body, ints.two_body_same_spin)
+            got = strings_mod._one_spin_entries(ints, strings)
+            assert np.bincount(raw[1]).max() == terms
+            assert np.bincount(got[1]).max() == words
 
 
 def _complex_chain(m, v):
@@ -1042,6 +1090,70 @@ class TestLanczosAgainstDense:
             exact = scipy.linalg.eigvalsh(mat.toarray(), subset_by_index=[0, 0])[0]
             assert res.converged
             assert abs(res.energy - exact) <= 1e-9
+
+
+class TestDenseCrossover:
+    """``DENSE_FALLBACK_DIM`` is the last size that takes the dense path."""
+
+    @pytest.fixture(scope="class")
+    def chain6uv_mo(self):
+        ints = map_to_electronic(make_chain(6, v=0.6))
+        spec = sector_specs(6, 6)["Ne"]
+        mf = solve_mean_field(ints, spec)
+        return project_hamiltonian(full_basis(spec), rotate_basis(ints, mf.orbital_coefficients))
+
+    def test_paths_agree_at_the_crossover(self, chain6uv_mo, monkeypatch):
+        def fail(*args):
+            raise AssertionError("wrong path")
+
+        for d, wrong in ((DENSE_FALLBACK_DIM, "_lanczos_lowest"),
+                         (DENSE_FALLBACK_DIM + 1, "_dense_lowest")):
+            mat = chain6uv_mo[:d, :d].tocsr()
+            with monkeypatch.context() as patch:
+                patch.setattr(davidson_mod, wrong, fail)
+                res = lowest_eigenpair(mat)
+            exact = scipy.linalg.eigh(mat.toarray(), eigvals_only=True, subset_by_index=[0, 0])[0]
+            assert abs(res.energy - exact) <= 1e-12
+            assert res.converged
+
+    def test_full_ne_sector_takes_lanczos(self, chain6uv_mo):
+        """The 400-determinant Ne sector of the 6-site U+V chain in its
+        mean-field orbitals, which ext-SQD reaches, is a Lanczos solve."""
+        assert chain6uv_mo.shape[0] == 400
+        res = lowest_eigenpair(chain6uv_mo)
+        exact = scipy.linalg.eigh(chain6uv_mo.toarray(), eigvals_only=True,
+                                  subset_by_index=[0, 0])[0]
+        assert res.iterations > 1 and res.converged
+        assert abs(res.energy - exact) <= 1e-12
+
+
+class TestLowestRitzVector:
+    def test_bytes_match_eigh_tridiagonal(self, monkeypatch):
+        """On the tridiagonals of real solves (a site-basis and a rotated
+        chain, and a complex ring), the direct LAPACK calls give the bytes
+        of ``scipy.linalg.eigh_tridiagonal``."""
+        seen = []
+        ritz = davidson_mod._lowest_ritz_vector
+
+        def record(d, e):
+            seen.append((d.copy(), e.copy()))
+            return ritz(d, e)
+
+        monkeypatch.setattr(davidson_mod, "_lowest_ritz_vector", record)
+        ints = map_to_electronic(make_chain(7, v=0.6))
+        spec = SectorSpec(7, 3, 3)
+        mo = rotate_basis(ints, solve_mean_field(ints, spec).orbital_coefficients)
+        for mat_ints in (ints, mo, map_to_electronic(ring(7, 4.0, phase=0.3))):
+            assert _lanczos_lowest(project_hamiltonian(full_basis(spec), mat_ints),
+                                   DEFAULT_TOL).converged
+        assert len(seen) > 30 and {len(d) for d, _ in seen} >= {5, LANCZOS_BASIS}
+        for d, e in seen + [(np.array([-1.5]), np.zeros(0))]:
+            got, want = ritz(d, e), lowest_ritz_vector_reference(d, e)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_non_finite_input(self):
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            davidson_mod._lowest_ritz_vector(np.array([1.0, np.nan]), np.array([0.5]))
 
 
 class TestLanczosAgainstArpack:
