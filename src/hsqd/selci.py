@@ -9,6 +9,7 @@ perturbative correction is applied.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,10 +34,12 @@ class SelectionSchedule:
     max_determinants: int = 10**6
 
     def __post_init__(self):
-        if not self.epsilons or any(e <= 0 for e in self.epsilons):
-            raise ValidationError("provide one or more positive epsilons")
+        if not self.epsilons or not all(0 < e < math.inf for e in self.epsilons):
+            raise ValidationError("provide one or more positive finite epsilons")
         if any(b >= a for a, b in zip(self.epsilons, self.epsilons[1:])):
             raise ValidationError("epsilons must be strictly descending")
+        if self.max_determinants < 1:
+            raise ValidationError("max_determinants must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -82,23 +85,27 @@ def _intern(table, keys: np.ndarray):
 class _ColumnStore:
     """H[:, S] of a growing determinant set S, kept across selection rounds.
 
-    The determinants that join get their columns from ``hamiltonian_columns``
-    in chunks, each kept as one CSC block and never rebuilt: a column already
-    holds every determinant its own couples to, so a later pick only moves
-    one of its rows from outside S to inside.  A row is a determinant, keyed
-    by its words: each channel numbers its words in the order they are met,
-    and the key is (beta number) << 32 | (alpha number), whatever M is (a
-    channel would need 2^32 distinct words, 32 GiB of them, to overflow it).
-    Rows and positions in S are int32: the memory cap keeps them below 10^8.
-    """
+    H[:, S] is one CSC triple (``indptr``, ``rows``, ``values``), columns in
+    S order.  The determinants that join get their columns from
+    ``hamiltonian_columns`` in chunks, each appended to it and never rebuilt:
+    a column already holds every determinant its own couples to, so a later
+    pick only moves one of its rows from outside S to inside.  A row is a
+    determinant, keyed by its words: each channel numbers its words in the
+    order they are met, and the key is (beta number) << 32 | (alpha number),
+    whatever M is (a channel would need 2^32 distinct words, 32 GiB of them,
+    to overflow it).  Rows and positions in S are int32: the memory cap keeps
+    them below 10^8.  Only the store sizes chunks under the cap, from two
+    ``columns_bytes`` calls made here."""
 
     def __init__(self, ints: ElectronicIntegrals, spec: SectorSpec):
-        self.ints, self.spec = ints, spec
+        self.ints = ints
         fixed = columns_bytes(0, spec, ints)
         # columns_bytes is affine: a call's fixed bytes and those of each column
         self._column_bytes = fixed, columns_bytes(1, spec, ints) - fixed
         empty = np.empty(0, dtype=np.int64)
-        self.blocks = []  # (first column, indptr, rows, values) per chunk
+        self.indptr = np.zeros(1, dtype=np.int64)
+        self.rows = np.empty(0, dtype=np.int32)
+        self.values = np.empty(0, dtype=complex if ints.is_complex else float)
         self.members = empty  # row of each determinant of S, in S order
         self.row_alpha = self.row_beta = empty  # words of each row
         self.position = np.empty(0, dtype=np.int32)  # of each row in S; -1 outside
@@ -107,12 +114,11 @@ class _ColumnStore:
     def _kept_bytes(self, size: int) -> int:
         """The store's arrays three times over, plus the eigensolve of
         ``size`` members (``eigensolve_bytes``).  A round's reads of the
-        store (H[S, S], the importances, the variance) allocate at most 1.8
+        store (H[S, S], the importances, the variance) allocate at most 1.7
         times its arrays, measured from M = 6 to 8 up to full coverage; the
         eigensolve's sparse H[S, S] is at most the store's size."""
-        arrays = [self.members, self.row_alpha, self.row_beta, self.position,
-                  *self._alpha, *self._beta, *self._keys]
-        arrays += [a for block in self.blocks for a in block[1:]]
+        arrays = [self.indptr, self.rows, self.values, self.members, self.row_alpha,
+                  self.row_beta, self.position, *self._alpha, *self._beta, *self._keys]
         return 3 * sum(a.nbytes for a in arrays) + eigensolve_bytes(size, self.ints.is_complex)
 
     def extend(self, alpha: np.ndarray, beta: np.ndarray) -> None:
@@ -138,7 +144,9 @@ class _ColumnStore:
         self.position[rows[:n]] = np.arange(first, first + n)
         self.members = np.concatenate([self.members, rows[:n]])
         cols = cols.tocsc()  # a linear transpose: the build summed each column's duplicates
-        self.blocks.append((first, cols.indptr, rows[cols.indices].astype(np.int32), cols.data))
+        self.indptr = np.concatenate([self.indptr, self.indptr[-1] + cols.indptr[1:]])
+        self.rows = np.concatenate([self.rows, rows[cols.indices].astype(np.int32)])
+        self.values = np.concatenate([self.values, cols.data])
 
     def _rows(self, alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
         """The row of each determinant (alpha[j], beta[j]); new ones are
@@ -152,39 +160,26 @@ class _ColumnStore:
         return rows
 
     def square(self) -> sp.csc_matrix:
-        """H[S, S] as CSC, filled block by block (the blocks hold ascending
-        columns); ``lowest_eigenpair`` densifies the small ones itself."""
+        """H[S, S] as CSC (``lowest_eigenpair`` densifies the small ones); the
+        row positions are gathered before the values, which lowers the peak."""
         d = len(self.members)
-        inside = [np.flatnonzero(self.position[rows] >= 0).astype(np.int32)
-                  for _, _, rows, _ in self.blocks]
-        val = np.empty(sum(map(len, inside)), dtype=self.blocks[0][3].dtype)
-        row = np.empty(len(val), dtype=np.int32)
-        ptr, start = [np.zeros(1, dtype=np.int64)], 0
-        for (first, indptr, rows, vals), keep in zip(self.blocks, inside):
-            end = start + len(keep)
-            val[start:end] = vals[keep]
-            row[start:end] = self.position[rows[keep]]
-            ptr.append(start + np.searchsorted(keep, indptr[1:]))
-            start = end
-        return sp.csc_matrix((val, row, np.concatenate(ptr)), shape=(d, d))
+        inside = np.flatnonzero(self.position[self.rows] >= 0)
+        ptr, rows = np.searchsorted(inside, self.indptr), self.position[self.rows[inside]]
+        return sp.csc_matrix((self.values[inside], rows, ptr), shape=(d, d))
 
     def importance(self, c: np.ndarray) -> np.ndarray:
         """max_j |H_rj| |c_j| of each row r."""
+        w = np.abs(self.values)
+        w *= np.repeat(np.abs(c), np.diff(self.indptr))
         imp = np.zeros(len(self.position))
-        mag = np.abs(c)
-        for first, indptr, rows, vals in self.blocks:
-            w = np.abs(vals)
-            w *= np.repeat(mag[first:first + len(indptr) - 1], np.diff(indptr))
-            np.maximum.at(imp, rows, w)
+        np.maximum.at(imp, self.rows, w)
         return imp
 
     def sigma(self, c: np.ndarray) -> np.ndarray:
         """H[:, S] c over the rows: the members of S in order, then the rows
         outside."""
-        s = np.zeros(len(self.position), dtype=np.result_type(c, self.blocks[0][3]))
-        for first, indptr, rows, vals in self.blocks:
-            n = len(indptr) - 1
-            s += sp.csc_matrix((vals, rows, indptr), shape=(len(s), n)) @ c[first:first + n]
+        shape = len(self.position), len(self.members)
+        s = sp.csc_matrix((self.values, self.rows, self.indptr), shape=shape) @ c
         return np.concatenate([s[self.members], s[self.position < 0]])
 
 

@@ -37,7 +37,6 @@ from math import comb
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import CapExceededError
 from .model import ElectronicIntegrals, SectorSpec
 
 # largest estimated allocation of one sigma (see sigma_bytes) or of H columns
@@ -281,18 +280,26 @@ def columns_bytes(n_dets: int, spec: SectorSpec, ints: ElectronicIntegrals) -> i
     """Estimated peak memory of ``hamiltonian_columns`` over ``n_dets``
     determinants of ``spec``, with no string's entries memoized yet.
 
-    Each column has at most the one-spin entries of its two strings, the
-    products of their opposite-spin E_pq (``_per_string``) and the core, at
-    fourteen 8-byte indices and three values each; an excitation pass adds
-    160 bytes per visited orbital pair, and each call 4 M^4 bytes of integral
-    masks and 64 KiB.  It counts the terms that a cold memo builds, not their
-    row sums, so in a rotated basis (the half-filled U+V chain) it is 4.0-5.4x
-    the peak measured from M = 6 to 12 with 20 to 400 determinants, and in a
-    site basis 5.4-6.5x at M = 8 and 10.
+    Each column gathers the summed one-spin rows of its two strings (a row
+    has no more words than its string has one-spin terms, nor than the
+    string, its singles and its doubles), the products of their
+    opposite-spin E_pq (``_per_string``) and the core, at fourteen 8-byte
+    indices and three values each.  A cold memo first sums each string's
+    terms (``_summed_rows``), holding two copies of each term's word, column
+    and value, its sort order, two group numbers and a flag; that ends
+    before the gathering starts, so a determinant counts the larger of the
+    two.  An excitation pass adds 160 bytes per visited orbital pair, and
+    each call 4 M^4 bytes of integral masks and 64 KiB.  In a rotated basis
+    (the half-filled U+V chain) this is 1.8-2.5x the peak measured from
+    M = 6 to 12 with 20 to 400 determinants, and in a site basis 4.4-6.8x.
     """
-    ((one_a, os_a, _), (one_b, os_b, _)), visited = _per_string(spec, ints)
-    entries, item = 1 + one_a + one_b + os_a * os_b, 16 if ints.is_complex else 8
-    return n_dets * (entries * (112 + 3 * item) + 160 * visited) + 4 * spec.n_orbitals**4 + 65536
+    m, item = spec.n_orbitals, 16 if ints.is_complex else 8
+    counts, visited = _per_string(spec, ints)
+    rows = sum(min(one, 1 + n * (m - n) + comb(n, 2) * comb(m - n, 2))
+               for n, (one, _, _) in zip((spec.n_alpha, spec.n_beta), counts))
+    (one_a, os_a, _), (one_b, os_b, _) = counts
+    gathered, cold = (1 + rows + os_a * os_b) * (112 + 3 * item), (one_a + one_b) * (57 + 2 * item)
+    return n_dets * (max(gathered, cold) + 160 * visited) + 4 * m**4 + 65536
 
 
 def _pair_up(keys: np.ndarray, src: np.ndarray):
@@ -311,12 +318,9 @@ def hamiltonian_columns(
     order and not necessarily a product set, over every determinant they
     couple to: row j < len(alpha) is determinant j, the rest are outside the
     list in ascending (beta, alpha) order, and their words are returned with
-    the matrix.  ``CapExceededError`` when ``columns_bytes`` exceeds
-    ``SIGMA_BYTES_CAP``, before any array is built."""
+    the matrix.  No cap is checked here: a caller sizes its calls, as
+    ``selci._ColumnStore`` does with ``columns_bytes``."""
     m, d = ints.n_orbitals, len(alpha)
-    spec = SectorSpec(m, int(alpha[0]).bit_count(), int(beta[0]).bit_count())
-    if columns_bytes(d, spec, ints) > SIGMA_BYTES_CAP:
-        raise CapExceededError(f"the H columns of {d} determinants exceed the memory cap")
     ua, ia = np.unique(alpha, return_inverse=True)
     ub, ib = np.unique(beta, return_inverse=True)
     # g_os[pq, rs] E^beta_rs E^alpha_pq over the pairs with any coupling

@@ -422,7 +422,7 @@ class TestRun:
 
 
 class TestConfig:
-    @pytest.mark.parametrize("name", ["dimer", "chain6"])
+    @pytest.mark.parametrize("name", ["dimer", "chain6", "chain10uv_hci"])
     def test_shipped_configs_parse(self, name):
         config = Path(__file__).resolve().parents[1] / "configs" / f"{name}.toml"
         config_from_file(config)

@@ -1,3 +1,5 @@
+import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -65,6 +67,14 @@ class TestSelectionSchedule:
     def test_epsilons_must_descend(self):
         with pytest.raises(ValidationError):
             SelectionSchedule(epsilons=(1e-3, 1e-2))
+
+    @pytest.mark.parametrize("epsilons, cap", [((math.nan,), 10), ((1e-1, math.nan), 10),
+                                               ((math.inf, 1e-3), 10), ((1e-3,), 0), ((1e-3,), -1)])
+    def test_non_finite_epsilons_and_empty_cap_rejected(self, epsilons, cap):
+        """Reachable through the API only, as the config reader rejects
+        non-finite numbers; a cap of 0 gave a one-determinant stage."""
+        with pytest.raises(ValidationError):
+            SelectionSchedule(epsilons=epsilons, max_determinants=cap)
 
     def test_exactly_one_mode(self):
         with pytest.raises(ValidationError):
@@ -347,6 +357,30 @@ class TestHciColumnStore:
         stages = hci_ground(spec, ints, schedule)
         assert max(len(calls) for calls in rounds) >= 3
         self._same_stages(stages, want, exact_energies=True)
+        # the stores themselves: H[S, S] and the importances bit for bit, and
+        # H[:, S] c to round-off, as a sparse matvec need not keep its sums' order
+        chunked, c = current["store"], want[-1].result.ci_vector
+        assert np.array_equal(chunked.square().toarray(), store.square().toarray())
+        assert np.array_equal(chunked.importance(c), store.importance(c))
+        assert np.abs(chunked.sigma(c) - store.sigma(c)).max() <= 1e-12
+
+    def test_columns_estimated_once_per_store(self, monkeypatch):
+        """A run estimates the columns' bytes twice, in the store's
+        constructor, and no column build estimates them again."""
+        callers = []
+        estimate = strings_mod.columns_bytes
+
+        def record(*args):
+            callers.append(sys._getframe(1).f_code.co_qualname)
+            return estimate(*args)
+
+        monkeypatch.setattr(strings_mod, "columns_bytes", record)
+        monkeypatch.setattr(selci_mod, "columns_bytes", record)
+        rounds, _ = _record_rounds(monkeypatch)
+        ints = _integrals(np.random.default_rng(4), 6, complex_hopping=False, rotate=True)
+        hci_ground(SectorSpec(6, 3, 2), ints, SelectionSchedule(epsilons=(0.1, 1e-3, 1e-6)))
+        assert len(rounds) > 3
+        assert callers == ["_ColumnStore.__init__"] * 2
 
     def test_cap_raises_before_a_chunk_that_cannot_fit(self, monkeypatch):
         """After the first round the cap drops to one determinant's columns,
