@@ -53,8 +53,7 @@ def sectors(rng, m: int) -> list[tuple[int, int]]:
 def requests(rng, m: int, n_alpha: int, n_beta: int, complex_ints: bool):
     """Product subset strings, full channels with a vector over them, and a
     shuffled determinant list of the sector."""
-    wa = np.array(half_strings(m, n_alpha), dtype=np.int64)
-    wb = np.array(half_strings(m, n_beta), dtype=np.int64)
+    wa, wb = half_strings(m, n_alpha), half_strings(m, n_beta)
     na = int(rng.integers(1, len(wa) + 1))
     nb = int(rng.integers(1, max(1, min(len(wb), MAX_PRODUCT // na)) + 1))
     alpha = np.sort(rng.choice(wa, size=na, replace=False))

@@ -15,7 +15,6 @@ from .model import (
 from .determinants import (
     Determinant,
     diagonal_energy,
-    enumerate_sector,
     generate_excitations,
     matrix_element,
 )
@@ -32,8 +31,6 @@ from .statevector import (
     SampleSet,
     SectorStatevector,
     apply_density_phase,
-    apply_orbital_matrix,
-    basis_state,
     build_state,
     load_samples,
     sample,

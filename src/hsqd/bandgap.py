@@ -25,7 +25,8 @@ from .model import (
     load_lattice,
     map_to_electronic,
 )
-from .reference import MeanFieldSolution, check_layers, lucj_from_t2, mp2_doubles, solve_mean_field
+from .reference import (LucjParameters, MeanFieldSolution, check_layers, lucj_from_t2,
+                        mp2_doubles, solve_mean_field)
 from .selci import SelectionSchedule, fci_ground, hci_ground
 from .statevector import SampleSet, build_state, check_sampling, load_samples, sample
 from .subspace import (
@@ -209,25 +210,33 @@ def pair_mean_field(ints: ElectronicIntegrals,
     return mf, mf._mo_ints
 
 
-def _simulate_sector_samples(mo_ints: ElectronicIntegrals, mf: MeanFieldSolution, spec: SectorSpec,
-                             n_pairs: int, layers: int, shots: int, seed: int) -> SampleSet:
-    """``shots`` samples of the LUCJ state of ``spec``, with ``layers`` layers
-    seeded by the MP2 doubles of ``n_pairs`` pairs in the orbitals of ``mf``."""
-    t2, _ = mp2_doubles(mf, mo_ints, SectorSpec(spec.n_orbitals, n_pairs, n_pairs))
-    params = lucj_from_t2(t2, mo_ints.n_orbitals, n_pairs, layers=layers)
-    state = build_state(params, mf.reference_for(spec), spec)
-    return sample(state, shots, seed=seed)
+def pair_lucj(mf: MeanFieldSolution, mo_ints: ElectronicIntegrals, n_pairs: int,
+              layers: int) -> LucjParameters:
+    """LUCJ parameters with ``layers`` layers seeded by the MP2 doubles of
+    ``n_pairs`` pairs in the orbitals of ``mf``; like the mean field, they
+    depend on the pair count only."""
+    t2, _ = mp2_doubles(mf, mo_ints, SectorSpec(mo_ints.n_orbitals, n_pairs, n_pairs))
+    return lucj_from_t2(t2, mo_ints.n_orbitals, n_pairs, layers=layers)
+
+
+def _simulate_sector_samples(params: LucjParameters, mf: MeanFieldSolution, spec: SectorSpec,
+                             shots: int, seed: int) -> SampleSet:
+    """``shots`` samples of the LUCJ state ``params`` on the reference of ``mf`` in ``spec``."""
+    return sample(build_state(params, mf.reference_for(spec), spec), shots, seed=seed)
 
 
 def _sweep_sector(raw: SampleSet | None, spec: SectorSpec, n_pairs: int, mf: MeanFieldSolution,
-                  mo_ints: ElectronicIntegrals, config: WorkflowConfig, seed: int) -> SectorSweep:
+                  mo_ints: ElectronicIntegrals, config: WorkflowConfig, seed: int,
+                  lucj: dict[int, LucjParameters]) -> SectorSweep:
     """The SQD sweep of ``spec`` over the file's samples ``raw``, or over
-    samples simulated with ``seed`` when there is no file."""
+    samples simulated with ``seed`` when there is no file; ``lucj`` keeps
+    the LUCJ parameters of each pair count from its first simulated sector."""
     sweep = SectorSweep()
     try:
         if raw is None:
-            raw = _simulate_sector_samples(mo_ints, mf, spec, n_pairs, config.lucj_layers,
-                                           config.shots, seed)
+            if n_pairs not in lucj:
+                lucj[n_pairs] = pair_lucj(mf, mo_ints, n_pairs, config.lucj_layers)
+            raw = _simulate_sector_samples(lucj[n_pairs], mf, spec, config.shots, seed)
         sweep.samples = filter_samples(raw, spec)
         sweep.points = sqd_sweep(sweep.samples, spec, mo_ints, list(config.fractions),
                                  reference=mf.reference_for(spec))
@@ -258,6 +267,7 @@ def run_workflow(config: WorkflowConfig) -> tuple[GapReport, dict[str, list[Sect
     t0 = time.perf_counter()
     mean_fields = {n: pair_mean_field(ints, n) for n in dict.fromkeys(pairs.values())}
     stage_seconds["mean_field"] = time.perf_counter() - t0
+    lucj: dict[int, LucjParameters] = {}  # per pair count, from its first simulated sector
 
     sector_energies: dict[str, dict[str, float]] = {lbl: {} for lbl in SECTOR_LABELS}
     runs: dict[str, list[SectorRun]] = {s: [] for s in config.solvers}
@@ -281,7 +291,8 @@ def run_workflow(config: WorkflowConfig) -> tuple[GapReport, dict[str, list[Sect
                 else:
                     if label not in sweeps:
                         sweeps[label] = _sweep_sector(loaded.get(label), spec, n_pairs, mf,
-                                                      mo_ints, config, config.seed + offset)
+                                                      mo_ints, config, config.seed + offset,
+                                                      lucj)
                     sweep = sweeps[label]
                     if sweep.error is not None:
                         raise sweep.error

@@ -34,6 +34,7 @@ from .bandgap import (
     SOLVERS,
     WorkflowConfig,
     _simulate_sector_samples,
+    pair_lucj,
     pair_mean_field,
     run_workflow,
 )
@@ -177,7 +178,8 @@ def cmd_sample(args) -> int:
     spec = SectorSpec(lat.n_orbitals, args.n_alpha, args.n_beta)
     n_pairs = min(args.n_alpha, args.n_beta)
     mf, mo = pair_mean_field(map_to_electronic(lat), n_pairs)
-    samples = _simulate_sector_samples(mo, mf, spec, n_pairs, args.layers, args.shots, args.seed)
+    params = pair_lucj(mf, mo, n_pairs, args.layers)
+    samples = _simulate_sector_samples(params, mf, spec, args.shots, args.seed)
     save_samples(samples, args.output)
     print(f"wrote {args.output}: {len(samples.counts)} distinct bitstrings, {samples.shots} shots")
     return 0

@@ -15,15 +15,14 @@ an element, too slow to assemble a matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 
 import numpy as np
 
-from .errors import CapExceededError, ValidationError
-from .model import ElectronicIntegrals, SectorSpec
+from .errors import ValidationError
+from .model import ElectronicIntegrals
 from .strings import excited_strings, hamiltonian_columns
-
-SECTOR_CAP = 10**7
 
 
 @dataclass(frozen=True, order=False)
@@ -41,19 +40,16 @@ class Determinant:
         return f"{self.beta:0{n_orbitals}b}{self.alpha:0{n_orbitals}b}"
 
 
-def half_strings(n_orbitals: int, n_occ: int) -> list[int]:
-    """All n_occ-bit words over n_orbitals orbitals, ascending as integers."""
-    return sorted(sum(1 << i for i in combo) for combo in combinations(range(n_orbitals), n_occ))
-
-
-def enumerate_sector(spec: SectorSpec) -> list[Determinant]:
-    """All determinants of a sector in canonical (beta-major) order."""
-    dim = spec.dimension()
-    if dim > SECTOR_CAP:
-        raise CapExceededError(f"sector dimension {dim} exceeds cap {SECTOR_CAP}")
-    alphas = half_strings(spec.n_orbitals, spec.n_alpha)
-    betas = half_strings(spec.n_orbitals, spec.n_beta)
-    return [Determinant(a, b) for b in betas for a in alphas]
+@cache
+def half_strings(n_orbitals: int, n_occ: int) -> np.ndarray:
+    """All n_occ-bit words over n_orbitals orbitals, ascending, as a read-only
+    int64 array: the one enumeration of a spin channel, made once per
+    (n_orbitals, n_occ) and shared by every caller.  A sector's canonical
+    order is its beta strings times its alpha strings, beta-major."""
+    words = np.array(sorted(sum(1 << i for i in combo)
+                            for combo in combinations(range(n_orbitals), n_occ)), dtype=np.int64)
+    words.setflags(write=False)
+    return words
 
 
 def excitation_rank(d1: Determinant, d2: Determinant) -> int:

@@ -87,6 +87,7 @@ def solve_mean_field(ints: ElectronicIntegrals, spec: SectorSpec) -> MeanFieldSo
     converged = False
     p = c[:, :n_pairs] @ c[:, :n_pairs].conj().T if n_pairs else np.zeros((m, m))
     paths = _contraction_paths(ints.two_body_same_spin, p)
+    e0 = _electronic_energy(ints, p, paths)  # E(p), carried over from each accepted step
     stalls = 0
     a_prev = 1.0
     for iterations in range(1, SCF_MAX_ITER + 1):
@@ -100,7 +101,6 @@ def solve_mean_field(ints: ElectronicIntegrals, spec: SectorSpec) -> MeanFieldSo
             p = p_new
             break
         # E((1-a) p + a p_new) is quadratic in a; minimize it exactly
-        e0 = _electronic_energy(ints, p, paths)
         e1 = _electronic_energy(ints, p_new, paths)
         em = _electronic_energy(ints, p + 0.5 * step, paths)
         curv = 2.0 * (e0 + e1 - 2.0 * em)
@@ -120,10 +120,10 @@ def solve_mean_field(ints: ElectronicIntegrals, spec: SectorSpec) -> MeanFieldSo
         stalls = 0
         a_prev = a
         p = p + a * step
-        e = _electronic_energy(ints, p, paths)
-        if not np.isfinite(e):
+        e0 = _electronic_energy(ints, p, paths)
+        if not np.isfinite(e0):
             raise ConvergenceError("SCF diverged (energy is not finite)")
-        history.append(e)
+        history.append(e0)
     # final canonical orbitals for the converged density
     f = _fock(ints, p, paths)
     evals, c = scipy.linalg.eigh(f)
@@ -192,14 +192,6 @@ def real_matrix(value, name: str, m: int | None = None) -> np.ndarray:
     return arr
 
 
-def orthogonal_matrix(value, name: str, m: int | None = None) -> np.ndarray:
-    """``value`` as a finite real orthogonal matrix (see ``real_matrix``)."""
-    q = real_matrix(value, name, m)
-    if np.abs(q.T @ q - np.eye(len(q))).max(initial=0.0) > 1e-10:
-        raise ValidationError(f"{name} must be orthogonal")
-    return q
-
-
 @dataclass(frozen=True)
 class LucjLayer:
     """One orbital rotation plus density-density couplings.
@@ -213,7 +205,9 @@ class LucjLayer:
     j_opposite: np.ndarray
 
     def __post_init__(self):
-        q = orthogonal_matrix(self.rotation, "orbital rotation")
+        q = real_matrix(self.rotation, "orbital rotation")
+        if np.abs(q.T @ q - np.eye(len(q))).max(initial=0.0) > 1e-10:
+            raise ValidationError("orbital rotation must be orthogonal")
         js = real_matrix(self.j_same, "j_same", len(q))
         jo = real_matrix(self.j_opposite, "j_opposite", len(q))
         for name, j in (("j_same", js), ("j_opposite", jo)):
@@ -240,10 +234,6 @@ class LucjParameters:
             for mask, j in ((self.mask_same, layer.j_same), (self.mask_opposite, layer.j_opposite)):
                 if mask is not None and np.abs(j[~mask.astype(bool)]).max(initial=0.0) > 0.0:
                     raise ValidationError("masked coupling entries must be exactly zero")
-
-    @property
-    def n_layers(self) -> int:
-        return len(self.layers)
 
 
 def default_masks(m: int) -> tuple[np.ndarray, np.ndarray]:

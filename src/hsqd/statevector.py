@@ -24,7 +24,7 @@ import numpy as np
 from .determinants import Determinant, half_strings
 from .errors import CapExceededError, ValidationError
 from .model import SectorSpec, read_text
-from .reference import LucjParameters, orthogonal_matrix, real_matrix
+from .reference import LucjParameters, real_matrix
 
 STATE_CAP = 10**6
 # the largest shot count the multinomial draw takes (a signed 64-bit count)
@@ -76,19 +76,6 @@ class SampleSet:
             raise ValidationError("sample counts do not add up to the shot total")
 
 
-def basis_state(spec: SectorSpec, ref: Determinant) -> SectorStatevector:
-    dim = spec.dimension()
-    if dim > STATE_CAP:
-        raise CapExceededError(f"sector dimension {dim} exceeds cap {STATE_CAP}")
-    alphas = half_strings(spec.n_orbitals, spec.n_alpha)
-    betas = half_strings(spec.n_orbitals, spec.n_beta)
-    if ref.alpha not in alphas or ref.beta not in betas:
-        raise ValidationError("reference determinant lies outside the sector")
-    amps = np.zeros((len(betas), len(alphas)), dtype=complex)
-    amps[betas.index(ref.beta), alphas.index(ref.alpha)] = 1.0
-    return SectorStatevector(spec, amps)
-
-
 def rotation_bytes(m: int, occupations: set[int]) -> int:
     """Estimated peak allocation of ``_compounds``: the kept compounds plus
     five arrays of the largest level, and 64 KiB of words and indices."""
@@ -112,7 +99,7 @@ def _compounds(q: np.ndarray, occupations: set[int]) -> dict[int, np.ndarray]:
     prev = np.ones((1, 1))
     out = {0: prev} if 0 in occupations else {}
     for n in range(1, max(occupations) + 1):
-        words = np.array(half_strings(m, n), dtype=np.int64)
+        words = half_strings(m, n)
         occ = np.nonzero((words[:, None] >> np.arange(m)) & 1)[1].reshape(len(words), n)
         rows = prev[np.searchsorted(prev_words, words ^ (1 << occ[:, -1]))]
         high = q[occ[:, -1]]
@@ -141,17 +128,6 @@ def _rotate(amps: np.ndarray, u_beta: np.ndarray, u_alpha: np.ndarray) -> np.nda
     return np.ascontiguousarray(right.T)
 
 
-def apply_orbital_matrix(state: SectorStatevector, q: np.ndarray) -> SectorStatevector:
-    """Apply the orbital rotation given by a real orthogonal matrix q.
-
-    The rotation acts identically on both spin channels.
-    """
-    spec = state.spec
-    q = orthogonal_matrix(q, "orbital rotation", spec.n_orbitals)
-    u = _compounds(q, {spec.n_alpha, spec.n_beta})
-    return SectorStatevector(spec, _rotate(state.amplitudes, u[spec.n_beta], u[spec.n_alpha]))
-
-
 def apply_density_phase(
     state: SectorStatevector, j_same: np.ndarray, j_opposite: np.ndarray
 ) -> SectorStatevector:
@@ -163,7 +139,7 @@ def apply_density_phase(
         if np.abs(j - j.T).max(initial=0.0) > 1e-10:
             raise ValidationError(f"{name} coupling matrix must be symmetric")
     occ_a, occ_b = (
-        ((np.array(half_strings(m, n), dtype=np.int64)[:, None] >> np.arange(m)) & 1).astype(float)
+        ((half_strings(m, n)[:, None] >> np.arange(m)) & 1).astype(float)
         for n in (state.spec.n_alpha, state.spec.n_beta)
     )
     same_a = np.einsum("xp,pq,xq->x", occ_a, js, occ_a)
@@ -184,8 +160,14 @@ def build_state(params: LucjParameters, ref: Determinant, spec: SectorSpec) -> S
     """
     if params.n_orbitals != spec.n_orbitals:
         raise ValidationError("parameter/sector orbital count mismatch")
-    amps = basis_state(spec, ref).amplitudes
-    [(ib, ia)] = np.argwhere(amps)
+    if (dim := spec.dimension()) > STATE_CAP:
+        raise CapExceededError(f"sector dimension {dim} exceeds cap {STATE_CAP}")
+    if not (spec.holds(ref.alpha, "alpha") and spec.holds(ref.beta, "beta")):
+        raise ValidationError("reference determinant lies outside the sector")
+    alphas, betas = (half_strings(spec.n_orbitals, n) for n in (spec.n_alpha, spec.n_beta))
+    ia, ib = np.searchsorted(alphas, ref.alpha), np.searchsorted(betas, ref.beta)
+    amps = np.zeros((len(betas), len(alphas)))
+    amps[ib, ia] = 1.0  # |ref>
     for index, layer in enumerate(params.layers):
         u = _compounds(layer.rotation, {spec.n_alpha, spec.n_beta})
         u_alpha, u_beta = u[spec.n_alpha], u[spec.n_beta]
@@ -215,11 +197,10 @@ def sample(state: SectorStatevector, shots: int, seed: int | None = None) -> Sam
     m = state.spec.n_orbitals
     alphas = half_strings(m, state.spec.n_alpha)
     betas = half_strings(m, state.spec.n_beta)
-    n_a = len(alphas)
-    counts: dict[Determinant, int] = {}
-    for flat in np.flatnonzero(draws):
-        det = Determinant(alphas[flat % n_a], betas[flat // n_a])
-        counts[det] = int(draws[flat])
+    hit = np.flatnonzero(draws)
+    ib, ia = np.divmod(hit, len(alphas))
+    counts = {Determinant(a, b): c for a, b, c in
+              zip(alphas[ia].tolist(), betas[ib].tolist(), draws[hit].tolist())}
     return SampleSet(m, counts, shots, seed, "simulated")
 
 

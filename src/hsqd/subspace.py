@@ -82,8 +82,8 @@ def _ranked_strings(samples: SampleSet, spec: SectorSpec, channel: str) -> list[
     nocc = spec.n_alpha if channel == "alpha" else spec.n_beta
     if comb(spec.n_orbitals, nocc) > PADDING_LIMIT:
         return observed
-    rest = [w for w in half_strings(spec.n_orbitals, nocc) if w not in freq]
-    return observed + rest
+    words = half_strings(spec.n_orbitals, nocc)
+    return observed + words[~np.isin(words, observed)].tolist()
 
 
 def growth_sequence(

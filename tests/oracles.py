@@ -196,6 +196,31 @@ def fock_index(det: Determinant, m: int) -> int:
     return det.alpha | (det.beta << m)
 
 
+def channel_strings(m: int, n: int) -> list[int]:
+    """Every m-orbital word with n bits set, ascending, found by scanning all
+    2^m words."""
+    return [w for w in range(1 << m) if bin(w).count("1") == n]
+
+
+def enumerate_sector(spec) -> list[Determinant]:
+    """All determinants of a sector in canonical order: beta-major, each
+    channel's strings ascending."""
+    alphas = channel_strings(spec.n_orbitals, spec.n_alpha)
+    return [Determinant(a, b) for b in channel_strings(spec.n_orbitals, spec.n_beta)
+            for a in alphas]
+
+
+def basis_state(spec, ref: Determinant):
+    """The sector state |ref>, amplitudes over the canonical order."""
+    from hsqd.statevector import SectorStatevector
+
+    alphas = channel_strings(spec.n_orbitals, spec.n_alpha)
+    betas = channel_strings(spec.n_orbitals, spec.n_beta)
+    amps = np.zeros((len(betas), len(alphas)), dtype=complex)
+    amps[betas.index(ref.beta), alphas.index(ref.alpha)] = 1.0
+    return SectorStatevector(spec, amps)
+
+
 def sector_generator_matrix(spec, k, dets):
     """Matrix of sum_pq k_pq a+_p a_q (both spins) over a sector basis."""
     idx = {(d.beta, d.alpha): i for i, d in enumerate(dets)}
@@ -230,7 +255,6 @@ def givens_rotation(state, q):
     mixes only the string pairs that differ by one electron on orbitals p
     and p + 1, which carries no fermionic sign.
     """
-    from hsqd.determinants import half_strings
     from hsqd.statevector import SectorStatevector
 
     m = state.spec.n_orbitals
@@ -248,7 +272,7 @@ def givens_rotation(state, q):
     amps = state.amplitudes.copy()
     channels = []
     for axis, n in ((1, state.spec.n_alpha), (0, state.spec.n_beta)):
-        strings = half_strings(m, n)
+        strings = channel_strings(m, n)
         index = {w: i for i, w in enumerate(strings)}
         phase = np.array([(-1.0) ** bin(w & flipped).count("1") for w in strings])
         amps *= phase[None, :] if axis == 1 else phase[:, None]

@@ -11,8 +11,6 @@ from hsqd import (
     SectorSpec,
     SelectionSchedule,
     WorkflowConfig,
-    apply_orbital_matrix,
-    basis_state,
     build_state,
     extsqd_expand,
     fci_ground,
@@ -35,10 +33,9 @@ from hsqd import (
     write_fcidump,
 )
 from hsqd.cli import main as cli_main
-from hsqd.determinants import enumerate_sector
 
 from conftest import make_chain, random_lattice
-from oracles import lattice_apply, matrix_element
+from oracles import basis_state, enumerate_sector, givens_rotation, lattice_apply, matrix_element
 
 
 def report(name: str, ok: bool, detail: str = ""):
@@ -222,7 +219,7 @@ def test_sampler_statistics():
     spec = SectorSpec(2, 1, 0)
     theta = np.pi / 4
     q = np.array([[np.cos(theta), np.sin(theta)], [-np.sin(theta), np.cos(theta)]])
-    state = apply_orbital_matrix(basis_state(spec, Determinant(0b01, 0)), q)
+    state = givens_rotation(basis_state(spec, Determinant(0b01, 0)), q)
     shots = 10**6
     sigma = np.sqrt(0.25 / shots)
     ok = True

@@ -314,6 +314,36 @@ class TestRunWorkflow:
             run_workflow(config)
             assert sorted(pairs) == want
 
+    def test_lucj_parameters_once_per_pair_count(self, tmp_path, monkeypatch):
+        """MP2 and the LUCJ seeding depend on the pair count only: one call
+        each per pair count among the simulated sectors, and none when every
+        sector's samples come from a file."""
+        import hsqd.bandgap
+
+        calls = []
+        for name in ("mp2_doubles", "lucj_from_t2"):
+            def counted(*args, _name=name, _fn=getattr(hsqd.bandgap, name), **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(hsqd.bandgap, name, counted)
+        save_lattice(make_chain(4), tmp_path / "c4.json")
+        common = dict(lattice_path=str(tmp_path / "c4.json"), n_electrons=4,
+                      solvers=("sqd", "extsqd"), fractions=(0.5, 1.0), shots=20_000, seed=5)
+        for flag, want in ((False, 1), (True, 2)):
+            calls.clear()
+            report, _ = run_workflow(WorkflowConfig(sector_mean_field=flag, **common))
+            assert sorted(calls) == ["lucj_from_t2"] * want + ["mp2_doubles"] * want
+            assert set(report.gaps) == {"sqd", "extsqd"}
+        files = {}
+        for label, bits in (("Ne-1", "00110001"), ("Ne", "00110011"), ("Ne+1", "00110111")):
+            files[label] = str(tmp_path / f"{label}.txt")
+            (tmp_path / f"{label}.txt").write_text(f"{bits} 10\n")
+        calls.clear()
+        report, _ = run_workflow(WorkflowConfig(samples_files=files, **common))
+        assert calls == []
+        assert set(report.gaps) == {"sqd", "extsqd"}
+
     def test_pair_mean_field_rotates_once(self, monkeypatch):
         """The SCF rotates the integrals once, for its reference energy, and
         ``pair_mean_field`` hands that rotation on: the same values as a

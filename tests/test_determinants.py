@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,22 +8,21 @@ from hypothesis import strategies as st
 import hsqd.determinants
 import oracles
 from hsqd import (
-    CapExceededError,
     Determinant,
     SectorSpec,
     ValidationError,
-    enumerate_sector,
     map_to_electronic,
     rotate_basis,
 )
 from hsqd import LatticeHamiltonian
-from hsqd.determinants import excitation_rank
+from hsqd.determinants import excitation_rank, half_strings
 
 from conftest import random_lattice
 from oracles import (
     Excitation,
     apply_excitation,
     dense_fock_hamiltonian,
+    enumerate_sector,
     excitation_between,
     fock_index,
     random_general_integrals,
@@ -32,33 +33,58 @@ from oracles import (
 ROUTINES = (hsqd.determinants, oracles)
 
 
+def sector_order(spec):
+    """The canonical order of a sector from the package's channel strings:
+    beta-major over ``half_strings`` of each channel."""
+    alphas = half_strings(spec.n_orbitals, spec.n_alpha).tolist()
+    return [Determinant(a, b) for b in half_strings(spec.n_orbitals, spec.n_beta).tolist()
+            for a in alphas]
+
+
 class TestEnumerateSector:
+    """The package enumerates a sector only as its two channels'
+    ``half_strings``; ``oracles.enumerate_sector`` is the reference."""
+
     def test_two_site_half_filling(self):
-        dets = enumerate_sector(SectorSpec(2, 1, 1))
-        assert len(dets) == 4
+        dets = sector_order(SectorSpec(2, 1, 1))
         assert dets == [
             Determinant(0b01, 0b01), Determinant(0b10, 0b01),
             Determinant(0b01, 0b10), Determinant(0b10, 0b10),
         ]
+        assert enumerate_sector(SectorSpec(2, 1, 1)) == dets
 
     def test_vacuum(self):
+        assert sector_order(SectorSpec(2, 0, 0)) == [Determinant(0, 0)]
         assert enumerate_sector(SectorSpec(2, 0, 0)) == [Determinant(0, 0)]
 
     def test_four_site_counts(self):
-        assert len(enumerate_sector(SectorSpec(4, 2, 2))) == 36
+        assert len(sector_order(SectorSpec(4, 2, 2))) == 36 == SectorSpec(4, 2, 2).dimension()
 
     def test_canonical_order_is_beta_major(self):
-        dets = enumerate_sector(SectorSpec(3, 1, 2))
-        keys = [d.sort_key() for d in dets]
-        assert keys == sorted(keys)
+        for spec in (SectorSpec(3, 1, 2), SectorSpec(5, 2, 3), SectorSpec(4, 4, 0)):
+            dets = sector_order(spec)
+            keys = [d.sort_key() for d in dets]
+            assert keys == sorted(keys)
+            assert dets == enumerate_sector(spec)
 
     def test_no_duplicates(self):
-        dets = enumerate_sector(SectorSpec(5, 2, 3))
+        dets = sector_order(SectorSpec(5, 2, 3))
         assert len(set(dets)) == len(dets)
 
-    def test_cap(self):
-        with pytest.raises(CapExceededError):
-            enumerate_sector(SectorSpec(20, 10, 10))
+    def test_half_strings_are_the_combinations(self):
+        for m in range(0, 11):
+            for n in range(m + 1):
+                want = sorted(sum(1 << p for p in occ) for occ in combinations(range(m), n))
+                got = half_strings(m, n)
+                assert got.dtype == np.int64
+                assert got.tolist() == want == oracles.channel_strings(m, n)
+
+    def test_half_strings_are_shared_and_read_only(self):
+        words = half_strings(7, 3)
+        assert half_strings(7, 3) is words
+        assert not words.flags.writeable
+        with pytest.raises(ValueError):
+            words[0] = 0
 
 
 class TestDiagonalEnergy:

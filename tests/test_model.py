@@ -8,7 +8,6 @@ from hsqd import (
     LatticeHamiltonian,
     SectorSpec,
     ValidationError,
-    enumerate_sector,
     lattice_from_electronic,
     load_lattice,
     map_to_electronic,
@@ -18,7 +17,7 @@ from hsqd import (
 from hsqd.model import HARTREE_TO_EV
 
 from conftest import random_lattice
-from oracles import diagonal_energy, lattice_apply, matrix_element
+from oracles import diagonal_energy, enumerate_sector, lattice_apply, matrix_element
 
 
 class TestSectorSpec:

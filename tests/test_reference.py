@@ -1,5 +1,8 @@
+import hashlib
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from hsqd import (
     LatticeHamiltonian,
@@ -11,11 +14,11 @@ from hsqd import (
     rotate_basis,
     solve_mean_field,
 )
-from hsqd.determinants import enumerate_sector
+import hsqd.reference
 from hsqd.reference import default_masks
 
-from conftest import random_lattice
-from oracles import diagonal_energy, matrix_element
+from conftest import make_chain, random_lattice
+from oracles import diagonal_energy, enumerate_sector, matrix_element
 
 
 class TestMeanField:
@@ -30,6 +33,46 @@ class TestMeanField:
         assert mf.converged
         assert np.allclose(mf.orbital_energies, evals, atol=1e-10)
         assert mf.hf_energy == pytest.approx(2 * evals[:2].sum(), abs=1e-10)
+
+    @pytest.mark.parametrize("m, v, pairs, iterations, orbitals, hf_energy, history, calls", [
+        (6, 0.6, 3, 20, "713bd9316e223968", "0x1.8f2a6e8ad1b0ep+1", "a41d2edbb6add141", 59),
+        (6, 0.6, 2, 22, "de15a3f40820e5cb", "-0x1.bc6ba3d973754p+0", "7c2d3cdc0387e307", 65),
+        (8, 0.0, 4, 1, "7b4a721d561f4226", "-0x1.847d90948b470p+0", "448d8035041ad9f2", 2),
+    ])
+    def test_each_energy_evaluated_once(self, monkeypatch, m, v, pairs, iterations, orbitals,
+                                        hf_energy, history, calls):
+        """The open U+V and U chains give the orbitals, ``hf_energy`` and
+        ``energy_history`` (SHA-256 prefixes of their bytes) that the SCF gave
+        when it evaluated E(p) again at the top of every iteration, which
+        took 77 and 85 energy calls on the U+V chain; now E(p) is carried
+        over from the step that accepted p, so after the one energy of the
+        starting density no iteration makes more than three."""
+        events = []
+        energy, eigh = hsqd.reference._electronic_energy, scipy.linalg.eigh
+
+        def counted_energy(*args):
+            events.append("E")
+            return energy(*args)
+
+        def marked_eigh(*args, **kwargs):
+            events.append("|")  # the core guess, one Fock matrix per iteration, the final one
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(hsqd.reference, "_electronic_energy", counted_energy)
+        monkeypatch.setattr(scipy.linalg, "eigh", marked_eigh)
+        mf = solve_mean_field(map_to_electronic(make_chain(m, v=v)), SectorSpec(m, pairs, pairs))
+
+        def digest(values):
+            return hashlib.sha256(np.ascontiguousarray(values).tobytes()).hexdigest()[:16]
+
+        assert (mf.converged, mf.iterations) == (True, iterations)
+        assert digest(mf.orbital_coefficients) == orbitals
+        assert mf.hf_energy.hex() == hf_energy
+        assert digest(np.array(mf.energy_history)) == history
+        segments = [len(seg) for seg in "".join(events).split("|")[1:]]
+        assert len(segments) == iterations + 2
+        assert segments[0] == 1 and max(segments[1:]) <= 3
+        assert sum(segments) == calls
 
     def test_symmetric_dimer_energy_is_zero(self, dimer_ints):
         mf = solve_mean_field(dimer_ints, SectorSpec(2, 1, 1))
@@ -155,7 +198,7 @@ class TestMp2:
 class TestLucjParameters:
     def test_zero_amplitudes_give_zero_parameters(self):
         params = lucj_from_t2(np.zeros((1, 1, 1, 1)), 2, 1)
-        assert params.n_layers == 1
+        assert len(params.layers) == 1
         assert np.array_equal(params.layers[0].rotation, np.eye(2))
         assert not params.layers[0].j_same.any()
         assert not params.layers[0].j_opposite.any()
@@ -165,13 +208,13 @@ class TestLucjParameters:
         t2 = rng.normal(size=(2, 2, 2, 2))
         t2 = (t2 + t2.transpose(1, 0, 3, 2)) / 2
         params = lucj_from_t2(t2, 4, 2)
-        assert params.n_layers == 1
+        assert len(params.layers) == 1
 
     def test_requested_layer_count(self):
         rng = np.random.default_rng(2)
         t2 = rng.normal(size=(2, 2, 2, 2))
         t2 = (t2 + t2.transpose(1, 0, 3, 2)) / 2
-        assert lucj_from_t2(t2, 4, 2, layers=3).n_layers == 3
+        assert len(lucj_from_t2(t2, 4, 2, layers=3).layers) == 3
 
     def test_masked_entries_exactly_zero(self):
         rng = np.random.default_rng(3)

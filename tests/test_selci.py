@@ -21,13 +21,13 @@ from hsqd import (
 )
 from hsqd import selci as selci_mod
 from hsqd import strings as strings_mod
-from hsqd.determinants import enumerate_sector
 from hsqd.strings import columns_bytes
 
 from conftest import DIMER_E, make_chain, random_lattice
 from oracles import (
     dense_fock_hamiltonian,
     dense_heat_bath_ci,
+    enumerate_sector,
     fock_index,
     generate_excitations,
     hci_ground_reference,

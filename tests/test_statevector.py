@@ -13,8 +13,6 @@ from hsqd import (
     SectorSpec,
     ValidationError,
     apply_density_phase,
-    apply_orbital_matrix,
-    basis_state,
     build_state,
     load_samples,
     lucj_from_t2,
@@ -30,8 +28,8 @@ from hsqd.errors import CapExceededError
 from hsqd.statevector import SampleSet, SectorStatevector, rotation_bytes
 
 from conftest import make_chain
-from oracles import givens_rotation, sector_generator_matrix
-from hsqd.determinants import enumerate_sector, half_strings
+from oracles import basis_state, enumerate_sector, givens_rotation, sector_generator_matrix
+from hsqd.determinants import half_strings
 
 
 def antisym(rng, m):
@@ -51,6 +49,15 @@ def symm(rng, m, scale=1.0):
 def zero_params(m, layers=1):
     z = np.zeros((m, m))
     return LucjParameters(m, tuple(LucjLayer(np.eye(m), z, z) for _ in range(layers)))
+
+
+def compound_rotation(state, q):
+    """The rotation by q of both channels as ``build_state`` applies it:
+    ``_rotate`` by the compounds of q."""
+    spec = state.spec
+    u = statevector_mod._compounds(q, {spec.n_alpha, spec.n_beta})
+    return SectorStatevector(
+        spec, statevector_mod._rotate(state.amplitudes, u[spec.n_beta], u[spec.n_alpha]))
 
 
 class TestBuildState:
@@ -103,6 +110,37 @@ class TestBuildState:
         with pytest.raises(CapExceededError):
             build_state(zero_params(14), ref, spec)
 
+    def test_cap_checked_before_any_amplitude_array(self):
+        """The 14-site half-filled sector (11.8 million amplitudes, 188 MB as
+        complex) is refused before its strings, compounds or amplitudes exist."""
+        spec = SectorSpec(14, 7, 7)
+        params = zero_params(14)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceededError, match="exceeds cap"):
+                build_state(params, Determinant(0b1111111, 0b1111111), spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("ref", [Determinant(0b011, 0b001), Determinant(0b001, 0b011),
+                                     Determinant(0b1000, 0b001), Determinant(-1, 0b001)])
+    def test_reference_outside_sector(self, ref):
+        """A reference with the wrong electron count or an orbital above M is
+        invalid input (exit 2), with the message ``basis_state`` gave."""
+        with pytest.raises(ValidationError) as info:
+            build_state(zero_params(3), ref, SectorSpec(3, 1, 1))
+        assert str(info.value) == "reference determinant lies outside the sector"
+        assert info.value.exit_code == 2
+
+    @pytest.mark.parametrize("spec", [SectorSpec(3, 2, 1), SectorSpec(4, 0, 2),
+                                      SectorSpec(4, 4, 1), SectorSpec(2, 0, 0)])
+    def test_no_layers_leave_the_reference(self, spec):
+        ref = Determinant((1 << spec.n_alpha) - 1, (1 << spec.n_beta) - 1)
+        state = build_state(LucjParameters(spec.n_orbitals, ()), ref, spec)
+        assert np.array_equal(state.amplitudes, basis_state(spec, ref).amplitudes)
+
 
 class TestOrbitalRotation:
     def test_single_particle_givens_split(self):
@@ -110,7 +148,7 @@ class TestOrbitalRotation:
         state = basis_state(spec, Determinant(0b01, 0))
         theta = np.pi / 4
         k = np.array([[0.0, theta], [-theta, 0.0]])
-        probs = apply_orbital_matrix(state, scipy.linalg.expm(k)).probabilities().ravel()
+        probs = compound_rotation(state, scipy.linalg.expm(k)).probabilities().ravel()
         assert probs == pytest.approx([0.5, 0.5], abs=1e-12)
 
     def test_matches_dense_exponential_oracle(self):
@@ -122,7 +160,7 @@ class TestOrbitalRotation:
             k = antisym(rng, m)
             gen = sector_generator_matrix(spec, k, dets)
             start = dets[int(rng.integers(len(dets)))]
-            state = apply_orbital_matrix(basis_state(spec, start), scipy.linalg.expm(k))
+            state = compound_rotation(basis_state(spec, start), scipy.linalg.expm(k))
             dense = scipy.linalg.expm(gen)[:, dets.index(start)]
             assert np.abs(state.amplitudes.ravel() - dense).max() <= 1e-10
 
@@ -137,7 +175,7 @@ class TestOrbitalRotation:
             k = antisym(rng, m)
             h = symm(rng, m)
             q = scipy.linalg.expm(k)
-            state = apply_orbital_matrix(basis_state(spec, ref), q)
+            state = compound_rotation(basis_state(spec, ref), q)
             dets = enumerate_sector(spec)
             hmat = sector_generator_matrix(spec, h, dets)
             vec = state.amplitudes.ravel()
@@ -147,10 +185,10 @@ class TestOrbitalRotation:
             assert e_state == pytest.approx(e_expected, abs=1e-9)
 
     def test_requires_orthogonal_matrix(self):
-        spec = SectorSpec(2, 1, 0)
-        state = basis_state(spec, Determinant(1, 0))
+        """A rotation reaches a state only as a layer's, which must be orthogonal."""
+        z = np.zeros((2, 2))
         with pytest.raises(ValidationError, match="orthogonal"):
-            apply_orbital_matrix(state, 2 * np.eye(2))
+            LucjLayer(2 * np.eye(2), z, z)
 
 
 def random_state(rng, spec):
@@ -176,7 +214,7 @@ class TestCompoundRotation:
             q[:, 0] = -q[:, 0]
         assert np.linalg.det(q) == pytest.approx(-1.0 if flip else 1.0)
         state = random_state(rng, SectorSpec(m, n_alpha, n_beta))
-        got = apply_orbital_matrix(state, q).amplitudes
+        got = compound_rotation(state, q).amplitudes
         assert np.abs(got - givens_rotation(state, q).amplitudes).max() <= 1e-12
 
     @pytest.mark.parametrize("layers", [1, 2])
@@ -254,16 +292,20 @@ class TestStateInputValidation:
             SectorStatevector(SectorSpec(2, 1, 1), np.full(4, 0.5, dtype=complex))
 
     def test_nonfinite_rotation_rejected(self):
-        state = basis_state(SectorSpec(2, 1, 0), Determinant(1, 0))
         q = np.eye(2)
         q[0, 1] = np.nan
         with pytest.raises(ValidationError, match="non-finite"):
-            apply_orbital_matrix(state, q)
+            LucjLayer(q, np.zeros((2, 2)), np.zeros((2, 2)))
 
     def test_wrong_size_rotation_rejected(self):
-        state = basis_state(SectorSpec(2, 1, 0), Determinant(1, 0))
-        with pytest.raises(ValidationError, match="2x2"):
-            apply_orbital_matrix(state, np.eye(3))
+        """A layer whose rotation is not of the parameters' orbital count is
+        refused by the parameters, and parameters of another orbital count
+        by ``build_state``."""
+        z = np.zeros((3, 3))
+        with pytest.raises(ValidationError, match="layer dimension mismatch"):
+            LucjParameters(2, (LucjLayer(np.eye(3), z, z),))
+        with pytest.raises(ValidationError, match="orbital count mismatch"):
+            build_state(zero_params(3), Determinant(1, 0), SectorSpec(2, 1, 0))
 
     def test_nonfinite_couplings_rejected(self):
         state = basis_state(SectorSpec(2, 1, 1), Determinant(1, 1))
@@ -289,7 +331,7 @@ class TestDensityPhase:
         jo = symm(rng, m)
         dets = enumerate_sector(spec)
         k = antisym(rng, m)
-        state = apply_orbital_matrix(
+        state = compound_rotation(
             basis_state(spec, Determinant(0b0011, 0b0001)), scipy.linalg.expm(k)
         )
         out = apply_density_phase(state, js, jo)
@@ -347,7 +389,7 @@ class TestRotationProperties:
         ref = Determinant((1 << na) - 1, 0)
         q = rot(rng, m)
         state = basis_state(spec, ref)
-        out = apply_orbital_matrix(apply_orbital_matrix(state, q), q.T)
+        out = compound_rotation(compound_rotation(state, q), q.T)
         assert np.abs(out.amplitudes - state.amplitudes).max() <= 1e-10
 
 
@@ -359,6 +401,21 @@ class TestSampling:
         assert out.counts == {ref: 777}
         assert out.shots == 777
         assert out.provenance == "simulated"
+
+    def test_counts_match_the_draw(self):
+        """One multinomial draw over the canonical order: the counts dict
+        holds each drawn determinant once, in that order, with Python ints
+        for its words and counts."""
+        rng = np.random.default_rng(15)
+        spec = SectorSpec(5, 3, 2)
+        state = random_state(rng, spec)
+        out = sample(state, 3000, seed=4)
+        draws = np.random.default_rng(4).multinomial(3000, state.probabilities().ravel())
+        dets = enumerate_sector(spec)
+        assert list(out.counts.items()) == [(dets[i], int(draws[i]))
+                                            for i in np.flatnonzero(draws)]
+        for det, count in out.counts.items():
+            assert type(det.alpha) is int and type(det.beta) is int and type(count) is int
 
     def test_seed_determinism(self):
         rng = np.random.default_rng(6)

@@ -38,7 +38,7 @@ from hsqd.davidson import (
     eigensolve_bytes,
 )
 from hsqd import subspace as subspace_mod
-from hsqd.determinants import SECTOR_CAP, enumerate_sector, half_strings
+from hsqd.determinants import half_strings
 from hsqd.strings import (
     SIGMA_BYTES_CAP,
     columns_bytes,
@@ -58,6 +58,7 @@ from oracles import (
     covering_reference,
     dense_fock_hamiltonian,
     diagonal_energy,
+    enumerate_sector,
     extsqd_expand_reference,
     fock_index,
     generate_excitations,
@@ -154,6 +155,28 @@ class TestBuildSubspace:
         s = samples_from({Determinant(0b01, 0b01): 5}, 2)
         basis = covering_basis(s, spec, 1.0)
         assert basis.dimension == 4
+
+    def test_rankings_pad_in_canonical_order(self):
+        """Observed strings by descending count, ties ascending, then the
+        channel's unobserved strings ascending, all as Python ints."""
+        spec = SectorSpec(4, 2, 1)
+        s = samples_from({Determinant(0b1010, 0b0100): 5, Determinant(0b0011, 0b0100): 5,
+                          Determinant(0b0101, 0b0001): 7}, 4)
+        ranked_a, ranked_b = growth_sequence(s, spec)
+        assert ranked_a == [0b0101, 0b0011, 0b1010, 0b0110, 0b1001, 0b1100]
+        assert ranked_b == [0b0100, 0b0001, 0b0010, 0b1000]
+        assert all(type(w) is int for w in ranked_a + ranked_b)
+
+    def test_channel_too_large_to_pad_is_not_enumerated(self, monkeypatch):
+        """Above ``PADDING_LIMIT`` strings (2.7 million for 12 of 24
+        orbitals) a channel ranks its observed strings only."""
+        def refuse(*args):
+            raise AssertionError("channel enumerated")
+
+        monkeypatch.setattr(subspace_mod, "half_strings", refuse)
+        spec = SectorSpec(24, 12, 12)
+        det = Determinant(0xFFF, 0xFFF000)
+        assert growth_sequence(samples_from({det: 3}, 24), spec) == ([0xFFF], [0xFFF000])
 
     def test_reference_always_included(self):
         spec = SectorSpec(2, 1, 1)
@@ -472,13 +495,14 @@ class TestVarianceCap:
         monkeypatch.setattr(strings_mod, "excite", refuse)
 
     def test_one_determinant_above_the_sector_cap(self):
-        """The 16-site half-filled sector (165.6 million determinants) was
-        above ``SECTOR_CAP``, so it had no variance; sigma from one
-        determinant D of it reaches a few thousand, and the variance is
+        """The 16-site half-filled sector (165.6 million determinants) is far
+        too large to enumerate (it was above the old sector cap of 10^7, so it
+        had no variance); sigma from one determinant D of it reaches a few
+        thousand, and the variance is
         sum_{K != D} |H_KD|^2 / H_DD^2 by the Slater-Condon rules."""
         m = 16
         spec = SectorSpec(m, 8, 8)
-        assert spec.dimension() > SECTOR_CAP
+        assert spec.dimension() > 10**8
         rng = np.random.default_rng(m)
         ints = rotate_basis(map_to_electronic(make_chain(m, v=0.6)),
                             np.linalg.qr(rng.normal(size=(m, m)))[0])
@@ -681,8 +705,8 @@ def _engine_bytes(ints, alpha, beta, c, dets_a, dets_b):
     """Every array that product_hamiltonian, sigma and hamiltonian_columns
     return, as bytes."""
     mat = product_hamiltonian(ints, alpha, beta)
-    full_a = np.array(half_strings(ints.n_orbitals, int(alpha[0]).bit_count()), dtype=np.int64)
-    full_b = np.array(half_strings(ints.n_orbitals, int(beta[0]).bit_count()), dtype=np.int64)
+    full_a = half_strings(ints.n_orbitals, int(alpha[0]).bit_count())
+    full_b = half_strings(ints.n_orbitals, int(beta[0]).bit_count())
     out_a, out_b, cols = hamiltonian_columns(ints, dets_a, dets_b)
     arrays = (mat.data, mat.indices, mat.indptr, strings_mod.sigma(c, ints, full_a, full_b)[0],
               out_a, out_b, cols.data, cols.indices, cols.indptr)
@@ -697,8 +721,8 @@ class TestOneSpinMemo:
     def _request(rng, m, n_alpha, n_beta):
         """Random ascending product strings, a vector over the full sector and
         a shuffled determinant list of the sector (alpha, beta) words."""
-        wa = np.array(half_strings(m, n_alpha), dtype=np.int64)
-        wb = np.array(half_strings(m, n_beta), dtype=np.int64)
+        wa = half_strings(m, n_alpha)
+        wb = half_strings(m, n_beta)
         alpha = np.sort(rng.choice(wa, size=int(rng.integers(1, len(wa) + 1)), replace=False))
         beta = np.sort(rng.choice(wb, size=int(rng.integers(1, len(wb) + 1)), replace=False))
         c = rng.normal(size=(len(wb), len(wa))) + 1j * rng.normal(size=(len(wb), len(wa)))
@@ -730,8 +754,7 @@ class TestOneSpinMemo:
             sector = data.draw(st.sampled_from([(n_alpha, n_beta), other]), label="sector")
             alpha, beta, c, dets_a, dets_b = self._request(rng, m, *sector)
             if data.draw(st.booleans(), label="full channels"):
-                strings_mod.sigma(c, served, *(np.array(half_strings(m, n), dtype=np.int64)
-                                               for n in sector))
+                strings_mod.sigma(c, served, *(half_strings(m, n) for n in sector))
             else:
                 product_hamiltonian(served, alpha, beta)
                 hamiltonian_columns(served, dets_a, dets_b)
@@ -782,7 +805,7 @@ class TestOneSpinTermsAgainstLoop:
         else:
             ints = _random_integrals(rng, m, complex_ints, rotate=pattern == "full")
             h, g = ints.one_body, ints.two_body_same_spin
-        words = np.array(half_strings(m, n), dtype=np.int64)
+        words = half_strings(m, n)
         if subset:
             words = np.sort(rng.choice(words, size=int(rng.integers(0, len(words) + 1)),
                                        replace=False))
@@ -793,7 +816,7 @@ class TestOneSpinTermsAgainstLoop:
     def test_empty_full_and_half_channels(self, n, complex_ints):
         rng = np.random.default_rng(n)
         ints = _random_integrals(rng, 4, complex_ints, rotate=True)
-        for words in (np.array(half_strings(4, n), dtype=np.int64), np.zeros(0, dtype=np.int64)):
+        for words in (half_strings(4, n), np.zeros(0, dtype=np.int64)):
             self._assert_identical(words, ints.one_body, ints.two_body_same_spin)
 
 
@@ -808,7 +831,7 @@ class TestSummedOneSpinRows:
     def test_rows_are_per_target_sums(self, n, rotate, complex_ints):
         rng = np.random.default_rng(7 * n + 2 * rotate + complex_ints)
         ints = _random_integrals(rng, 4, complex_ints, rotate)
-        full = np.array(half_strings(4, n), dtype=np.int64)
+        full = half_strings(4, n)
         for strings in (full, np.zeros(0, dtype=np.int64), full[::2]):
             words, cols, vals = strings_mod._one_spin_entries(ints, strings)
             assert words.dtype == np.int64 and vals.dtype == ints.one_body.dtype
@@ -833,7 +856,7 @@ class TestSummedOneSpinRows:
         ints = map_to_electronic(make_chain(6, v=0.6))
         ints = rotate_basis(ints, solve_mean_field(ints, SectorSpec(6, 3, 3)).orbital_coefficients)
         for n, terms, words in ((3, 156, 19), (2, 110, 15)):
-            strings = np.array(half_strings(6, n), dtype=np.int64)
+            strings = half_strings(6, n)
             raw = one_spin_terms_reference(strings, ints.one_body, ints.two_body_same_spin)
             got = strings_mod._one_spin_entries(ints, strings)
             assert np.bincount(raw[1]).max() == terms
@@ -871,8 +894,8 @@ class TestProductHamiltonianAssembly:
             lat = _complex_chain(m, v=0.6) if complex_ints else make_chain(m, v=0.6)
         ints = map_to_electronic(lat)
         assert ints.is_complex == complex_ints
-        alpha = np.array(half_strings(m, n_alpha), dtype=np.int64)[:kept[0]]
-        beta = np.array(half_strings(m, n_beta), dtype=np.int64)[:kept[1]]
+        alpha = half_strings(m, n_alpha)[:kept[0]]
+        beta = half_strings(m, n_beta)[:kept[1]]
         mat = product_hamiltonian(ints, alpha, beta)
         assert mat.format == "csr" and mat.has_canonical_format
         assert np.count_nonzero(mat.data == 0) == 0
@@ -891,7 +914,7 @@ class TestProductHamiltonianAssembly:
         rng = np.random.default_rng(m)
         ints = rotate_basis(map_to_electronic(make_chain(m, v=0.6)),
                             np.linalg.qr(rng.normal(size=(m, m)))[0])
-        words = np.array(half_strings(m, 4), dtype=np.int64)
+        words = half_strings(m, 4)
         product_hamiltonian(ints, words, words)
         tracemalloc.start()
         try:
@@ -909,7 +932,7 @@ class TestProductHamiltonianAssembly:
         negative rows when they were cast before being split."""
         m = 18
         ints = map_to_electronic(make_chain(m, v=0.6))
-        alpha = np.array(half_strings(m, 9), dtype=np.int64)
+        alpha = half_strings(m, 9)
         beta = alpha[:1]
         assert len(alpha) ** 2 > np.iinfo(np.int32).max
         mat = product_hamiltonian(ints, alpha, beta)
