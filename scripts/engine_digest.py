@@ -5,8 +5,8 @@
 
 Hashes the CSR arrays of ``product_hamiltonian`` (product subsets of
 ascending strings), the result of ``sigma`` (a random vector over the full
-sector) and the outside words and CSR arrays of ``hamiltonian_columns``
-(shuffled determinant lists), for M = 2..8 orbitals in a site and a rotated
+sector) and the words of every row and the CSR arrays of
+``hamiltonian_columns`` (shuffled determinant lists), for M = 2..8 orbitals in a site and a rotated
 basis, with real and complex integrals, over sectors that include empty and
 full channels.  Each integrals object serves its requests three times, so
 the one-spin memo is cold on the first pass and warm on the others.  A change

@@ -65,13 +65,8 @@ def matrix_element(d1: Determinant, d2: Determinant, ints: ElectronicIntegrals):
     ``d2`` or lies in another sector."""
     words_a, words_b, column = hamiltonian_columns(
         ints, np.array([d2.alpha], dtype=np.int64), np.array([d2.beta], dtype=np.int64))
-    if d1 == d2:
-        return column[0, 0]
-    # the rows after the first are the determinants the column couples to
     hit = np.flatnonzero((words_a == d1.alpha) & (words_b == d1.beta))
-    if hit.size:
-        return column[hit[0] + 1, 0]
-    return 0.0
+    return column[hit[0], 0] if hit.size else 0.0
 
 
 def diagonal_energy(det: Determinant, ints: ElectronicIntegrals) -> float:

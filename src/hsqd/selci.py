@@ -138,14 +138,14 @@ class _ColumnStore:
             start += room
 
     def _add(self, alpha: np.ndarray, beta: np.ndarray) -> None:
-        out_a, out_b, cols = hamiltonian_columns(self.ints, alpha, beta)
-        rows = self._rows(np.concatenate([alpha, out_a]), np.concatenate([beta, out_b]))
+        row_a, row_b, cols = hamiltonian_columns(self.ints, alpha, beta)
+        rows = self._rows(np.concatenate([alpha, row_a]), np.concatenate([beta, row_b]))
         first, n = len(self.members), len(alpha)
         self.position[rows[:n]] = np.arange(first, first + n)
         self.members = np.concatenate([self.members, rows[:n]])
         cols = cols.tocsc()  # a linear transpose: the build summed each column's duplicates
         self.indptr = np.concatenate([self.indptr, self.indptr[-1] + cols.indptr[1:]])
-        self.rows = np.concatenate([self.rows, rows[cols.indices].astype(np.int32)])
+        self.rows = np.concatenate([self.rows, rows[n:][cols.indices].astype(np.int32)])
         self.values = np.concatenate([self.values, cols.data])
 
     def _rows(self, alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:

@@ -15,19 +15,20 @@ E_pq is evaluated on the string words themselves with bit operations, so the
 cost of an operator grows with the strings it is restricted to, never with
 the C(M, n) strings of the whole channel.  Orbital pairs are flat indices
 pq = p * M + q.  Each string's one-spin row, H_s on it summed per target
-word, is kept on the integrals (``ElectronicIntegrals.one_spin_memo``), so
-it is built once per integrals object, whichever routine meets the string.
+word, is built once per integrals object (``ElectronicIntegrals.one_spin_memo``).
+Every routine takes a channel from ``_channel``: its one-spin entries and
+live E_pq, located in its strings or in every word they reach.
 
 Determinants are ordered beta-major, so a vector over a product space A x B
 is the matrix C[ib, ia], with
 
     sigma = H_beta C + C H_alpha^T + core C + sum g_os[pq,rs] E^beta_rs C E^alpha_pq^T ,
 
-over the strings each channel reaches (``_reach``), and the matrix is the
-block form H = sum_{ib,jb} |ib><jb| (x) B(ib, jb), with B(ib, jb) = sum_k
-W[(ib,jb), k] O_k over the alpha operators O = (1, H_alpha + core,
-E^alpha_pq for each pq that g_os couples) and W[(ib,jb), k] = H_beta[ib,jb],
-delta(ib,jb) and sum_rs g_os[pq,rs] E^beta_rs[ib,jb].
+over the words each channel reaches, and the matrix is the block form
+H = sum_{ib,jb} |ib><jb| (x) B(ib, jb), with B(ib, jb) = sum_k W[(ib,jb), k] O_k
+over the alpha operators O = (1, H_alpha + core, E^alpha_pq for each pq that
+g_os couples) and W[(ib,jb), k] = H_beta[ib,jb], delta(ib,jb) and
+sum_rs g_os[pq,rs] E^beta_rs[ib,jb].  H columns order their rows (beta, alpha).
 """
 
 from __future__ import annotations
@@ -75,12 +76,6 @@ def excited_strings(strings: np.ndarray, m: int, singles: bool, doubles: bool) -
     return np.concatenate(out)
 
 
-def _locate(strings: np.ndarray, words: np.ndarray) -> np.ndarray:
-    """Positions of ``words`` in the ascending ``strings``; -1 where absent."""
-    pos = np.minimum(np.searchsorted(strings, words), len(strings) - 1)
-    return np.where(strings[pos] == words, pos, -1)
-
-
 def _live_excitations(strings: np.ndarray, pairs: np.ndarray, m: int):
     """E_pq on ``strings`` for each pair in ``pairs``: the entries that do not
     annihilate the string, as (pair position, target word, column, sign),
@@ -88,14 +83,6 @@ def _live_excitations(strings: np.ndarray, pairs: np.ndarray, m: int):
     words, sign = excite(strings, *np.divmod(pairs[:, None], m))
     term, col = np.nonzero(sign)
     return term, words[term, col], col, sign[term, col]
-
-
-def _excitations(strings: np.ndarray, pairs: np.ndarray, m: int):
-    """``_live_excitations`` restricted to ``strings``, with rows for words."""
-    term, words, col, sign = _live_excitations(strings, pairs, m)
-    rows = _locate(strings, words)
-    keep = rows >= 0
-    return term[keep], rows[keep], col[keep], sign[keep]
 
 
 def _one_body_k(h: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -175,22 +162,29 @@ def _one_spin_entries(ints: ElectronicIntegrals, strings: np.ndarray):
     return words, np.repeat(np.arange(len(strings)), count), vals
 
 
-def one_spin_operator(entries, rows: np.ndarray, n: int) -> sp.coo_matrix:
-    """k.E + 1/2 sum g E_pq E_rs from the n strings of the one-spin ``entries``
-    (``_one_spin_entries``) onto the ascending ``rows``, dropping the words
-    outside them."""
-    words, cols, vals = entries
-    at = _locate(rows, words)
-    keep = at >= 0
-    return sp.coo_matrix((vals[keep], (at[keep], cols[keep])), shape=(len(rows), n))
+def _channel(ints: ElectronicIntegrals, strings: np.ndarray, pairs: np.ndarray, rows=None):
+    """One spin channel from its ascending ``strings``: the one-spin entries
+    as (row, column, value) and the live E_pq, pq in ``pairs``, as (pair
+    position, row, column, sign), located in the ascending words ``rows``
+    and those outside them dropped, and the rows.  By default the rows are
+    every word the entries reach, the strings included."""
+    words, cols, vals = _one_spin_entries(ints, strings)
+    term, live, src, sign = _live_excitations(strings, pairs, ints.n_orbitals)
+    if rows is None:
+        rows = np.unique(np.concatenate([strings, words, live]))
+        return ((np.searchsorted(rows, words), cols, vals),
+                (term, np.searchsorted(rows, live), src, sign), rows)
+    at, live_at = (np.minimum(np.searchsorted(rows, w), len(rows) - 1) for w in (words, live))
+    keep, hit = rows[at] == words, rows[live_at] == live
+    return (at[keep], cols[keep], vals[keep]), (term[hit], live_at[hit], src[hit], sign[hit]), rows
 
 
-def _reach(ints: ElectronicIntegrals, strings: np.ndarray, pairs: np.ndarray):
-    """The one-spin entries and live E_pq, pq in ``pairs``, of the ascending
-    ``strings``, and the ascending words they reach, the strings included."""
-    one = _one_spin_entries(ints, strings)
-    live = _live_excitations(strings, pairs, ints.n_orbitals)
-    return one, live, np.unique(np.concatenate([strings, one[0], live[1]]))
+def _coupled_pairs(ints: ElectronicIntegrals):
+    """g_os over flat pairs, g_os[pq, rs], with the pq (alpha) and the rs
+    (beta) that it couples to anything."""
+    m = ints.n_orbitals
+    gos = ints.two_body_opposite_spin.reshape(m * m, m * m)
+    return gos, np.flatnonzero(np.any(gos != 0, axis=1)), np.flatnonzero(np.any(gos != 0, axis=0))
 
 
 def _operator_rows(k: np.ndarray, pos: np.ndarray, val: np.ndarray, n_rows: int):
@@ -205,26 +199,22 @@ def product_hamiltonian(
 ) -> sp.csr_matrix:
     """H over the product space of the ascending ``alpha`` and ``beta``
     string words, in beta-major order and canonical CSR without stored zeros."""
-    m, na, nb = ints.n_orbitals, len(alpha), len(beta)
+    na, nb = len(alpha), len(beta)
     d = na * nb
-    gos = ints.two_body_opposite_spin.reshape(m * m, m * m)
-    nonzero = gos != 0
-    pq, rs = np.flatnonzero(nonzero.any(axis=1)), np.flatnonzero(nonzero.any(axis=0))
-    ha = one_spin_operator(_one_spin_entries(ints, alpha), alpha, na)
-    hb = one_spin_operator(_one_spin_entries(ints, beta), beta, nb)
-    a_term, a_row, a_col, a_sign = _excitations(alpha, pq, m)
-    b_term, b_row, b_col, b_sign = _excitations(beta, rs, m)
-    i, e = np.nonzero(nonzero[pq][:, rs[b_term]])
+    gos, pq, rs = _coupled_pairs(ints)
+    (ha_row, ha_col, ha), (a_term, a_row, a_col, a_sign), _ = _channel(ints, alpha, pq, alpha)
+    (hb_row, hb_col, hb), (b_term, b_row, b_col, b_sign), _ = _channel(ints, beta, rs, beta)
+    i, e = np.nonzero(gos[pq][:, rs[b_term]])
     # O_k and W[:, k] as row k, over positions ia * na + ja and ib * nb + jb
     diag_a, diag_b = np.arange(na) * (na + 1), np.arange(nb) * (nb + 1)
     ops, a_pos = _operator_rows(
-        np.concatenate([np.zeros(na, int), np.ones(na + ha.nnz, int), a_term + 2]),
-        np.concatenate([diag_a, diag_a, ha.row * np.int64(na) + ha.col, a_row * na + a_col]),
-        np.concatenate([np.ones(na), np.full(na, ints.core_energy), ha.data, a_sign]), len(pq) + 2)
+        np.concatenate([np.zeros(na, int), np.ones(na + len(ha), int), a_term + 2]),
+        np.concatenate([diag_a, diag_a, ha_row * na + ha_col, a_row * na + a_col]),
+        np.concatenate([np.ones(na), np.full(na, ints.core_energy), ha, a_sign]), len(pq) + 2)
     coef, b_pos = _operator_rows(
-        np.concatenate([np.zeros(hb.nnz, int), np.ones(nb, int), i + 2]),
-        np.concatenate([hb.row * np.int64(nb) + hb.col, diag_b, b_row[e] * nb + b_col[e]]),
-        np.concatenate([hb.data, np.ones(nb), gos[pq[i], rs[b_term[e]]] * b_sign[e]]), len(pq) + 2)
+        np.concatenate([np.zeros(len(hb), int), np.ones(nb, int), i + 2]),
+        np.concatenate([hb_row * nb + hb_col, diag_b, b_row[e] * nb + b_col[e]]),
+        np.concatenate([hb, np.ones(nb), gos[pq[i], rs[b_term[e]]] * b_sign[e]]), len(pq) + 2)
     # B(ib, jb) per block pair, duplicates summed, zeros dropped; transposing CSC to CSR sorts rows
     blocks = (coef.T @ ops).tocsr()
     index = np.int32 if d <= np.iinfo(np.int32).max else np.int64
@@ -244,12 +234,12 @@ def product_hamiltonian(
     return sp.csr_matrix((data[order], cols, indptr), shape=(d, d))
 
 
-def _live_counts(pattern: np.ndarray, m: int, n: int) -> tuple[int, int]:
+def _live_counts(pairs: np.ndarray, m: int, n: int) -> tuple[int, int]:
     """At most how many E_pp and how many E_pq (p != q) with pq in the flat
-    boolean ``pattern`` keep a string of n electrons alive: E_pp needs p
-    occupied, and E_pq needs q occupied and p empty."""
-    diag = int(np.count_nonzero(pattern.reshape(m, m).diagonal()))
-    return min(diag, n), min(int(np.count_nonzero(pattern)) - diag, n * (m - n))
+    ``pairs`` keep a string of n electrons alive: E_pp needs p occupied, and
+    E_pq needs q occupied and p empty."""
+    diag = int(np.count_nonzero(pairs % (m + 1) == 0))  # pq = p (m + 1) + q - p
+    return min(diag, n), min(len(pairs) - diag, n * (m - n))
 
 
 def _per_string(spec: SectorSpec, ints: ElectronicIntegrals):
@@ -259,21 +249,20 @@ def _per_string(spec: SectorSpec, ints: ElectronicIntegrals):
     string (all but E_pp and E_pp E_qq); and the most pairs an excitation
     pass visits."""
     m = spec.n_orbitals
-    k = _one_body_k(ints.one_body, ints.two_body_same_spin) != 0
+    k = np.flatnonzero(_one_body_k(ints.one_body, ints.two_body_same_spin))
     gss = ints.two_body_same_spin.reshape(m * m, m * m) != 0
-    gos = ints.two_body_opposite_spin.reshape(m * m, m * m) != 0
+    _, pq, rs = _coupled_pairs(ints)
     diag = np.arange(m) * (m + 1)
     gss_off = int(np.count_nonzero(gss)) - int(np.count_nonzero(gss[np.ix_(diag, diag)]))
+    gss_rs, gss_pq = (np.flatnonzero(gss.any(axis=a)) for a in (0, 1))
     counts = []
-    for n, coupled in ((spec.n_alpha, gos.any(axis=1)), (spec.n_beta, gos.any(axis=0))):
+    for n, coupled in ((spec.n_alpha, pq), (spec.n_beta, rs)):
         (k_d, k_o), (c_d, c_o) = _live_counts(k, m, n), _live_counts(coupled, m, n)
-        (l_d, l_o), (r_d, r_o) = (_live_counts(gss.any(axis=a), m, n) for a in (0, 1))
+        (l_d, l_o), (r_d, r_o) = _live_counts(gss_rs, m, n), _live_counts(gss_pq, m, n)
         doubles = min((l_d + l_o) * (r_d + r_o), int(np.count_nonzero(gss)))
         moved = min(l_o * (r_d + r_o) + l_d * r_o, gss_off)
         counts.append((k_d + k_o + doubles, c_d + c_o, k_o + moved + c_o))
-    visited = max(np.count_nonzero(k), np.count_nonzero(gos.any(axis=1)),
-                  np.count_nonzero(gos.any(axis=0)), np.count_nonzero(gss.any(axis=1)))
-    return counts, int(visited)
+    return counts, max(len(k), len(pq), len(rs), len(gss_pq))
 
 
 def columns_bytes(n_dets: int, spec: SectorSpec, ints: ElectronicIntegrals) -> int:
@@ -315,54 +304,43 @@ def hamiltonian_columns(
     ints: ElectronicIntegrals, alpha: np.ndarray, beta: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, sp.csr_matrix]:
     """H[:, dets] for the distinct determinants (alpha[j], beta[j]), in any
-    order and not necessarily a product set, over every determinant they
-    couple to: row j < len(alpha) is determinant j, the rest are outside the
-    list in ascending (beta, alpha) order, and their words are returned with
-    the matrix.  No cap is checked here: a caller sizes its calls, as
-    ``selci._ColumnStore`` does with ``columns_bytes``."""
-    m, d = ints.n_orbitals, len(alpha)
+    order and not necessarily a product set, over every determinant that an
+    entry reaches, in ascending (beta, alpha) order; the alpha and beta words
+    of each row are returned with the matrix.  No cap is checked here: a
+    caller sizes its calls, as ``selci._ColumnStore`` does with
+    ``columns_bytes``."""
+    d = len(alpha)
     ua, ia = np.unique(alpha, return_inverse=True)
     ub, ib = np.unique(beta, return_inverse=True)
     # g_os[pq, rs] E^beta_rs E^alpha_pq over the pairs with any coupling
-    gos = ints.two_body_opposite_spin.reshape(m * m, m * m)
-    pq, rs = np.flatnonzero(np.any(gos != 0, axis=1)), np.flatnonzero(np.any(gos != 0, axis=0))
-    one_a, (a_term, a_word, a_src, a_sign), words_a = _reach(ints, ua, pq)
-    one_b, (b_term, b_word, b_src, b_sign), words_b = _reach(ints, ub, rs)
-    # a determinant's key is rank_b * len(words_a) + rank_a, from the ranks of
+    gos, pq, rs = _coupled_pairs(ints)
+    one_a, (a_term, a_row, a_src, a_sign), words_a = _channel(ints, ua, pq)
+    one_b, (b_term, b_row, b_src, b_sign), words_b = _channel(ints, ub, rs)
+    # a determinant's key is row_b * len(words_a) + row_a, from the rows of
     # its strings among the words each channel reaches, so keys order like
-    # (beta, alpha); the ranks are taken before the entries are gathered
+    # (beta, alpha)
     na = len(words_a)
     set_a, set_b = np.searchsorted(words_a, ua)[ia], np.searchsorted(words_b, ub)[ib] * na
-    own = set_b + set_a
     # (keys, columns, values): each string's one-spin entries, gathered for
     # every determinant that holds the string
-    parts = [(own, np.arange(d), np.full(d, ints.core_energy))]
-    words, src, vals = one_a
+    parts = [(set_b + set_a, np.arange(d), np.full(d, ints.core_energy))]
+    row, src, vals = one_a
     j, e = _pair_up(ia, src)
-    parts.append((set_b[j] + np.searchsorted(words_a, words)[e], j, vals[e]))
-    words, src, vals = one_b
+    parts.append((set_b[j] + row[e], j, vals[e]))
+    row, src, vals = one_b
     j, e = _pair_up(ib, src)
-    parts.append((np.searchsorted(words_b, words)[e] * na + set_a[j], j, vals[e]))
+    parts.append((row[e] * na + set_a[j], j, vals[e]))
     j, x = _pair_up(ia, a_src)
     k, y = _pair_up(ib[j], b_src)
     j, x = j[k], x[k]
-    parts.append((np.searchsorted(words_b, b_word)[y] * na + np.searchsorted(words_a, a_word)[x],
-                  j, gos[pq[a_term[x]], rs[b_term[y]]] * a_sign[x] * b_sign[y]))
+    parts.append((b_row[y] * na + a_row[x], j,
+                  gos[pq[a_term[x]], rs[b_term[y]]] * a_sign[x] * b_sign[y]))
     key, cols, vals = (np.concatenate(z) for z in zip(*parts))
-    del parts, one_a, one_b, j, e, x, k, y  # bounds the peak (columns_bytes)
+    del parts, one_a, one_b, row, src, j, e, x, k, y  # bounds the peak (columns_bytes)
     keep = vals != 0
-    key = np.concatenate([own, key[keep]])
+    keys, rows = np.unique(key[keep], return_inverse=True)
     cols, vals = cols[keep], vals[keep]
-    # the set's own keys are rows 0..d-1, and the outside keys follow from d
-    # in ascending order
-    keys, place = np.unique(key, return_inverse=True)
-    del key
-    row_of = np.full(len(keys), -1)
-    row_of[place[:d]] = np.arange(d)
-    outside = np.flatnonzero(row_of < 0)
-    row_of[outside] = np.arange(d, d + len(outside))
-    rows = row_of[place[d:]]
-    del place
+    del key, keep
     # in column order, each column's entries as they were generated (core,
     # alpha, beta, opposite-spin): the conversion then finds every row sorted
     # and sums each entry's duplicates in that order, which depends on the
@@ -374,8 +352,7 @@ def hamiltonian_columns(
     # vals is complex exactly when the integrals are
     mat = sp.coo_matrix((vals, (rows, cols)), shape=(len(keys), d)).tocsr()
     mat.eliminate_zeros()
-    outside = keys[outside]
-    return words_a[outside % na], words_b[outside // na], mat
+    return words_a[keys % na], words_b[keys // na], mat
 
 
 def sigma_bytes(spec: SectorSpec, ints: ElectronicIntegrals, n_alpha: int, n_beta: int) -> int:
@@ -409,17 +386,15 @@ def sigma(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """H applied to a vector over the product of the ascending ``alpha`` and
     ``beta`` string words, given as the matrix C[ib, ia]: S[jb, ja] over the
-    words each channel reaches (``_reach``; the strings on a full sector),
+    words each channel reaches (``_channel``; the strings on a full sector),
     returned with those ascending alpha and beta words."""
-    m = ints.n_orbitals
-    gos = ints.two_body_opposite_spin.reshape(m * m, m * m)
-    pq, rs = np.flatnonzero(np.any(gos != 0, axis=1)), np.flatnonzero(np.any(gos != 0, axis=0))
-    one_a, (a_term, a_word, a_col, a_sign), words_a = _reach(ints, alpha, pq)
-    ha = one_spin_operator(one_a, words_a, len(alpha)).tocsr()
-    del one_a  # each channel's entries are gone before the next is gathered
-    one_b, (b_term, b_word, b_col, b_sign), words_b = _reach(ints, beta, rs)
-    hb = one_spin_operator(one_b, words_b, len(beta)).tocsr()
-    del one_b
+    gos, pq, rs = _coupled_pairs(ints)
+    (row, col, val), (a_term, a_row, a_col, a_sign), words_a = _channel(ints, alpha, pq)
+    ha = sp.csr_matrix((val, (row, col)), shape=(len(words_a), len(alpha)))
+    del row, col, val  # each channel's entries are gone before the next is gathered
+    (row, col, val), (b_term, b_row, b_col, b_sign), words_b = _channel(ints, beta, rs)
+    hb = sp.csr_matrix((val, (row, col)), shape=(len(words_b), len(beta)))
+    del row, col, val
     ia, ib = np.searchsorted(words_a, alpha), np.searchsorted(words_b, beta)
     out = np.zeros((len(words_b), len(words_a)),
                    dtype=np.result_type(c, complex if ints.is_complex else float))
@@ -428,7 +403,6 @@ def sigma(
     out[np.ix_(ib, ia)] += ints.core_energy * c
     # E^alpha_pq pair-major, and one row-sorted CSR pattern of all E^beta_rs
     # that each W^beta_pq = sum_rs g_os[pq, rs] E^beta_rs refills
-    a_row, b_row = _locate(words_a, a_word), _locate(words_b, b_word)
     a_cut = np.searchsorted(a_term, np.arange(len(pq) + 1))
     order = np.argsort(b_row, kind="stable")
     b_rs, b_sign = rs[b_term[order]], b_sign[order]

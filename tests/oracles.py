@@ -9,7 +9,8 @@ and for every engine cross-check built one element at a time.  The
 exceptions are ``extsqd_expand_reference``, the per-determinant ext-SQD loop
 over the Slater-Condon ``generate_excitations`` that the vectorized
 expansion replaced, ``hci_ground_reference``, the selected-CI loop that rebuilt
-``hsqd.strings.hamiltonian_columns`` over the whole set every round,
+``hsqd.strings.hamiltonian_columns`` over the whole set every round
+(``column_rows`` finds a determinant's row in it by its words),
 ``one_spin_terms_reference``, the loop over rs that
 ``hsqd.strings._one_spin_terms`` replaced, and ``covering_reference``, the
 step-by-step growth loop that ``hsqd.subspace._covering`` replaced, and
@@ -366,10 +367,24 @@ def extsqd_expand_reference(result, basis, threshold, levels):
     return SubspaceBasis(basis.spec, tuple(sorted(alpha)), tuple(sorted(beta)))
 
 
+def column_rows(row_a, row_b, cols, alpha, beta):
+    """The rows of ``hsqd.strings.hamiltonian_columns`` over the determinants
+    (alpha[j], beta[j]), its words ``row_a``, ``row_b`` and matrix ``cols``:
+    returns ``cols`` with one zero row appended for each determinant that has
+    none (its column is zero), and the row of each determinant, found by its
+    words."""
+    row = {det: i for i, det in enumerate(zip(row_a.tolist(), row_b.tolist()))}
+    own = np.array([row.setdefault(det, len(row)) for det in zip(alpha.tolist(), beta.tolist())],
+                   dtype=np.int64)
+    zeros = sp.csr_matrix((len(row) - cols.shape[0], cols.shape[1]), dtype=cols.dtype)
+    return sp.vstack([cols, zeros], format="csr"), own
+
+
 def hci_ground_reference(spec, ints, schedule, reference=None):
     """``selci.hci_ground`` as it was before it kept its columns: every round
     rebuilds H[:, set] with one ``hamiltonian_columns`` call over the whole
-    set and ranks the rows outside it from that CSR."""
+    set, finds the set's rows by their words and ranks the rows outside it
+    from that CSR."""
     from hsqd.davidson import lowest_eigenpair
     from hsqd.selci import SelectedCiStage
     from hsqd.strings import hamiltonian_columns
@@ -378,26 +393,31 @@ def hci_ground_reference(spec, ints, schedule, reference=None):
     if reference is None:
         reference = Determinant((1 << spec.n_alpha) - 1, (1 << spec.n_beta) - 1)
     alpha, beta = (np.array([word], dtype=np.int64) for word in (reference.alpha, reference.beta))
-    out_a, out_b, cols = hamiltonian_columns(ints, alpha, beta)
-    result = lowest_eigenpair(cols[:1])
+    row_a, row_b, cols = hamiltonian_columns(ints, alpha, beta)
+    cols, own = column_rows(row_a, row_b, cols, alpha, beta)
+    result = lowest_eigenpair(cols[own])
     stages = []
     for eps in schedule.epsilons:
         while len(alpha) < schedule.max_determinants:
-            coupling = abs(cols[len(alpha):])
+            # the rows outside the set, in ascending (beta, alpha) order
+            outside = np.setdiff1d(np.arange(cols.shape[0]), own)
+            coupling = abs(cols[outside])
             coupling.data *= np.abs(result.ci_vector)[coupling.indices]
             imp = coupling.max(axis=1).toarray().ravel()
             hits = np.flatnonzero((imp >= eps) & (imp > 0))
-            # stable, as the rows outside the set are in (beta, alpha) order
-            pick = hits[np.argsort(-imp[hits], kind="stable")]
+            # stable, so ties stay in (beta, alpha) order
+            pick = outside[hits[np.argsort(-imp[hits], kind="stable")]]
             pick = pick[:schedule.max_determinants - len(alpha)]
             if not len(pick):
                 break
-            alpha = np.concatenate([alpha, out_a[pick]])
-            beta = np.concatenate([beta, out_b[pick]])
-            out_a, out_b, cols = hamiltonian_columns(ints, alpha, beta)
-            result = lowest_eigenpair(cols[:len(alpha)])
+            alpha = np.concatenate([alpha, row_a[pick]])
+            beta = np.concatenate([beta, row_b[pick]])
+            row_a, row_b, cols = hamiltonian_columns(ints, alpha, beta)
+            cols, own = column_rows(row_a, row_b, cols, alpha, beta)
+            result = lowest_eigenpair(cols[own])
         dets = tuple(Determinant(int(a), int(b)) for a, b in zip(alpha, beta))
-        res = result.with_variance(relative_variance(result.ci_vector, cols @ result.ci_vector))
+        res = result.with_variance(
+            relative_variance(result.ci_vector, cols @ result.ci_vector, own))
         stages.append(SelectedCiStage(eps, len(dets), len(dets) / spec.dimension(), res, dets))
     return stages
 

@@ -79,6 +79,17 @@ class TestEnumerateSector:
                 assert got.dtype == np.int64
                 assert got.tolist() == want == oracles.channel_strings(m, n)
 
+    def test_half_strings_at_the_edges(self):
+        """The empty channel, and one electron, one hole and a full channel
+        of 63 orbitals, where the full word is 2^63 - 1, int64's largest."""
+        full = (1 << 63) - 1
+        cases = {(0, 0): [0], (63, 1): [1 << p for p in range(63)],
+                 (63, 62): sorted(full ^ (1 << p) for p in range(63)), (63, 63): [full]}
+        for (m, n), want in cases.items():
+            got = half_strings(m, n)
+            assert got.dtype == np.int64
+            assert got.tolist() == want
+
     def test_half_strings_are_shared_and_read_only(self):
         words = half_strings(7, 3)
         assert half_strings(7, 3) is words
@@ -116,6 +127,19 @@ class TestMatrixElement:
         for impl in ROUTINES:
             val = impl.matrix_element(Determinant(0b01, 0), Determinant(0b10, 0), dimer_ints)
             assert val == pytest.approx(-1.0)
+
+    def test_zero_diagonal_of_a_coupled_determinant(self):
+        """A determinant whose own diagonal is exactly zero has no row in its
+        H column, which still holds the hop it couples to."""
+        from hsqd import ElectronicIntegrals
+
+        h = np.array([[0.0, 0.7], [0.7, 0.0]])
+        ints = ElectronicIntegrals(2, h, np.zeros((2,) * 4), np.zeros((2,) * 4))
+        det = Determinant(0b01, 0)
+        for impl in ROUTINES:
+            assert impl.matrix_element(det, det, ints) == 0.0
+            assert impl.diagonal_energy(det, ints) == 0.0
+            assert impl.matrix_element(Determinant(0b10, 0), det, ints) == pytest.approx(0.7)
 
     def test_triple_excitation_vanishes(self):
         rng = np.random.default_rng(1)

@@ -55,6 +55,7 @@ from oracles import (
     _word_singles,
     arpack_lowest,
     basis_determinants,
+    column_rows,
     covering_reference,
     dense_fock_hamiltonian,
     diagonal_energy,
@@ -421,9 +422,10 @@ class TestStringEngineAgainstFockOracle:
             var = energy_variance(GroundStateResult(0.0, vec, 0.0, 1, True), basis, ints)
         else:
             # the list's own columns, as HCI takes its stage variance
-            cols = hamiltonian_columns(ints, *(np.array(x, dtype=np.int64)
-                                               for x in zip(*((d.alpha, d.beta) for d in dets))))
-            var = subspace_mod.relative_variance(vec, cols[2] @ vec)
+            alpha, beta = (np.array(x, dtype=np.int64) for x in zip(*((d.alpha, d.beta)
+                                                                     for d in dets)))
+            cols, own = column_rows(*hamiltonian_columns(ints, alpha, beta), alpha, beta)
+            var = subspace_mod.relative_variance(vec, cols @ vec, own)
         if abs(h1) < 1e-6:
             return  # relative variance ill-conditioned (None at exactly zero)
         assert var == pytest.approx((h2 - h1 * h1) / (h1 * h1), rel=1e-8, abs=1e-10)
@@ -544,9 +546,10 @@ class TestVarianceCap:
         vec = rng.normal(size=basis.dimension)
         vec /= np.linalg.norm(vec)
         var = energy_variance(GroundStateResult(0.0, vec, 0.0, 1, True), basis, ints)
-        *_, cols = hamiltonian_columns(ints, np.tile(basis.alpha_strings, 100),
-                                       np.repeat(basis.beta_strings, 100))
-        assert var == pytest.approx(subspace_mod.relative_variance(vec, cols @ vec), rel=1e-10)
+        alpha, beta = np.tile(basis.alpha_strings, 100), np.repeat(basis.beta_strings, 100)
+        cols, own = column_rows(*hamiltonian_columns(ints, alpha, beta), alpha, beta)
+        assert var == pytest.approx(subspace_mod.relative_variance(vec, cols @ vec, own),
+                                    rel=1e-10)
 
     def test_sigma_bytes_bounds_measured_peak(self):
         """The estimate is an upper bound on what one variance allocates,
@@ -577,14 +580,21 @@ def _check_columns(ints, dets):
     m = ints.n_orbitals
     alpha = np.array([d.alpha for d in dets], dtype=np.int64)
     beta = np.array([d.beta for d in dets], dtype=np.int64)
-    out_a, out_b, mat = hamiltonian_columns(ints, alpha, beta)
-    outside = [Determinant(int(a), int(b)) for a, b in zip(out_a, out_b)]
-    assert not set(outside) & set(dets)
-    assert [d.sort_key() for d in outside] == sorted({d.sort_key() for d in outside})
-    rows = dets + outside
+    row_a, row_b, mat = hamiltonian_columns(ints, alpha, beta)
+    rows = [Determinant(int(a), int(b)) for a, b in zip(row_a, row_b)]
+    # one row per determinant, strictly ascending in (beta, alpha)
+    keys = [d.sort_key() for d in rows]
+    assert all(k1 < k2 for k1, k2 in zip(keys, keys[1:]))
     fock = dense_fock_hamiltonian(ints).tocsr()[:, [fock_index(d, m) for d in dets]]
     assert mat.shape == (len(rows), len(dets))
-    assert np.abs(mat.toarray() - fock[[fock_index(d, m) for d in rows]].toarray()).max() <= 1e-10
+    want = fock[[fock_index(d, m) for d in rows]].toarray()
+    assert np.abs(mat.toarray() - want).max(initial=0.0) <= 1e-10
+    # each determinant's own row, found by its words, holds its diagonal;
+    # one with a zero diagonal may have none
+    row = {d: i for i, d in enumerate(rows)}
+    for j, d in enumerate(dets):
+        diag = mat[row[d], j] if d in row else 0.0
+        assert abs(diag - fock[fock_index(d, m), j]) <= 1e-10
     # no determinant outside the rows is reached
     missed = np.setdiff1d(np.arange(fock.shape[0]), [fock_index(d, m) for d in rows])
     assert np.abs(fock[missed].toarray()).max(initial=0.0) <= 1e-10
@@ -622,17 +632,17 @@ class TestHamiltonianColumns:
         _check_columns(ints, [sector[i] for i in rng.permutation(len(sector))[:size]])
 
     def test_all_zero_integrals_drop_every_entry(self):
-        """Every entry is zero and dropped: the set determinants, which then
-        appear in no entry, still own rows 0..d-1, and nothing lies outside."""
+        """Every entry is zero and dropped, so no determinant, not even one of
+        the set, has a row."""
         m = 4
         ints = ElectronicIntegrals(m, np.zeros((m, m)), np.zeros((m,) * 4), np.zeros((m,) * 4))
         sector = enumerate_sector(SectorSpec(m, 2, 1))
         dets = [sector[i] for i in np.random.default_rng(4).permutation(len(sector))[:7]]
         alpha = np.array([d.alpha for d in dets], dtype=np.int64)
         beta = np.array([d.beta for d in dets], dtype=np.int64)
-        out_a, out_b, mat = hamiltonian_columns(ints, alpha, beta)
-        assert len(out_a) == len(out_b) == 0
-        assert mat.shape == (7, 7) and mat.nnz == 0
+        row_a, row_b, mat = hamiltonian_columns(ints, alpha, beta)
+        assert len(row_a) == len(row_b) == 0
+        assert mat.shape == (0, 7) and mat.nnz == 0
         _check_columns(ints, dets)
 
     @pytest.mark.parametrize("shared", ["alpha", "beta", "both"])
@@ -707,9 +717,9 @@ def _engine_bytes(ints, alpha, beta, c, dets_a, dets_b):
     mat = product_hamiltonian(ints, alpha, beta)
     full_a = half_strings(ints.n_orbitals, int(alpha[0]).bit_count())
     full_b = half_strings(ints.n_orbitals, int(beta[0]).bit_count())
-    out_a, out_b, cols = hamiltonian_columns(ints, dets_a, dets_b)
+    row_a, row_b, cols = hamiltonian_columns(ints, dets_a, dets_b)
     arrays = (mat.data, mat.indices, mat.indptr, strings_mod.sigma(c, ints, full_a, full_b)[0],
-              out_a, out_b, cols.data, cols.indices, cols.indptr)
+              row_a, row_b, cols.data, cols.indices, cols.indptr)
     return [np.ascontiguousarray(x).tobytes() for x in arrays]
 
 
