@@ -12,14 +12,19 @@ full channels.  Each integrals object serves its requests three times, so
 the one-spin memo is cold on the first pass and warm on the others.  A change
 to the engine that must not change its output leaves the digests as they are.
 One digest is printed per function, so a change that may move one of them
-shows which, followed by the total over every array of every case.
+shows which, followed by the total over every array of those cases.
+
+The mean field, which defines the orbitals every rotated run works in, gets
+its own digest: the orbitals, ``hf_energy`` and ``energy_history`` of
+``solve_mean_field`` on the site-basis integrals, real and complex, for every
+number of electron pairs.  It is not part of the total.
 """
 
 import hashlib
 
 import numpy as np
 
-from hsqd import LatticeHamiltonian, map_to_electronic, rotate_basis
+from hsqd import LatticeHamiltonian, SectorSpec, map_to_electronic, rotate_basis, solve_mean_field
 from hsqd.determinants import half_strings
 from hsqd.strings import hamiltonian_columns, product_hamiltonian, sigma
 
@@ -77,12 +82,18 @@ def main() -> None:
     rng = np.random.default_rng(SEED)
     h = hashlib.sha256()
     per = {}  # function name -> its own digest
+    scf = hashlib.sha256()
     cases = 0
     for m in range(2, 9):
         for rotated in (False, True):
             for complex_ints in (False, True):
                 ints = random_integrals(rng, m, complex_ints, rotated)
                 reqs = [requests(rng, m, na, nb, complex_ints) for na, nb in sectors(rng, m)]
+                if not rotated:
+                    for pairs in range(m + 1):
+                        mf = solve_mean_field(ints, SectorSpec(m, pairs, pairs))
+                        update(scf, mf.orbital_coefficients, np.array(mf.hf_energy),
+                               np.array(mf.energy_history))
                 for _ in range(PASSES):
                     for alpha, beta, wa, wb, c, dets_a, dets_b in reqs:
                         mat = product_hamiltonian(ints, alpha, beta)
@@ -99,6 +110,7 @@ def main() -> None:
                         cases += 1
     for name, digest in per.items():
         print(f"{digest.hexdigest()}  {name}")
+    print(f"{scf.hexdigest()}  solve_mean_field")
     print(f"{h.hexdigest()}  total ({cases} cases)")
 
 

@@ -44,28 +44,34 @@ class MeanFieldSolution:
         return Determinant((1 << spec.n_alpha) - 1, (1 << spec.n_beta) - 1)
 
 
-# the M^4 contractions: J and K of the Fock matrix, direct and exchange energy
-_J, _K, _E_DIR, _E_X = "pqrs,sr->pq", "pqrs,qr->ps", "pqrs,qp,sr->", "pqrs,sp,qr->"
+def _pair_matrices(ints: ElectronicIntegrals) -> tuple[np.ndarray, ...]:
+    """The M^4 contractions' integrals as contiguous (M^2, M^2) matrices over
+    orbital pairs, built once per SCF: J_pq = sum_rs g_dir[p,q,r,s] P_sr with
+    g_dir = g_ss + g_os laid out [sr, pq], K_ps = sum_qr g_ss[p,q,r,s] P_qr
+    laid out [qr, ps], and the direct and exchange energies' g_dir [qp, rs]
+    and g_ss [sp, qr].  A density flattened to a row times one of them is the
+    matmul, on the same operand layouts, that ``np.einsum`` makes for these
+    contractions on its planned path, so the bits are einsum's."""
+    m = ints.n_orbitals
+    gss = ints.two_body_same_spin
+    g_dir = gss + ints.two_body_opposite_spin
+    return tuple(np.ascontiguousarray(g.transpose(axes)).reshape(m * m, m * m)
+                 for g, axes in ((g_dir, (3, 2, 0, 1)), (gss, (1, 2, 0, 3)),
+                                 (g_dir, (1, 0, 2, 3)), (gss, (3, 0, 1, 2))))
 
 
-def _contraction_paths(g: np.ndarray, p: np.ndarray) -> dict[str, list]:
-    """The path ``optimize=True`` plans on every call, planned once per SCF."""
-    return {spec: np.einsum_path(spec, g, *[p] * spec.count(","), optimize=True)[0]
-            for spec in (_J, _K, _E_DIR, _E_X)}
-
-
-def _fock(ints: ElectronicIntegrals, p: np.ndarray, paths: dict[str, list]) -> np.ndarray:
-    g_dir = ints.two_body_same_spin + ints.two_body_opposite_spin
-    j = np.einsum(_J, g_dir, p, optimize=paths[_J])
-    k = np.einsum(_K, ints.two_body_same_spin, p, optimize=paths[_K])
+def _fock(ints: ElectronicIntegrals, p: np.ndarray, pair_g: tuple) -> np.ndarray:
+    m, row = ints.n_orbitals, p.reshape(1, -1)
+    j, k = ((row @ g).reshape(m, m) for g in pair_g[:2])
     return ints.one_body + j - k
 
 
-def _electronic_energy(ints: ElectronicIntegrals, p: np.ndarray, paths: dict[str, list]) -> float:
-    h, gss, gos = ints.one_body, ints.two_body_same_spin, ints.two_body_opposite_spin
-    e1 = 2.0 * np.einsum("pq,qp->", h, p)
-    e_dir = np.einsum(_E_DIR, gss + gos, p, p, optimize=paths[_E_DIR])
-    e_x = np.einsum(_E_X, gss, p, p, optimize=paths[_E_X])
+def _electronic_energy(ints: ElectronicIntegrals, p: np.ndarray, pair_g: tuple) -> float:
+    row = p.reshape(1, -1)
+    e1 = 2.0 * np.einsum("pq,qp->", ints.one_body, p)
+    # sum_rs (P g_dir)_rs P_sr and sum_qr (P g_ss)_qr P_qr, each one dot product
+    e_dir = ((row @ pair_g[2]) @ p.T.reshape(-1, 1)).reshape(())
+    e_x = ((row @ pair_g[3]) @ p.reshape(-1, 1)).reshape(())
     return float(np.real(e1 + e_dir - e_x)) + ints.core_energy
 
 
@@ -86,23 +92,23 @@ def solve_mean_field(ints: ElectronicIntegrals, spec: SectorSpec) -> MeanFieldSo
     history: list[float] = []
     converged = False
     p = c[:, :n_pairs] @ c[:, :n_pairs].conj().T if n_pairs else np.zeros((m, m))
-    paths = _contraction_paths(ints.two_body_same_spin, p)
-    e0 = _electronic_energy(ints, p, paths)  # E(p), carried over from each accepted step
+    pair_g = _pair_matrices(ints)
+    e0 = _electronic_energy(ints, p, pair_g)  # E(p), carried over from each accepted step
     stalls = 0
     a_prev = 1.0
     for iterations in range(1, SCF_MAX_ITER + 1):
-        f = _fock(ints, p, paths)
+        f = _fock(ints, p, pair_g)
         evals, c = scipy.linalg.eigh(f)
         p_new = c[:, :n_pairs] @ c[:, :n_pairs].conj().T if n_pairs else np.zeros((m, m))
         step = p_new - p
         if np.abs(step).max() < SCF_DENSITY_TOL:
             converged = True
-            history.append(_electronic_energy(ints, p_new, paths))
+            history.append(_electronic_energy(ints, p_new, pair_g))
             p = p_new
             break
         # E((1-a) p + a p_new) is quadratic in a; minimize it exactly
-        e1 = _electronic_energy(ints, p_new, paths)
-        em = _electronic_energy(ints, p + 0.5 * step, paths)
+        e1 = _electronic_energy(ints, p_new, pair_g)
+        em = _electronic_energy(ints, p + 0.5 * step, pair_g)
         curv = 2.0 * (e0 + e1 - 2.0 * em)
         slope = 4.0 * em - 3.0 * e0 - e1
         noise = 1e-11 * max(1.0, abs(e0))
@@ -120,12 +126,12 @@ def solve_mean_field(ints: ElectronicIntegrals, spec: SectorSpec) -> MeanFieldSo
         stalls = 0
         a_prev = a
         p = p + a * step
-        e0 = _electronic_energy(ints, p, paths)
+        e0 = _electronic_energy(ints, p, pair_g)
         if not np.isfinite(e0):
             raise ConvergenceError("SCF diverged (energy is not finite)")
         history.append(e0)
     # final canonical orbitals for the converged density
-    f = _fock(ints, p, paths)
+    f = _fock(ints, p, pair_g)
     evals, c = scipy.linalg.eigh(f)
 
     ref = Determinant((1 << spec.n_alpha) - 1, (1 << spec.n_beta) - 1)

@@ -42,6 +42,8 @@ from .model import ElectronicIntegrals, SectorSpec
 
 # largest estimated allocation of one sigma (see sigma_bytes) or of H columns
 SIGMA_BYTES_CAP = 2 * 1024**3
+# most determinant keys hamiltonian_columns ranks with a presence table (5 bytes a key)
+RANK_TABLE_SLOTS = 2**26
 
 
 def excite(words: np.ndarray, p, q) -> tuple[np.ndarray, np.ndarray]:
@@ -245,9 +247,9 @@ def _live_counts(pairs: np.ndarray, m: int, n: int) -> tuple[int, int]:
 def _per_string(spec: SectorSpec, ints: ElectronicIntegrals):
     """Per channel, at most how many one-spin entries (singles and doubles by
     the nonzero patterns of k and g_ss) and opposite-spin E_pq (by that of
-    g_os) keep a string alive, and how many of those map it to another
-    string (all but E_pp and E_pp E_qq); and the most pairs an excitation
-    pass visits."""
+    g_os) keep a string alive, how many of those map it to another string
+    (all but E_pp and E_pp E_qq), and how many of the E_pq do (p != q); and
+    the most pairs an excitation pass visits."""
     m = spec.n_orbitals
     k = np.flatnonzero(_one_body_k(ints.one_body, ints.two_body_same_spin))
     gss = ints.two_body_same_spin.reshape(m * m, m * m) != 0
@@ -261,7 +263,7 @@ def _per_string(spec: SectorSpec, ints: ElectronicIntegrals):
         (l_d, l_o), (r_d, r_o) = _live_counts(gss_rs, m, n), _live_counts(gss_pq, m, n)
         doubles = min((l_d + l_o) * (r_d + r_o), int(np.count_nonzero(gss)))
         moved = min(l_o * (r_d + r_o) + l_d * r_o, gss_off)
-        counts.append((k_d + k_o + doubles, c_d + c_o, k_o + moved + c_o))
+        counts.append((k_d + k_o + doubles, c_d + c_o, k_o + moved + c_o, c_o))
     return counts, max(len(k), len(pq), len(rs), len(gss_pq))
 
 
@@ -278,17 +280,76 @@ def columns_bytes(n_dets: int, spec: SectorSpec, ints: ElectronicIntegrals) -> i
     and value, its sort order, two group numbers and a flag; that ends
     before the gathering starts, so a determinant counts the larger of the
     two.  An excitation pass adds 160 bytes per visited orbital pair, and
-    each call 4 M^4 bytes of integral masks and 64 KiB.  In a rotated basis
-    (the half-filled U+V chain) this is 1.8-2.5x the peak measured from
-    M = 6 to 12 with 20 to 400 determinants, and in a site basis 4.4-6.8x.
+    each call 4 M^4 bytes of integral masks, 64 KiB and 5 bytes for each
+    slot of its key table (one per sector determinant, at most
+    ``RANK_TABLE_SLOTS``).  In a rotated basis (the half-filled U+V chain)
+    this is 1.2-2.5x the peak measured from M = 6 to 12 with 20 to 400
+    determinants, and in a site basis 1.7-25x (the table, 4.3 MB at M = 12,
+    is most of a small call's peak).
     """
     m, item = spec.n_orbitals, 16 if ints.is_complex else 8
     counts, visited = _per_string(spec, ints)
     rows = sum(min(one, 1 + n * (m - n) + comb(n, 2) * comb(m - n, 2))
-               for n, (one, _, _) in zip((spec.n_alpha, spec.n_beta), counts))
-    (one_a, os_a, _), (one_b, os_b, _) = counts
+               for n, (one, *_) in zip((spec.n_alpha, spec.n_beta), counts))
+    (one_a, os_a, *_), (one_b, os_b, *_) = counts
     gathered, cold = (1 + rows + os_a * os_b) * (112 + 3 * item), (one_a + one_b) * (57 + 2 * item)
-    return n_dets * (max(gathered, cold) + 160 * visited) + 4 * m**4 + 65536
+    table = 5 * min(comb(m, spec.n_alpha) * comb(m, spec.n_beta), RANK_TABLE_SLOTS)
+    return n_dets * (max(gathered, cold) + 160 * visited) + 4 * m**4 + 65536 + table
+
+
+def _near_pairs(words: np.ndarray, m: int, n: int) -> tuple[int, int]:
+    """How many ordered pairs of distinct strings among ``words`` (n
+    electrons in m orbitals) differ by one orbital move, and by one or two."""
+    singles, doubles = n * (m - n), comb(n, 2) * comb(m - n, 2)
+    if len(words) == comb(m, n):  # the whole channel
+        return len(words) * singles, len(words) * (singles + doubles)
+    moves = np.zeros(5, dtype=np.int64)
+    step = max(1, 2**20 // max(len(words), 1))
+    for lo in range(0, len(words), step):
+        moves += np.bincount(np.bitwise_count(words[lo:lo + step, None] ^ words).ravel(),
+                             minlength=5)[:5]
+    return int(moves[2]), int(moves[2] + moves[4])
+
+
+def product_bytes(spec: SectorSpec, ints: ElectronicIntegrals, alpha: np.ndarray,
+                  beta: np.ndarray) -> int:
+    """Estimated peak memory of ``product_hamiltonian`` over the ascending
+    ``alpha`` and ``beta`` string words of ``spec``, with no string's entries
+    memoized yet, from the counts of ``_per_string`` and from the pairs of
+    each channel's strings one or two orbital moves apart (``_near_pairs``).
+
+    An entry of H joins two determinants that are equal, or differ in one
+    channel by one or two moves, or in each by one.  A channel of n strings
+    has at most R = min(P, n r) pairs joined by one of its moves (P pairs one
+    or two moves apart, r terms that move a string) and X = min(Q, n x)
+    joined by an opposite-spin E_pq (Q pairs one move apart, x the E_pq with
+    p != q that keep a string alive), so H has at most
+    d + n_b R_a + n_a R_b + X_a X_b entries.  The block product and the merge
+    after it hold at most four arrays over them at once: two of indices, one
+    of values and the sort order, or three of indices and two of values.
+    Each channel counts as in ``sigma_bytes``, each live beta E_rs 80 bytes
+    and a value for every pq that g_os couples to its rs, the block
+    product's work rows a slot per block entry, and each call 4 M^4 bytes
+    of integral masks and 64 KiB.  On the whole 10-site half-filled sector
+    in a rotated basis this is 1.04-1.06x the traced peak.
+    """
+    m, item = spec.n_orbitals, 16 if ints.is_complex else 8
+    counts, visited = _per_string(spec, ints)
+    gos, _, rs = _coupled_pairs(ints)
+    na, nb = len(alpha), len(beta)
+    idx = 4 if max(na * nb, na * na, nb * nb) <= np.iinfo(np.int32).max else 8
+    total = 4 * m**4 + 65536 + (na * na + nb * nb) * (2 * idx + item)
+    moving, crossing, live = [], [], []
+    for n, words, (one, lv, moved, lv_moved) in zip((spec.n_alpha, spec.n_beta),
+                                                    (alpha, beta), counts):
+        single, near = _near_pairs(words, m, n)
+        moving.append(min(near, len(words) * moved))
+        crossing.append(min(single, len(words) * lv_moved))
+        live.append(len(words) * (lv - lv_moved) + crossing[-1])
+        total += len(words) * (80 * visited + 3 * (20 + item) * (one + lv))
+    total += live[1] * int(np.count_nonzero(gos[:, rs], axis=0).max(initial=0)) * (80 + item)
+    entries = na * nb + nb * moving[0] + na * moving[1] + crossing[0] * crossing[1]
+    return total + entries * max(item + 3 * idx + 8, 2 * item + idx + 8)
 
 
 def _pair_up(keys: np.ndarray, src: np.ndarray):
@@ -338,9 +399,18 @@ def hamiltonian_columns(
     key, cols, vals = (np.concatenate(z) for z in zip(*parts))
     del parts, one_a, one_b, row, src, j, e, x, k, y  # bounds the peak (columns_bytes)
     keep = vals != 0
-    keys, rows = np.unique(key[keep], return_inverse=True)
-    cols, vals = cols[keep], vals[keep]
-    del key, keep
+    key, cols, vals = key[keep], cols[keep], vals[keep]
+    del keep
+    # the distinct keys and each entry's rank among them: from a presence table
+    # and its running count (int32, as the slots are few), else from a sort
+    if na * len(words_b) <= RANK_TABLE_SLOTS:
+        seen = np.zeros(na * len(words_b), dtype=bool)
+        seen[key] = True
+        keys, rows = np.flatnonzero(seen), np.cumsum(seen, dtype=np.int32)[key] - 1
+        del seen
+    else:
+        keys, rows = np.unique(key, return_inverse=True)
+    del key
     # in column order, each column's entries as they were generated (core,
     # alpha, beta, opposite-spin): the conversion then finds every row sorted
     # and sums each entry's duplicates in that order, which depends on the
@@ -373,8 +443,8 @@ def sigma_bytes(spec: SectorSpec, ints: ElectronicIntegrals, n_alpha: int, n_bet
     m, item = spec.n_orbitals, 16 if ints.is_complex else 8
     counts, visited = _per_string(spec, ints)
     total, reach = 4 * m**4 + 65536, 1
-    for n, strings, (one, live, moved) in zip((spec.n_alpha, spec.n_beta), (n_alpha, n_beta),
-                                              counts):
+    for n, strings, (one, live, moved, _) in zip((spec.n_alpha, spec.n_beta),
+                                                 (n_alpha, n_beta), counts):
         near = min(moved, n * (m - n) + comb(n, 2) * comb(m - n, 2))
         reach *= min(comb(m, n), strings * (1 + near))
         total += strings * (80 * visited + 3 * (20 + item) * (one + live))

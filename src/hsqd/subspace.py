@@ -19,10 +19,15 @@ import scipy.sparse as sp
 
 from .davidson import GroundStateResult, lowest_eigenpair
 from .determinants import Determinant, check_levels, half_strings
-from .errors import ValidationError
+from .errors import CapExceededError, ValidationError
 from .model import ElectronicIntegrals, SectorSpec
 from .statevector import SampleSet
-from .strings import SIGMA_BYTES_CAP, excited_strings, product_hamiltonian, sigma, sigma_bytes
+from .strings import (SIGMA_BYTES_CAP, excited_strings, product_bytes, product_hamiltonian, sigma,
+                      sigma_bytes)
+
+# largest estimated allocation of one product-space build (see strings.product_bytes):
+# the engine's cap, under its own name, so that each cap can be lowered alone
+PRODUCT_BYTES_CAP = SIGMA_BYTES_CAP
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,8 +134,15 @@ def solve_subspace(basis: SubspaceBasis, ints: ElectronicIntegrals) -> GroundSta
 
     The whole sector is closed under H, so there H c = E c + r with r
     orthogonal to c and the variance is exactly (|r| / E)^2, None when E is
-    zero; any other subspace takes ``energy_variance``.
+    zero; any other subspace takes ``energy_variance``.  ``CapExceededError``
+    before anything is built when ``strings.product_bytes`` estimates the
+    projected Hamiltonian's build above ``PRODUCT_BYTES_CAP``.
     """
+    size = product_bytes(basis.spec, ints, basis.alpha_strings, basis.beta_strings)
+    if size > PRODUCT_BYTES_CAP:
+        raise CapExceededError(
+            f"the Hamiltonian over the {basis.dimension}-determinant subspace needs about "
+            f"{size / 1024**3:.1f} GiB to build, above the {PRODUCT_BYTES_CAP / 1024**3:g} GiB cap")
     result = lowest_eigenpair(project_hamiltonian(basis, ints))
     if basis.dimension == basis.spec.dimension():
         if abs(result.energy) < 1e-14:

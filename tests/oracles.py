@@ -16,7 +16,10 @@ expansion replaced, ``hci_ground_reference``, the selected-CI loop that rebuilt
 step-by-step growth loop that ``hsqd.subspace._covering`` replaced, and
 ``arpack_lowest``, the ARPACK eigensolve that ``hsqd.davidson._lanczos_lowest``
 replaced, and ``lowest_ritz_vector_reference``, the SciPy call whose LAPACK
-routines ``hsqd.davidson._lowest_ritz_vector`` calls directly.
+routines ``hsqd.davidson._lowest_ritz_vector`` calls directly, and
+``scf_fock_reference`` and ``scf_energy_reference``, the planned-path einsum
+contractions that ``hsqd.reference._fock`` and ``_electronic_energy``
+replaced with products over pair matrices.
 """
 
 from dataclasses import dataclass
@@ -677,3 +680,31 @@ def lowest_ritz_vector_reference(d, e):
     import scipy.linalg
 
     return scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=(0, 0))[1][:, 0]
+
+
+# the M^4 contractions of the mean field: J and K of the Fock matrix, direct and exchange energy
+_SCF_J, _SCF_K, _SCF_E_DIR, _SCF_E_X = ("pqrs,sr->pq", "pqrs,qr->ps", "pqrs,qp,sr->",
+                                        "pqrs,sp,qr->")
+
+
+def _scf_path(spec, g, p):
+    """The path ``optimize=True`` plans for ``spec`` on the integrals ``g``."""
+    return np.einsum_path(spec, g, *[p] * spec.count(","), optimize=True)[0]
+
+
+def scf_fock_reference(ints, p):
+    """h + J(P) - K(P), each contraction an einsum on its planned path."""
+    gss = ints.two_body_same_spin
+    g_dir = gss + ints.two_body_opposite_spin
+    j = np.einsum(_SCF_J, g_dir, p, optimize=_scf_path(_SCF_J, gss, p))
+    k = np.einsum(_SCF_K, gss, p, optimize=_scf_path(_SCF_K, gss, p))
+    return ints.one_body + j - k
+
+
+def scf_energy_reference(ints, p):
+    """The closed-shell energy of the density P, as ``scf_fock_reference``."""
+    h, gss, gos = ints.one_body, ints.two_body_same_spin, ints.two_body_opposite_spin
+    e1 = 2.0 * np.einsum("pq,qp->", h, p)
+    e_dir = np.einsum(_SCF_E_DIR, gss + gos, p, p, optimize=_scf_path(_SCF_E_DIR, gss, p))
+    e_x = np.einsum(_SCF_E_X, gss, p, p, optimize=_scf_path(_SCF_E_X, gss, p))
+    return float(np.real(e1 + e_dir - e_x)) + ints.core_energy

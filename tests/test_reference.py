@@ -18,7 +18,50 @@ import hsqd.reference
 from hsqd.reference import default_masks
 
 from conftest import make_chain, random_lattice
-from oracles import diagonal_energy, enumerate_sector, matrix_element
+from oracles import (
+    diagonal_energy,
+    enumerate_sector,
+    matrix_element,
+    random_general_integrals,
+    scf_energy_reference,
+    scf_fock_reference,
+)
+
+
+def _scf_integrals(rng, m, kind):
+    """Real general integrals, lattice integrals with complex hopping (real
+    g), or those rotated by a random unitary (complex g)."""
+    if kind == "real":
+        return random_general_integrals(rng, m)
+    ints = map_to_electronic(random_lattice(rng, m=m, complex_hopping=True))
+    if kind == "complex":
+        z = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+        ints = rotate_basis(ints, np.linalg.qr(z)[0])
+    return ints
+
+
+class TestScfContractionsAgainstEinsum:
+    """``_fock`` and ``_electronic_energy`` make the matmul calls that the
+    planned-path einsum made (``scf_fock_reference``, ``scf_energy_reference``),
+    so every bit of the Fock matrix and the energy is the same."""
+
+    @pytest.mark.parametrize("kind", ["real", "complex hopping", "complex"])
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_bytes_equal(self, m, kind):
+        rng = np.random.default_rng(100 * m + len(kind))
+        ints = _scf_integrals(rng, m, kind)
+        pair_g = hsqd.reference._pair_matrices(ints)
+        for n_pairs in range(m + 1):
+            z = rng.normal(size=(m, m))
+            if kind != "real":
+                z = z + 1j * rng.normal(size=(m, m))
+            c = np.linalg.qr(z)[0]
+            p = c[:, :n_pairs] @ c[:, :n_pairs].conj().T if n_pairs else np.zeros((m, m))
+            fock, want = hsqd.reference._fock(ints, p, pair_g), scf_fock_reference(ints, p)
+            assert (fock.dtype, fock.shape) == (want.dtype, want.shape)
+            assert fock.tobytes() == want.tobytes()
+            assert (hsqd.reference._electronic_energy(ints, p, pair_g).hex()
+                    == scf_energy_reference(ints, p).hex())
 
 
 class TestMeanField:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hsqd import (
+    CapExceededError,
     Determinant,
     ElectronicIntegrals,
     GroundStateResult,
@@ -41,8 +42,10 @@ from hsqd import subspace as subspace_mod
 from hsqd.determinants import half_strings
 from hsqd.strings import (
     SIGMA_BYTES_CAP,
+    _near_pairs,
     columns_bytes,
     hamiltonian_columns,
+    product_bytes,
     product_hamiltonian,
     sigma_bytes,
 )
@@ -575,6 +578,60 @@ class TestVarianceCap:
                 assert peak <= sigma_bytes(spec, ints, *kept)
 
 
+class TestProductCap:
+    """``solve_subspace`` sizes the projected Hamiltonian's build with
+    ``product_bytes`` before anything is built."""
+
+    def test_near_pairs_against_loop(self):
+        rng = np.random.default_rng(4)
+        for m, n in [(1, 0), (4, 2), (7, 3), (9, 4), (9, 9)]:
+            words = half_strings(m, n)
+            for size in {1, len(words) // 3 or 1, len(words)}:
+                sub = np.sort(rng.choice(words, size=size, replace=False))
+                moves = [(int(a) ^ int(b)).bit_count() for a in sub for b in sub if a != b]
+                assert _near_pairs(sub, m, n) == (moves.count(2), moves.count(2) + moves.count(4))
+
+    def test_product_bytes_bounds_measured_peak(self):
+        """The estimate is an upper bound on what one build allocates, with
+        no string's entries memoized yet, in a site and in a rotated complex
+        basis (1.15-2.8x the peak here; 1.04-1.06x on the whole 10-site
+        half-filled sector in a rotated basis, where H has as many entries
+        as the bound allows)."""
+        for m, n_alpha, n_beta, kept in [(6, 3, 3, (20, 20)), (6, 0, 4, (1, 15)),
+                                         (8, 4, 3, (70, 9)), (8, 4, 4, (70, 70)),
+                                         (10, 5, 4, (12, 40))]:
+            for rotate in (False, True):
+                rng = np.random.default_rng(m + n_beta)
+                ints = _random_integrals(rng, m, complex_hopping=rotate, rotate=rotate)
+                spec = SectorSpec(m, n_alpha, n_beta)
+                alpha, beta = (np.sort(rng.choice(half_strings(m, n), size=k, replace=False))
+                               for n, k in zip((n_alpha, n_beta), kept))
+                tracemalloc.start()
+                try:
+                    product_hamiltonian(ints, alpha, beta)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak <= product_bytes(spec, ints, alpha, beta)
+
+    def test_full_rotated_sector_refused(self, monkeypatch):
+        """The 12-site half-filled U+V chain in its mean-field orbitals: every
+        column of the sector's H holds about 1,800 entries, so the build
+        would need tens of GiB.  It is refused before any string array is
+        built; the same sector in the site basis, which ``fci`` solves, is
+        not."""
+        m = 12
+        spec = SectorSpec(m, 6, 6)
+        site = map_to_electronic(make_chain(m, v=0.6))
+        mo = rotate_basis(site, solve_mean_field(site, spec).orbital_coefficients)
+        basis = SubspaceBasis(spec, half_strings(m, 6), half_strings(m, 6))
+        assert product_bytes(spec, site, basis.alpha_strings, basis.beta_strings) \
+            <= subspace_mod.PRODUCT_BYTES_CAP
+        TestVarianceCap._forbid_allocation(monkeypatch)
+        with pytest.raises(CapExceededError, match="853776-determinant subspace"):
+            solve_subspace(basis, mo)
+
+
 def _check_columns(ints, dets):
     """hamiltonian_columns over ``dets`` against the Fock-space columns."""
     m = ints.n_orbitals
@@ -662,6 +719,25 @@ class TestHamiltonianColumns:
                      for b in rng.choice(wb, 5, replace=False)]
         _check_columns(ints, [Determinant(int(a), int(b))
                               for a, b in (pairs[i] for i in rng.permutation(len(pairs)))])
+
+    @pytest.mark.parametrize("m, n_alpha, n_beta, rotate", [
+        (5, 2, 3, False), (6, 3, 3, True), (6, 0, 4, True), (7, 3, 4, True),
+    ])
+    def test_key_ranks_without_a_sort(self, monkeypatch, m, n_alpha, n_beta, rotate):
+        """The presence table ranks the keys as ``np.unique`` does past
+        ``RANK_TABLE_SLOTS``: every returned array has the same bytes."""
+        rng = np.random.default_rng(m + n_alpha)
+        ints = _random_integrals(rng, m, complex_hopping=rotate, rotate=rotate)
+        sector = enumerate_sector(SectorSpec(m, n_alpha, n_beta))
+        dets = [sector[i] for i in rng.permutation(len(sector))[:40]]
+        alpha = np.array([d.alpha for d in dets], dtype=np.int64)
+        beta = np.array([d.beta for d in dets], dtype=np.int64)
+        table = hamiltonian_columns(ints, alpha, beta)
+        monkeypatch.setattr(strings_mod, "RANK_TABLE_SLOTS", 0)
+        unique = hamiltonian_columns(ints, alpha, beta)
+        for got, want in zip((*table[:2], table[2].indptr, table[2].indices, table[2].data),
+                             (*unique[:2], unique[2].indptr, unique[2].indices, unique[2].data)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_columns_bytes_bounds_measured_peak(self):
         rng = np.random.default_rng(8)
