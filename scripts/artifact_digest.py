@@ -6,9 +6,9 @@
     python3 scripts/artifact_digest.py --compare PARENT_DIR CHANGE_DIR
 
 Runs the shipped configs (``configs/dimer.toml``, ``configs/chain10uv_hci.toml``,
-and ``configs/chain6.toml`` as shipped, in the non-interacting ``TB`` mode and
-in ``V`` mode) and the benchmark workloads ``chain8_fci_sqd`` (seed 7) and
-``chain6uv_hw`` (seeds 11 and 29), whose inputs come from
+``configs/chain10uv_sqd.toml``, and ``configs/chain6.toml`` as shipped, in the
+non-interacting ``TB`` mode and in ``V`` mode) and the benchmark workloads
+``chain8_fci_sqd`` (seed 7) and ``chain6uv_hw`` (seeds 11 and 29), whose inputs come from
 ``benchmark/workloads.py``.  Prints one digest per run, over
 ``gap_report.json`` and the sweep CSVs but not ``manifest.json`` (which holds
 timings and paths), then one digest over all runs.  A change that must not
@@ -40,6 +40,7 @@ CONFIG_CASES = (
     ("chain6_TB", "chain6", ("--mode", "TB")),
     ("chain6_V", "chain6", ("--mode", "V")),
     ("chain10uv_hci", "chain10uv_hci", ()),
+    ("chain10uv_sqd", "chain10uv_sqd", ()),
 )
 WORKLOAD_CASES = (("chain8_fci_sqd", 7), ("chain6uv_hw", 11), ("chain6uv_hw", 29))
 VARIANCE_FLOOR = 1e-10

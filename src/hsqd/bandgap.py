@@ -200,23 +200,20 @@ class GapReport:
         }
 
 
-def pair_mean_field(ints: ElectronicIntegrals,
-                    n_pairs: int) -> tuple[MeanFieldSolution, ElectronicIntegrals]:
-    """The closed-shell mean field of ``n_pairs`` electron pairs and ``ints``
-    rotated into its orbitals, the rotation that the SCF took its energy
-    from.  ``solve_mean_field`` gives every sector whose smaller spin count
-    is ``n_pairs`` these same orbitals."""
-    mf = solve_mean_field(ints, SectorSpec(ints.n_orbitals, n_pairs, n_pairs))
-    return mf, mf._mo_ints
+def pair_mean_field(ints: ElectronicIntegrals, n_pairs: int) -> MeanFieldSolution:
+    """The closed-shell mean field of ``n_pairs`` electron pairs, which holds
+    ``ints`` rotated into its orbitals (``mo_ints``), the rotation that the
+    SCF took its energy from.  ``solve_mean_field`` gives every sector whose
+    smaller spin count is ``n_pairs`` these same orbitals."""
+    return solve_mean_field(ints, SectorSpec(ints.n_orbitals, n_pairs, n_pairs))
 
 
-def pair_lucj(mf: MeanFieldSolution, mo_ints: ElectronicIntegrals, n_pairs: int,
-              layers: int) -> LucjParameters:
+def pair_lucj(mf: MeanFieldSolution, n_pairs: int, layers: int) -> LucjParameters:
     """LUCJ parameters with ``layers`` layers seeded by the MP2 doubles of
     ``n_pairs`` pairs in the orbitals of ``mf``; like the mean field, they
     depend on the pair count only."""
-    t2, _ = mp2_doubles(mf, mo_ints, SectorSpec(mo_ints.n_orbitals, n_pairs, n_pairs))
-    return lucj_from_t2(t2, mo_ints.n_orbitals, n_pairs, layers=layers)
+    t2, _ = mp2_doubles(mf, mf.mo_ints, SectorSpec(mf.mo_ints.n_orbitals, n_pairs, n_pairs))
+    return lucj_from_t2(t2, mf.mo_ints.n_orbitals, n_pairs, layers=layers)
 
 
 def _simulate_sector_samples(params: LucjParameters, mf: MeanFieldSolution, spec: SectorSpec,
@@ -226,8 +223,7 @@ def _simulate_sector_samples(params: LucjParameters, mf: MeanFieldSolution, spec
 
 
 def _sweep_sector(raw: SampleSet | None, spec: SectorSpec, n_pairs: int, mf: MeanFieldSolution,
-                  mo_ints: ElectronicIntegrals, config: WorkflowConfig, seed: int,
-                  lucj: dict[int, LucjParameters]) -> SectorSweep:
+                  config: WorkflowConfig, seed: int, lucj: dict[int, LucjParameters]) -> SectorSweep:
     """The SQD sweep of ``spec`` over the file's samples ``raw``, or over
     samples simulated with ``seed`` when there is no file; ``lucj`` keeps
     the LUCJ parameters of each pair count from its first simulated sector."""
@@ -235,10 +231,10 @@ def _sweep_sector(raw: SampleSet | None, spec: SectorSpec, n_pairs: int, mf: Mea
     try:
         if raw is None:
             if n_pairs not in lucj:
-                lucj[n_pairs] = pair_lucj(mf, mo_ints, n_pairs, config.lucj_layers)
+                lucj[n_pairs] = pair_lucj(mf, n_pairs, config.lucj_layers)
             raw = _simulate_sector_samples(lucj[n_pairs], mf, spec, config.shots, seed)
         sweep.samples = filter_samples(raw, spec)
-        sweep.points = sqd_sweep(sweep.samples, spec, mo_ints, list(config.fractions),
+        sweep.points = sqd_sweep(sweep.samples, spec, mf.mo_ints, list(config.fractions),
                                  reference=mf.reference_for(spec))
     except HsqdError as exc:
         sweep.error = exc
@@ -280,19 +276,18 @@ def run_workflow(config: WorkflowConfig) -> tuple[GapReport, dict[str, list[Sect
         t0 = time.perf_counter()
         for offset, label in enumerate(SECTOR_LABELS):
             spec, n_pairs = specs[label], pairs[label]
-            mf, mo_ints = mean_fields[n_pairs]
+            mf = mean_fields[n_pairs]
             run = SectorRun(solver=solver, sector=label)
             try:
                 if solver == "fci":
                     run.rows = [(1.0, spec.dimension(), fci_ground(spec, ints))]
                 elif solver == "hci":
-                    stages = hci_ground(spec, mo_ints, schedule, reference=mf.reference_for(spec))
+                    stages = hci_ground(spec, mf.mo_ints, schedule, mf.reference_for(spec))
                     run.rows = [(st.fraction, st.size, st.result) for st in stages]
                 else:
                     if label not in sweeps:
                         sweeps[label] = _sweep_sector(loaded.get(label), spec, n_pairs, mf,
-                                                      mo_ints, config, config.seed + offset,
-                                                      lucj)
+                                                      config, config.seed + offset, lucj)
                     sweep = sweeps[label]
                     if sweep.error is not None:
                         raise sweep.error
@@ -304,7 +299,7 @@ def run_workflow(config: WorkflowConfig) -> tuple[GapReport, dict[str, list[Sect
                         basis = extsqd_expand(last.result, last.basis, config.extsqd_threshold,
                                               set(config.extsqd_levels))
                         run.rows = [(basis.fraction, basis.dimension,
-                                     solve_subspace(basis, mo_ints))]
+                                     solve_subspace(basis, mf.mo_ints))]
                 sector_energies[label][solver] = run.energy
             except HsqdError as exc:
                 run.error = exc
@@ -343,7 +338,7 @@ def run_workflow(config: WorkflowConfig) -> tuple[GapReport, dict[str, list[Sect
             "seed": config.seed,
             "literal_2u": config.literal_2u,
             "flip_spin": config.flip_spin,
-            "mean_field_converged": mean_fields[neutral.n_alpha][0].converged,
+            "mean_field_converged": mean_fields[neutral.n_alpha].converged,
             "sector_mean_field": config.sector_mean_field,
         },
         stage_seconds={k: round(v, 6) for k, v in stage_seconds.items()},

@@ -177,8 +177,8 @@ def cmd_sample(args) -> int:
     # the sectors are checked before the M^4 integrals are allocated
     spec = SectorSpec(lat.n_orbitals, args.n_alpha, args.n_beta)
     n_pairs = min(args.n_alpha, args.n_beta)
-    mf, mo = pair_mean_field(map_to_electronic(lat), n_pairs)
-    params = pair_lucj(mf, mo, n_pairs, args.layers)
+    mf = pair_mean_field(map_to_electronic(lat), n_pairs)
+    params = pair_lucj(mf, n_pairs, args.layers)
     samples = _simulate_sector_samples(params, mf, spec, args.shots, args.seed)
     save_samples(samples, args.output)
     print(f"wrote {args.output}: {len(samples.counts)} distinct bitstrings, {samples.shots} shots")

@@ -184,6 +184,13 @@ class SectorSpec:
         n_occ = self.n_alpha if channel == "alpha" else self.n_beta
         return ((words >> self.n_orbitals) == 0) & (np.bitwise_count(words) == n_occ)
 
+    def check_reference(self, reference) -> tuple[int, int]:
+        """``reference``'s (alpha, beta) words as Python ints, if a determinant of the sector."""
+        alpha, beta = map(int, reference)
+        if not (self.holds(alpha, "alpha") and self.holds(beta, "beta")):
+            raise ValidationError("reference determinant outside the sector")
+        return alpha, beta
+
     def dimension(self) -> int:
         return math.comb(self.n_orbitals, self.n_alpha) * math.comb(self.n_orbitals, self.n_beta)
 

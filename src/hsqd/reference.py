@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .determinants import Determinant
 from .errors import ConvergenceError, ValidationError
 from .model import ElectronicIntegrals, SectorSpec, rotate_basis
 from .strings import product_hamiltonian
@@ -32,16 +31,16 @@ class MeanFieldSolution:
     orbital_coefficients: np.ndarray
     orbital_energies: np.ndarray
     hf_energy: float
-    reference_determinant: Determinant
     converged: bool
     iterations: int
-    energy_history: tuple[float, ...] = field(default=(), repr=False)
     # the integrals in these orbitals, which hf_energy was taken from
-    _mo_ints: ElectronicIntegrals | None = field(default=None, repr=False, compare=False)
+    mo_ints: ElectronicIntegrals = field(repr=False, compare=False)
+    energy_history: tuple[float, ...] = field(default=(), repr=False)
 
-    def reference_for(self, spec: SectorSpec) -> Determinant:
-        """Aufbau determinant of an arbitrary sector in these orbitals."""
-        return Determinant((1 << spec.n_alpha) - 1, (1 << spec.n_beta) - 1)
+    @staticmethod
+    def reference_for(spec: SectorSpec) -> tuple[int, int]:
+        """The (alpha, beta) words of a sector's aufbau determinant in these orbitals."""
+        return (1 << spec.n_alpha) - 1, (1 << spec.n_beta) - 1
 
 
 def _pair_matrices(ints: ElectronicIntegrals) -> tuple[np.ndarray, ...]:
@@ -134,13 +133,11 @@ def solve_mean_field(ints: ElectronicIntegrals, spec: SectorSpec) -> MeanFieldSo
     f = _fock(ints, p, pair_g)
     evals, c = scipy.linalg.eigh(f)
 
-    ref = Determinant((1 << spec.n_alpha) - 1, (1 << spec.n_beta) - 1)
     mo_ints = rotate_basis(ints, c)
     # the engine's H over the 1 x 1 product space of the reference
-    hf_energy = float(np.real(product_hamiltonian(
-        mo_ints, np.array([ref.alpha], dtype=np.int64), np.array([ref.beta], dtype=np.int64))[0, 0]))
-    return MeanFieldSolution(c, evals, hf_energy, ref, converged, iterations, tuple(history),
-                             mo_ints)
+    alpha, beta = (np.array([w], dtype=np.int64) for w in MeanFieldSolution.reference_for(spec))
+    hf_energy = float(np.real(product_hamiltonian(mo_ints, alpha, beta)[0, 0]))
+    return MeanFieldSolution(c, evals, hf_energy, converged, iterations, mo_ints, tuple(history))
 
 
 def mp2_doubles(mf: MeanFieldSolution, mo_ints: ElectronicIntegrals,

@@ -17,9 +17,10 @@ import scipy.sparse as sp
 
 from . import strings
 from .davidson import GroundStateResult, eigensolve_bytes, lowest_eigenpair
-from .determinants import Determinant, half_strings
+from .determinants import half_strings
 from .errors import CapExceededError, ValidationError
 from .model import ElectronicIntegrals, SectorSpec
+from .reference import MeanFieldSolution
 from .strings import columns_bytes, hamiltonian_columns
 from .subspace import SubspaceBasis, relative_variance, solve_subspace
 
@@ -42,15 +43,16 @@ class SelectionSchedule:
             raise ValidationError("max_determinants must be at least 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SelectedCiStage:
-    """One stage of the selected-CI iteration."""
+    """One stage of the selected-CI iteration; its words are in join (CI vector) order."""
 
     cutoff: float
     size: int
     fraction: float
     result: GroundStateResult
-    determinants: tuple[Determinant, ...] = field(repr=False, default=())
+    alpha: np.ndarray = field(repr=False)
+    beta: np.ndarray = field(repr=False)
 
 
 def fci_ground(spec: SectorSpec, ints: ElectronicIntegrals) -> GroundStateResult:
@@ -187,9 +189,9 @@ def hci_ground(
     spec: SectorSpec,
     ints: ElectronicIntegrals,
     schedule: SelectionSchedule,
-    reference: Determinant | None = None,
+    reference: tuple[int, int] | None = None,
 ) -> list[SelectedCiStage]:
-    """Heat-bath selected CI, one recorded stage per cutoff.
+    """Heat-bath selected CI from ``reference`` (aufbau by default), one recorded stage per cutoff.
 
     H[:, set] is kept across rounds (``_ColumnStore``): each round adds the
     columns of the determinants that joined and reads the rest from the
@@ -202,12 +204,10 @@ def hci_ground(
     sector size.  The kept columns plus the chunk being built stay under
     ``SIGMA_BYTES_CAP``.
     """
-    if reference is None:
-        reference = Determinant((1 << spec.n_alpha) - 1, (1 << spec.n_beta) - 1)
-    elif not (spec.holds(reference.alpha, "alpha") and spec.holds(reference.beta, "beta")):
-        raise ValidationError("reference determinant outside the sector")
+    words = spec.check_reference(MeanFieldSolution.reference_for(spec)
+                                 if reference is None else reference)
     store = _ColumnStore(ints, spec)
-    store.extend(*(np.array([word], dtype=np.int64) for word in (reference.alpha, reference.beta)))
+    store.extend(*(np.array([word], dtype=np.int64) for word in words))
     result = lowest_eigenpair(store.square())
     stages: list[SelectedCiStage] = []
     for eps in schedule.epsilons:
@@ -221,8 +221,7 @@ def hci_ground(
                 break
             store.extend(store.row_alpha[pick], store.row_beta[pick])
             result = lowest_eigenpair(store.square())
-        dets = tuple(map(Determinant, store.row_alpha[store.members].tolist(),
-                         store.row_beta[store.members].tolist()))
+        alpha, beta = store.row_alpha[store.members], store.row_beta[store.members]
         res = result.with_variance(relative_variance(result.ci_vector, store.sigma(result.ci_vector)))
-        stages.append(SelectedCiStage(eps, len(dets), len(dets) / spec.dimension(), res, dets))
+        stages.append(SelectedCiStage(eps, len(alpha), len(alpha) / spec.dimension(), res, alpha, beta))
     return stages

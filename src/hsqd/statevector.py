@@ -150,7 +150,7 @@ def apply_density_phase(
     return SectorStatevector(state.spec, amps)
 
 
-def build_state(params: LucjParameters, ref: Determinant, spec: SectorSpec) -> SectorStatevector:
+def build_state(params: LucjParameters, ref: tuple[int, int], spec: SectorSpec) -> SectorStatevector:
     """Construct the layered ansatz state W exp(iJ) W^T ... |ref>.
 
     Layers are applied in index order: each layer rotates into its orbital
@@ -162,10 +162,9 @@ def build_state(params: LucjParameters, ref: Determinant, spec: SectorSpec) -> S
         raise ValidationError("parameter/sector orbital count mismatch")
     if (dim := spec.dimension()) > STATE_CAP:
         raise CapExceededError(f"sector dimension {dim} exceeds cap {STATE_CAP}")
-    if not (spec.holds(ref.alpha, "alpha") and spec.holds(ref.beta, "beta")):
-        raise ValidationError("reference determinant lies outside the sector")
+    ref_a, ref_b = spec.check_reference(ref)
     alphas, betas = (half_strings(spec.n_orbitals, n) for n in (spec.n_alpha, spec.n_beta))
-    ia, ib = np.searchsorted(alphas, ref.alpha), np.searchsorted(betas, ref.beta)
+    ia, ib = np.searchsorted(alphas, ref_a), np.searchsorted(betas, ref_b)
     amps = np.zeros((len(betas), len(alphas)))
     amps[ib, ia] = 1.0  # |ref>
     for index, layer in enumerate(params.layers):

@@ -42,8 +42,9 @@ from .model import ElectronicIntegrals, SectorSpec
 
 # largest estimated allocation of one sigma (see sigma_bytes) or of H columns
 SIGMA_BYTES_CAP = 2 * 1024**3
-# most determinant keys hamiltonian_columns ranks with a presence table (5 bytes a key)
+# most slots, and slots per entry, of the table that ranks hamiltonian_columns' keys
 RANK_TABLE_SLOTS = 2**26
+RANK_TABLE_RATIO = 4
 
 
 def excite(words: np.ndarray, p, q) -> tuple[np.ndarray, np.ndarray]:
@@ -279,22 +280,22 @@ def columns_bytes(n_dets: int, spec: SectorSpec, ints: ElectronicIntegrals) -> i
     terms (``_summed_rows``), holding two copies of each term's word, column
     and value, its sort order, two group numbers and a flag; that ends
     before the gathering starts, so a determinant counts the larger of the
-    two.  An excitation pass adds 160 bytes per visited orbital pair, and
-    each call 4 M^4 bytes of integral masks, 64 KiB and 5 bytes for each
-    slot of its key table (one per sector determinant, at most
-    ``RANK_TABLE_SLOTS``).  In a rotated basis (the half-filled U+V chain)
-    this is 1.2-2.5x the peak measured from M = 6 to 12 with 20 to 400
-    determinants, and in a site basis 1.7-25x (the table, 4.3 MB at M = 12,
-    is most of a small call's peak).
+    two.  An excitation pass adds 160 bytes per visited orbital pair, the
+    key table 9 bytes for each of its ``RANK_TABLE_RATIO`` slots per entry,
+    and each call 4 M^4 bytes of integral masks and 64 KiB.  In a rotated
+    basis (the half-filled U+V chain) this is 2.4-3.0x the peak measured
+    from M = 6 to 12 with 20 to 400 determinants, and in a site basis
+    5.3-8.2x.
     """
     m, item = spec.n_orbitals, 16 if ints.is_complex else 8
     counts, visited = _per_string(spec, ints)
     rows = sum(min(one, 1 + n * (m - n) + comb(n, 2) * comb(m - n, 2))
                for n, (one, *_) in zip((spec.n_alpha, spec.n_beta), counts))
     (one_a, os_a, *_), (one_b, os_b, *_) = counts
-    gathered, cold = (1 + rows + os_a * os_b) * (112 + 3 * item), (one_a + one_b) * (57 + 2 * item)
-    table = 5 * min(comb(m, spec.n_alpha) * comb(m, spec.n_beta), RANK_TABLE_SLOTS)
-    return n_dets * (max(gathered, cold) + 160 * visited) + 4 * m**4 + 65536 + table
+    entries = 1 + rows + os_a * os_b
+    gathered, cold = entries * (112 + 3 * item), (one_a + one_b) * (57 + 2 * item)
+    table = 9 * RANK_TABLE_RATIO * entries
+    return n_dets * (max(gathered, cold) + table + 160 * visited) + 4 * m**4 + 65536
 
 
 def _near_pairs(words: np.ndarray, m: int, n: int) -> tuple[int, int]:
@@ -369,7 +370,10 @@ def hamiltonian_columns(
     entry reaches, in ascending (beta, alpha) order; the alpha and beta words
     of each row are returned with the matrix.  No cap is checked here: a
     caller sizes its calls, as ``selci._ColumnStore`` does with
-    ``columns_bytes``."""
+    ``columns_bytes``.  A presence table ranks the keys when it has at most
+    ``RANK_TABLE_SLOTS`` slots and ``RANK_TABLE_RATIO`` per entry, else
+    ``np.unique`` does: traced from 2e3 to 2e6 entries, the table peaks at 9
+    bytes a slot and ``np.unique`` at 44 an entry (0.9x at 4 slots an entry)."""
     d = len(alpha)
     ua, ia = np.unique(alpha, return_inverse=True)
     ub, ib = np.unique(beta, return_inverse=True)
@@ -403,7 +407,7 @@ def hamiltonian_columns(
     del keep
     # the distinct keys and each entry's rank among them: from a presence table
     # and its running count (int32, as the slots are few), else from a sort
-    if na * len(words_b) <= RANK_TABLE_SLOTS:
+    if na * len(words_b) <= min(RANK_TABLE_SLOTS, RANK_TABLE_RATIO * len(key)):
         seen = np.zeros(na * len(words_b), dtype=bool)
         seen[key] = True
         keys, rows = np.flatnonzero(seen), np.cumsum(seen, dtype=np.int32)[key] - 1

@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .davidson import GroundStateResult, lowest_eigenpair
-from .determinants import Determinant, check_levels, half_strings
+from .determinants import check_levels, half_strings
 from .errors import CapExceededError, ValidationError
 from .model import ElectronicIntegrals, SectorSpec
 from .statevector import SampleSet
@@ -92,9 +92,9 @@ def _ranked_strings(samples: SampleSet, spec: SectorSpec, channel: str) -> list[
 
 
 def growth_sequence(
-    samples: SampleSet, spec: SectorSpec, reference: Determinant | None = None
+    samples: SampleSet, spec: SectorSpec, reference: tuple[int, int] | None = None
 ) -> tuple[list[int], list[int]]:
-    """The alpha and beta string rankings (reference strings, when given,
+    """The alpha and beta string rankings (reference words, when given,
     first) whose prefixes make every subspace of a sweep (``_covering``).
 
     A subspace grows from one string of each channel by the channel whose
@@ -105,10 +105,9 @@ def growth_sequence(
     ranked_a = _ranked_strings(samples, spec, "alpha")
     ranked_b = _ranked_strings(samples, spec, "beta")
     if reference is not None:
-        if not (spec.holds(reference.alpha, "alpha") and spec.holds(reference.beta, "beta")):
-            raise ValidationError("reference determinant outside the sector")
-        ranked_a = [reference.alpha] + [w for w in ranked_a if w != reference.alpha]
-        ranked_b = [reference.beta] + [w for w in ranked_b if w != reference.beta]
+        ref_a, ref_b = spec.check_reference(reference)
+        ranked_a = [ref_a] + [w for w in ranked_a if w != ref_a]
+        ranked_b = [ref_b] + [w for w in ranked_b if w != ref_b]
     return ranked_a, ranked_b
 
 
@@ -245,7 +244,7 @@ def sqd_sweep(
     spec: SectorSpec,
     ints: ElectronicIntegrals,
     fractions: list[float],
-    reference: Determinant | None = None,
+    reference: tuple[int, int] | None = None,
 ) -> list[SweepPoint]:
     """One subspace solve per requested fraction, on nested subspaces."""
     check_fractions(fractions)

@@ -394,8 +394,8 @@ def hci_ground_reference(spec, ints, schedule, reference=None):
     from hsqd.subspace import relative_variance
 
     if reference is None:
-        reference = Determinant((1 << spec.n_alpha) - 1, (1 << spec.n_beta) - 1)
-    alpha, beta = (np.array([word], dtype=np.int64) for word in (reference.alpha, reference.beta))
+        reference = ((1 << spec.n_alpha) - 1, (1 << spec.n_beta) - 1)
+    alpha, beta = (np.array([word], dtype=np.int64) for word in reference)
     row_a, row_b, cols = hamiltonian_columns(ints, alpha, beta)
     cols, own = column_rows(row_a, row_b, cols, alpha, beta)
     result = lowest_eigenpair(cols[own])
@@ -418,10 +418,10 @@ def hci_ground_reference(spec, ints, schedule, reference=None):
             row_a, row_b, cols = hamiltonian_columns(ints, alpha, beta)
             cols, own = column_rows(row_a, row_b, cols, alpha, beta)
             result = lowest_eigenpair(cols[own])
-        dets = tuple(Determinant(int(a), int(b)) for a, b in zip(alpha, beta))
         res = result.with_variance(
             relative_variance(result.ci_vector, cols @ result.ci_vector, own))
-        stages.append(SelectedCiStage(eps, len(dets), len(dets) / spec.dimension(), res, dets))
+        stages.append(SelectedCiStage(eps, len(alpha), len(alpha) / spec.dimension(), res,
+                                      alpha, beta))
     return stages
 
 

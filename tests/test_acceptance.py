@@ -114,13 +114,13 @@ def test_variational_chain():
         try:
             t2, _ = mp2_doubles(mf, mo, spec)
             params = lucj_from_t2(t2, m, na)
-            state = build_state(params, mf.reference_determinant, spec)
+            state = build_state(params, mf.reference_for(spec), spec)
         except Exception:
             # degenerate mean field: sample around the bare reference instead
-            state = basis_state(spec, mf.reference_determinant)
+            state = basis_state(spec, Determinant(*mf.reference_for(spec)))
         smp = filter_samples(sample(state, 50_000, seed=5), spec)
         fractions = [0.25, 0.5, 1.0] if spec.dimension() >= 4 else [1.0]
-        points = sqd_sweep(smp, spec, mo, fractions, reference=mf.reference_determinant)
+        points = sqd_sweep(smp, spec, mo, fractions, reference=mf.reference_for(spec))
         energies = [p.result.energy for p in points]
         ok = ok and all(b <= a + slack for a, b in zip(energies, energies[1:]))
         mid = points[0]
@@ -145,12 +145,12 @@ def test_fraction_sweep_analogue():
     mo = rotate_basis(ints, mf.orbital_coefficients)
     t2, _ = mp2_doubles(mf, mo, spec)
     params = lucj_from_t2(t2, 6, 3)
-    state = build_state(params, mf.reference_determinant, spec)
+    state = build_state(params, mf.reference_for(spec), spec)
     smp = filter_samples(sample(state, 2_500_000, seed=7), spec)
     e_fci = fci_ground(spec, ints).energy
 
     fractions = [0.05, 0.1, 0.2, 0.4, 0.6, 0.8, 1.0]
-    points = sqd_sweep(smp, spec, mo, fractions, reference=mf.reference_determinant)
+    points = sqd_sweep(smp, spec, mo, fractions, reference=mf.reference_for(spec))
     errors = [p.result.energy - e_fci for p in points]
     monotone = all(b <= a + 1e-12 for a, b in zip(errors, errors[1:]))
     reaches_fci = abs(errors[-1]) <= 1e-8

@@ -360,7 +360,8 @@ class TestRunWorkflow:
 
         monkeypatch.setattr(hsqd.reference, "rotate_basis", counted)
         ints = map_to_electronic(make_chain(6, v=0.6))
-        mf, mo = hsqd.bandgap.pair_mean_field(ints, 3)
+        mf = hsqd.bandgap.pair_mean_field(ints, 3)
+        mo = mf.mo_ints
         assert len(calls) == 1
         fresh = rotate_basis(ints, mf.orbital_coefficients)
         for name in ("one_body", "two_body_same_spin", "two_body_opposite_spin"):

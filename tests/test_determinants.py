@@ -1,4 +1,6 @@
+import ast
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -369,3 +371,25 @@ class TestExcitationSigns:
         # 0 -> 2 hop crosses occupied orbital 1
         for impl in ROUTINES:
             assert impl.matrix_element(d2, d1, ints) == pytest.approx(+1.0)
+
+
+def _names_determinant(node) -> bool:
+    return any(isinstance(n, ast.Name) and n.id == "Determinant"
+               or isinstance(n, ast.Attribute) and n.attr == "Determinant"
+               or isinstance(n, (ast.alias, ast.ClassDef)) and n.name == "Determinant"
+               for n in ast.walk(node))
+
+
+def test_determinant_objects_stay_in_the_sample_io():
+    """From the mean field to the last HCI stage a determinant is a pair of
+    words: only ``determinants.py``, the package's exports and the
+    ``SampleSet`` I/O of ``statevector.py`` (its import, ``SampleSet``,
+    ``sample`` and ``load_samples``) name ``Determinant``."""
+    package = Path(hsqd.determinants.__file__).parent
+    naming = {path.name: [node for node in ast.parse(path.read_text()).body
+                          if _names_determinant(node)]
+              for path in sorted(package.glob("*.py"))}
+    assert {name for name, nodes in naming.items() if nodes} == {
+        "determinants.py", "statevector.py", "__init__.py"}
+    assert {getattr(node, "name", "import") for node in naming["statevector.py"]} == {
+        "import", "SampleSet", "sample", "load_samples"}

@@ -5,14 +5,22 @@ import pytest
 import scipy.linalg
 
 from hsqd import (
+    Determinant,
     LatticeHamiltonian,
+    LucjLayer,
+    LucjParameters,
+    SampleSet,
     SectorSpec,
+    SelectionSchedule,
     ValidationError,
+    build_state,
+    hci_ground,
     lucj_from_t2,
     map_to_electronic,
     mp2_doubles,
     rotate_basis,
     solve_mean_field,
+    sqd_sweep,
 )
 import hsqd.reference
 from hsqd.reference import default_masks
@@ -62,6 +70,47 @@ class TestScfContractionsAgainstEinsum:
             assert fock.tobytes() == want.tobytes()
             assert (hsqd.reference._electronic_energy(ints, p, pair_g).hex()
                     == scf_energy_reference(ints, p).hex())
+
+
+def _from_reference(step, reference):
+    """What ``build_state``, ``sqd_sweep`` or ``hci_ground`` make from the
+    reference words ``reference`` in the (2, 1) sector of a 4-site U+V
+    chain, as a list of arrays."""
+    spec = SectorSpec(4, 2, 1)
+    ints = map_to_electronic(make_chain(4, v=0.6))
+    if step == "build_state":
+        rng = np.random.default_rng(5)
+        k, j = rng.normal(size=(4, 4)), rng.normal(size=(4, 4))
+        layer = LucjLayer(scipy.linalg.expm(k - k.T), j + j.T, j + j.T)
+        return [build_state(LucjParameters(4, (layer,)), reference, spec).amplitudes]
+    if step == "sqd_sweep":
+        counts = {Determinant(0b0011, 0b0100): 5, Determinant(0b0101, 0b0001): 3}
+        points = sqd_sweep(SampleSet(4, counts, 8, None, "file"), spec, ints, [0.25, 1.0],
+                           reference=reference)
+        return [x for p in points for x in (p.basis.alpha_strings, p.basis.beta_strings,
+                                             p.result.ci_vector, np.array(p.result.energy))]
+    stages = hci_ground(spec, ints, SelectionSchedule(epsilons=(0.5, 1e-3)), reference=reference)
+    return [x for s in stages for x in (s.alpha, s.beta, s.result.ci_vector,
+                                        np.array(s.result.energy))]
+
+
+@pytest.mark.parametrize("step", ["build_state", "sqd_sweep", "hci_ground"])
+def test_reference_words(step):
+    """Each step that takes a reference takes its (alpha, beta) words: the
+    same bytes out for Python ints and ``np.int64`` words, and one
+    ``ValidationError`` message for a reference outside the sector (a wrong
+    electron count, an orbital above M, a negative word)."""
+    ref = (0b0110, 0b0010)  # not the aufbau determinant, so the reference matters
+    plain = _from_reference(step, ref)
+    numpy_words = _from_reference(step, (np.int64(ref[0]), np.int64(ref[1])))
+    assert len(plain) == len(numpy_words)
+    for got, want in zip(numpy_words, plain):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    for bad in ((0b0111, 0b0010), (0b0110, 0b0011), (0b10100, 0b0010), (-1, 0b0010)):
+        with pytest.raises(ValidationError) as info:
+            _from_reference(step, bad)
+        assert str(info.value) == "reference determinant outside the sector"
+        assert info.value.exit_code == 2
 
 
 class TestMeanField:
@@ -137,10 +186,11 @@ class TestMeanField:
             ints = map_to_electronic(lat)
             m = lat.n_orbitals
             na = int(rng.integers(1, m + 1))
-            mf = solve_mean_field(ints, SectorSpec(m, na, na))
+            spec = SectorSpec(m, na, na)
+            mf = solve_mean_field(ints, spec)
             mo = rotate_basis(ints, mf.orbital_coefficients)
             assert mf.hf_energy == pytest.approx(
-                diagonal_energy(mf.reference_determinant, mo), abs=1e-10
+                diagonal_energy(Determinant(*mf.reference_for(spec)), mo), abs=1e-10
             )
 
     def test_energy_monotone_over_final_iterations(self):
@@ -161,8 +211,7 @@ class TestMeanField:
         assert np.allclose(
             np.abs(closed.orbital_coefficients), np.abs(open_shell.orbital_coefficients)
         )
-        assert open_shell.reference_determinant.alpha == 0b11
-        assert open_shell.reference_determinant.beta == 0b01
+        assert open_shell.reference_for(SectorSpec(2, 2, 1)) == (0b11, 0b01)
 
     def test_variational_bound(self):
         from hsqd import fci_ground
@@ -197,7 +246,7 @@ class TestMp2:
         t2, e2 = mp2_doubles(mf, mo, spec)
 
         eps = mf.orbital_energies
-        ref = mf.reference_determinant
+        ref = Determinant(*mf.reference_for(spec))
         e_oracle = 0.0
         for det in enumerate_sector(spec):
             if det == ref:
