@@ -30,7 +30,8 @@ def main() -> None:
     save_lattice(chain(6), OUT / "chain6.json")
     save_lattice(chain(4, v=0.6), OUT / "chain4_uv.json")
     save_lattice(chain(10, v=0.6), OUT / "chain10_uv.json")
-    print(f"wrote 5 lattice files to {OUT}")
+    save_lattice(chain(12, v=0.6), OUT / "chain12_uv.json")
+    print(f"wrote 6 lattice files to {OUT}")
 
 
 if __name__ == "__main__":

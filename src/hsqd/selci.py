@@ -15,16 +15,13 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from . import strings
 from .davidson import GroundStateResult, eigensolve_bytes, lowest_eigenpair
 from .determinants import half_strings
-from .errors import CapExceededError, ValidationError
+from .errors import ValidationError, check_cap
 from .model import ElectronicIntegrals, SectorSpec
 from .reference import MeanFieldSolution
 from .strings import columns_bytes, hamiltonian_columns
 from .subspace import SubspaceBasis, relative_variance, solve_subspace
-
-FCI_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -58,9 +55,7 @@ class SelectedCiStage:
 def fci_ground(spec: SectorSpec, ints: ElectronicIntegrals) -> GroundStateResult:
     """Lowest eigenpair over the complete sector basis (``solve_subspace``,
     whose variance there is the exact one from the residual)."""
-    dim = spec.dimension()
-    if dim > FCI_CAP:
-        raise CapExceededError(f"sector dimension {dim} exceeds FCI cap {FCI_CAP}")
+    check_cap("full CI over the sector", spec.dimension(), "determinants")
     strings = (half_strings(spec.n_orbitals, n) for n in (spec.n_alpha, spec.n_beta))
     return solve_subspace(SubspaceBasis(spec, *strings), ints)
 
@@ -125,17 +120,16 @@ class _ColumnStore:
 
     def extend(self, alpha: np.ndarray, beta: np.ndarray) -> None:
         """Append the determinants (alpha[j], beta[j]) to S in chunks, each as
-        large as the kept bytes plus its ``columns_bytes`` allow under
-        ``SIGMA_BYTES_CAP``; ``CapExceededError`` before a chunk is built
-        when not one determinant fits."""
+        large as the kept bytes plus its ``columns_bytes`` allow under the
+        memory cap; ``CapExceededError`` (``check_cap``) before a chunk is
+        built when not one determinant fits."""
         size = len(self.members) + len(alpha)
         fixed, each = self._column_bytes
         start = 0
         while start < len(alpha):
-            room = (strings.SIGMA_BYTES_CAP - self._kept_bytes(size) - fixed) // each
-            if room < 1:
-                raise CapExceededError(f"the kept H columns of {len(self.members)} "
-                                       "determinants and one more exceed the memory cap")
+            need = self._kept_bytes(size) + fixed + each
+            room = 1 + check_cap(f"one more H column beside {len(self.members)} kept ones",
+                                 need) // each
             self._add(alpha[start:start + room], beta[start:start + room])
             start += room
 
@@ -202,7 +196,7 @@ def hci_ground(
     s = H[:, set] c holds H c over every determinant the set couples to, so
     no further sigma is needed and the variance is reported whatever the
     sector size.  The kept columns plus the chunk being built stay under
-    ``SIGMA_BYTES_CAP``.
+    the memory cap (``errors.MEMORY_CAP``).
     """
     words = spec.check_reference(MeanFieldSolution.reference_for(spec)
                                  if reference is None else reference)

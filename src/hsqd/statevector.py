@@ -22,15 +22,12 @@ from math import comb
 import numpy as np
 
 from .determinants import Determinant, half_strings
-from .errors import CapExceededError, ValidationError
+from .errors import ValidationError, check_cap
 from .model import SectorSpec, read_text
 from .reference import LucjParameters, real_matrix
 
-STATE_CAP = 10**6
 # the largest shot count the multinomial draw takes (a signed 64-bit count)
 MAX_SHOTS = 2**63 - 1
-# largest estimated allocation of the compound matrices of one rotation
-ROTATION_BYTES_CAP = 2 * 1024**3
 
 
 @dataclass(frozen=True)
@@ -93,8 +90,7 @@ def _compounds(q: np.ndarray, occupations: set[int]) -> dict[int, np.ndarray]:
         det q[I, J] = sum_k (-1)^(n-1+k) q[h, J_k] det q[I - h, J - J_k] .
     """
     m = len(q)
-    if (need := rotation_bytes(m, occupations)) > ROTATION_BYTES_CAP:
-        raise CapExceededError(f"orbital rotation needs about {need} bytes, over {ROTATION_BYTES_CAP}")
+    check_cap("the orbital rotation", rotation_bytes(m, occupations))
     prev_words = np.zeros(1, dtype=np.int64)
     prev = np.ones((1, 1))
     out = {0: prev} if 0 in occupations else {}
@@ -160,8 +156,7 @@ def build_state(params: LucjParameters, ref: tuple[int, int], spec: SectorSpec) 
     """
     if params.n_orbitals != spec.n_orbitals:
         raise ValidationError("parameter/sector orbital count mismatch")
-    if (dim := spec.dimension()) > STATE_CAP:
-        raise CapExceededError(f"sector dimension {dim} exceeds cap {STATE_CAP}")
+    check_cap("the sector statevector", spec.dimension(), "determinants")
     ref_a, ref_b = spec.check_reference(ref)
     alphas, betas = (half_strings(spec.n_orbitals, n) for n in (spec.n_alpha, spec.n_beta))
     ia, ib = np.searchsorted(alphas, ref_a), np.searchsorted(betas, ref_b)

@@ -38,10 +38,9 @@ from math import comb
 import numpy as np
 import scipy.sparse as sp
 
+from .errors import check_cap
 from .model import ElectronicIntegrals, SectorSpec
 
-# largest estimated allocation of one sigma (see sigma_bytes) or of H columns
-SIGMA_BYTES_CAP = 2 * 1024**3
 # most slots, and slots per entry, of the table that ranks hamiltonian_columns' keys
 RANK_TABLE_SLOTS = 2**26
 RANK_TABLE_RATIO = 4
@@ -201,9 +200,12 @@ def product_hamiltonian(
     ints: ElectronicIntegrals, alpha: np.ndarray, beta: np.ndarray
 ) -> sp.csr_matrix:
     """H over the product space of the ascending ``alpha`` and ``beta``
-    string words, in beta-major order and canonical CSR without stored zeros."""
+    string words, in beta-major order and canonical CSR without stored
+    zeros, unless ``product_bytes`` puts it over the memory cap."""
     na, nb = len(alpha), len(beta)
     d = na * nb
+    spec = SectorSpec(ints.n_orbitals, *(int(np.bitwise_count(w[:1]).sum()) for w in (alpha, beta)))
+    check_cap(f"the Hamiltonian over the {d}-determinant subspace", product_bytes(spec, ints, alpha, beta))
     gos, pq, rs = _coupled_pairs(ints)
     (ha_row, ha_col, ha), (a_term, a_row, a_col, a_sign), _ = _channel(ints, alpha, pq, alpha)
     (hb_row, hb_col, hb), (b_term, b_row, b_col, b_sign), _ = _channel(ints, beta, rs, beta)
@@ -226,15 +228,12 @@ def product_hamiltonian(
     ia, ja = (x.astype(index) for x in np.divmod(a_pos, na))
     count = np.diff(blocks.indptr)
     rows = np.repeat(ib * index(na), count) + ia[blocks.indices]
-    # each block pair is one ascending run of rows; a stable merge keeps each row in (jb, ja) order
-    order = np.argsort(rows, kind="stable")
-    indptr = np.searchsorted(rows[order], np.arange(d + 1, dtype=index))
-    del rows  # the deletions bound the peak at about 2.5 times the result
     cols = np.repeat(jb * index(na), count)
     cols += ja[blocks.indices]
-    cols, data = cols[order], blocks.data
-    del blocks
-    return sp.csr_matrix((data[order], cols, indptr), shape=(d, d))
+    data = blocks.data
+    del blocks  # bounds the peak (product_bytes)
+    # each row's entries arrive in (jb, ja) order, so SciPy's stable counting sort gives canonical CSR
+    return sp.csr_matrix((data, (rows, cols)), shape=(d, d))
 
 
 def _live_counts(pairs: np.ndarray, m: int, n: int) -> tuple[int, int]:
@@ -325,21 +324,21 @@ def product_bytes(spec: SectorSpec, ints: ElectronicIntegrals, alpha: np.ndarray
     or two moves apart, r terms that move a string) and X = min(Q, n x)
     joined by an opposite-spin E_pq (Q pairs one move apart, x the E_pq with
     p != q that keep a string alive), so H has at most
-    d + n_b R_a + n_a R_b + X_a X_b entries.  The block product and the merge
-    after it hold at most four arrays over them at once: two of indices, one
-    of values and the sort order, or three of indices and two of values.
+    d + n_b R_a + n_a R_b + X_a X_b entries.  The block product, its
+    triplets and their CSR hold at most five arrays over them at once: four
+    of indices and one of values, or three of indices and two of values.
     Each channel counts as in ``sigma_bytes``, each live beta E_rs 80 bytes
     and a value for every pq that g_os couples to its rs, the block
-    product's work rows a slot per block entry, and each call 4 M^4 bytes
-    of integral masks and 64 KiB.  On the whole 10-site half-filled sector
-    in a rotated basis this is 1.04-1.06x the traced peak.
+    product's work rows a slot per string and moving pair, and each call
+    4 M^4 bytes of integral masks and 64 KiB.  On the whole 10-site
+    half-filled sector in a rotated basis this is 1.04-1.06x the traced peak.
     """
     m, item = spec.n_orbitals, 16 if ints.is_complex else 8
     counts, visited = _per_string(spec, ints)
     gos, _, rs = _coupled_pairs(ints)
     na, nb = len(alpha), len(beta)
     idx = 4 if max(na * nb, na * na, nb * nb) <= np.iinfo(np.int32).max else 8
-    total = 4 * m**4 + 65536 + (na * na + nb * nb) * (2 * idx + item)
+    total = 4 * m**4 + 65536
     moving, crossing, live = [], [], []
     for n, words, (one, lv, moved, lv_moved) in zip((spec.n_alpha, spec.n_beta),
                                                     (alpha, beta), counts):
@@ -349,6 +348,7 @@ def product_bytes(spec: SectorSpec, ints: ElectronicIntegrals, alpha: np.ndarray
         live.append(len(words) * (lv - lv_moved) + crossing[-1])
         total += len(words) * (80 * visited + 3 * (20 + item) * (one + lv))
     total += live[1] * int(np.count_nonzero(gos[:, rs], axis=0).max(initial=0)) * (80 + item)
+    total += (na + nb + moving[0] + moving[1]) * (2 * idx + item)
     entries = na * nb + nb * moving[0] + na * moving[1] + crossing[0] * crossing[1]
     return total + entries * max(item + 3 * idx + 8, 2 * item + idx + 8)
 
@@ -461,7 +461,11 @@ def sigma(
     """H applied to a vector over the product of the ascending ``alpha`` and
     ``beta`` string words, given as the matrix C[ib, ia]: S[jb, ja] over the
     words each channel reaches (``_channel``; the strings on a full sector),
-    returned with those ascending alpha and beta words."""
+    returned with those ascending alpha and beta words, unless
+    ``sigma_bytes`` puts it over the memory cap."""
+    spec = SectorSpec(ints.n_orbitals, *(int(np.bitwise_count(w[:1]).sum()) for w in (alpha, beta)))
+    check_cap(f"the sigma over {len(alpha)} x {len(beta)} strings",
+              sigma_bytes(spec, ints, len(alpha), len(beta)))
     gos, pq, rs = _coupled_pairs(ints)
     (row, col, val), (a_term, a_row, a_col, a_sign), words_a = _channel(ints, alpha, pq)
     ha = sp.csr_matrix((val, (row, col)), shape=(len(words_a), len(alpha)))

@@ -22,12 +22,7 @@ from .determinants import check_levels, half_strings
 from .errors import CapExceededError, ValidationError
 from .model import ElectronicIntegrals, SectorSpec
 from .statevector import SampleSet
-from .strings import (SIGMA_BYTES_CAP, excited_strings, product_bytes, product_hamiltonian, sigma,
-                      sigma_bytes)
-
-# largest estimated allocation of one product-space build (see strings.product_bytes):
-# the engine's cap, under its own name, so that each cap can be lowered alone
-PRODUCT_BYTES_CAP = SIGMA_BYTES_CAP
+from .strings import excited_strings, product_hamiltonian, sigma
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,7 +119,7 @@ def _covering(rankings, target: float) -> tuple[tuple[int, ...], tuple[int, ...]
 
 def project_hamiltonian(basis: SubspaceBasis, ints: ElectronicIntegrals) -> sp.csr_matrix:
     """Hamiltonian projected onto the subspace, beta-major over its ascending
-    strings (sparse Hermitian), built from the per-spin string operators."""
+    strings (sparse Hermitian), by ``strings.product_hamiltonian``, which checks the memory cap."""
     return product_hamiltonian(ints, basis.alpha_strings, basis.beta_strings)
 
 
@@ -134,14 +129,9 @@ def solve_subspace(basis: SubspaceBasis, ints: ElectronicIntegrals) -> GroundSta
     The whole sector is closed under H, so there H c = E c + r with r
     orthogonal to c and the variance is exactly (|r| / E)^2, None when E is
     zero; any other subspace takes ``energy_variance``.  ``CapExceededError``
-    before anything is built when ``strings.product_bytes`` estimates the
-    projected Hamiltonian's build above ``PRODUCT_BYTES_CAP``.
+    before anything is built when the projected Hamiltonian's build is
+    estimated over the memory cap (``project_hamiltonian``).
     """
-    size = product_bytes(basis.spec, ints, basis.alpha_strings, basis.beta_strings)
-    if size > PRODUCT_BYTES_CAP:
-        raise CapExceededError(
-            f"the Hamiltonian over the {basis.dimension}-determinant subspace needs about "
-            f"{size / 1024**3:.1f} GiB to build, above the {PRODUCT_BYTES_CAP / 1024**3:g} GiB cap")
     result = lowest_eigenpair(project_hamiltonian(basis, ints))
     if basis.dimension == basis.spec.dimension():
         if abs(result.energy) < 1e-14:
@@ -157,15 +147,16 @@ def energy_variance(
 
     H is applied once to the CI vector C[ib, ia], from the basis strings onto
     every string they reach (``strings.sigma``), so determinants outside the
-    basis contribute.  None when <H> is zero, and when ``strings.sigma_bytes``
-    estimates from the string counts, before anything is allocated, more
-    than ``SIGMA_BYTES_CAP`` bytes; the caller keeps its energy either way.
+    basis contribute.  None when <H> is zero, and when ``strings.sigma``
+    refuses it over the memory cap before anything is allocated (by
+    ``sigma_bytes``); the caller keeps its energy either way.
     """
     alpha, beta = basis.alpha_strings, basis.beta_strings
-    if sigma_bytes(basis.spec, ints, len(alpha), len(beta)) > SIGMA_BYTES_CAP:
-        return None
     c = result.ci_vector.reshape(len(beta), len(alpha))
-    s, words_a, words_b = sigma(c, ints, alpha, beta)
+    try:
+        s, words_a, words_b = sigma(c, ints, alpha, beta)
+    except CapExceededError:
+        return None
     return relative_variance(c, s, np.ix_(np.searchsorted(words_b, beta),
                                           np.searchsorted(words_a, alpha)))
 

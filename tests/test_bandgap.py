@@ -176,16 +176,18 @@ class TestRunWorkflow:
                 assert res.variance == (res.residual_norm / res.energy) ** 2
                 assert res.variance >= 0.0
 
-    @pytest.mark.parametrize("cap", ["SIGMA_BYTES_CAP"])
-    def test_variance_cap_keeps_energies(self, tmp_path, dimer_lattice, monkeypatch, cap):
-        import hsqd.subspace
+    @pytest.mark.parametrize("estimator", ["sigma_bytes"])
+    def test_variance_cap_keeps_energies(self, tmp_path, dimer_lattice, monkeypatch, estimator):
+        import hsqd.errors
+        import hsqd.strings
 
         save_lattice(dimer_lattice, tmp_path / "dimer.json")
         config = WorkflowConfig(lattice_path=str(tmp_path / "dimer.json"), n_electrons=2,
                                 solvers=("hci", "sqd", "extsqd"), fractions=(0.5, 1.0),
                                 shots=20_000, seed=3)
         want, uncapped = run_workflow(config)
-        monkeypatch.setattr(hsqd.subspace, cap, 0)
+        # every sigma is estimated over the memory cap, every other build runs
+        monkeypatch.setattr(hsqd.strings, estimator, lambda *args: hsqd.errors.MEMORY_CAP + 1)
         report, runs = run_workflow(config)
         assert report.failures == {}
         assert report.sector_energies == want.sector_energies
@@ -434,9 +436,12 @@ class TestRunWorkflow:
         assert set(report.gaps) == {"fci", "hci", "sqd", "extsqd"}
 
     def test_hci_memory_cap_is_a_failure(self, tmp_path, dimer_lattice, monkeypatch):
-        import hsqd.strings
+        import hsqd.errors
+        import hsqd.selci
 
-        monkeypatch.setattr(hsqd.strings, "SIGMA_BYTES_CAP", 0)
+        # one H column is estimated over the memory cap, and FCI's build is not
+        monkeypatch.setattr(hsqd.selci, "columns_bytes",
+                            lambda n, *args: n * (hsqd.errors.MEMORY_CAP + 1))
         save_lattice(dimer_lattice, tmp_path / "dimer.json")
         config = WorkflowConfig(lattice_path=str(tmp_path / "dimer.json"), n_electrons=2,
                                 solvers=("fci", "hci"))

@@ -237,9 +237,12 @@ class TestRun:
         assert capsys.readouterr().err.count("CapExceededError") == 3
 
     def test_hci_memory_cap_exits_3(self, tmp_path, monkeypatch, capsys):
-        import hsqd.strings
+        import hsqd.errors
+        import hsqd.selci
 
-        monkeypatch.setattr(hsqd.strings, "SIGMA_BYTES_CAP", 0)
+        # one H column is estimated over the memory cap, and FCI's build is not
+        monkeypatch.setattr(hsqd.selci, "columns_bytes",
+                            lambda n, *args: n * (hsqd.errors.MEMORY_CAP + 1))
         config = write_config(tmp_path, write_dimer(tmp_path), tmp_path / "o",
                               solvers='["fci", "hci"]')
         assert main(["run", str(config)]) == 3

@@ -19,6 +19,7 @@ from hsqd import (
     rotate_basis,
     solve_mean_field,
 )
+from hsqd import errors as errors_mod
 from hsqd import selci as selci_mod
 from hsqd import strings as strings_mod
 from hsqd.strings import columns_bytes
@@ -53,7 +54,7 @@ class TestFciGround:
         assert fci_ground(SectorSpec(2, 2, 1), dimer_ints).energy == pytest.approx(3.0, abs=1e-10)
 
     def test_cap_exceeded(self, dimer_ints, monkeypatch):
-        monkeypatch.setattr(selci_mod, "FCI_CAP", 2)
+        monkeypatch.setattr(errors_mod, "SECTOR_CAP", 2)
         with pytest.raises(CapExceededError):
             fci_ground(SectorSpec(2, 1, 1), dimer_ints)
 
@@ -187,7 +188,7 @@ class TestHciGround:
         def fail(*args):
             raise AssertionError("string arrays built")
 
-        monkeypatch.setattr(strings_mod, "SIGMA_BYTES_CAP", 0)
+        monkeypatch.setattr(errors_mod, "MEMORY_CAP", 0)
         monkeypatch.setattr(strings_mod, "_one_spin_entries", fail)
         with pytest.raises(CapExceededError):
             hci_ground(SectorSpec(2, 1, 1), dimer_ints, SelectionSchedule(epsilons=(1e-3,)))
@@ -359,7 +360,7 @@ class TestHciColumnStore:
         store = current["store"]
         largest = max(len(call) for calls in rounds for call in calls)
         cap = store._kept_bytes(len(store.members)) + columns_bytes(largest // 8, spec, ints)
-        monkeypatch.setattr(strings_mod, "SIGMA_BYTES_CAP", cap)
+        monkeypatch.setattr(errors_mod, "MEMORY_CAP", cap)
         rounds.clear()
         stages = hci_ground(spec, ints, schedule)
         assert max(len(calls) for calls in rounds) >= 3
@@ -403,7 +404,7 @@ class TestHciColumnStore:
                 raise AssertionError("hamiltonian_columns called past the cap")
             calls.append(len(alpha))
             out = columns(ints_, alpha, beta)
-            monkeypatch.setattr(strings_mod, "SIGMA_BYTES_CAP", columns_bytes(1, spec, ints_))
+            monkeypatch.setattr(errors_mod, "MEMORY_CAP", columns_bytes(1, spec, ints_))
             return out
 
         monkeypatch.setattr(selci_mod, "hamiltonian_columns", first_only)

@@ -117,7 +117,7 @@ class TestBuildState:
         params = zero_params(14)
         tracemalloc.start()
         try:
-            with pytest.raises(CapExceededError, match="exceeds cap"):
+            with pytest.raises(CapExceededError, match="over the sector cap"):
                 build_state(params, (0b1111111, 0b1111111), spec)
             peak = tracemalloc.get_traced_memory()[1]
         finally:

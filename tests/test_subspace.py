@@ -40,8 +40,8 @@ from hsqd.davidson import (
 )
 from hsqd import subspace as subspace_mod
 from hsqd.determinants import half_strings
+from hsqd.errors import MEMORY_CAP
 from hsqd.strings import (
-    SIGMA_BYTES_CAP,
     _near_pairs,
     columns_bytes,
     hamiltonian_columns,
@@ -521,11 +521,11 @@ class TestVarianceCap:
         """One determinant of the 30-site half-filled sector in a basis where
         every coupling is nonzero: each of its strings reaches about 11,000
         words, and the sigma over their products would need far more memory
-        than SIGMA_BYTES_CAP."""
+        than MEMORY_CAP."""
         m = 30
         spec = SectorSpec(m, 15, 15)
         ints = ElectronicIntegrals(m, np.ones((m, m)), np.ones((m,) * 4), np.ones((m,) * 4))
-        assert sigma_bytes(spec, ints, 1, 1) > SIGMA_BYTES_CAP
+        assert sigma_bytes(spec, ints, 1, 1) > MEMORY_CAP
         res = GroundStateResult(1.0, np.ones(1), 0.0, 1, True)
         basis = SubspaceBasis(spec, ((1 << 15) - 1,), ((1 << 15) - 1,))
         self._forbid_allocation(monkeypatch)
@@ -535,12 +535,12 @@ class TestVarianceCap:
         """E_pp and E_pp E_qq map a string to itself and reach no new word.
         Counted as reaching, they put 100 x 100 strings of the 20-site
         half-filled U+V chain in the site basis at 2.8 GiB, above
-        SIGMA_BYTES_CAP, and that variance was skipped; each string reaches
+        MEMORY_CAP, and that variance was skipped; each string reaches
         at most 38 others by hopping."""
         m = 20
         spec = SectorSpec(m, 10, 10)
         ints = map_to_electronic(make_chain(m, v=0.6))
-        assert sigma_bytes(spec, ints, 100, 100) <= SIGMA_BYTES_CAP
+        assert sigma_bytes(spec, ints, 100, 100) <= MEMORY_CAP
         rng = np.random.default_rng(m)
         alpha, beta = (rng.choice(half_strings(m, 10), size=100, replace=False)
                        for _ in range(2))
@@ -578,8 +578,8 @@ class TestVarianceCap:
 
 
 class TestProductCap:
-    """``solve_subspace`` sizes the projected Hamiltonian's build with
-    ``product_bytes`` before anything is built."""
+    """``product_hamiltonian`` sizes its build with ``product_bytes``
+    before anything is built."""
 
     def test_near_pairs_against_loop(self):
         rng = np.random.default_rng(4)
@@ -625,7 +625,7 @@ class TestProductCap:
         mo = rotate_basis(site, solve_mean_field(site, spec).orbital_coefficients)
         basis = SubspaceBasis(spec, half_strings(m, 6), half_strings(m, 6))
         assert product_bytes(spec, site, basis.alpha_strings, basis.beta_strings) \
-            <= subspace_mod.PRODUCT_BYTES_CAP
+            <= MEMORY_CAP
         TestVarianceCap._forbid_allocation(monkeypatch)
         with pytest.raises(CapExceededError, match="853776-determinant subspace"):
             solve_subspace(basis, mo)
