@@ -101,11 +101,11 @@ def read_fcidump(path) -> ElectronicIntegrals:
             raise ValidationError(f"{path}: index out of range on line {lineno}")
         if i == 0 and j == 0 and k == 0 and l == 0:
             core = val
-        elif k == 0 and l == 0:
+        elif k == 0 and l == 0 and i and j:
             h[i - 1, j - 1] = val
             h[j - 1, i - 1] = val
         elif i == 0 or j == 0 or k == 0 or l == 0:
-            raise ValidationError(f"{path}: mixed zero/nonzero indices on line {lineno}")
+            raise ValidationError(f"{path}: mixed zero/nonzero indices on line {lineno}: {line!r}")
         else:
             a, b, c, d = i - 1, j - 1, k - 1, l - 1
             for p, q, r, s in (

@@ -19,16 +19,13 @@ word, is built once per integrals object (``ElectronicIntegrals.one_spin_memo``)
 Every routine takes a channel from ``_channel``: its one-spin entries and
 live E_pq, located in its strings or in every word they reach.
 
-Determinants are ordered beta-major, so a vector over a product space A x B
-is the matrix C[ib, ia], with
-
-    sigma = H_beta C + C H_alpha^T + core C + sum g_os[pq,rs] E^beta_rs C E^alpha_pq^T ,
-
-over the words each channel reaches, and the matrix is the block form
-H = sum_{ib,jb} |ib><jb| (x) B(ib, jb), with B(ib, jb) = sum_k W[(ib,jb), k] O_k
-over the alpha operators O = (1, H_alpha + core, E^alpha_pq for each pq that
-g_os couples) and W[(ib,jb), k] = H_beta[ib,jb], delta(ib,jb) and
-sum_rs g_os[pq,rs] E^beta_rs[ib,jb].  H columns order their rows (beta, alpha).
+On a product space A x B the matrix and sigma read one block form,
+H = sum_k W_k (x) O_k over O = (1, H_alpha + core, E^alpha_pq for each pq
+that g_os couples) and W = (H_beta, 1, sum_rs g_os[pq,rs] E^beta_rs).
+Determinants are ordered beta-major, so a vector over A x B is the matrix
+C[ib, ia], with sigma = sum_k W_k C O_k^T over the words each channel
+reaches, and the matrix is H = sum_{ib,jb} |ib><jb| (x) B(ib, jb), with
+B(ib, jb) = sum_k W_k[ib,jb] O_k.  H columns order their rows (beta, alpha).
 """
 
 from __future__ import annotations
@@ -189,11 +186,40 @@ def _coupled_pairs(ints: ElectronicIntegrals):
     return gos, np.flatnonzero(np.any(gos != 0, axis=1)), np.flatnonzero(np.any(gos != 0, axis=0))
 
 
-def _operator_rows(k: np.ndarray, pos: np.ndarray, val: np.ndarray, n_rows: int):
-    """Rows k (ascending) of ``val`` over the sorted distinct ``pos``, and those positions."""
-    pattern, col = np.unique(pos, return_inverse=True)
-    ptr = np.searchsorted(k, np.arange(n_rows + 1))
-    return sp.csr_matrix((val, col, ptr), shape=(n_rows, len(pattern))), pattern
+def _block_form(ints: ElectronicIntegrals, alpha: np.ndarray, beta: np.ndarray, reach: bool):
+    """H = sum_k W_k (x) O_k over the product of the ascending ``alpha`` and
+    ``beta`` strings: per channel, the entries of every O_k (alpha) or W_k
+    (beta) as (k, row, column, value) in ascending k, the rows among the
+    strings or, with ``reach``, every word they reach (``_channel``), and
+    those words; and the number of k.  k = 0 is 1 and H_beta, k = 1 is
+    H_alpha + core and 1, and one more k for each pq that g_os couples is
+    E^alpha_pq and sum_rs g_os[pq, rs] E^beta_rs."""
+    gos, pq, rs = _coupled_pairs(ints)
+    (ha_row, ha_col, ha), (a_term, a_row, a_col, a_sign), words_a = _channel(
+        ints, alpha, pq, None if reach else alpha)
+    (hb_row, hb_col, hb), (b_term, b_row, b_col, b_sign), words_b = _channel(
+        ints, beta, rs, None if reach else beta)
+    i, e = np.nonzero(gos[pq][:, rs[b_term]])
+    na, nb = len(alpha), len(beta)
+    own_a, own_b = np.searchsorted(words_a, alpha), np.searchsorted(words_b, beta)
+    ops = (np.concatenate([np.zeros(na, int), np.ones(na + len(ha), int), a_term + 2]),
+           np.concatenate([own_a, own_a, ha_row, a_row]),
+           np.concatenate([np.arange(na), np.arange(na), ha_col, a_col]),
+           np.concatenate([np.ones(na), np.full(na, ints.core_energy), ha, a_sign]))
+    coef = (np.concatenate([np.zeros(len(hb), int), np.ones(nb, int), i + 2]),
+            np.concatenate([hb_row, own_b, b_row[e]]),
+            np.concatenate([hb_col, np.arange(nb), b_col[e]]),
+            np.concatenate([hb, np.ones(nb), gos[pq[i], rs[b_term[e]]] * b_sign[e]]))
+    return (ops, words_a), (coef, words_b), len(pq) + 2
+
+
+def _operator_rows(entries, n: int, n_k: int):
+    """One channel's operators (``_block_form``) over n strings as rows k of a
+    CSR over the sorted distinct positions row * n + column, and those."""
+    k, row, col, val = entries
+    pattern, pos = np.unique(row * n + col, return_inverse=True)
+    ptr = np.searchsorted(k, np.arange(n_k + 1))
+    return sp.csr_matrix((val, pos, ptr), shape=(n_k, len(pattern))), pattern
 
 
 def product_hamiltonian(
@@ -206,20 +232,9 @@ def product_hamiltonian(
     d = na * nb
     spec = SectorSpec(ints.n_orbitals, *(int(np.bitwise_count(w[:1]).sum()) for w in (alpha, beta)))
     check_cap(f"the Hamiltonian over the {d}-determinant subspace", product_bytes(spec, ints, alpha, beta))
-    gos, pq, rs = _coupled_pairs(ints)
-    (ha_row, ha_col, ha), (a_term, a_row, a_col, a_sign), _ = _channel(ints, alpha, pq, alpha)
-    (hb_row, hb_col, hb), (b_term, b_row, b_col, b_sign), _ = _channel(ints, beta, rs, beta)
-    i, e = np.nonzero(gos[pq][:, rs[b_term]])
-    # O_k and W[:, k] as row k, over positions ia * na + ja and ib * nb + jb
-    diag_a, diag_b = np.arange(na) * (na + 1), np.arange(nb) * (nb + 1)
-    ops, a_pos = _operator_rows(
-        np.concatenate([np.zeros(na, int), np.ones(na + len(ha), int), a_term + 2]),
-        np.concatenate([diag_a, diag_a, ha_row * na + ha_col, a_row * na + a_col]),
-        np.concatenate([np.ones(na), np.full(na, ints.core_energy), ha, a_sign]), len(pq) + 2)
-    coef, b_pos = _operator_rows(
-        np.concatenate([np.zeros(len(hb), int), np.ones(nb, int), i + 2]),
-        np.concatenate([hb_row * nb + hb_col, diag_b, b_row[e] * nb + b_col[e]]),
-        np.concatenate([hb, np.ones(nb), gos[pq[i], rs[b_term[e]]] * b_sign[e]]), len(pq) + 2)
+    (ops, _), (coef, _), n_k = _block_form(ints, alpha, beta, reach=False)
+    # O_k and W_k as row k, over positions ia * na + ja and ib * nb + jb
+    (ops, a_pos), (coef, b_pos) = _operator_rows(ops, na, n_k), _operator_rows(coef, nb, n_k)
     # B(ib, jb) per block pair, duplicates summed, zeros dropped; transposing CSC to CSR sorts rows
     blocks = (coef.T @ ops).tocsr()
     index = np.int32 if d <= np.iinfo(np.int32).max else np.int64
@@ -277,14 +292,15 @@ def columns_bytes(n_dets: int, spec: SectorSpec, ints: ElectronicIntegrals) -> i
     opposite-spin E_pq (``_per_string``) and the core, at fourteen 8-byte
     indices and three values each.  A cold memo first sums each string's
     terms (``_summed_rows``), holding two copies of each term's word, column
-    and value, its sort order, two group numbers and a flag; that ends
-    before the gathering starts, so a determinant counts the larger of the
-    two.  An excitation pass adds 160 bytes per visited orbital pair, the
-    key table 9 bytes for each of its ``RANK_TABLE_RATIO`` slots per entry,
-    and each call 4 M^4 bytes of integral masks and 64 KiB.  In a rotated
-    basis (the half-filled U+V chain) this is 2.4-3.0x the peak measured
-    from M = 6 to 12 with 20 to 400 determinants, and in a site basis
-    5.3-8.2x.
+    and value, its sort order, two group numbers and a flag.  The gathered
+    parts are freed before the kept entries (two indices and a value) are
+    ranked, with the key table's 9 bytes for each of its
+    ``RANK_TABLE_RATIO`` slots per entry.  These three stages follow one
+    another, so a determinant counts the largest.  An excitation pass adds
+    160 bytes per visited orbital pair, and each call 4 M^4 bytes of
+    integral masks and 64 KiB.  In a rotated basis (the half-filled U+V
+    chain) this is 1.9-2.5x the peak measured from M = 6 to 12 with 20 to
+    400 determinants, and in a site basis 4.4-6.8x.
     """
     m, item = spec.n_orbitals, 16 if ints.is_complex else 8
     counts, visited = _per_string(spec, ints)
@@ -293,8 +309,8 @@ def columns_bytes(n_dets: int, spec: SectorSpec, ints: ElectronicIntegrals) -> i
     (one_a, os_a, *_), (one_b, os_b, *_) = counts
     entries = 1 + rows + os_a * os_b
     gathered, cold = entries * (112 + 3 * item), (one_a + one_b) * (57 + 2 * item)
-    table = 9 * RANK_TABLE_RATIO * entries
-    return n_dets * (max(gathered, cold) + table + 160 * visited) + 4 * m**4 + 65536
+    ranked = entries * (16 + item + 9 * RANK_TABLE_RATIO)
+    return n_dets * (max(gathered, cold, ranked) + 160 * visited) + 4 * m**4 + 65536
 
 
 def _near_pairs(words: np.ndarray, m: int, n: int) -> tuple[int, int]:
@@ -436,23 +452,27 @@ def sigma_bytes(spec: SectorSpec, ints: ElectronicIntegrals, n_alpha: int, n_bet
     A channel of s strings reaches R = min(C(M, n), s (1 + r)) words, with r
     the one-spin entries and opposite-spin E_pq that map a string to another
     (``_per_string``) or the words within a double excitation, if fewer.
-    Counts five R_alpha x R_beta arrays, 80 bytes per string and visited
+    Counts the (P + 2) n_beta x R_alpha products that ``sigma`` stacks (P
+    the pairs that g_os couples) and their copy, two R_alpha x R_beta
+    arrays (S and the variance's residual), 80 bytes per string and visited
     orbital pair, three copies of each entry (three indices and a value),
-    4 M^4 bytes of integral masks and 64 KiB.  In a rotated basis (the U+V
-    chain at half filling) this is 2.8-3.8x the peak measured from M = 6 to
-    12 with ten or more strings per channel (2.8-4.5x for one); in a site
-    basis, where few pairs of the reached words are reached, 2.4-29x (up to
-    M = 20).
+    80 bytes and a value for every pq that g_os couples to a live beta
+    E_rs, 4 M^4 bytes of integral masks and 64 KiB.  In a rotated basis
+    (the U+V chain at half filling) this is 1.3-2.8x the peak measured from
+    M = 6 to 12 with ten or more strings per channel (1.9-3.9x for one); in
+    a site basis 1.4-9.0x (up to M = 20).
     """
     m, item = spec.n_orbitals, 16 if ints.is_complex else 8
     counts, visited = _per_string(spec, ints)
-    total, reach = 4 * m**4 + 65536, 1
+    gos, pq, rs = _coupled_pairs(ints)
+    total, reach = 4 * m**4 + 65536, []
     for n, strings, (one, live, moved, _) in zip((spec.n_alpha, spec.n_beta),
                                                  (n_alpha, n_beta), counts):
         near = min(moved, n * (m - n) + comb(n, 2) * comb(m - n, 2))
-        reach *= min(comb(m, n), strings * (1 + near))
+        reach.append(min(comb(m, n), strings * (1 + near)))
         total += strings * (80 * visited + 3 * (20 + item) * (one + live))
-    return total + 5 * item * reach
+    total += n_beta * counts[1][1] * int(np.count_nonzero(gos[:, rs], axis=0).max(initial=0)) * (80 + item)
+    return total + 2 * item * reach[0] * ((len(pq) + 2) * n_beta + reach[1])
 
 
 def sigma(
@@ -462,37 +482,18 @@ def sigma(
     ``beta`` string words, given as the matrix C[ib, ia]: S[jb, ja] over the
     words each channel reaches (``_channel``; the strings on a full sector),
     returned with those ascending alpha and beta words, unless
-    ``sigma_bytes`` puts it over the memory cap."""
+    ``sigma_bytes`` puts it over the memory cap.  It is two sparse products
+    over the block form (``_block_form``)."""
     spec = SectorSpec(ints.n_orbitals, *(int(np.bitwise_count(w[:1]).sum()) for w in (alpha, beta)))
     check_cap(f"the sigma over {len(alpha)} x {len(beta)} strings",
               sigma_bytes(spec, ints, len(alpha), len(beta)))
-    gos, pq, rs = _coupled_pairs(ints)
-    (row, col, val), (a_term, a_row, a_col, a_sign), words_a = _channel(ints, alpha, pq)
-    ha = sp.csr_matrix((val, (row, col)), shape=(len(words_a), len(alpha)))
-    del row, col, val  # each channel's entries are gone before the next is gathered
-    (row, col, val), (b_term, b_row, b_col, b_sign), words_b = _channel(ints, beta, rs)
-    hb = sp.csr_matrix((val, (row, col)), shape=(len(words_b), len(beta)))
-    del row, col, val
-    ia, ib = np.searchsorted(words_a, alpha), np.searchsorted(words_b, beta)
-    out = np.zeros((len(words_b), len(words_a)),
-                   dtype=np.result_type(c, complex if ints.is_complex else float))
-    out[:, ia] += hb @ c
-    out[ib] += (ha @ c.T).T
-    out[np.ix_(ib, ia)] += ints.core_energy * c
-    # E^alpha_pq pair-major, and one row-sorted CSR pattern of all E^beta_rs
-    # that each W^beta_pq = sum_rs g_os[pq, rs] E^beta_rs refills
-    a_cut = np.searchsorted(a_term, np.arange(len(pq) + 1))
-    order = np.argsort(b_row, kind="stable")
-    b_rs, b_sign = rs[b_term[order]], b_sign[order]
-    b_ptr = np.searchsorted(b_row[order], np.arange(len(words_b) + 1))
-    w = sp.csr_matrix((np.empty(len(order), dtype=gos.dtype), b_col[order], b_ptr),
-                      shape=(len(words_b), len(beta)))
-    d = np.empty((len(beta), len(words_a)), dtype=out.dtype)
-    for k, p in enumerate(pq):
-        # D = C E^alpha_pq^T, then W^beta_pq D
-        part = slice(a_cut[k], a_cut[k + 1])
-        d.fill(0)
-        d[:, a_row[part]] = c[:, a_col[part]] * a_sign[part]
-        np.multiply(gos[p, b_rs], b_sign, out=w.data)
-        out += w @ d
-    return out, words_a, words_b
+    (ops, words_a), (coef, words_b), n_k = _block_form(ints, alpha, beta, reach=True)
+    # the O_k stacked in rows (ja, k) give every C O_k^T side by side, in columns
+    # (k, ib) of rows ja, and the W_k stacked in columns (k, ib) sum them over k;
+    # as COO, which SciPy multiplies entry by entry with no conversion
+    k, row, col, val = ops
+    o = sp.coo_matrix((val, (row * n_k + k, col)), shape=(len(words_a) * n_k, len(alpha)))
+    t = (o @ c.T).reshape(len(words_a), -1)
+    k, row, col, val = coef
+    w = sp.coo_matrix((val, (row, k * len(beta) + col)), shape=(len(words_b), t.shape[1]))
+    return w @ t.T, words_a, words_b

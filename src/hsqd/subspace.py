@@ -17,6 +17,7 @@ from math import ceil, comb
 import numpy as np
 import scipy.sparse as sp
 
+from . import errors
 from .davidson import GroundStateResult, lowest_eigenpair
 from .determinants import check_levels, half_strings
 from .errors import CapExceededError, ValidationError
@@ -67,20 +68,17 @@ def filter_samples(samples: SampleSet, spec: SectorSpec) -> SampleSet:
                      1.0 - total / samples.shots)
 
 
-PADDING_LIMIT = 10**6
-
-
 def _ranked_strings(samples: SampleSet, spec: SectorSpec, channel: str) -> list[int]:
     """Observed strings by descending marginal frequency, then canonical order;
     unobserved sector strings follow in canonical order (frequency-zero ties).
-    Padding is skipped for channels too large to enumerate."""
+    Padding is skipped for channels of more than ``errors.SECTOR_CAP`` strings."""
     freq: dict[int, int] = {}
     for det, count in samples.counts.items():
         word = det.alpha if channel == "alpha" else det.beta
         freq[word] = freq.get(word, 0) + count
     observed = sorted(freq, key=lambda w: (-freq[w], w))
     nocc = spec.n_alpha if channel == "alpha" else spec.n_beta
-    if comb(spec.n_orbitals, nocc) > PADDING_LIMIT:
+    if comb(spec.n_orbitals, nocc) > errors.SECTOR_CAP:
         return observed
     words = half_strings(spec.n_orbitals, nocc)
     return observed + words[~np.isin(words, observed)].tolist()

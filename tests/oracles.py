@@ -12,7 +12,9 @@ expansion replaced, ``hci_ground_reference``, the selected-CI loop that rebuilt
 ``hsqd.strings.hamiltonian_columns`` over the whole set every round
 (``column_rows`` finds a determinant's row in it by its words),
 ``one_spin_terms_reference``, the loop over rs that
-``hsqd.strings._one_spin_terms`` replaced, and ``covering_reference``, the
+``hsqd.strings._one_spin_terms`` replaced, ``sigma_reference``, the loop
+over orbital pairs that ``hsqd.strings.sigma`` replaced with two products
+over the block form, and ``covering_reference``, the
 step-by-step growth loop that ``hsqd.subspace._covering`` replaced, and
 ``arpack_lowest``, the ARPACK eigensolve that ``hsqd.davidson._lanczos_lowest``
 replaced, and ``lowest_ritz_vector_reference``, the SciPy call whose LAPACK
@@ -450,6 +452,42 @@ def one_spin_terms_reference(strings, h, g):
     cols = np.concatenate(cols_l)[keep]
     keep = keep[np.argsort(cols, kind="stable")]
     return np.concatenate(words_l)[keep], np.sort(cols, kind="stable"), vals[keep]
+
+
+def sigma_reference(c, ints, alpha, beta):
+    """``hsqd.strings.sigma`` as it was before it read the block form: H_beta
+    C, C H_alpha^T and core C from two channel CSRs, then one product
+    W^beta_pq (C E^alpha_pq^T) for each pq that g_os couples, with W^beta_pq
+    = sum_rs g_os[pq, rs] E^beta_rs refilled into one sorted E^beta
+    pattern.  Returns S[jb, ja] over the words each channel reaches and
+    those words, with no memory cap checked."""
+    from hsqd.strings import _channel, _coupled_pairs
+
+    gos, pq, rs = _coupled_pairs(ints)
+    (row, col, val), (a_term, a_row, a_col, a_sign), words_a = _channel(ints, alpha, pq)
+    ha = sp.csr_matrix((val, (row, col)), shape=(len(words_a), len(alpha)))
+    (row, col, val), (b_term, b_row, b_col, b_sign), words_b = _channel(ints, beta, rs)
+    hb = sp.csr_matrix((val, (row, col)), shape=(len(words_b), len(beta)))
+    ia, ib = np.searchsorted(words_a, alpha), np.searchsorted(words_b, beta)
+    out = np.zeros((len(words_b), len(words_a)),
+                   dtype=np.result_type(c, complex if ints.is_complex else float))
+    out[:, ia] += hb @ c
+    out[ib] += (ha @ c.T).T
+    out[np.ix_(ib, ia)] += ints.core_energy * c
+    a_cut = np.searchsorted(a_term, np.arange(len(pq) + 1))
+    order = np.argsort(b_row, kind="stable")
+    b_rs, b_sign = rs[b_term[order]], b_sign[order]
+    b_ptr = np.searchsorted(b_row[order], np.arange(len(words_b) + 1))
+    w = sp.csr_matrix((np.empty(len(order), dtype=gos.dtype), b_col[order], b_ptr),
+                      shape=(len(words_b), len(beta)))
+    d = np.empty((len(beta), len(words_a)), dtype=out.dtype)
+    for k, p in enumerate(pq):
+        part = slice(a_cut[k], a_cut[k + 1])
+        d.fill(0)
+        d[:, a_row[part]] = c[:, a_col[part]] * a_sign[part]
+        np.multiply(gos[p, b_rs], b_sign, out=w.data)
+        out += w @ d
+    return out, words_a, words_b
 
 
 def covering_reference(ranked_a, ranked_b, target):

@@ -56,8 +56,8 @@ def _forbid_allocation(monkeypatch):
 @pytest.mark.parametrize("build, m, match", [
     ("product_hamiltonian", 12, "853776-determinant subspace"),
     ("project_hamiltonian", 12, "853776-determinant subspace"),
-    # a sigma of 12 sites reaches at most 853,776 determinants and is
-    # estimated under 0.4 GiB: its whole 16-site sector reaches 165.6 million
+    # the whole 12-site sector's sigma is estimated at 2.6 GiB, the whole
+    # 16-site one, which reaches 165.6 million determinants, at 670 GiB
     ("sigma", 16, "12870 x 12870 strings"),
 ])
 def test_direct_call_checks_its_own_estimate(build, m, match, monkeypatch):

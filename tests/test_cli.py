@@ -103,6 +103,12 @@ class TestConvert:
         assert main(["convert", str(bad), str(tmp_path / "out.fcidump")]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_fcidump_zero_index_exits_2(self, tmp_path, capsys):
+        dump = tmp_path / "bad.fcidump"
+        dump.write_text("&FCI NORB=3,NELEC=2,MS2=0,\n&END\n0.5 0 2 0 0\n")
+        assert main(["convert", str(dump), str(tmp_path / "out.json"), "--to", "lattice"]) == 2
+        assert "'0.5 0 2 0 0'" in capsys.readouterr().err
+
     def test_missing_input_exits_2(self, tmp_path):
         assert main(["convert", str(tmp_path / "nope.json"), str(tmp_path / "o.fcidump")]) == 2
 

@@ -341,6 +341,17 @@ class TestFcidump:
         with pytest.raises(ValidationError, match="range"):
             read_fcidump(path)
 
+    @pytest.mark.parametrize("line", ["0.5 0 2 0 0", "0.5 2 0 0 0"])
+    def test_one_body_zero_index_rejected(self, tmp_path, line):
+        """A one-body line with one zero index was stored through index -1:
+        ``0.5 0 2 0 0`` landed at h[2, 1] and h[1, 2] of a 3-orbital file."""
+        from hsqd import read_fcidump
+
+        path = tmp_path / "bad.dump"
+        path.write_text(f"&FCI NORB=3,NELEC=2,MS2=0,\n&END\n-1.0 1 2 0 0\n{line}\n")
+        with pytest.raises(ValidationError, match=f"mixed zero/nonzero indices on line .*'{line}'"):
+            read_fcidump(path)
+
 
 class TestIntegralInvariants:
     def test_constructor_rejects_nonhermitian_one_body(self):

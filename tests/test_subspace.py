@@ -29,6 +29,7 @@ from hsqd import (
     sqd_sweep,
 )
 from hsqd import davidson as davidson_mod
+from hsqd import errors as errors_mod
 from hsqd import strings as strings_mod
 from hsqd.davidson import (
     DEFAULT_TOL,
@@ -70,6 +71,7 @@ from oracles import (
     lowest_ritz_vector_reference,
     one_spin_terms_reference,
     random_general_integrals,
+    sigma_reference,
 )
 
 
@@ -172,8 +174,9 @@ class TestBuildSubspace:
         assert all(type(w) is int for w in ranked_a + ranked_b)
 
     def test_channel_too_large_to_pad_is_not_enumerated(self, monkeypatch):
-        """Above ``PADDING_LIMIT`` strings (2.7 million for 12 of 24
-        orbitals) a channel ranks its observed strings only."""
+        """Above ``errors.SECTOR_CAP`` strings (2.7 million for 12 of 24
+        orbitals) a channel ranks its observed strings only; the cap is
+        read at each call."""
         def refuse(*args):
             raise AssertionError("channel enumerated")
 
@@ -181,6 +184,10 @@ class TestBuildSubspace:
         spec = SectorSpec(24, 12, 12)
         det = Determinant(0xFFF, 0xFFF000)
         assert growth_sequence(samples_from({det: 3}, 24), spec) == ([0xFFF], [0xFFF000])
+        monkeypatch.setattr(errors_mod, "SECTOR_CAP", 5)
+        det = Determinant(0b0011, 0b0101)
+        assert growth_sequence(samples_from({det: 3}, 4), SectorSpec(4, 2, 2)) == ([0b0011],
+                                                                                  [0b0101])
 
     def test_reference_always_included(self):
         spec = SectorSpec(2, 1, 1)
@@ -466,6 +473,73 @@ class TestStringEngineAgainstFockOracle:
         assert var == pytest.approx(expected, rel=1e-10)
 
 
+class TestSigmaAgainstPairLoop:
+    """``sigma`` against the loop over orbital pairs that it replaced
+    (``sigma_reference``): the same reached words, and S to 1e-13 for a
+    normalized vector."""
+
+    @staticmethod
+    def _check(ints, alpha, beta, rng, complex_vector):
+        alpha, beta = (np.sort(np.asarray(x, dtype=np.int64)) for x in (alpha, beta))
+        c = rng.normal(size=(len(beta), len(alpha)))
+        if complex_vector:
+            c = c + 1j * rng.normal(size=c.shape)
+        c /= np.linalg.norm(c)
+        got, want = strings_mod.sigma(c, ints, alpha, beta), sigma_reference(c, ints, alpha, beta)
+        for x, y in zip(got[1:], want[1:]):
+            assert x.dtype == y.dtype and np.array_equal(x, y)
+        assert got[0].shape == want[0].shape and got[0].dtype == want[0].dtype
+        assert np.abs(got[0] - want[0]).max(initial=0.0) <= 1e-13
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        data=st.data(),
+        m=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+        complex_hopping=st.booleans(),
+        rotate=st.booleans(),
+        strings=st.sampled_from(["single", "subset", "channel"]),
+    )
+    def test_random_product_spaces(self, data, m, seed, complex_hopping, rotate, strings):
+        n_alpha = data.draw(st.integers(0, m), label="n_alpha")
+        n_beta = data.draw(st.integers(0, m), label="n_beta")
+        rng = np.random.default_rng(seed)
+        ints = _random_integrals(rng, m, complex_hopping, rotate)
+        if strings == "channel":
+            alpha, beta = half_strings(m, n_alpha), half_strings(m, n_beta)
+        elif strings == "single":
+            alpha, beta = (rng.choice(half_strings(m, n), size=1) for n in (n_alpha, n_beta))
+        else:
+            alpha, beta = _random_strings(rng, m, n_alpha), _random_strings(rng, m, n_beta)
+        self._check(ints, alpha, beta, rng, complex_hopping)
+
+    @pytest.mark.parametrize("rotate", [False, True])
+    @pytest.mark.parametrize("n_alpha, n_beta", [(0, 0), (0, 3), (3, 0), (3, 3), (0, 2), (3, 1),
+                                                 (1, 2)])
+    def test_empty_and_full_channels(self, rotate, n_alpha, n_beta):
+        rng = np.random.default_rng(10 * n_alpha + n_beta)
+        ints = _random_integrals(rng, 3, complex_hopping=True, rotate=rotate)
+        for alpha, beta in [(half_strings(3, n_alpha), half_strings(3, n_beta)),
+                            (half_strings(3, n_alpha)[-1:], half_strings(3, n_beta)[:1])]:
+            self._check(ints, alpha, beta, rng, complex_vector=True)
+
+    @pytest.mark.parametrize("rotate", [False, True])
+    def test_uv_chain_subspaces(self, rotate):
+        """The half-filled 8-site U+V chain, real, in the site basis and in
+        its mean-field orbitals: a whole alpha channel under a few beta
+        strings (as SQD grows), a few strings of each, and one of each."""
+        m = 8
+        spec = SectorSpec(m, 4, 4)
+        ints = map_to_electronic(make_chain(m, v=0.6))
+        if rotate:
+            ints = rotate_basis(ints, solve_mean_field(ints, spec).orbital_coefficients)
+        rng = np.random.default_rng(8)
+        words = half_strings(m, 4)
+        for size_a, size_b in [(70, 5), (12, 9), (1, 1)]:
+            alpha = words if size_a == len(words) else rng.choice(words, size_a, replace=False)
+            self._check(ints, alpha, rng.choice(words, size_b, replace=False), rng, False)
+
+
 class TestTopOrbitals:
     """Orbital 62 is the highest a sector allows (an int64 word's bit below
     its sign bit); at M = 64, orbital 63 gave word 0 with sign +1."""
@@ -556,7 +630,7 @@ class TestVarianceCap:
     def test_sigma_bytes_bounds_measured_peak(self):
         """The estimate is an upper bound on what one variance allocates,
         with no string's entries memoized yet, in a site and in a rotated
-        complex basis (1.2-4.6x the peak there)."""
+        complex basis (1.4-3.4x the peak there)."""
         for m, n_alpha, n_beta, kept in [(6, 3, 3, (1, 1)), (8, 4, 3, (50, 1)),
                                          (8, 4, 4, (70, 11)), (10, 5, 5, (30, 30))]:
             for rotate in (False, True):
@@ -741,9 +815,10 @@ class TestHamiltonianColumns:
     def test_small_call_ranks_without_the_table(self, monkeypatch):
         """20 determinants of the half-filled 12-site rotated U+V chain reach
         a 853,776-slot key table but make far fewer entries, so ``np.unique``
-        ranks them: the call's traced peak stays at or under its peak with
-        the table switched off (a table sized by the slots alone peaked at
-        9.3 MB against 3.9 MB)."""
+        ranks them: the call's traced peak stays below the table's own 9
+        bytes a slot, which any call that builds the table exceeds, and
+        below its peak with the table forced (9.3 MB against 3.9 MB when
+        measured), with the same output."""
         ints = map_to_electronic(make_chain(12, v=0.6))
         spec = SectorSpec(12, 6, 6)
         c = solve_mean_field(ints, spec).orbital_coefficients
@@ -751,20 +826,23 @@ class TestHamiltonianColumns:
         pick = np.random.default_rng(20).choice(len(words) ** 2, size=20, replace=False)
         alpha, beta = words[pick % len(words)], words[pick // len(words)]
 
-        def traced_peak():
+        def traced():
             fresh = rotate_basis(ints, c)  # no string's entries memoized yet
             tracemalloc.start()
             try:
-                hamiltonian_columns(fresh, alpha, beta)
-                return tracemalloc.get_traced_memory()[1]
+                row_a, row_b, mat = hamiltonian_columns(fresh, alpha, beta)
+                peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
+            return peak, [x.tobytes() for x in (row_a, row_b, mat.indptr, mat.indices, mat.data)]
 
-        traced_peak()  # first-call allocations outside the engine
-        peak = traced_peak()
-        monkeypatch.setattr(strings_mod, "RANK_TABLE_SLOTS", 0)
-        unique = traced_peak()
-        assert peak <= unique
+        traced()  # first-call allocations outside the engine
+        peak, out = traced()
+        assert peak < 9 * len(words) ** 2
+        monkeypatch.setattr(strings_mod, "RANK_TABLE_RATIO", len(words) ** 2)
+        forced, table_out = traced()
+        assert peak < forced
+        assert out == table_out
 
     def test_columns_bytes_has_no_sector_sized_term(self):
         """The key table is charged per column, not per call: no columns cost
