@@ -32,13 +32,6 @@ class Determinant:
     alpha: int
     beta: int
 
-    def sort_key(self) -> tuple[int, int]:
-        return (self.beta, self.alpha)
-
-    def to_string(self, n_orbitals: int) -> str:
-        """Bitstring rendering: beta word then alpha word, orbital M-1 leftmost."""
-        return f"{self.beta:0{n_orbitals}b}{self.alpha:0{n_orbitals}b}"
-
 
 @cache
 def half_strings(n_orbitals: int, n_occ: int) -> np.ndarray:

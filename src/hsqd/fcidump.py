@@ -83,7 +83,8 @@ def read_fcidump(path) -> ElectronicIntegrals:
     h = np.zeros((m, m))
     g = np.zeros((m, m, m, m))
     core = 0.0
-    for lineno, line in enumerate(body.splitlines(), start=1):
+    # numbered from the top of the file: the body starts on the terminator's line
+    for lineno, line in enumerate(body.splitlines(), start=text.count("\n", 0, header_match.end()) + 1):
         line = line.strip()
         if not line:
             continue

@@ -236,6 +236,8 @@ def load_samples(path, spec: SectorSpec) -> SampleSet:
 
 
 def save_samples(samples: SampleSet, path) -> None:
+    """Write the lines ``load_samples`` reads, in ascending (beta, alpha) order."""
+    m = samples.n_orbitals
     with open(path, "w") as fh:
-        for det in sorted(samples.counts, key=lambda d: d.sort_key()):
-            fh.write(f"{det.to_string(samples.n_orbitals)} {samples.counts[det]}\n")
+        for det in sorted(samples.counts, key=lambda d: (d.beta, d.alpha)):
+            fh.write(f"{det.beta:0{m}b}{det.alpha:0{m}b} {samples.counts[det]}\n")

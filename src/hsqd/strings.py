@@ -17,11 +17,12 @@ the C(M, n) strings of the whole channel.  Orbital pairs are flat indices
 pq = p * M + q.  Each string's one-spin row, H_s on it summed per target
 word, is built once per integrals object (``ElectronicIntegrals.one_spin_memo``).
 Every routine takes a channel from ``_channel``: its one-spin entries and
-live E_pq, located in its strings or in every word they reach.
+live E_pq, located in its strings or in every word they reach, for one
+list of pairs: those that g_os couples in either role (``_coupled_pairs``).
 
 On a product space A x B the matrix and sigma read one block form,
-H = sum_k W_k (x) O_k over O = (1, H_alpha + core, E^alpha_pq for each pq
-that g_os couples) and W = (H_beta, 1, sum_rs g_os[pq,rs] E^beta_rs).
+H = sum_k W_k (x) O_k over O = (1, H_alpha + core, E^alpha_pq for each
+coupled pq) and W = (H_beta, 1, sum_rs g_os[pq,rs] E^beta_rs).
 Determinants are ordered beta-major, so a vector over A x B is the matrix
 C[ib, ia], with sigma = sum_k W_k C O_k^T over the words each channel
 reaches, and the matrix is H = sum_{ib,jb} |ib><jb| (x) B(ib, jb), with
@@ -179,11 +180,13 @@ def _channel(ints: ElectronicIntegrals, strings: np.ndarray, pairs: np.ndarray, 
 
 
 def _coupled_pairs(ints: ElectronicIntegrals):
-    """g_os over flat pairs, g_os[pq, rs], with the pq (alpha) and the rs
-    (beta) that it couples to anything."""
+    """The ascending flat pairs that g_os couples in either role, alpha pq or
+    beta rs (the union of its nonzero rows and columns, equal for symmetric
+    integrals), and its block over them, G = g_os[pairs][:, pairs]."""
     m = ints.n_orbitals
     gos = ints.two_body_opposite_spin.reshape(m * m, m * m)
-    return gos, np.flatnonzero(np.any(gos != 0, axis=1)), np.flatnonzero(np.any(gos != 0, axis=0))
+    pairs = np.flatnonzero(np.any(gos != 0, axis=0) | np.any(gos != 0, axis=1))
+    return pairs, gos[np.ix_(pairs, pairs)]
 
 
 def _block_form(ints: ElectronicIntegrals, alpha: np.ndarray, beta: np.ndarray, reach: bool):
@@ -192,14 +195,14 @@ def _block_form(ints: ElectronicIntegrals, alpha: np.ndarray, beta: np.ndarray, 
     (beta) as (k, row, column, value) in ascending k, the rows among the
     strings or, with ``reach``, every word they reach (``_channel``), and
     those words; and the number of k.  k = 0 is 1 and H_beta, k = 1 is
-    H_alpha + core and 1, and one more k for each pq that g_os couples is
-    E^alpha_pq and sum_rs g_os[pq, rs] E^beta_rs."""
-    gos, pq, rs = _coupled_pairs(ints)
+    H_alpha + core and 1, and one more k for each coupled pq
+    (``_coupled_pairs``) is E^alpha_pq and sum_rs g_os[pq, rs] E^beta_rs."""
+    pairs, g = _coupled_pairs(ints)
     (ha_row, ha_col, ha), (a_term, a_row, a_col, a_sign), words_a = _channel(
-        ints, alpha, pq, None if reach else alpha)
+        ints, alpha, pairs, None if reach else alpha)
     (hb_row, hb_col, hb), (b_term, b_row, b_col, b_sign), words_b = _channel(
-        ints, beta, rs, None if reach else beta)
-    i, e = np.nonzero(gos[pq][:, rs[b_term]])
+        ints, beta, pairs, None if reach else beta)
+    i, e = np.nonzero(g[:, b_term])
     na, nb = len(alpha), len(beta)
     own_a, own_b = np.searchsorted(words_a, alpha), np.searchsorted(words_b, beta)
     ops = (np.concatenate([np.zeros(na, int), np.ones(na + len(ha), int), a_term + 2]),
@@ -209,8 +212,8 @@ def _block_form(ints: ElectronicIntegrals, alpha: np.ndarray, beta: np.ndarray, 
     coef = (np.concatenate([np.zeros(len(hb), int), np.ones(nb, int), i + 2]),
             np.concatenate([hb_row, own_b, b_row[e]]),
             np.concatenate([hb_col, np.arange(nb), b_col[e]]),
-            np.concatenate([hb, np.ones(nb), gos[pq[i], rs[b_term[e]]] * b_sign[e]]))
-    return (ops, words_a), (coef, words_b), len(pq) + 2
+            np.concatenate([hb, np.ones(nb), g[i, b_term[e]] * b_sign[e]]))
+    return (ops, words_a), (coef, words_b), len(pairs) + 2
 
 
 def _operator_rows(entries, n: int, n_k: int):
@@ -268,18 +271,18 @@ def _per_string(spec: SectorSpec, ints: ElectronicIntegrals):
     m = spec.n_orbitals
     k = np.flatnonzero(_one_body_k(ints.one_body, ints.two_body_same_spin))
     gss = ints.two_body_same_spin.reshape(m * m, m * m) != 0
-    _, pq, rs = _coupled_pairs(ints)
+    pairs, _ = _coupled_pairs(ints)
     diag = np.arange(m) * (m + 1)
     gss_off = int(np.count_nonzero(gss)) - int(np.count_nonzero(gss[np.ix_(diag, diag)]))
     gss_rs, gss_pq = (np.flatnonzero(gss.any(axis=a)) for a in (0, 1))
     counts = []
-    for n, coupled in ((spec.n_alpha, pq), (spec.n_beta, rs)):
-        (k_d, k_o), (c_d, c_o) = _live_counts(k, m, n), _live_counts(coupled, m, n)
+    for n in (spec.n_alpha, spec.n_beta):
+        (k_d, k_o), (c_d, c_o) = _live_counts(k, m, n), _live_counts(pairs, m, n)
         (l_d, l_o), (r_d, r_o) = _live_counts(gss_rs, m, n), _live_counts(gss_pq, m, n)
         doubles = min((l_d + l_o) * (r_d + r_o), int(np.count_nonzero(gss)))
         moved = min(l_o * (r_d + r_o) + l_d * r_o, gss_off)
         counts.append((k_d + k_o + doubles, c_d + c_o, k_o + moved + c_o, c_o))
-    return counts, max(len(k), len(pq), len(rs), len(gss_pq))
+    return counts, max(len(k), len(pairs), len(gss_pq))
 
 
 def columns_bytes(n_dets: int, spec: SectorSpec, ints: ElectronicIntegrals) -> int:
@@ -351,7 +354,7 @@ def product_bytes(spec: SectorSpec, ints: ElectronicIntegrals, alpha: np.ndarray
     """
     m, item = spec.n_orbitals, 16 if ints.is_complex else 8
     counts, visited = _per_string(spec, ints)
-    gos, _, rs = _coupled_pairs(ints)
+    _, g = _coupled_pairs(ints)
     na, nb = len(alpha), len(beta)
     idx = 4 if max(na * nb, na * na, nb * nb) <= np.iinfo(np.int32).max else 8
     total = 4 * m**4 + 65536
@@ -363,7 +366,7 @@ def product_bytes(spec: SectorSpec, ints: ElectronicIntegrals, alpha: np.ndarray
         crossing.append(min(single, len(words) * lv_moved))
         live.append(len(words) * (lv - lv_moved) + crossing[-1])
         total += len(words) * (80 * visited + 3 * (20 + item) * (one + lv))
-    total += live[1] * int(np.count_nonzero(gos[:, rs], axis=0).max(initial=0)) * (80 + item)
+    total += live[1] * int(np.count_nonzero(g, axis=0).max(initial=0)) * (80 + item)
     total += (na + nb + moving[0] + moving[1]) * (2 * idx + item)
     entries = na * nb + nb * moving[0] + na * moving[1] + crossing[0] * crossing[1]
     return total + entries * max(item + 3 * idx + 8, 2 * item + idx + 8)
@@ -394,9 +397,9 @@ def hamiltonian_columns(
     ua, ia = np.unique(alpha, return_inverse=True)
     ub, ib = np.unique(beta, return_inverse=True)
     # g_os[pq, rs] E^beta_rs E^alpha_pq over the pairs with any coupling
-    gos, pq, rs = _coupled_pairs(ints)
-    one_a, (a_term, a_row, a_src, a_sign), words_a = _channel(ints, ua, pq)
-    one_b, (b_term, b_row, b_src, b_sign), words_b = _channel(ints, ub, rs)
+    pairs, g = _coupled_pairs(ints)
+    one_a, (a_term, a_row, a_src, a_sign), words_a = _channel(ints, ua, pairs)
+    one_b, (b_term, b_row, b_src, b_sign), words_b = _channel(ints, ub, pairs)
     # a determinant's key is row_b * len(words_a) + row_a, from the rows of
     # its strings among the words each channel reaches, so keys order like
     # (beta, alpha)
@@ -415,7 +418,7 @@ def hamiltonian_columns(
     k, y = _pair_up(ib[j], b_src)
     j, x = j[k], x[k]
     parts.append((b_row[y] * na + a_row[x], j,
-                  gos[pq[a_term[x]], rs[b_term[y]]] * a_sign[x] * b_sign[y]))
+                  g[a_term[x], b_term[y]] * a_sign[x] * b_sign[y]))
     key, cols, vals = (np.concatenate(z) for z in zip(*parts))
     del parts, one_a, one_b, row, src, j, e, x, k, y  # bounds the peak (columns_bytes)
     keep = vals != 0
@@ -453,26 +456,26 @@ def sigma_bytes(spec: SectorSpec, ints: ElectronicIntegrals, n_alpha: int, n_bet
     the one-spin entries and opposite-spin E_pq that map a string to another
     (``_per_string``) or the words within a double excitation, if fewer.
     Counts the (P + 2) n_beta x R_alpha products that ``sigma`` stacks (P
-    the pairs that g_os couples) and their copy, two R_alpha x R_beta
-    arrays (S and the variance's residual), 80 bytes per string and visited
-    orbital pair, three copies of each entry (three indices and a value),
-    80 bytes and a value for every pq that g_os couples to a live beta
-    E_rs, 4 M^4 bytes of integral masks and 64 KiB.  In a rotated basis
-    (the U+V chain at half filling) this is 1.3-2.8x the peak measured from
-    M = 6 to 12 with ten or more strings per channel (1.9-3.9x for one); in
-    a site basis 1.4-9.0x (up to M = 20).
+    the pairs that g_os couples) and their copy, one R_alpha x R_beta array
+    (S, which the variance's residual overwrites), 80 bytes per string and
+    visited orbital pair, three copies of each entry (three indices and a
+    value), 80 bytes and a value for every pq that g_os couples to a live
+    beta E_rs, 4 M^4 bytes of integral masks and 64 KiB.  In a rotated
+    basis (the U+V chain at half filling) this is 1.2-2.7x the peak
+    measured from M = 6 to 12 with ten or more strings per channel
+    (1.5-3.3x for one); in a site basis 1.3-7.3x (up to M = 20).
     """
     m, item = spec.n_orbitals, 16 if ints.is_complex else 8
     counts, visited = _per_string(spec, ints)
-    gos, pq, rs = _coupled_pairs(ints)
+    pairs, g = _coupled_pairs(ints)
     total, reach = 4 * m**4 + 65536, []
     for n, strings, (one, live, moved, _) in zip((spec.n_alpha, spec.n_beta),
                                                  (n_alpha, n_beta), counts):
         near = min(moved, n * (m - n) + comb(n, 2) * comb(m - n, 2))
         reach.append(min(comb(m, n), strings * (1 + near)))
         total += strings * (80 * visited + 3 * (20 + item) * (one + live))
-    total += n_beta * counts[1][1] * int(np.count_nonzero(gos[:, rs], axis=0).max(initial=0)) * (80 + item)
-    return total + 2 * item * reach[0] * ((len(pq) + 2) * n_beta + reach[1])
+    total += n_beta * counts[1][1] * int(np.count_nonzero(g, axis=0).max(initial=0)) * (80 + item)
+    return total + item * reach[0] * (2 * (len(pairs) + 2) * n_beta + reach[1])
 
 
 def sigma(

@@ -164,14 +164,14 @@ def relative_variance(c: np.ndarray, s: np.ndarray, own=None) -> float | None:
     ``c`` from s = H c over every determinant that H reaches from ``c``,
     where ``s[own]`` (by default the first ``c.size``) holds c's own in its
     shape; None when <H> is zero.  It is taken as |s - <H> c|^2 / <H>^2, the
-    squared residual, which cannot go negative by cancellation."""
+    squared residual, which cannot go negative by cancellation; the residual
+    overwrites ``s``."""
     own = slice(c.size) if own is None else own
     h1 = float(np.real(np.vdot(c, s[own])))
     if abs(h1) < 1e-14:
         return None
-    r = s.copy()
-    r[own] -= h1 * c
-    return float(np.real(np.vdot(r, r))) / (h1 * h1)
+    s[own] -= h1 * c
+    return float(np.real(np.vdot(s, s))) / (h1 * h1)
 
 
 def check_expansion(threshold: float, levels: set[int]) -> None:

@@ -461,9 +461,12 @@ def sigma_reference(c, ints, alpha, beta):
     = sum_rs g_os[pq, rs] E^beta_rs refilled into one sorted E^beta
     pattern.  Returns S[jb, ja] over the words each channel reaches and
     those words, with no memory cap checked."""
-    from hsqd.strings import _channel, _coupled_pairs
+    from hsqd.strings import _channel
 
-    gos, pq, rs = _coupled_pairs(ints)
+    m = ints.n_orbitals
+    gos = ints.two_body_opposite_spin.reshape(m * m, m * m)
+    # the pq (alpha) and the rs (beta) that g_os couples to anything
+    pq, rs = np.flatnonzero(np.any(gos != 0, axis=1)), np.flatnonzero(np.any(gos != 0, axis=0))
     (row, col, val), (a_term, a_row, a_col, a_sign), words_a = _channel(ints, alpha, pq)
     ha = sp.csr_matrix((val, (row, col)), shape=(len(words_a), len(alpha)))
     (row, col, val), (b_term, b_row, b_col, b_sign), words_b = _channel(ints, beta, rs)

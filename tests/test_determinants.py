@@ -65,7 +65,7 @@ class TestEnumerateSector:
     def test_canonical_order_is_beta_major(self):
         for spec in (SectorSpec(3, 1, 2), SectorSpec(5, 2, 3), SectorSpec(4, 4, 0)):
             dets = sector_order(spec)
-            keys = [d.sort_key() for d in dets]
+            keys = [(d.beta, d.alpha) for d in dets]
             assert keys == sorted(keys)
             assert dets == enumerate_sector(spec)
 

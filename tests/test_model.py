@@ -344,13 +344,23 @@ class TestFcidump:
     @pytest.mark.parametrize("line", ["0.5 0 2 0 0", "0.5 2 0 0 0"])
     def test_one_body_zero_index_rejected(self, tmp_path, line):
         """A one-body line with one zero index was stored through index -1:
-        ``0.5 0 2 0 0`` landed at h[2, 1] and h[1, 2] of a 3-orbital file."""
-        from hsqd import read_fcidump
+        ``0.5 0 2 0 0`` landed at h[2, 1] and h[1, 2] of a 3-orbital file.
+        The error names the line counted from the top of the file, not from
+        the header's terminator, also under ``write_fcidump``'s four-line
+        header."""
+        from hsqd import read_fcidump, write_fcidump
 
+        write_fcidump(map_to_electronic(random_lattice(np.random.default_rng(2), m=3)),
+                      tmp_path / "m.dump")
+        written = (tmp_path / "m.dump").read_text()
+        assert written.count("\n", 0, written.index("&END")) == 3
         path = tmp_path / "bad.dump"
-        path.write_text(f"&FCI NORB=3,NELEC=2,MS2=0,\n&END\n-1.0 1 2 0 0\n{line}\n")
-        with pytest.raises(ValidationError, match=f"mixed zero/nonzero indices on line .*'{line}'"):
-            read_fcidump(path)
+        for text, lineno in [("&FCI NORB=3,NELEC=2,MS2=0,\n&END\n-1.0 1 2 0 0\n", 4),
+                             (written, written.count("\n") + 1)]:
+            path.write_text(f"{text}{line}\n")
+            with pytest.raises(ValidationError,
+                               match=f"mixed zero/nonzero indices on line {lineno}: '{line}'"):
+                read_fcidump(path)
 
 
 class TestIntegralInvariants:

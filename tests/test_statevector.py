@@ -518,6 +518,16 @@ class TestSampleFiles:
         assert back.counts == original.counts
         assert back.shots == original.shots
 
+    def test_written_bytes(self, tmp_path):
+        """``save_samples`` writes beta word then alpha word, orbital M-1
+        leftmost, one line per determinant in ascending (beta, alpha) order,
+        whatever order the counts come in."""
+        counts = {Determinant(0b001, 0b100): 3, Determinant(0b100, 0b001): 7,
+                  Determinant(0b010, 0b001): 5}
+        save_samples(SampleSet(3, counts, 15, None, "simulated"), tmp_path / "w.txt")
+        assert (tmp_path / "w.txt").read_bytes() == b"001010 5\n001100 7\n100001 3\n"
+        assert load_samples(tmp_path / "w.txt", SectorSpec(3, 1, 1)).counts == counts
+
     def test_counts_must_match_shots(self):
         with pytest.raises(ValidationError):
             SampleSet(2, {Determinant(1, 1): 5}, 6, None, "file")

@@ -61,6 +61,7 @@ from oracles import (
     basis_determinants,
     column_rows,
     covering_reference,
+    creation_operators,
     dense_fock_hamiltonian,
     diagonal_energy,
     enumerate_sector,
@@ -540,6 +541,58 @@ class TestSigmaAgainstPairLoop:
             self._check(ints, alpha, rng.choice(words, size_b, replace=False), rng, False)
 
 
+class TestCoupledPairsUnion:
+    """A g_os entry of 1e-11 whose pair-swap partner is 0, inside the
+    integrals' 1e-10 symmetry tolerance, gives g_os different row and column
+    patterns: its pq is coupled only as an alpha pair and its rs only as a
+    beta pair.  The engine reads g_os[pq, rs] E^beta_rs E^alpha_pq, while
+    ``dense_fock_hamiltonian`` takes the swap-even part, 1/2 (g_os[pq, rs] +
+    g_os[rs, pq]), so the reference adds the swap-odd rest to it."""
+
+    @staticmethod
+    def _reference(ints):
+        m = ints.n_orbitals
+        cr = creation_operators(2 * m)
+        an = [op.conj().T for op in cr]
+        gos = ints.two_body_opposite_spin
+        odd = 0.5 * (gos - gos.transpose(2, 3, 0, 1))
+        ham = dense_fock_hamiltonian(ints)
+        for p, q, r, s in zip(*np.nonzero(odd)):
+            ham = ham + odd[p, q, r, s] * (cr[p] @ an[q] @ cr[m + r] @ an[m + s])
+        return ham.toarray()
+
+    @pytest.mark.parametrize("n_alpha, n_beta", [(1, 1), (2, 1), (1, 2), (2, 2)])
+    def test_engine_against_fock_operator(self, n_alpha, n_beta):
+        m = 3
+        rng = np.random.default_rng(10 * n_alpha + n_beta)
+        ints = map_to_electronic(random_lattice(rng, m=m))
+        gos = np.array(ints.two_body_opposite_spin)
+        gos[0, 1, 1, 2] = 1e-11  # alpha pq = 01 to beta rs = 12, and nothing back
+        ints = dataclasses.replace(ints, two_body_opposite_spin=gos)
+        live = gos.reshape(m * m, m * m) != 0
+        assert not np.array_equal(live.any(axis=1), live.any(axis=0))
+        ham = self._reference(ints)
+        for alpha, beta in [(half_strings(m, n_alpha), half_strings(m, n_beta)),
+                            (half_strings(m, n_alpha)[1:], half_strings(m, n_beta)[-2:])]:
+            # Fock indices alpha | beta << m, beta-major
+            cols = (alpha[None, :] | beta[:, None] << m).ravel()
+            mat = product_hamiltonian(ints, alpha, beta)
+            assert np.abs(mat.toarray() - ham[np.ix_(cols, cols)]).max() <= 1e-12
+            c = rng.normal(size=(len(beta), len(alpha)))
+            c /= np.linalg.norm(c)
+            s, words_a, words_b = strings_mod.sigma(c, ints, alpha, beta)
+            got = np.zeros(len(ham))
+            got[(words_a[None, :] | words_b[:, None] << m).ravel()] = s.ravel()
+            assert np.abs(got - ham[:, cols] @ c.ravel()).max() <= 1e-12
+        # a determinant list that is not a product set, in no particular order
+        sector = np.stack(np.meshgrid(half_strings(m, n_alpha), half_strings(m, n_beta)), -1)
+        alpha, beta = rng.permutation(sector.reshape(-1, 2))[:max(1, sector[..., 0].size - 2)].T
+        row_a, row_b, mat = hamiltonian_columns(ints, alpha, beta)
+        got = np.zeros((len(ham), len(alpha)))
+        got[row_a | row_b << m] = mat.toarray()
+        assert np.abs(got - ham[:, alpha | beta << m]).max() <= 1e-12
+
+
 class TestTopOrbitals:
     """Orbital 62 is the highest a sector allows (an int64 word's bit below
     its sign bit); at M = 64, orbital 63 gave word 0 with sign +1."""
@@ -592,16 +645,16 @@ class TestVarianceCap:
         assert var == pytest.approx(np.sum(np.abs(off) ** 2) / h_dd**2, rel=1e-10)
 
     def test_sigma_memory_preflight(self, monkeypatch):
-        """One determinant of the 30-site half-filled sector in a basis where
-        every coupling is nonzero: each of its strings reaches about 11,000
-        words, and the sigma over their products would need far more memory
-        than MEMORY_CAP."""
-        m = 30
-        spec = SectorSpec(m, 15, 15)
+        """One determinant of the 36-site half-filled sector in a basis where
+        every coupling is nonzero: each of its strings reaches about 23,700
+        words, and the sigma over their products would need more than twice
+        MEMORY_CAP."""
+        m = 36
+        spec = SectorSpec(m, 18, 18)
         ints = ElectronicIntegrals(m, np.ones((m, m)), np.ones((m,) * 4), np.ones((m,) * 4))
         assert sigma_bytes(spec, ints, 1, 1) > MEMORY_CAP
         res = GroundStateResult(1.0, np.ones(1), 0.0, 1, True)
-        basis = SubspaceBasis(spec, ((1 << 15) - 1,), ((1 << 15) - 1,))
+        basis = SubspaceBasis(spec, ((1 << 18) - 1,), ((1 << 18) - 1,))
         self._forbid_allocation(monkeypatch)
         assert energy_variance(res, basis, ints) is None
 
@@ -630,7 +683,7 @@ class TestVarianceCap:
     def test_sigma_bytes_bounds_measured_peak(self):
         """The estimate is an upper bound on what one variance allocates,
         with no string's entries memoized yet, in a site and in a rotated
-        complex basis (1.4-3.4x the peak there)."""
+        complex basis (1.3-3.3x the peak there)."""
         for m, n_alpha, n_beta, kept in [(6, 3, 3, (1, 1)), (8, 4, 3, (50, 1)),
                                          (8, 4, 4, (70, 11)), (10, 5, 5, (30, 30))]:
             for rotate in (False, True):
@@ -713,7 +766,7 @@ def _check_columns(ints, dets):
     row_a, row_b, mat = hamiltonian_columns(ints, alpha, beta)
     rows = [Determinant(int(a), int(b)) for a, b in zip(row_a, row_b)]
     # one row per determinant, strictly ascending in (beta, alpha)
-    keys = [d.sort_key() for d in rows]
+    keys = [(d.beta, d.alpha) for d in rows]
     assert all(k1 < k2 for k1, k2 in zip(keys, keys[1:]))
     fock = dense_fock_hamiltonian(ints).tocsr()[:, [fock_index(d, m) for d in dets]]
     assert mat.shape == (len(rows), len(dets))
