@@ -18,6 +18,10 @@ The mean field, which defines the orbitals every rotated run works in, gets
 its own digest: the orbitals, ``hf_energy`` and ``energy_history`` of
 ``solve_mean_field`` on the site-basis integrals, real and complex, for every
 number of electron pairs.  It is not part of the total.
+
+The memory estimates that cap those calls get one more digest, also outside
+the total: ``product_bytes``, ``sigma_bytes`` and ``columns_bytes`` on the
+same requests.  A change that must leave the estimates as they are keeps it.
 """
 
 import hashlib
@@ -26,7 +30,8 @@ import numpy as np
 
 from hsqd import LatticeHamiltonian, SectorSpec, map_to_electronic, rotate_basis, solve_mean_field
 from hsqd.determinants import half_strings
-from hsqd.strings import hamiltonian_columns, product_hamiltonian, sigma
+from hsqd.strings import (columns_bytes, hamiltonian_columns, product_bytes, product_hamiltonian,
+                          sigma, sigma_bytes)
 
 SEED = 20240601
 PASSES = 3
@@ -83,19 +88,21 @@ def main() -> None:
     h = hashlib.sha256()
     per = {}  # function name -> its own digest
     scf = hashlib.sha256()
+    estimates = hashlib.sha256()
     cases = 0
     for m in range(2, 9):
         for rotated in (False, True):
             for complex_ints in (False, True):
                 ints = random_integrals(rng, m, complex_ints, rotated)
-                reqs = [requests(rng, m, na, nb, complex_ints) for na, nb in sectors(rng, m)]
+                reqs = [(SectorSpec(m, na, nb), requests(rng, m, na, nb, complex_ints))
+                        for na, nb in sectors(rng, m)]
                 if not rotated:
                     for pairs in range(m + 1):
                         mf = solve_mean_field(ints, SectorSpec(m, pairs, pairs))
                         update(scf, mf.orbital_coefficients, np.array(mf.hf_energy),
                                np.array(mf.energy_history))
                 for _ in range(PASSES):
-                    for alpha, beta, wa, wb, c, dets_a, dets_b in reqs:
+                    for spec, (alpha, beta, wa, wb, c, dets_a, dets_b) in reqs:
                         mat = product_hamiltonian(ints, alpha, beta)
                         out_a, out_b, cols = hamiltonian_columns(ints, dets_a, dets_b)
                         arrays = {
@@ -107,10 +114,14 @@ def main() -> None:
                         for name, xs in arrays.items():
                             update(h, *xs)
                             update(per.setdefault(name, hashlib.sha256()), *xs)
+                        update(estimates, np.array([product_bytes(spec, ints, alpha, beta),
+                                                    sigma_bytes(spec, ints, len(wa), len(wb)),
+                                                    columns_bytes(len(dets_a), spec, ints)]))
                         cases += 1
     for name, digest in per.items():
         print(f"{digest.hexdigest()}  {name}")
     print(f"{scf.hexdigest()}  solve_mean_field")
+    print(f"{estimates.hexdigest()}  estimates (not in the total)")
     print(f"{h.hexdigest()}  total ({cases} cases)")
 
 

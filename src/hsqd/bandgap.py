@@ -40,6 +40,8 @@ from .subspace import (
 )
 
 SECTOR_LABELS = ("Ne-1", "Ne", "Ne+1")
+# the WorkflowConfig field, and config key, of each sector's sample file
+SAMPLE_KEYS = {"Ne-1": "samples_neminus1", "Ne": "samples_ne", "Ne+1": "samples_neplus1"}
 SOLVERS = ("fci", "hci", "sqd", "extsqd")
 MODES = ("TB", "U", "V", "U+V")
 
@@ -97,7 +99,10 @@ class WorkflowConfig:
     extsqd_levels: tuple[int, ...] = (1,)
     shots: int = 2_500_000
     seed: int = 0
-    samples_files: dict[str, str] = field(default_factory=dict)
+    # each sector's sample file (SAMPLE_KEYS), read in place of simulated samples
+    samples_neminus1: str | None = None
+    samples_ne: str | None = None
+    samples_neplus1: str | None = None
     out_dir: str | None = None
     material: str | None = None
     literal_2u: bool = False
@@ -116,9 +121,6 @@ class WorkflowConfig:
             raise ValidationError(f"unknown interaction mode {self.mode!r}")
         if not self.solvers:
             raise ValidationError("at least one solver required")
-        for label in self.samples_files:
-            if label not in SECTOR_LABELS:
-                raise ValidationError(f"unknown sector label {label!r} in samples files")
         # the rules of the routines that take these settings, checked before
         # any work starts
         check_sampling(self.shots, self.seed)
@@ -251,8 +253,9 @@ def run_workflow(config: WorkflowConfig) -> tuple[GapReport, dict[str, list[Sect
     ints = map_to_electronic(lat, literal_2u=config.literal_2u)
     neutral = specs["Ne"]
     # a malformed sample file fails the run here, before any solver
+    files = {label: getattr(config, key) for label, key in SAMPLE_KEYS.items()}
     loaded = {label: load_samples(path, specs[label])
-              for label, path in config.samples_files.items()}
+              for label, path in files.items() if path is not None}
 
     # each sector's orbitals and LUCJ amplitudes come from the mean field of
     # the neutral pair count, or with sector_mean_field of its own
@@ -342,7 +345,7 @@ def run_workflow(config: WorkflowConfig) -> tuple[GapReport, dict[str, list[Sect
             "sector_mean_field": config.sector_mean_field,
         },
         stage_seconds={k: round(v, 6) for k, v in stage_seconds.items()},
-        samples={label: ({"file": config.samples_files[label]} if s.seed is None
+        samples={label: ({"file": files[label]} if s.seed is None
                          else {"seed": s.seed}) | {"discarded_fraction": s.discarded_fraction}
                  for label, s in sampled.items()},
     )

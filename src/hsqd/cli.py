@@ -31,6 +31,7 @@ import numpy as np
 from . import __version__
 from .bandgap import (
     MODES,
+    SAMPLE_KEYS,
     SOLVERS,
     WorkflowConfig,
     _simulate_sector_samples,
@@ -58,7 +59,6 @@ from .statevector import check_sampling, save_samples
 SWEEP_FIELDS = ("fraction", "d", "energy", "residual", "variance", "converged")
 # the columns plotdata reads from each sweep CSV; a missing one exits 2
 PLOT_FIELDS = ("solver", "sector", "fraction", "d", "energy")
-SAMPLE_KEYS = {"Ne-1": "samples_neminus1", "Ne": "samples_ne", "Ne+1": "samples_neplus1"}
 READERS = {str: _string, bool: _boolean, int: _integer, float: _number}
 
 
@@ -78,12 +78,8 @@ def config_reader(tp):
     return READERS[tp]
 
 
-# each config key's reader, chosen by the type of its WorkflowConfig field;
-# the sample-file keys fill samples_files, which no key sets directly
-CONFIG_READERS = {
-    name: config_reader(tp) for name, tp in get_type_hints(WorkflowConfig).items()
-    if name != "samples_files"
-} | dict.fromkeys(SAMPLE_KEYS.values(), _string)
+# each config key's reader, chosen by the type of its WorkflowConfig field
+CONFIG_READERS = {name: config_reader(tp) for name, tp in get_type_hints(WorkflowConfig).items()}
 CONFIG_KEYS = set(CONFIG_READERS)
 
 
@@ -115,8 +111,6 @@ def config_from_file(path, overrides: dict | None = None) -> WorkflowConfig:
     for key in ("lattice_path", *SAMPLE_KEYS.values()):
         if key in values and not os.path.isabs(values[key]):
             values[key] = str((Path(path).parent / values[key]).resolve())
-    values["samples_files"] = {label: values.pop(key) for label, key in SAMPLE_KEYS.items()
-                               if key in values}
     try:
         return WorkflowConfig(**values)
     except ValidationError as exc:
@@ -124,7 +118,8 @@ def config_from_file(path, overrides: dict | None = None) -> WorkflowConfig:
 
 
 def _write_manifest(out_dir: Path, config: WorkflowConfig, config_path, report, runs) -> None:
-    inputs = [str(Path(config_path).resolve()), config.lattice_path, *config.samples_files.values()]
+    inputs = [str(Path(config_path).resolve()), config.lattice_path,
+              *filter(None, (getattr(config, key) for key in SAMPLE_KEYS.values()))]
     manifest = {
         "tool_version": __version__,
         "config": asdict(config),
@@ -209,7 +204,7 @@ def _write_sweep_csvs(out_dir: Path, runs) -> None:
 def cmd_run(args) -> int:
     overrides = {"mode": args.mode, "extsqd_threshold": args.threshold,
                  "out_dir": args.out_dir, "solvers": args.solver}
-    if args.fractions:
+    if args.fractions is not None:
         try:
             overrides["fractions"] = [float(x) for x in args.fractions.split(",")]
         except ValueError:

@@ -172,11 +172,9 @@ class _ColumnStore:
         return imp
 
     def sigma(self, c: np.ndarray) -> np.ndarray:
-        """H[:, S] c over the rows: the members of S in order, then the rows
-        outside."""
+        """H[:, S] c over every row, in row order: c's own are at ``members``."""
         shape = len(self.position), len(self.members)
-        s = sp.csc_matrix((self.values, self.rows, self.indptr), shape=shape) @ c
-        return np.concatenate([s[self.members], s[self.position < 0]])
+        return sp.csc_matrix((self.values, self.rows, self.indptr), shape=shape) @ c
 
 
 def hci_ground(
@@ -216,6 +214,7 @@ def hci_ground(
             store.extend(store.row_alpha[pick], store.row_beta[pick])
             result = lowest_eigenpair(store.square())
         alpha, beta = store.row_alpha[store.members], store.row_beta[store.members]
-        res = result.with_variance(relative_variance(result.ci_vector, store.sigma(result.ci_vector)))
+        c = result.ci_vector
+        res = result.with_variance(relative_variance(c, store.sigma(c), store.members))
         stages.append(SelectedCiStage(eps, len(alpha), len(alpha) / spec.dimension(), res, alpha, beta))
     return stages

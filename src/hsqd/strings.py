@@ -6,7 +6,9 @@ splits by spin (Knowles and Handy, Chem. Phys. Lett. 111, 315 (1984)):
     H = H_beta (x) 1 + 1 (x) H_alpha + core
       + sum_{pq,rs} g_os[pq,rs] E^beta_rs (x) E^alpha_pq ,
 
-with E_pq = a+_p a_q acting inside one spin string and the one-spin operator
+with E_pq = a+_p a_q acting inside one spin string, g_os read as its
+swap-even part 1/2 (g_os[pq,rs] + g_os[rs,pq]) (the operator that
+``ElectronicIntegrals`` defines) and the one-spin operator
 
     H_s = sum_pq k_pq E_pq + 1/2 sum_{pqrs} g_ss[pq,rs] E_pq E_rs ,
     k_pq = h_pq - 1/2 sum_r g_ss[p,r,r,q] .
@@ -181,12 +183,13 @@ def _channel(ints: ElectronicIntegrals, strings: np.ndarray, pairs: np.ndarray, 
 
 def _coupled_pairs(ints: ElectronicIntegrals):
     """The ascending flat pairs that g_os couples in either role, alpha pq or
-    beta rs (the union of its nonzero rows and columns, equal for symmetric
-    integrals), and its block over them, G = g_os[pairs][:, pairs]."""
+    beta rs (the union of its nonzero rows and columns), and its swap-even
+    block over them, G = 1/2 (g + g^T) with g = g_os[pairs][:, pairs]."""
     m = ints.n_orbitals
     gos = ints.two_body_opposite_spin.reshape(m * m, m * m)
     pairs = np.flatnonzero(np.any(gos != 0, axis=0) | np.any(gos != 0, axis=1))
-    return pairs, gos[np.ix_(pairs, pairs)]
+    g = gos[np.ix_(pairs, pairs)]
+    return pairs, (g + g.T) / 2
 
 
 def _block_form(ints: ElectronicIntegrals, alpha: np.ndarray, beta: np.ndarray, reach: bool):

@@ -159,14 +159,13 @@ def energy_variance(
                                           np.searchsorted(words_a, alpha)))
 
 
-def relative_variance(c: np.ndarray, s: np.ndarray, own=None) -> float | None:
+def relative_variance(c: np.ndarray, s: np.ndarray, own) -> float | None:
     """Relative variance (<H^2> - <H>^2) / <H>^2 of the normalized vector
     ``c`` from s = H c over every determinant that H reaches from ``c``,
-    where ``s[own]`` (by default the first ``c.size``) holds c's own in its
-    shape; None when <H> is zero.  It is taken as |s - <H> c|^2 / <H>^2, the
-    squared residual, which cannot go negative by cancellation; the residual
+    where ``s[own]`` holds c's own determinants in c's order and shape; None
+    when <H> is zero.  It is taken as |s - <H> c|^2 / <H>^2, the squared
+    residual, which cannot go negative by cancellation; the residual
     overwrites ``s``."""
-    own = slice(c.size) if own is None else own
     h1 = float(np.real(np.vdot(c, s[own])))
     if abs(h1) < 1e-14:
         return None

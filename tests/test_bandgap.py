@@ -16,7 +16,7 @@ from hsqd import (
     sector_specs,
     single_particle_gap,
 )
-from hsqd.bandgap import apply_interaction_mode
+from hsqd.bandgap import SAMPLE_KEYS, apply_interaction_mode
 
 from conftest import DIMER_E, make_chain, random_lattice
 
@@ -242,7 +242,7 @@ class TestRunWorkflow:
             lattice_path=str(tmp_path / "dimer.json"),
             n_electrons=2,
             solvers=("fci", "sqd"),
-            samples_files={"Ne": str(tmp_path / "empty_sector.txt")},
+            samples_ne=str(tmp_path / "empty_sector.txt"),
         )
         report, runs = run_workflow(config)
         assert "fci" in report.gaps
@@ -261,7 +261,7 @@ class TestRunWorkflow:
             solvers=("sqd", "extsqd"),
             fractions=(0.5, 1.0),
             seed=3,
-            samples_files={"Ne": str(tmp_path / "empty_sector.txt")},
+            samples_ne=str(tmp_path / "empty_sector.txt"),
         )
         report, runs = run_workflow(config)
         message = "ValidationError: postselection discarded every sample (empty subspace)"
@@ -339,10 +339,10 @@ class TestRunWorkflow:
             assert set(report.gaps) == {"sqd", "extsqd"}
         files = {}
         for label, bits in (("Ne-1", "00110001"), ("Ne", "00110011"), ("Ne+1", "00110111")):
-            files[label] = str(tmp_path / f"{label}.txt")
+            files[SAMPLE_KEYS[label]] = str(tmp_path / f"{label}.txt")
             (tmp_path / f"{label}.txt").write_text(f"{bits} 10\n")
         calls.clear()
-        report, _ = run_workflow(WorkflowConfig(samples_files=files, **common))
+        report, _ = run_workflow(WorkflowConfig(**files, **common))
         assert calls == []
         assert set(report.gaps) == {"sqd", "extsqd"}
 
@@ -387,7 +387,7 @@ class TestRunWorkflow:
                 lattice_path=str(tmp_path / "dimer.json"),
                 n_electrons=2,
                 solvers=("fci", "sqd"),
-                samples_files={"Ne": str(tmp_path / name)},
+                samples_ne=str(tmp_path / name),
             )
             with pytest.raises(ValidationError):
                 run_workflow(config)
@@ -492,7 +492,9 @@ class TestConfigValidation:
             WorkflowConfig(lattice_path="x.json", n_electrons=2, solvers=("dmrg",))
 
     def test_unknown_sector_label(self):
-        with pytest.raises(ValidationError):
+        """Each sector's sample file is a field of its own, so a label no
+        sector has cannot be passed at all."""
+        with pytest.raises(TypeError):
             WorkflowConfig(lattice_path="x.json", n_electrons=2,
                            samples_files={"N": "s.txt"})
 

@@ -396,9 +396,26 @@ class TestRun:
         rebuilt = WorkflowConfig(**{key: tuple(value) if isinstance(value, list) else value
                                     for key, value in manifest["config"].items()})
         assert rebuilt == config_from_file(config, {"solvers": ["hci", "sqd"]})
-        assert rebuilt.samples_files == {"Ne": str((tmp_path / "s.txt").resolve())}
+        assert rebuilt.samples_ne == str((tmp_path / "s.txt").resolve())
         want = hashlib.sha256(config.read_bytes()).hexdigest()
         assert manifest["input_hashes"][str(config.resolve())] == want
+
+    def test_manifest_config_reads_back_as_a_config_file(self, tmp_path):
+        """The manifest's config uses the config file's own keys, so written
+        back as one it reads as the run's WorkflowConfig; it used to hold the
+        sample files under samples_files, which no config key sets."""
+        lattice = write_dimer(tmp_path)
+        (tmp_path / "s.txt").write_text("0101 60\n1010 40\n")
+        out_dir = tmp_path / "out_c"
+        config = write_config(tmp_path, lattice, out_dir, samples_ne='"s.txt"',
+                              hci_epsilons="[0.5, 0.01]", material='"dimer2"')
+        assert main(["run", str(config), "--solver", "hci", "--solver", "sqd"]) == 0
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        back = tmp_path / "back" / "run.toml"
+        back.parent.mkdir()
+        back.write_text("".join(f"{key} = {json.dumps(value)}\n"
+                                for key, value in manifest["config"].items() if value is not None))
+        assert config_from_file(back) == config_from_file(config, {"solvers": ["hci", "sqd"]})
 
     def test_outputs_idempotent(self, tmp_path):
         lattice = write_dimer(tmp_path)
@@ -496,6 +513,14 @@ class TestConfig:
         assert main(["run", str(config), "--fractions", "0.5,abc"]) == 2
         assert "--fractions must be comma-separated numbers" in capsys.readouterr().err
 
+    def test_empty_fractions_flag_exits_2(self, tmp_path, capsys):
+        """An empty list used to run the config's own fractions and exit 0."""
+        config = write_config(tmp_path, write_dimer(tmp_path), tmp_path / "o")
+        for value in ("", "0.5,"):
+            assert main(["run", str(config), "--fractions", value]) == 2
+            assert "--fractions must be comma-separated numbers" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_integral_float_accepted(self, tmp_path):
         config = write_config(tmp_path, write_dimer(tmp_path), tmp_path / "o",
                               n_electrons="2.0", shots="2e4", extsqd_levels="[1.0, 2]")
@@ -575,7 +600,7 @@ class TestConfig:
         """Each key is read through the declared type of its WorkflowConfig
         field, and reads its default back; a field of a type that no reader
         takes fails here instead of being misread."""
-        from hsqd.cli import CONFIG_READERS, SAMPLE_KEYS, config_reader
+        from hsqd.cli import CONFIG_READERS, config_reader
 
         assert set(CONFIG_READERS) == CONFIG_KEYS
         for field in dataclasses.fields(WorkflowConfig):
@@ -585,8 +610,7 @@ class TestConfig:
         for tp in (dict[str, str], list[int], tuple[int, int], complex, int | str):
             with pytest.raises(TypeError, match="no config reader"):
                 config_reader(tp)
-        hints = get_type_hints(WorkflowConfig)
-        assert CONFIG_KEYS - set(SAMPLE_KEYS.values()) == set(hints) - {"samples_files"}
+        assert CONFIG_KEYS == set(get_type_hints(WorkflowConfig))
 
 
 class TestInputErrors:

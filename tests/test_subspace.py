@@ -61,7 +61,6 @@ from oracles import (
     basis_determinants,
     column_rows,
     covering_reference,
-    creation_operators,
     dense_fock_hamiltonian,
     diagonal_energy,
     enumerate_sector,
@@ -545,21 +544,9 @@ class TestCoupledPairsUnion:
     """A g_os entry of 1e-11 whose pair-swap partner is 0, inside the
     integrals' 1e-10 symmetry tolerance, gives g_os different row and column
     patterns: its pq is coupled only as an alpha pair and its rs only as a
-    beta pair.  The engine reads g_os[pq, rs] E^beta_rs E^alpha_pq, while
-    ``dense_fock_hamiltonian`` takes the swap-even part, 1/2 (g_os[pq, rs] +
-    g_os[rs, pq]), so the reference adds the swap-odd rest to it."""
-
-    @staticmethod
-    def _reference(ints):
-        m = ints.n_orbitals
-        cr = creation_operators(2 * m)
-        an = [op.conj().T for op in cr]
-        gos = ints.two_body_opposite_spin
-        odd = 0.5 * (gos - gos.transpose(2, 3, 0, 1))
-        ham = dense_fock_hamiltonian(ints)
-        for p, q, r, s in zip(*np.nonzero(odd)):
-            ham = ham + odd[p, q, r, s] * (cr[p] @ an[q] @ cr[m + r] @ an[m + s])
-        return ham.toarray()
+    beta pair.  The operator, as ``dense_fock_hamiltonian`` builds it, reads
+    the swap-even part 1/2 (g_os[pq, rs] + g_os[rs, pq]) in both roles, and
+    so must the engine; reading g_os[pq, rs] alone was 5e-12 off here."""
 
     @pytest.mark.parametrize("n_alpha, n_beta", [(1, 1), (2, 1), (1, 2), (2, 2)])
     def test_engine_against_fock_operator(self, n_alpha, n_beta):
@@ -571,7 +558,7 @@ class TestCoupledPairsUnion:
         ints = dataclasses.replace(ints, two_body_opposite_spin=gos)
         live = gos.reshape(m * m, m * m) != 0
         assert not np.array_equal(live.any(axis=1), live.any(axis=0))
-        ham = self._reference(ints)
+        ham = dense_fock_hamiltonian(ints).toarray()
         for alpha, beta in [(half_strings(m, n_alpha), half_strings(m, n_beta)),
                             (half_strings(m, n_alpha)[1:], half_strings(m, n_beta)[-2:])]:
             # Fock indices alpha | beta << m, beta-major
@@ -1677,12 +1664,12 @@ class TestEnergyVariance:
             a = rng.normal(size=(30, 30))
             h = (a + a.T) / 2 + 5 * np.eye(30)
             c = np.linalg.eigh(h)[1][:, 0]
-            var = subspace_mod.relative_variance(c, h @ c)
+            var = subspace_mod.relative_variance(c, h @ c, slice(None))
             assert 0.0 <= var <= 1e-24
             # rows outside the vector's determinants add their squares
             s = np.concatenate([h @ c, [3e-3, -4e-3]])
             energy = c @ h @ c
-            assert subspace_mod.relative_variance(c, s) == pytest.approx(
+            assert subspace_mod.relative_variance(c, s, slice(len(c))) == pytest.approx(
                 var + 25e-6 / energy**2, rel=1e-12)
 
 
