@@ -22,13 +22,21 @@ number of electron pairs.  It is not part of the total.
 The memory estimates that cap those calls get one more digest, also outside
 the total: ``product_bytes``, ``sigma_bytes`` and ``columns_bytes`` on the
 same requests.  A change that must leave the estimates as they are keeps it.
+
+The LUCJ ansatz gets a digest of its own, outside the total as well: on the
+real site-basis integrals, for every number of electron pairs, the layers
+(``rotation``, ``j_same``, ``j_opposite``) that ``lucj_from_t2`` seeds from
+the MP2 doubles at 1, 2 and 3 layers, and the amplitudes that
+``build_state`` makes from each in the sectors of one electron fewer, the
+same number and one more, from the mean field's aufbau determinant.
 """
 
 import hashlib
 
 import numpy as np
 
-from hsqd import LatticeHamiltonian, SectorSpec, map_to_electronic, rotate_basis, solve_mean_field
+from hsqd import (LatticeHamiltonian, SectorSpec, build_state, lucj_from_t2, map_to_electronic,
+                  mp2_doubles, rotate_basis, solve_mean_field)
 from hsqd.determinants import half_strings
 from hsqd.strings import (columns_bytes, hamiltonian_columns, product_bytes, product_hamiltonian,
                           sigma, sigma_bytes)
@@ -38,6 +46,7 @@ PASSES = 3
 # a cap on the product subsets and determinant lists, so that M = 8 stays quick
 MAX_PRODUCT = 1200
 MAX_LIST = 80
+LUCJ_LAYERS = (1, 2, 3)
 
 
 def random_integrals(rng, m: int, complex_ints: bool, rotated: bool):
@@ -83,12 +92,28 @@ def update(h, *arrays) -> None:
         h.update(x.tobytes())
 
 
+def update_lucj(h, ints, mf, pairs: int) -> None:
+    """The LUCJ layers seeded from the MP2 doubles of ``pairs`` electron
+    pairs, and the states they build in the sectors next to that filling."""
+    m = ints.n_orbitals
+    spec = SectorSpec(m, pairs, pairs)
+    t2, _ = mp2_doubles(mf, rotate_basis(ints, mf.orbital_coefficients), spec)
+    for layers in LUCJ_LAYERS:
+        params = lucj_from_t2(t2, m, pairs, layers)
+        for layer in params.layers:
+            update(h, layer.rotation, layer.j_same, layer.j_opposite)
+        for n_alpha in range(max(pairs - 1, 0), min(pairs + 1, m) + 1):
+            sector = SectorSpec(m, n_alpha, pairs)
+            update(h, build_state(params, mf.reference_for(sector), sector).amplitudes)
+
+
 def main() -> None:
     rng = np.random.default_rng(SEED)
     h = hashlib.sha256()
     per = {}  # function name -> its own digest
     scf = hashlib.sha256()
     estimates = hashlib.sha256()
+    lucj = hashlib.sha256()
     cases = 0
     for m in range(2, 9):
         for rotated in (False, True):
@@ -101,6 +126,8 @@ def main() -> None:
                         mf = solve_mean_field(ints, SectorSpec(m, pairs, pairs))
                         update(scf, mf.orbital_coefficients, np.array(mf.hf_energy),
                                np.array(mf.energy_history))
+                        if not complex_ints:
+                            update_lucj(lucj, ints, mf, pairs)
                 for _ in range(PASSES):
                     for spec, (alpha, beta, wa, wb, c, dets_a, dets_b) in reqs:
                         mat = product_hamiltonian(ints, alpha, beta)
@@ -122,6 +149,7 @@ def main() -> None:
         print(f"{digest.hexdigest()}  {name}")
     print(f"{scf.hexdigest()}  solve_mean_field")
     print(f"{estimates.hexdigest()}  estimates (not in the total)")
+    print(f"{lucj.hexdigest()}  lucj (not in the total)")
     print(f"{h.hexdigest()}  total ({cases} cases)")
 
 

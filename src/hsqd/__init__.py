@@ -30,7 +30,6 @@ from .reference import (
 from .statevector import (
     SampleSet,
     SectorStatevector,
-    apply_density_phase,
     build_state,
     load_samples,
     sample,

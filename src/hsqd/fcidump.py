@@ -15,8 +15,8 @@ import warnings
 
 import numpy as np
 
-from .errors import ValidationError
-from .model import ElectronicIntegrals, read_text
+from .errors import ValidationError, check_cap
+from .model import ElectronicIntegrals, integrals_bytes, read_text
 
 _FLOAT_FMT = "%21.15g"
 
@@ -78,6 +78,7 @@ def read_fcidump(path) -> ElectronicIntegrals:
     if not norb_match:
         raise ValidationError(f"{path}: header lacks NORB")
     m = int(norb_match.group(1))
+    check_cap(f"the integrals of {m} orbitals", integrals_bytes(m))
     body = text[header_match.end():]
 
     h = np.zeros((m, m))

@@ -28,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_cap
 
 HARTREE_TO_EV = 27.211386245988
 
@@ -91,6 +91,14 @@ class LatticeHamiltonian:
         f = HARTREE_TO_EV
         return replace(self, hopping=self.hopping * f, u_intra=self.u_intra * f,
                        v_inter=self.v_inter * f, unit="eV")
+
+
+def integrals_bytes(m: int) -> int:
+    """Estimated peak allocation of M-orbital integrals built from input:
+    six two-body tensors of 8 M^4 bytes (the two built, the copies that
+    ``ElectronicIntegrals`` keeps, and two temporaries of its symmetry
+    checks), eight M x M arrays, and 64 KiB for the parsed input."""
+    return 8 * (6 * m**4 + 8 * m**2) + 2**16
 
 
 @dataclass(frozen=True)
@@ -208,6 +216,7 @@ def map_to_electronic(lat: LatticeHamiltonian, literal_2u: bool = False) -> Elec
     """
     lat = lat.to_ev()
     m = lat.n_orbitals
+    check_cap(f"the integrals of {m} orbitals", integrals_bytes(m))
     dtype = complex if np.iscomplexobj(lat.hopping) else float
     gss = np.zeros((m, m, m, m))
     gos = np.zeros((m, m, m, m))

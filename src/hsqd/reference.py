@@ -223,28 +223,16 @@ class LucjLayer:
 
 @dataclass(frozen=True)
 class LucjParameters:
-    """Layered cluster-Jastrow parameters with a connectivity mask."""
+    """Layered cluster-Jastrow parameters: the layers, in the order
+    ``build_state`` applies them, over ``n_orbitals`` orbitals."""
 
     n_orbitals: int
     layers: tuple[LucjLayer, ...]
-    mask_same: np.ndarray | None = None
-    mask_opposite: np.ndarray | None = None
 
     def __post_init__(self):
         for layer in self.layers:
             if layer.rotation.shape != (self.n_orbitals,) * 2:
                 raise ValidationError("layer dimension mismatch")
-            for mask, j in ((self.mask_same, layer.j_same), (self.mask_opposite, layer.j_opposite)):
-                if mask is not None and np.abs(j[~mask.astype(bool)]).max(initial=0.0) > 0.0:
-                    raise ValidationError("masked coupling entries must be exactly zero")
-
-
-def default_masks(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """All-to-all same-spin couplings; index-adjacent opposite-spin couplings."""
-    mask_same = np.ones((m, m), dtype=bool)
-    idx = np.arange(m)
-    mask_opposite = np.abs(idx[:, None] - idx[None, :]) <= 1
-    return mask_same, mask_opposite
 
 
 def check_layers(layers: int) -> None:
@@ -265,8 +253,10 @@ def lucj_from_t2(
     (occupied, virtual) index pairs and eigendecomposed; each retained
     eigenpair yields one layer whose orbital rotation diagonalizes the
     corresponding one-body generator and whose couplings are the outer
-    product of its eigenvalues, scaled by the amplitude eigenvalue and
-    truncated to the connectivity masks of ``default_masks``.
+    product j of its eigenvalues, scaled by the amplitude eigenvalue: every
+    same-spin pair is coupled (``j_same = j``), and opposite-spin pairs only
+    between index-adjacent orbitals (``j_opposite`` is j on |p - q| <= 1,
+    zero elsewhere).
     """
     if np.iscomplexobj(t2):
         raise ValidationError("amplitude tensor must be real")
@@ -278,7 +268,8 @@ def lucj_from_t2(
         )
     check_layers(layers)
     m = n_orbitals
-    mask_same, mask_opposite = default_masks(m)
+    idx = np.arange(m)
+    adjacent = np.abs(idx[:, None] - idx[None, :]) <= 1
 
     pair_dim = nocc * nvirt
     built: list[LucjLayer] = []
@@ -301,11 +292,5 @@ def lucj_from_t2(
         gen = gen + gen.T
         diag, w = scipy.linalg.eigh(gen)
         j = lam * np.outer(diag, diag)
-        built.append(
-            LucjLayer(
-                rotation=w,
-                j_same=(j * mask_same + (j * mask_same).T) / 2,
-                j_opposite=(j * mask_opposite + (j * mask_opposite).T) / 2,
-            )
-        )
-    return LucjParameters(m, tuple(built), mask_same, mask_opposite)
+        built.append(LucjLayer(rotation=w, j_same=j, j_opposite=j * adjacent))
+    return LucjParameters(m, tuple(built))

@@ -24,7 +24,7 @@ import numpy as np
 from .determinants import Determinant, half_strings
 from .errors import ValidationError, check_cap
 from .model import SectorSpec, read_text
-from .reference import LucjParameters, real_matrix
+from .reference import LucjParameters
 
 # the largest shot count the multinomial draw takes (a signed 64-bit count)
 MAX_SHOTS = 2**63 - 1
@@ -124,41 +124,28 @@ def _rotate(amps: np.ndarray, u_beta: np.ndarray, u_alpha: np.ndarray) -> np.nda
     return np.ascontiguousarray(right.T)
 
 
-def apply_density_phase(
-    state: SectorStatevector, j_same: np.ndarray, j_opposite: np.ndarray
-) -> SectorStatevector:
-    """Apply exp(i J) where J couples occupation numbers pairwise."""
-    m = state.spec.n_orbitals
-    js = real_matrix(j_same, "same-spin coupling matrix", m)
-    jo = real_matrix(j_opposite, "opposite-spin coupling matrix", m)
-    for name, j in (("same-spin", js), ("opposite-spin", jo)):
-        if np.abs(j - j.T).max(initial=0.0) > 1e-10:
-            raise ValidationError(f"{name} coupling matrix must be symmetric")
-    occ_a, occ_b = (
-        ((half_strings(m, n)[:, None] >> np.arange(m)) & 1).astype(float)
-        for n in (state.spec.n_alpha, state.spec.n_beta)
-    )
-    same_a = np.einsum("xp,pq,xq->x", occ_a, js, occ_a)
-    same_b = np.einsum("xp,pq,xq->x", occ_b, js, occ_b)
-    cross = 2.0 * occ_b @ jo @ occ_a.T  # sums both (up,down) and (down,up) orderings
-    phase = same_b[:, None] + same_a[None, :] + cross
-    amps = state.amplitudes * np.exp(1j * phase)
-    return SectorStatevector(state.spec, amps)
-
-
 def build_state(params: LucjParameters, ref: tuple[int, int], spec: SectorSpec) -> SectorStatevector:
     """Construct the layered ansatz state W exp(iJ) W^T ... |ref>.
 
     Layers are applied in index order: each layer rotates into its orbital
-    basis (W^T), applies its diagonal density-density phase, and rotates
-    back (W).  Each layer builds one compound per channel occupation; the
+    basis (W^T), multiplies every determinant by its density-density phase
+    exp(iJ), and rotates back (W).  J sums the layer's couplings over the
+    determinant's occupations n_p (0 or 1),
+
+        J = sum_pq j_same[p, q] (na_p na_q + nb_p nb_q)
+          + sum_pq j_opposite[p, q] (na_p nb_q + nb_p na_q) ,
+
+    and ``LucjLayer`` has already checked both matrices to be finite and
+    symmetric.  Each layer builds one compound per channel occupation; the
     first W^T acts on |ref>, so it only reads the rows of ``ref``'s strings.
     """
     if params.n_orbitals != spec.n_orbitals:
         raise ValidationError("parameter/sector orbital count mismatch")
     check_cap("the sector statevector", spec.dimension(), "determinants")
     ref_a, ref_b = spec.check_reference(ref)
-    alphas, betas = (half_strings(spec.n_orbitals, n) for n in (spec.n_alpha, spec.n_beta))
+    m = spec.n_orbitals
+    alphas, betas = (half_strings(m, n) for n in (spec.n_alpha, spec.n_beta))
+    occ_a, occ_b = (((words[:, None] >> np.arange(m)) & 1).astype(float) for words in (alphas, betas))
     ia, ib = np.searchsorted(alphas, ref_a), np.searchsorted(betas, ref_b)
     amps = np.zeros((len(betas), len(alphas)))
     amps[ib, ia] = 1.0  # |ref>
@@ -169,8 +156,11 @@ def build_state(params: LucjParameters, ref: tuple[int, int], spec: SectorSpec) 
             amps = np.outer(u_beta[ib], u_alpha[ia])
         else:
             amps = _rotate(amps, u_beta.T, u_alpha.T)
-        phased = apply_density_phase(SectorStatevector(spec, amps), layer.j_same, layer.j_opposite)
-        amps = _rotate(phased.amplitudes, u_beta, u_alpha)
+        same_a = np.einsum("xp,pq,xq->x", occ_a, layer.j_same, occ_a)
+        same_b = np.einsum("xp,pq,xq->x", occ_b, layer.j_same, occ_b)
+        cross = 2.0 * occ_b @ layer.j_opposite @ occ_a.T  # both (up,down) and (down,up) orderings
+        amps = amps * np.exp(1j * (same_b[:, None] + same_a[None, :] + cross))
+        amps = _rotate(amps, u_beta, u_alpha)
     return SectorStatevector(spec, amps)
 
 

@@ -58,9 +58,11 @@ class SubspaceBasis:
 
 
 def filter_samples(samples: SampleSet, spec: SectorSpec) -> SampleSet:
-    """Keep only samples with the sector's per-spin particle numbers."""
-    kept = {det: count for det, count in samples.counts.items()
-            if det.alpha.bit_count() == spec.n_alpha and det.beta.bit_count() == spec.n_beta}
+    """Keep only the samples that are determinants of the sector (``SectorSpec.holds``)."""
+    counts = samples.counts
+    held = (spec.holds(np.fromiter((d.alpha for d in counts), np.int64, len(counts)), "alpha")
+            & spec.holds(np.fromiter((d.beta for d in counts), np.int64, len(counts)), "beta"))
+    kept = dict(item for item, keep in zip(counts.items(), held.tolist()) if keep)
     if not kept:
         raise ValidationError("postselection discarded every sample (empty subspace)")
     total = sum(kept.values())

@@ -253,6 +253,29 @@ def sector_generator_matrix(spec, k, dets):
     return mat
 
 
+def density_phase(state, j_same, j_opposite):
+    """Multiply each determinant's amplitude by exp(iJ), with J summed over
+    its occupations one orbital pair at a time:
+
+        J = sum_pq j_same[p, q] (na_p na_q + nb_p nb_q)
+          + sum_pq j_opposite[p, q] (na_p nb_q + nb_p na_q) .
+    """
+    from hsqd.statevector import SectorStatevector
+
+    m = state.spec.n_orbitals
+    amps = state.amplitudes.ravel().copy()
+    for idx, det in enumerate(enumerate_sector(state.spec)):
+        na = [(det.alpha >> p) & 1 for p in range(m)]
+        nb = [(det.beta >> p) & 1 for p in range(m)]
+        phase = 0.0
+        for p in range(m):
+            for q in range(m):
+                phase += j_same[p, q] * (na[p] * na[q] + nb[p] * nb[q])
+                phase += j_opposite[p, q] * (na[p] * nb[q] + nb[p] * na[q])
+        amps[idx] *= np.exp(1j * phase)
+    return SectorStatevector(state.spec, amps.reshape(state.amplitudes.shape))
+
+
 def givens_rotation(state, q):
     """Apply the orbital rotation q (a+_p -> sum_r q[r, p] a+_r) to a sector state.
 

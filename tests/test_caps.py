@@ -2,6 +2,9 @@
 ``SECTOR_CAP``: one check, which reads them at each call, refuses every
 large build before it allocates, in one message shape."""
 
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,13 +22,18 @@ from hsqd import (
     hci_ground,
     map_to_electronic,
     project_hamiltonian,
+    read_fcidump,
     rotate_basis,
     solve_mean_field,
+    save_lattice,
     solve_subspace,
+    write_fcidump,
 )
+from hsqd.cli import main
 from hsqd import errors as errors_mod
 from hsqd import strings as strings_mod
 from hsqd.determinants import half_strings
+from hsqd.model import integrals_bytes
 
 from conftest import make_chain
 
@@ -113,3 +121,44 @@ def test_sector_cap_reaches_every_enumeration(build, dimer_ints, monkeypatch):
     }
     with pytest.raises(CapExceededError, match=SECTOR_REFUSAL):
         calls[build]()
+
+
+@pytest.mark.parametrize("m", [2, 6, 12, 20])
+def test_integrals_bytes_bounds_measured_peak(m, tmp_path):
+    """Both builders of integrals from input, the lattice mapping and the
+    FCIDUMP reader, stay within ``integrals_bytes``."""
+    lattice = make_chain(m, v=0.6)
+    write_fcidump(map_to_electronic(lattice), tmp_path / "chain.fcidump")
+    for build in (lambda: map_to_electronic(lattice),
+                  lambda: read_fcidump(tmp_path / "chain.fcidump")):
+        tracemalloc.start()
+        try:
+            build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= integrals_bytes(m)
+
+
+@pytest.mark.parametrize("source", ["chain.json", "chain.fcidump"])
+def test_convert_checks_the_integrals_before_building_them(source, tmp_path, monkeypatch, capsys):
+    """``hsqd convert`` of a 12-site lattice, or of its FCIDUMP, is refused
+    under the memory cap (exit 3) before one 12^4 two-body tensor exists."""
+    m = 12
+    save_lattice(make_chain(m, v=0.6), tmp_path / "chain.json")
+    write_fcidump(map_to_electronic(make_chain(m, v=0.6)), tmp_path / "chain.fcidump")
+    target = "out.fcidump" if source.endswith(".json") else "out.json"
+    monkeypatch.setattr(errors_mod, "MEMORY_CAP", 0)
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        code = main(["convert", str(tmp_path / source), str(tmp_path / target)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    err = capsys.readouterr().err.strip()
+    assert err.startswith(f"error: the integrals of {m} orbitals needs")
+    assert re.search(MEMORY_REFUSAL, err)
+    assert peak < 8 * m**4
+    assert not (tmp_path / target).exists()

@@ -23,7 +23,6 @@ from hsqd import (
     sqd_sweep,
 )
 import hsqd.reference
-from hsqd.reference import default_masks
 
 from conftest import make_chain, random_lattice
 from oracles import (
@@ -311,14 +310,17 @@ class TestLucjParameters:
         assert len(lucj_from_t2(t2, 4, 2, layers=3).layers) == 3
 
     def test_masked_entries_exactly_zero(self):
+        """Opposite-spin couplings only between index-adjacent orbitals,
+        |p - q| <= 1; same-spin couplings between every pair."""
         rng = np.random.default_rng(3)
         t2 = rng.normal(size=(3, 3, 2, 2))
         t2 = (t2 + t2.transpose(1, 0, 3, 2)) / 2
-        mask_same, mask_opposite = default_masks(5)
-        params = lucj_from_t2(t2, 5, 3)
-        layer = params.layers[0]
-        assert np.all(layer.j_opposite[~mask_opposite] == 0.0)
-        assert np.all(layer.j_same[~mask_same] == 0.0) if (~mask_same).any() else True
+        layer = lucj_from_t2(t2, 5, 3).layers[0]
+        p, q = np.indices((5, 5))
+        band = np.abs(p - q) <= 1
+        assert np.all(layer.j_opposite[~band] == 0.0)
+        assert np.array_equal(layer.j_opposite[band], layer.j_same[band])
+        assert np.count_nonzero(layer.j_same[~band])
 
     def test_structural_invariants(self):
         rng = np.random.default_rng(4)

@@ -12,7 +12,6 @@ from hsqd import (
     LucjParameters,
     SectorSpec,
     ValidationError,
-    apply_density_phase,
     build_state,
     load_samples,
     lucj_from_t2,
@@ -28,7 +27,8 @@ from hsqd.errors import CapExceededError
 from hsqd.statevector import SampleSet, SectorStatevector, rotation_bytes
 
 from conftest import make_chain
-from oracles import basis_state, enumerate_sector, givens_rotation, sector_generator_matrix
+from oracles import (basis_state, density_phase, enumerate_sector, givens_rotation,
+                     sector_generator_matrix)
 from hsqd.determinants import half_strings
 
 
@@ -231,7 +231,7 @@ class TestCompoundRotation:
             want = basis_state(spec, ref)
             for k, (js, jo) in zip(ks, couplings):
                 want = givens_rotation(want, scipy.linalg.expm(-k))
-                want = apply_density_phase(want, js, jo)
+                want = density_phase(want, js, jo)
                 want = givens_rotation(want, scipy.linalg.expm(k))
             got = build_state(params, (ref.alpha, ref.beta), spec).amplitudes
             assert np.abs(got - want.amplitudes).max() <= 1e-12
@@ -256,7 +256,7 @@ class TestCompoundRotation:
         for spec in (neutral, SectorSpec(m, n + 1, n)):
             ref = mf.reference_for(spec)
             want = givens_rotation(basis_state(spec, Determinant(*ref)), w.T)
-            want = givens_rotation(apply_density_phase(want, layer.j_same, layer.j_opposite), w)
+            want = givens_rotation(density_phase(want, layer.j_same, layer.j_opposite), w)
             got = build_state(params, ref, spec).amplitudes
             assert np.abs(got - want.amplitudes).max() <= 1e-12
 
@@ -306,11 +306,6 @@ class TestStateInputValidation:
         with pytest.raises(ValidationError, match="orbital count mismatch"):
             build_state(zero_params(3), (1, 0), SectorSpec(2, 1, 0))
 
-    def test_nonfinite_couplings_rejected(self):
-        state = basis_state(SectorSpec(2, 1, 1), Determinant(1, 1))
-        with pytest.raises(ValidationError, match="non-finite"):
-            apply_density_phase(state, np.full((2, 2), np.nan), np.zeros((2, 2)))
-
     def test_layer_rejects_nonfinite_couplings(self):
         quarter_turn = np.array([[0.0, 1.0], [-1.0, 0.0]])
         with pytest.raises(ValidationError, match="non-finite"):
@@ -318,33 +313,6 @@ class TestStateInputValidation:
 
 
 class TestDensityPhase:
-    def test_matches_explicit_occupation_sums(self):
-        """Phase per determinant = sum_pq J_ss (na_p na_q + nb_p nb_q)
-        + 2 sum_pq J_os na_p nb_q, computed here by explicit loops."""
-        from hsqd import apply_density_phase
-
-        rng = np.random.default_rng(13)
-        m = 4
-        spec = SectorSpec(m, 2, 1)
-        js = symm(rng, m)
-        jo = symm(rng, m)
-        dets = enumerate_sector(spec)
-        k = antisym(rng, m)
-        state = compound_rotation(
-            basis_state(spec, Determinant(0b0011, 0b0001)), scipy.linalg.expm(k)
-        )
-        out = apply_density_phase(state, js, jo)
-        for idx, det in enumerate(dets):
-            na = [(det.alpha >> p) & 1 for p in range(m)]
-            nb = [(det.beta >> p) & 1 for p in range(m)]
-            phase = 0.0
-            for p in range(m):
-                for q in range(m):
-                    phase += js[p, q] * (na[p] * na[q] + nb[p] * nb[q])
-                    phase += jo[p, q] * (na[p] * nb[q] + nb[p] * na[q])
-            want = state.amplitudes.ravel()[idx] * np.exp(1j * phase)
-            assert abs(out.amplitudes.ravel()[idx] - want) <= 1e-12
-
     def test_full_layer_matches_dense_operator(self):
         """exp(K) exp(iJ) exp(-K) |ref> against dense sector matrices."""
         from hsqd import LucjLayer, LucjParameters
@@ -361,18 +329,10 @@ class TestDensityPhase:
         state = build_state(params, (ref.alpha, ref.beta), spec)
 
         kmat = sector_generator_matrix(spec, k, dets)
-        phases = []
-        for det in dets:
-            na = [(det.alpha >> p) & 1 for p in range(m)]
-            nb = [(det.beta >> p) & 1 for p in range(m)]
-            phase = 0.0
-            for p in range(m):
-                for q in range(m):
-                    phase += js[p, q] * (na[p] * na[q] + nb[p] * nb[q])
-                    phase += jo[p, q] * (na[p] * nb[q] + nb[p] * na[q])
-            phases.append(phase)
-        u = scipy.linalg.expm(kmat) @ np.diag(np.exp(1j * np.array(phases))) \
-            @ scipy.linalg.expm(-kmat)
+        # exp(iJ) per determinant: the phase of each entry of a uniform state
+        uniform = SectorStatevector(spec, np.full((6, 6), 1 / 6))
+        phases = density_phase(uniform, js, jo).amplitudes.ravel() * 6
+        u = scipy.linalg.expm(kmat) @ np.diag(phases) @ scipy.linalg.expm(-kmat)
         want = u[:, dets.index(ref)]
         assert np.abs(state.amplitudes.ravel() - want).max() <= 1e-10
 

@@ -121,6 +121,18 @@ class TestFilterSamples:
         assert set(out.counts) == {Determinant(0b01, 0b10)}
         assert out.discarded_fraction == pytest.approx(0.3)
 
+    def test_word_beyond_the_orbitals_removed(self, dimer_ints):
+        """A word with a bit at or above n_orbitals has the sector's popcount
+        but is no string of it: postselection discards and counts it, and the
+        sweep runs on the determinant that is left."""
+        spec = SectorSpec(2, 1, 1)
+        s = samples_from({Determinant(0b01, 0b01): 5, Determinant(0b100, 0b10): 3}, 2)
+        out = filter_samples(s, spec)
+        assert set(out.counts) == {Determinant(0b01, 0b01)}
+        assert out.discarded_fraction == pytest.approx(3 / 8)
+        (point,) = sqd_sweep(out, spec, dimer_ints, [0.25])
+        assert point.basis.dimension == 1
+
     def test_noiseless_simulation_keeps_everything(self):
         from hsqd import LucjParameters, build_state, sample
         from hsqd.reference import LucjLayer
